@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .domain import histogram, ingest_dataset, load_domain
-from .errors import NonSparseConstraintsError
+from .errors import BudgetExceededError
 from .experiments import run_experiment
 from .kmeans import ClusteringPolicy, KmeansConfig, kmeans_private
 from .mechanisms import (
@@ -43,6 +43,7 @@ from .sensitivity import (
     brute_force_sensitivity,
     closed_form_sensitivity,
     is_sparse,
+    policy_sensitivity,
     sparse_constraint_sensitivity,
     specialized_constraint_sensitivity,
 )
@@ -80,15 +81,13 @@ def _load_policy_args(args) -> Policy:
 
 def _resolve_sensitivity(query, policy: Policy, args) -> SensitivityResult:
     method = getattr(args, "method", "auto")
-    if method == "closed" or (method == "auto" and policy.constraints.unconstrained):
+    if method == "auto":
+        res = policy_sensitivity(query, policy)
+    elif method == "closed":
         res = closed_form_sensitivity(query, policy)
-    elif method in ("sparse", "auto"):
+    elif method == "sparse":
         if not isinstance(query, HistogramQuery):
             raise ValueError("constrained sensitivity supports the histogram query only")
-        if not is_sparse(policy.constraints, policy.graph):
-            raise NonSparseConstraintsError(
-                "constraints are not sparse with respect to the secret graph"
-            )
         res = sparse_constraint_sensitivity(policy)
     elif method == "specialized":
         res = specialized_constraint_sensitivity(policy)
@@ -304,7 +303,7 @@ def cli_main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError, KeyError, BudgetExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

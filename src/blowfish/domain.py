@@ -99,15 +99,6 @@ class DomainSpec:
     def point_from_labels(self, labels: dict[str, str]) -> Point:
         return tuple(a.index_of(labels[a.name]) for a in self.attributes)
 
-    def labels(self, point: Point) -> tuple[str, ...]:
-        self.validate_point(point)
-        return tuple(a.values[i] for a, i in zip(self.attributes, point))
-
-    def points(self):
-        """Iterate all points in rank order."""
-        for r in range(self.size):
-            yield self.unrank(r)
-
     def diameter(self) -> int:
         """Largest L1 distance between two domain points (in index units)."""
         return sum(a.size - 1 for a in self.attributes)
@@ -128,9 +119,6 @@ class Dataset:
     @property
     def n(self) -> int:
         return len(self.rows)
-
-    def points(self) -> list[Point]:
-        return [p for _, p in self.rows]
 
     def ranks(self) -> list[int]:
         return [self.domain.rank(p) for _, p in self.rows]

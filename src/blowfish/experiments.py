@@ -20,7 +20,6 @@ from .kmeans import ClusteringPolicy, KmeansConfig, kmeans_nonprivate, kmeans_pr
 from .mechanisms import (
     PrivacyParams,
     build_oh_release,
-    hierarchical_release,
     oh_range_query,
     optimal_budget_split,
     ordered_mechanism,
@@ -145,10 +144,6 @@ class ExperimentReport:
             )
         return buf.getvalue()
 
-    def write_csv(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(self.to_csv_string())
-
 
 def _num(v) -> str:
     if v is None:
@@ -193,18 +188,10 @@ def _range_truth(counts: np.ndarray, workload: Workload) -> np.ndarray:
     return np.array([prefix[j] - prefix[i - 1] for i, j in workload.queries], dtype=float)
 
 
-def _run_range_mse(config: dict) -> ExperimentReport:
-    seed = int(config.get("seed", 0))
-    size = int(config.get("domain_size", 400))
+def _config_histogram(config: dict, size: int, seed: int) -> np.ndarray:
+    """The synthetic histogram described by a config's ``data`` object."""
     data_cfg = dict(config.get("data", {"kind": "zipf", "n": 10_000}))
-    trials = int(config.get("trials", 20))
-    n_queries = int(config.get("queries", 2000))
-    fanout = int(config.get("fanout", 16))
-    thetas = config.get("thetas", [1, "full"])
-    epsilons = [float(e) for e in config.get("epsilons", [0.5, 1.0])]
-    include_baseline = bool(config.get("baseline", True))
-
-    counts = synth_histogram(
+    return synth_histogram(
         kind=data_cfg.get("kind", "zipf"),
         size=size,
         n=int(data_cfg.get("n", 10_000)),
@@ -212,13 +199,34 @@ def _run_range_mse(config: dict) -> ExperimentReport:
         zipf_s=float(data_cfg.get("zipf_s", 1.1)),
         zero_frac=float(data_cfg.get("zero_frac", 0.9)),
     )
+
+
+def _run_range_mse(config: dict) -> ExperimentReport:
+    seed = int(config.get("seed", 0))
+    size = int(config.get("domain_size", 400))
+    trials = int(config.get("trials", 20))
+    n_queries = int(config.get("queries", 2000))
+    fanout = int(config.get("fanout", 16))
+    thetas = config.get("thetas", [1, "full"])
+    epsilons = [float(e) for e in config.get("epsilons", [0.5, 1.0])]
+    include_baseline = bool(config.get("baseline", True))
+
+    counts = _config_histogram(config, size, seed)
     workload = random_range_workload(size, n_queries, seed)
     truth = _range_truth(counts, workload)
 
-    rows: list[ReportRow] = []
-    row_idx = 0
+    # (mechanism, policy, theta) per row group; the hierarchical baseline is
+    # the theta = |T| tree, whose budget split puts all of epsilon on H nodes
+    specs = []
     for theta_raw in thetas:
         theta = size if theta_raw == "full" else int(theta_raw)
+        specs.append(("ordered-hierarchical", f"distance(theta={theta})", theta))
+    if include_baseline:
+        specs.append(("hierarchical", "full", size))
+
+    rows: list[ReportRow] = []
+    row_idx = 0
+    for mechanism, policy, theta in specs:
         for eps in epsilons:
             errors = []
             for t in range(trials):
@@ -231,34 +239,10 @@ def _run_range_mse(config: dict) -> ExperimentReport:
             rows.append(
                 ReportRow(
                     "range-mse",
-                    "ordered-hierarchical",
-                    f"distance(theta={theta})",
+                    mechanism,
+                    policy,
                     eps,
                     theta,
-                    fanout,
-                    "range_mse",
-                    mean,
-                    q1,
-                    q3,
-                )
-            )
-            row_idx += 1
-    if include_baseline:
-        for eps in epsilons:
-            errors = []
-            for t in range(trials):
-                ts = trial_seed(seed, "range-mse", row_idx, t)
-                tree = hierarchical_release(counts, fanout, eps, ts)
-                est = np.array([oh_range_query(tree, i, j) for i, j in workload.queries])
-                errors.append(float(((est - truth) ** 2).mean()))
-            mean, q1, q3 = _summary(errors)
-            rows.append(
-                ReportRow(
-                    "range-mse",
-                    "hierarchical",
-                    "full",
-                    eps,
-                    size,
                     fanout,
                     "range_mse",
                     mean,
@@ -273,19 +257,11 @@ def _run_range_mse(config: dict) -> ExperimentReport:
 def _run_cdf_release(config: dict) -> ExperimentReport:
     seed = int(config.get("seed", 0))
     size = int(config.get("domain_size", 400))
-    data_cfg = dict(config.get("data", {"kind": "zipf", "n": 10_000}))
     trials = int(config.get("trials", 20))
     thetas = [int(t) for t in config.get("thetas", [1])]
     epsilons = [float(e) for e in config.get("epsilons", [0.5, 1.0])]
 
-    counts = synth_histogram(
-        kind=data_cfg.get("kind", "zipf"),
-        size=size,
-        n=int(data_cfg.get("n", 10_000)),
-        seed=seed,
-        zipf_s=float(data_cfg.get("zipf_s", 1.1)),
-        zero_frac=float(data_cfg.get("zero_frac", 0.9)),
-    )
+    counts = _config_histogram(config, size, seed)
     truth = np.cumsum(counts).astype(float)
     rows: list[ReportRow] = []
     row_idx = 0

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import Dataset
 from .errors import InfiniteSensitivityError
 from .mechanisms import BudgetLedger, PrivacyParams, compose_budgets, sample_laplace
 from .policy import Policy
@@ -96,11 +95,6 @@ class ClusteringResult:
         if self.ledger is not None:
             out["epsilon_spent"] = compose_budgets(self.ledger)
         return out
-
-
-def dataset_to_vectors(data: Dataset) -> np.ndarray:
-    """Map a discrete dataset to real vectors via per-attribute value indices."""
-    return np.array([list(p) for _, p in data.rows], dtype=float)
 
 
 def kmeans_objective(points, centroids) -> float:

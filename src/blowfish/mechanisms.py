@@ -421,42 +421,14 @@ def hierarchical_release(
 ) -> OHTree:
     """Classical f-ary interval tree baseline with uniform budget per level.
 
-    Built directly (one block spanning the domain, every node holding a noisy
-    interval count at scale 2h/epsilon); structurally this is the
-    theta = |domain| ordered-hierarchical tree.
+    This is the theta = |domain| ordered-hierarchical tree: one block spanning
+    the domain, every node holding a noisy interval count at scale
+    2h/epsilon, with the whole budget on H nodes.
     """
-    counts = np.asarray(hist, dtype=np.int64)
-    size = int(counts.size)
-    if size < 1:
-        raise ValueError("histogram must be non-empty")
-    if fanout < 2:
-        raise ValueError("fanout must be >= 2")
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    prefix = np.concatenate([[0], np.cumsum(counts)]).astype(float)
-    h = _subtree_height(size, fanout)
-    scale = (1.0 if size == 1 else 2.0 * h) / epsilon
-    nodes: dict[tuple[int, int], OHNode] = {}
-    stack = [(1, size)]
-    while stack:
-        lo, hi = stack.pop()
-        idx = 2 * 1 if (lo, hi) == (1, size) else _h_index(lo, hi, size)
-        noise = 0.0 if zero_noise else sample_laplace(scale, _node_rng(seed, idx))
-        value = float(prefix[hi] - prefix[lo - 1]) + noise
-        nodes[(lo, hi)] = OHNode(index=idx, lo=lo, hi=hi, value=value, scale=scale)
-        if lo != hi:
-            stack.extend(_children(lo, hi, fanout))
-    root = nodes[(1, size)]
-    return OHTree(
-        domain_size=size,
-        theta=size,
-        fanout=fanout,
-        eps_s=0.0,
-        eps_h=epsilon,
-        seed=seed,
-        s_nodes=(root,),
-        blocks={1: nodes},
-    )
+    size = int(np.asarray(hist).size)
+    return build_oh_release(hist, size, fanout, 0.0, epsilon, seed, zero_noise)
 
 
 def _block_prefix(tree: OHTree, block: int, target: int) -> float:
@@ -502,12 +474,6 @@ def oh_range_query(tree: OHTree, i: int, j: int) -> float:
     if not 1 <= i <= j <= tree.domain_size:
         raise ValueError(f"invalid range [{i},{j}]")
     return oh_cumulative(tree, j) - oh_cumulative(tree, i - 1)
-
-
-def oh_inferred_cumulative(tree: OHTree) -> np.ndarray:
-    """Optional post-processing: isotonic inference over all prefix estimates."""
-    raw = np.array([oh_cumulative(tree, j) for j in range(1, tree.domain_size + 1)])
-    return isotonic_inference(raw, lower_bound=0.0)
 
 
 # -- budget accounting ---------------------------------------------------------

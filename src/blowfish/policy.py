@@ -470,22 +470,6 @@ class NeighborPair:
     delta: int
 
 
-def database_satisfies(constraints: ConstraintSet, db_ranks, domain: DomainSpec) -> bool:
-    """Whether a database meets every recorded constraint answer.
-
-    Queries without recorded answers do not restrict the database set.
-    """
-    if constraints.unconstrained:
-        return True
-    points = [domain.unrank(r) for r in db_ranks]
-    for q in constraints.queries:
-        if q.answer is None:
-            continue
-        if sum(1 for p in points if q.matches(p)) != q.answer:
-            return False
-    return True
-
-
 def enumerate_databases(policy: Policy, n: int, budget: int = DEFAULT_ENUM_BUDGET) -> list[tuple[int, ...]]:
     """All databases of n tuples (as rank vectors) satisfying the constraints."""
     size = policy.domain.size
@@ -591,29 +575,20 @@ def enumerate_neighbors(policy: Policy, n: int, budget: int = DEFAULT_ENUM_BUDGE
     constraints this is exactly the set of pairs differing in one tuple
     along a secret-graph edge.
     """
-    domain = policy.domain
-    size = domain.size
-    dbs = enumerate_databases(policy, n, budget)
-    edge = [row.tolist() for row in policy.graph.edge_matrix()]
     pairs: list[NeighborPair] = []
-    for d1 in dbs:
-        cands = _mask_candidates(dbs, d1, n, size, edge)
-        for _, _, d2 in _neighbors_of(cands):
-            t_set = frozenset(
-                (i, d1[i], d2[i])
-                for i in range(n)
-                if d1[i] != d2[i] and edge[d1[i]][d2[i]]
-            )
-            delta = 2 * sum(1 for i in range(n) if d1[i] != d2[i])
-            pairs.append(NeighborPair(d1=d1, d2=d2, t_set=t_set, delta=delta))
+    for d1, neighbors in neighbor_databases(policy, n, budget):
+        for d2 in neighbors:
+            # every change of a neighbor runs along a secret-graph edge
+            changes = frozenset((i, a, b) for i, (a, b) in enumerate(zip(d1, d2)) if a != b)
+            pairs.append(NeighborPair(d1=d1, d2=d2, t_set=changes, delta=2 * len(changes)))
     return pairs
 
 
 def neighbor_databases(policy: Policy, n: int, budget: int = DEFAULT_ENUM_BUDGET, d1_filter=None):
     """Yield (d1, [d2 databases that are neighbors of d1]) lazily per d1.
 
-    Shares the enumeration with enumerate_neighbors but lets callers restrict
-    the d1 side (e.g. to canonical representatives under id permutation).
+    The d1 side can be restricted (e.g. to canonical representatives under
+    id permutation) with ``d1_filter``.
     """
     domain = policy.domain
     size = domain.size

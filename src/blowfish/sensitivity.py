@@ -1,6 +1,6 @@
 """Policy-specific global sensitivity.
 
-Three routes are provided and kept deliberately independent of each other:
+Four routes are provided and kept deliberately independent of each other:
 
 * closed forms for unconstrained policies, per query kind and graph kind;
 * the sparse count-constraint engine, which builds a directed policy graph
@@ -278,32 +278,6 @@ def lifts_lowers(pair: tuple[Point, Point], q: CountQuery) -> Effect:
     return Effect.NEITHER
 
 
-def is_sparse(
-    constraints: ConstraintSet, g: SecretGraph, budget: int = DEFAULT_EDGE_BUDGET
-) -> bool:
-    """Whether every secret-graph edge lifts at most one query and lowers at
-    most one query of the constraint set."""
-    queries = constraints.queries
-    if not queries:
-        return True
-    domain = g.domain
-    points = [domain.unrank(r) for r in range(domain.size)]
-    for x_rank, y_rank in iter_graph_edges(g, budget):
-        lifts = 0
-        lowers = 0
-        for q in queries:
-            eff = lifts_lowers((points[x_rank], points[y_rank]), q)
-            if eff is Effect.LIFTS:
-                lifts += 1
-                if lifts > 1:
-                    return False
-            elif eff is Effect.LOWERS:
-                lowers += 1
-                if lowers > 1:
-                    return False
-    return True
-
-
 @dataclass(frozen=True)
 class PolicyGraph:
     """Directed graph over constraint queries plus source/sink sentinels.
@@ -362,8 +336,8 @@ def build_policy_graph(
                 lower_idx.append(qi)
         if len(lift_idx) > 1 or len(lower_idx) > 1:
             raise NonSparseConstraintsError(
-                f"secret pair (ranks {x_rank},{y_rank}) lifts {len(lift_idx)} and "
-                f"lowers {len(lower_idx)} queries"
+                f"constraints are not sparse: secret pair (ranks {x_rank},{y_rank}) "
+                f"lifts {len(lift_idx)} and lowers {len(lower_idx)} queries"
             )
         if lift_idx and lower_idx:
             e = (lower_idx[0], lift_idx[0])
@@ -382,6 +356,20 @@ def build_policy_graph(
         edges=frozenset(edges),
         witnesses=tuple(sorted(witnesses.items())),
     )
+
+
+def is_sparse(
+    constraints: ConstraintSet, g: SecretGraph, budget: int = DEFAULT_EDGE_BUDGET
+) -> bool:
+    """Whether every secret-graph edge lifts at most one query and lowers at
+    most one query of the constraint set."""
+    if not constraints.queries:
+        return True
+    try:
+        build_policy_graph(constraints, g, budget)
+    except NonSparseConstraintsError:
+        return False
+    return True
 
 
 def _adjacency(pg: PolicyGraph) -> list[list[int]]:
@@ -561,8 +549,9 @@ def specialized_constraint_sensitivity(policy: Policy) -> SensitivityResult:
         2 * max size;
     (c) pairwise-disjoint rectangles, distance-threshold secrets:
         2 * (largest proximity component + 1), exact when no rectangle is a
-        point query and the largest components admit a Hamiltonian path in
-        the proximity graph (otherwise an upper bound).
+        point query, the rectangles leave part of the domain uncovered and
+        the largest components admit a Hamiltonian path in the proximity
+        graph (otherwise an upper bound).
 
     Raises ShapeNotRecognizedError when the policy fits none of these.
     """
@@ -637,7 +626,10 @@ def specialized_constraint_sensitivity(policy: Policy) -> SensitivityResult:
             components.append(comp)
         maxcomp = max(len(c) for c in components)
         value = 2.0 * (maxcomp + 1)
-        exact = not any(q.is_point_query(domain) for q in queries)
+        # rectangles that cover the domain leave no tuple outside them, so
+        # the source-to-sink path behind the "+1" cannot occur
+        covered = sum(q.support_size(domain) for q in queries) == domain.size
+        exact = not covered and not any(q.is_point_query(domain) for q in queries)
         if exact:
             # the bound is attained along a path through a largest component,
             # which requires the component to be traceable
@@ -737,15 +729,15 @@ def policy_sensitivity(
     budget: int = DEFAULT_EDGE_BUDGET,
 ) -> SensitivityResult:
     """Default dispatch: closed forms when unconstrained, else the sparse
-    engine (histogram query only)."""
+    engine (histogram query only).
+
+    A non-sparse constraint set raises NonSparseConstraintsError from the
+    edge scan that builds the policy graph.
+    """
     if policy.constraints.unconstrained:
         return closed_form_sensitivity(query, policy)
     if not isinstance(query, HistogramQuery):
         raise ValueError(
             "constrained sensitivity is only supported for the complete histogram"
-        )
-    if not is_sparse(policy.constraints, policy.graph, budget):
-        raise NonSparseConstraintsError(
-            "constraints are not sparse; use brute_force_sensitivity at tiny scale"
         )
     return sparse_constraint_sensitivity(policy, budget)

@@ -267,12 +267,14 @@ def test_c06_structural_degeneracies():
     rng = np.random.default_rng(16)
     counts = rng.integers(0, 5, size=256)
 
-    baseline = hierarchical_release(counts, fanout=4, epsilon=1.0, seed=17)
-    oh_full = build_oh_release(counts, theta=256, fanout=4, eps_s=0.0, eps_h=1.0, seed=17)
-    nodes_a = sorted(baseline.nodes(), key=lambda n: n.index)
-    nodes_b = sorted(oh_full.nodes(), key=lambda n: n.index)
-    assert len(nodes_a) == len(nodes_b)
-    assert all(a == b for a, b in zip(nodes_a, nodes_b))
+    for size, fanout in itertools.product((1, 2, 17, 256, 257), (2, 4, 16)):
+        hist = rng.integers(0, 5, size=size)
+        baseline = hierarchical_release(hist, fanout=fanout, epsilon=1.0, seed=17)
+        oh_full = build_oh_release(hist, theta=size, fanout=fanout, eps_s=0.0, eps_h=1.0, seed=17)
+        nodes_a = sorted(baseline.nodes(), key=lambda n: n.index)
+        nodes_b = sorted(oh_full.nodes(), key=lambda n: n.index)
+        assert len(nodes_a) == len(nodes_b)
+        assert all(a == b for a, b in zip(nodes_a, nodes_b)), (size, fanout)
 
     split = optimal_budget_split(256, 1, 4, 1.0)
     assert split.eps_s == 1.0
@@ -281,7 +283,7 @@ def test_c06_structural_degeneracies():
     prefixes = np.array([oh_cumulative(oh_one, j) for j in range(1, 257)])
     assert np.array_equal(prefixes, om.noisy)
     assert np.array_equal(isotonic_inference(prefixes, lower_bound=0.0), om.inferred)
-    _report(6, f"theta=256 tree == baseline node-for-node ({len(nodes_a)} nodes); theta=1 == ordered mechanism")
+    _report(6, "theta=|T| tree == baseline node-for-node over 15 (size, fanout) shapes; theta=1 == ordered mechanism")
 
 
 # -- criterion 7: isotonic optimality ---------------------------------------------------

@@ -249,3 +249,50 @@ def test_unknown_experiment_nonzero(tmp_path, capsys):
     assert rc == 1
     assert "error:" in capsys.readouterr().err
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("method", ["auto", "sparse"])
+def test_sensitivity_non_sparse_policy_fails_cleanly(method, tmp_path, capsys):
+    # a change from (a2, b2, .) to (a1, b1, .) lifts both queries
+    policy = tmp_path / "overlap.json"
+    policy.write_text(
+        json.dumps(
+            {
+                "graph": {"kind": "full"},
+                "constraints": {"kind": "general", "queries": [
+                    {"where": {"A1": ["a1"]}, "answer": 2},
+                    {"where": {"A2": ["b1"]}, "answer": 2},
+                ]},
+            }
+        )
+    )
+    rc = cli_main(["sensitivity", "--domain", DOMAIN, "--policy", str(policy), "--method", method])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.startswith("error:")
+    assert captured.out == ""
+
+
+def test_enumeration_budget_fails_cleanly(capsys):
+    rc = cli_main(
+        ["sensitivity", "--domain", DOMAIN, "--policy", POLICY_MARGINAL, "--method", "oracle", "--n", "12"]
+    )
+    assert rc == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_edge_budget_fails_cleanly(tmp_path, capsys):
+    domain = tmp_path / "wide.json"
+    domain.write_text(json.dumps({"attributes": [{"name": "x", "values": [str(i) for i in range(10_000)]}]}))
+    policy = tmp_path / "full.json"
+    policy.write_text(
+        json.dumps(
+            {
+                "graph": {"kind": "full"},
+                "constraints": {"kind": "general", "queries": [{"where": {"x": ["0"]}, "answer": 1}]},
+            }
+        )
+    )
+    rc = cli_main(["policy", "validate", "--domain", str(domain), "--policy", str(policy)])
+    assert rc == 1
+    assert "error:" in capsys.readouterr().err

@@ -16,6 +16,7 @@ from blowfish import (
     HistogramQuery,
     LinearSumQuery,
     Method,
+    NonSparseConstraintsError,
     PartitionHistogramQuery,
     Policy,
     SecretGraph,
@@ -27,6 +28,7 @@ from blowfish import (
     is_sparse,
     lifts_lowers,
     load_domain,
+    policy_sensitivity,
     sparse_constraint_sensitivity,
     specialized_constraint_sensitivity,
 )
@@ -158,6 +160,8 @@ def test_is_sparse_examples():
     ge2 = CountQuery.from_labels(dom, {"x": ["2"]})  # value >= 2
     cs = ConstraintSet.of([ge1, ge2])
     assert not is_sparse(cs, SecretGraph.full(dom))  # pair (0,2) lifts both
+    with pytest.raises(NonSparseConstraintsError):
+        policy_sensitivity(HistogramQuery(), Policy(dom, SecretGraph.full(dom), cs))
 
     assert is_sparse(ConstraintSet.of([]), SecretGraph.full(dom))
 
@@ -320,6 +324,20 @@ def test_specialized_rectangles_point_query_upper_bound():
     pol = Policy(dom, SecretGraph.distance(dom, 2), ConstraintSet.of([r1, r2]))
     res = specialized_constraint_sensitivity(pol)
     assert res.exactness is Exactness.UPPER_BOUND
+
+
+def test_specialized_rectangles_covering_domain_upper_bound():
+    # rectangles that cover the domain leave no tuple outside them, so the
+    # "+1" source-to-sink path of 2 * (maxcomp + 1) cannot occur
+    dom = grid_domain(2, 4)
+    r1 = CountQuery.rectangle(dom, {"A1": (0, 1)}, answer=1)
+    r2 = CountQuery.rectangle(dom, {"A1": (2, 3)}, answer=1)
+    pol = Policy(dom, SecretGraph.distance(dom, 2), ConstraintSet.of([r1, r2]))
+    res = specialized_constraint_sensitivity(pol)
+    assert res.value == 6
+    assert res.exactness is Exactness.UPPER_BOUND
+    oracle = brute_force_sensitivity(HistogramQuery(), pol, n=2)
+    assert oracle.value == 4 <= res.value
 
 
 def test_specialized_rectangles_star_component_upper_bound():

@@ -44,18 +44,14 @@ def random_range_workload(domain_size: int, count: int, seed: int) -> Workload:
     rng = np.random.default_rng(np.random.SeedSequence([seed, _tag("workload")]))
     total = domain_size * (domain_size + 1) // 2
     picks = rng.integers(0, total, size=count)
-    queries = []
-    for flat in picks:
-        # unrank a uniform draw over {(i, j): 1 <= i <= j <= size}
-        i = 1
-        remaining = int(flat)
-        span = domain_size
-        while remaining >= span:
-            remaining -= span
-            i += 1
-            span -= 1
-        queries.append((i, i + remaining))
-    return Workload(domain_size=domain_size, queries=tuple(queries), seed=seed)
+    # unrank a uniform draw over {(i, j): 1 <= i <= j <= size}: row i of the
+    # pair triangle starts at flat offset (i-1)*size - (i-1)(i-2)/2
+    m = np.arange(domain_size, dtype=np.int64)
+    starts = m * domain_size - m * (m - 1) // 2
+    rows = np.searchsorted(starts, picks, side="right")
+    cols = picks - starts[rows - 1] + rows
+    queries = tuple(zip(rows.tolist(), cols.tolist()))
+    return Workload(domain_size=domain_size, queries=queries, seed=seed)
 
 
 def mse(truth, estimates) -> float:

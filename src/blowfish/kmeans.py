@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InfiniteSensitivityError
-from .mechanisms import BudgetLedger, PrivacyParams, compose_budgets, sample_laplace
+from .mechanisms import BudgetLedger, PrivacyParams, compose_budgets, stream_laplace
 from .policy import Policy
 from .sensitivity import ClusterSumQuery, closed_form_sensitivity
 
@@ -200,18 +200,18 @@ def kmeans_private(
     dims = pts.shape[1]
     for t in range(cfg.iterations):
         assign = _assign(pts, cents)
-        size_rng = np.random.Generator(np.random.Philox(pp.seed).jumped(2 + 2 * t))
-        sum_rng = np.random.Generator(np.random.Philox(pp.seed).jumped(3 + 2 * t))
+        if not zero_noise:
+            size_noise = stream_laplace(pp.seed, 2 + 2 * t, size_scale, cfg.k)
+            sum_noise = stream_laplace(pp.seed, 3 + 2 * t, sum_scale, cfg.k * dims)
+            sum_noise = sum_noise.reshape(cfg.k, dims)
         new = np.empty_like(cents)
         for c in range(cfg.k):
             members = pts[assign == c]
             size = float(len(members))
             total = members.sum(axis=0) if len(members) else np.zeros(dims)
             if not zero_noise:
-                size += sample_laplace(size_scale, size_rng)
-                total = total + np.array(
-                    [sample_laplace(sum_scale, sum_rng) for _ in range(dims)]
-                )
+                size += size_noise[c]
+                total = total + sum_noise[c]
             new[c] = total / max(size, 1.0)
         cents = np.clip(new, lows, highs)
         ledger.charge(f"iteration {t}: sizes", eps_size)

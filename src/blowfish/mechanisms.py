@@ -13,6 +13,14 @@ Four release strategies share the primitives here:
 
 Every noisy value is drawn from a counter-based stream keyed by (seed, node
 index), so construction order and internal parallelism cannot change results.
+Stream ``index`` is numpy's ``Philox(seed).jumped(index)``: Philox4x64-10
+(Salmon et al., "Parallel Random Numbers: As Easy as 1, 2, 3", SC 2011)
+under the key numpy derives from the seed, with counter word 2 set to the
+index.  A node's single draw is output word 0 of block 0, the block at counter
+``(1, 0, index, 0)``; ``philox_uniforms`` evaluates it for every node of a
+release in one numpy pass.  Prefix (S) nodes use even indices ``2i`` and
+interval (H) nodes odd ones.  Streams that draw several values in a row
+(the Laplace histogram, k-means) keep a numpy generator per stream.
 """
 
 from __future__ import annotations
@@ -35,22 +43,84 @@ class PrivacyParams:
             raise ValueError("epsilon must be positive and finite")
 
 
-def _node_rng(seed: int, index: int) -> np.random.Generator:
-    # Philox jumps give disjoint counter ranges per node index
-    return np.random.Generator(np.random.Philox(seed).jumped(index))
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_MASK32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
 
 
-def sample_laplace(scale: float, rng: np.random.Generator) -> float:
-    """One zero-mean Laplace variate via inverse CDF from a single uniform."""
+def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low words of the 128-bit products m * x, from 32-bit halves."""
+    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
+    x_lo, x_hi = x & _MASK32, x >> _SHIFT32
+    lh = m_lo * x_hi
+    hl = m_hi * x_lo
+    mid = ((m_lo * x_lo) >> _SHIFT32) + (lh & _MASK32) + (hl & _MASK32)
+    hi = m_hi * x_hi + (lh >> _SHIFT32) + (hl >> _SHIFT32) + (mid >> _SHIFT32)
+    return hi, np.uint64(m) * x
+
+
+def philox_uniforms(seed: int, indices) -> np.ndarray:
+    """First uniform of each stream: ``Generator(Philox(seed).jumped(i)).random()``
+    for every i in ``indices``, bit for bit, in one vectorized pass."""
+    idx = np.asarray(indices)
+    if idx.dtype.kind not in "iu":
+        # numpy turns a list mixing small ints and ints past 2**63 into floats:
+        # keep the Python ints exact until they are range-checked
+        idx = np.array(indices, dtype=object)
+    if idx.size and (idx.min() < 0 or idx.max() >= 2**64):
+        raise ValueError("stream indices must be in [0, 2**64)")
+    key = [int(k) for k in np.random.Philox(seed).state["state"]["key"]]
+    c0 = np.ones(idx.shape, dtype=np.uint64)
+    c1 = np.zeros(idx.shape, dtype=np.uint64)
+    c2 = idx.astype(np.uint64)
+    c3 = np.zeros(idx.shape, dtype=np.uint64)
+    for r in range(10):
+        k0 = np.uint64((key[0] + r * _PHILOX_W[0]) % 2**64)
+        k1 = np.uint64((key[1] + r * _PHILOX_W[1]) % 2**64)
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    return (c0 >> np.uint64(11)) * 2.0**-53
+
+
+def _check_scale(scale: float) -> None:
     if scale < 0 or not math.isfinite(scale):
         raise ValueError(f"scale must be finite and non-negative, got {scale}")
-    if scale == 0:
-        return 0.0
-    u = rng.random() - 0.5
+
+
+def _laplace(scale: float, u: float) -> float:
+    # math.log, not np.log: the two differ by an ulp on some inputs, and
+    # released values must not depend on which one ran
+    u -= 0.5
     mag = 1.0 - 2.0 * abs(u)
     if mag <= 0.0:
         mag = 5e-324
     return -scale * math.copysign(1.0, u) * math.log(mag)
+
+
+def sample_laplace(scale: float, rng: np.random.Generator) -> float:
+    """One zero-mean Laplace variate via inverse CDF from a single uniform."""
+    _check_scale(scale)
+    return _laplace(scale, rng.random()) if scale else 0.0
+
+
+def node_laplace(seed: int, indices, scales) -> list[float]:
+    """One Laplace(scale) variate from each node's own stream."""
+    scales = list(scales)
+    for scale in set(scales):
+        _check_scale(scale)
+    uniforms = philox_uniforms(seed, indices).tolist()
+    return [_laplace(s, u) if s else 0.0 for s, u in zip(scales, uniforms)]
+
+
+def stream_laplace(seed: int, index: int, scale: float, n: int) -> np.ndarray:
+    """n Laplace(scale) variates drawn in a row from stream ``index``."""
+    _check_scale(scale)
+    if scale == 0:
+        return np.zeros(n)
+    uniforms = np.random.Generator(np.random.Philox(seed).jumped(index)).random(n)
+    return np.array([_laplace(scale, u) for u in uniforms.tolist()])
 
 
 def laplace_mechanism(truth, sensitivity: float, pp: PrivacyParams) -> np.ndarray:
@@ -64,9 +134,7 @@ def laplace_mechanism(truth, sensitivity: float, pp: PrivacyParams) -> np.ndarra
     values = np.asarray(truth, dtype=float)
     if sensitivity == 0:
         return values.copy()
-    scale = sensitivity / pp.epsilon
-    rng = _node_rng(pp.seed, 0)
-    noise = np.array([sample_laplace(scale, rng) for _ in range(values.size)])
+    noise = stream_laplace(pp.seed, 0, sensitivity / pp.epsilon, values.size)
     return values + noise.reshape(values.shape)
 
 
@@ -141,11 +209,9 @@ def ordered_mechanism(
     counts = np.asarray(hist, dtype=np.int64)
     if theta < 1:
         raise ValueError("theta must be >= 1")
-    prefix = np.cumsum(counts).astype(float)
     scale = 0.0 if zero_noise else theta / pp.epsilon
-    noisy = prefix.copy()
-    for pos in range(1, counts.size + 1):
-        noisy[pos - 1] += sample_laplace(scale, _node_rng(pp.seed, 2 * pos))
+    noisy = np.cumsum(counts).astype(float)
+    noisy += node_laplace(pp.seed, np.arange(2, 2 * counts.size + 1, 2), [scale] * counts.size)
     inferred = isotonic_inference(noisy, lower_bound=0.0 if clamp_nonnegative else None)
     return ReleasedCumulative(
         noisy=noisy, inferred=inferred, theta=theta, epsilon=pp.epsilon, seed=pp.seed
@@ -366,18 +432,12 @@ def build_oh_release(
             raise ValueError("eps_h must be positive when the structure has H nodes")
         return 2.0 * h / eps_h
 
-    def draw(index: int, scale: float) -> float:
-        if zero_noise:
-            return 0.0
-        return sample_laplace(scale, _node_rng(seed, index))
-
-    s_nodes: list[OHNode] = []
-    blocks: dict[int, dict[tuple[int, int], OHNode]] = {}
+    # (block, lo, hi, stream index, scale) per node; block 0 marks an S node
+    layout: list[tuple[int, int, int, int, float]] = []
     for b in range(1, k + 1):
         blo = (b - 1) * theta + 1
         bhi = min(b * theta, size)
         if theta >= 2:
-            nodes: dict[tuple[int, int], OHNode] = {}
             if b == 1:
                 stack = [(blo, bhi)]
             elif blo < bhi:
@@ -386,24 +446,32 @@ def build_oh_release(
                 stack = []
             while stack:
                 lo, hi = stack.pop()
-                if b == 1 and (lo, hi) == (blo, bhi):
-                    # block-1 root doubles as the first prefix node s_1
-                    idx = 2 * 1
-                else:
-                    idx = _h_index(lo, hi, size)
-                scale = scale_for(b, is_s=False)
-                value = float(prefix[hi] - prefix[lo - 1]) + draw(idx, scale)
-                nodes[(lo, hi)] = OHNode(index=idx, lo=lo, hi=hi, value=value, scale=scale)
+                # the block-1 root doubles as the first prefix node s_1
+                idx = 2 if (b, lo, hi) == (1, blo, bhi) else _h_index(lo, hi, size)
+                layout.append((b, lo, hi, idx, scale_for(b, is_s=False)))
                 if lo != hi:
                     stack.extend(_children(lo, hi, fanout))
-            blocks[b] = nodes
-        if b == 1 and theta >= 2:
-            s_nodes.append(blocks[1][(blo, bhi)])
+        if b >= 2 or theta == 1:
+            layout.append((0, 1, bhi, 2 * b, scale_for(b, is_s=(b >= 2))))
+
+    if zero_noise:
+        noise = [0.0] * len(layout)
+    else:
+        noise = node_laplace(seed, [n[3] for n in layout], [n[4] for n in layout])
+    s_nodes: list[OHNode] = []
+    blocks: dict[int, dict[tuple[int, int], OHNode]] = (
+        {b: {} for b in range(1, k + 1)} if theta >= 2 else {}
+    )
+    pre = prefix.tolist()
+    for (b, lo, hi, idx, scale), z in zip(layout, noise):
+        value = (pre[hi] - pre[lo - 1]) + z
+        node = OHNode(index=idx, lo=lo, hi=hi, value=value, scale=scale)
+        if b:
+            blocks[b][(lo, hi)] = node
         else:
-            idx = 2 * b
-            scale = scale_for(b, is_s=(b >= 2))
-            value = float(prefix[bhi]) + draw(idx, scale)
-            s_nodes.append(OHNode(index=idx, lo=1, hi=bhi, value=value, scale=scale))
+            s_nodes.append(node)
+    if theta >= 2:
+        s_nodes.insert(0, blocks[1][(1, min(theta, size))])
     return OHTree(
         domain_size=size,
         theta=theta,

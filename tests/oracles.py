@@ -13,7 +13,8 @@ from collections import deque
 
 import numpy as np
 
-from blowfish import Policy, is_edge
+from blowfish import Policy, Workload, is_edge
+from blowfish.experiments import _tag
 from blowfish.sensitivity import PolicyGraph
 
 
@@ -167,3 +168,31 @@ def alpha_xi_by_backtracking(pg: PolicyGraph) -> tuple[int, int]:
 def range_query_truth(counts, queries) -> np.ndarray:
     prefix = np.concatenate([[0], np.cumsum(counts)])
     return np.array([prefix[j] - prefix[i - 1] for i, j in queries], dtype=float)
+
+
+def range_workload_by_loop(domain_size: int, count: int, seed: int) -> Workload:
+    """The same draws as ``random_range_workload``, unranked by walking the
+    rows of the pair triangle one at a time."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, _tag("workload")]))
+    total = domain_size * (domain_size + 1) // 2
+    picks = rng.integers(0, total, size=count)
+    queries = []
+    for flat in picks:
+        i = 1
+        remaining = int(flat)
+        span = domain_size
+        while remaining >= span:
+            remaining -= span
+            i += 1
+            span -= 1
+        queries.append((i, i + remaining))
+    return Workload(domain_size=domain_size, queries=tuple(queries), seed=seed)
+
+
+def philox_stream(seed: int, index: int) -> np.random.Generator:
+    """numpy's own generator for noise stream ``index``: one jump per stream."""
+    return np.random.Generator(np.random.Philox(seed).jumped(index))
+
+
+def philox_first_uniform(seed: int, index: int) -> float:
+    return philox_stream(seed, index).random()

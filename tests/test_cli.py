@@ -296,3 +296,36 @@ def test_edge_budget_fails_cleanly(tmp_path, capsys):
     rc = cli_main(["policy", "validate", "--domain", str(domain), "--policy", str(policy)])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+SEEDED_RELEASES = {
+    "histogram": ["release", "histogram", "--domain", DOMAIN, "--policy", POLICY_MARGINAL,
+                  "--data", ROWS, "--epsilon", "1.0"],
+    "cdf": ["release", "cdf", "--domain", DOMAIN, "--data", ROWS, "--theta", "2", "--epsilon", "1.0"],
+    "range": ["release", "range", "--domain", DOMAIN, "--data", ROWS, "--theta", "4", "--fanout", "2",
+              "--epsilon", "1.0"],
+    "kmeans": ["kmeans", "--k", "2", "--iterations", "2", "--epsilon", "1.0"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(SEEDED_RELEASES))
+def test_negative_seed_fails_cleanly(command, tmp_path, capsys):
+    argv = list(SEEDED_RELEASES[command])
+    if command == "kmeans":
+        data = tmp_path / "pts.csv"
+        data.write_text("0.1,0.2\n0.15,0.1\n0.8,0.9\n0.85,0.95\n")
+        argv += ["--data", str(data)]
+    out = tmp_path / "out.json"
+    rc = cli_main(argv + ["--seed", "-1", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+
+
+def test_seed_above_64_bits_releases(tmp_path):
+    out = tmp_path / "out.json"
+    rc = cli_main(SEEDED_RELEASES["cdf"] + ["--seed", str(2**64 + 1), "--out", str(out)])
+    assert rc == 0
+    payload = json.loads(out.read_text())
+    assert payload["seed"] == 2**64 + 1
+    assert len(payload["values"]) == 12

@@ -11,6 +11,8 @@ from blowfish import (
 from blowfish.experiments import trial_seed
 from blowfish.mechanisms import PrivacyParams, laplace_mechanism
 
+from oracles import range_workload_by_loop
+
 
 def test_mse_examples():
     truth = [1.0, 2.0, 3.0]
@@ -35,6 +37,14 @@ def test_workload_reproducible_and_valid():
     assert a == b
     assert all(1 <= i <= j <= 50 for i, j in a.queries)
     assert random_range_workload(10, 0, seed=1).queries == ()
+
+
+@pytest.mark.parametrize("size", [1, 2, 33, 4096])
+def test_workload_matches_loop_unranking(size):
+    for seed in (0, 4):
+        wl = random_range_workload(size, 3000, seed=seed)
+        assert wl == range_workload_by_loop(size, 3000, seed)
+        assert all(type(i) is int and type(j) is int for i, j in wl.queries)
 
 
 def test_workload_uniform_over_pairs():

@@ -1,10 +1,11 @@
-"""Byte-level pins of the files written by seeded CLI runs.
+"""Byte-level pins of seeded releases.
 
-Each case runs one command on small seeded inputs and pins the sha256 of the
-file it writes.  The commands run from a scratch directory with relative
+Each CLI case runs one command on small seeded inputs and pins the sha256 of
+the file it writes.  The commands run from a scratch directory with relative
 paths, because releases echo their flags (paths included) into the output.
-A change that must alter released output updates its pin on purpose and
-says so in CHANGES.md.
+The library cases pin the sha256 of the JSON of a release built by calling
+the mechanism directly.  A change that must alter released output updates
+its pin on purpose and says so in CHANGES.md.
 """
 
 import hashlib
@@ -14,6 +15,16 @@ from pathlib import Path
 
 import pytest
 
+from blowfish import (
+    ClusteringPolicy,
+    KmeansConfig,
+    PrivacyParams,
+    build_oh_release,
+    kmeans_private,
+    laplace_mechanism,
+    optimal_budget_split,
+    ordered_mechanism,
+)
 from blowfish.cli import cli_main
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -41,6 +52,17 @@ CDF_RELEASE_CONFIG = {
     "epsilons": [0.5, 1.0],
 }
 
+# 60 points in [0, 1]^2 around three centres, from integer arithmetic only so
+# that the input cannot drift with a library or numpy version
+POINTS = [
+    (
+        round(0.2 + 0.3 * (i % 3) + ((i * 37) % 11 - 5) / 60, 6),
+        round(0.3 + 0.2 * (i % 3) + ((i * 53) % 13 - 6) / 70, 6),
+    )
+    for i in range(60)
+]
+POINTS_CSV = "".join(f"{x},{y}\n" for x, y in POINTS)
+
 CASES = {
     "release-histogram": (
         ["release", "histogram", "--domain", "domain_abc.json", "--policy", "policy_marginal.json",
@@ -65,6 +87,11 @@ CASES = {
         ["experiment", "run", "--config", "cdf_release.json", "--out", "out.csv"],
         "bd1b66d0783c6f20b4c7ac3d6924db25d0be78833fd0b19abea0efebefb372f8",
     ),
+    "kmeans": (
+        ["kmeans", "--data", "points.csv", "--k", "3", "--iterations", "4", "--epsilon", "2.0",
+         "--seed", "13", "--graph", "distance", "--theta", "0.3", "--out", "out.json"],
+        "0aa904e74230ff57814c5d8caaa703936b2ae04b3b6b8182a97f3b5400785a16",
+    ),
 }
 
 
@@ -74,8 +101,58 @@ def test_golden_output(name, tmp_path, monkeypatch):
         shutil.copy(DATA / f, tmp_path / f)
     (tmp_path / "range_mse.json").write_text(json.dumps(RANGE_MSE_CONFIG))
     (tmp_path / "cdf_release.json").write_text(json.dumps(CDF_RELEASE_CONFIG))
+    (tmp_path / "points.csv").write_text(POINTS_CSV)
     monkeypatch.chdir(tmp_path)
     argv, digest = CASES[name]
     assert cli_main(argv) == 0
     out = tmp_path / argv[-1]
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def _sha(obj) -> str:
+    return hashlib.sha256(json.dumps(obj).encode()).hexdigest()
+
+
+# a |T| = 1000 histogram with empty runs and uneven counts
+COUNTS_1000 = [(i * 7919) % 23 if i % 5 else 0 for i in range(1000)]
+
+OH_PINS = {
+    (1, 2): "ecea25b46cf84bc16978c40b70f9b7bb2cb42d3d09d796aaf14f2622a835be78",
+    (7, 3): "0ae59f82dbd9f54e8a02699da4ba1a50ec24869723ad129d2cfa4244b81b5c7f",
+    (16, 4): "a1e4e22429f2d664e8c814ee7bea3b3bb2a33650d9420e627e1d161ebaa5cfc8",
+    (1000, 16): "460a9966538d2925735a8da18635ccb6a5c8b5943efe70fd1f6343a95aa10cc4",
+}
+
+
+@pytest.mark.parametrize("theta,fanout", sorted(OH_PINS))
+def test_golden_oh_tree(theta, fanout):
+    split = optimal_budget_split(1000, theta, fanout, 1.0)
+    tree = build_oh_release(COUNTS_1000, theta, fanout, split.eps_s, split.eps_h, seed=21)
+    assert _sha(tree.to_dict()) == OH_PINS[(theta, fanout)]
+
+
+def test_golden_ordered():
+    released = ordered_mechanism(COUNTS_1000, 3, PrivacyParams(0.8, 22))
+    pinned = {"release": released.to_dict(), "noisy": released.noisy.tolist()}
+    assert _sha(pinned) == "3ac7ebba854744bcb4630f177a57afc8cfc4eef5f37311cd768ff57ed6d8df09"
+
+
+def test_golden_laplace_2d():
+    truth = [[float(3 * r + c) for c in range(6)] for r in range(4)]
+    out = laplace_mechanism(truth, 2.0, PrivacyParams(0.7, 23))
+    assert out.shape == (4, 6)
+    assert _sha(out.tolist()) == "ce9c1fdf38c0a519b655b1298c71f60d93de6d63d3780633e4aa3c7e8a3c9f4b"
+
+
+KMEANS_PINS = {
+    "full": "535ff0f28818fdc705d92659e71ecc4062192b3466ca217c9fedc98301ee295d",
+    "distance": "8434d0fa24a83ed05a7e141c9ea46fa1e89bc7a6b86e0786394e261a17afe682",
+    "attribute": "274269a609227aa67e25eebc02a57d2f8aea2a90af9c581159b8d7aaf6d67f0a",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(KMEANS_PINS))
+def test_golden_kmeans_private(kind):
+    policy = ClusteringPolicy(bounds=((0.0, 1.0), (0.0, 1.0)), kind=kind, theta=0.25)
+    result = kmeans_private(POINTS, KmeansConfig(k=3, iterations=5), policy, PrivacyParams(30.0, 24))
+    assert _sha(result.to_dict()) == KMEANS_PINS[kind]

@@ -19,9 +19,17 @@ from blowfish import (
     ordered_mechanism,
     sample_laplace,
 )
-from blowfish.mechanisms import _node_rng, oh_error_model
+from blowfish import mechanisms
+from blowfish.experiments import trial_seed
+from blowfish.mechanisms import (
+    _h_index,
+    node_laplace,
+    oh_error_model,
+    philox_uniforms,
+    stream_laplace,
+)
 
-from oracles import isotonic_by_enumeration
+from oracles import isotonic_by_enumeration, philox_first_uniform, philox_stream
 
 
 # -- laplace primitive ---------------------------------------------------------
@@ -45,9 +53,58 @@ def test_sample_laplace_edge_cases():
 
 
 def test_sample_laplace_deterministic_given_stream():
-    a = [sample_laplace(2.0, _node_rng(42, 5)) for _ in range(1)]
-    b = [sample_laplace(2.0, _node_rng(42, 5)) for _ in range(1)]
+    a = sample_laplace(2.0, philox_stream(42, 5))
+    b = sample_laplace(2.0, philox_stream(42, 5))
     assert a == b
+    assert node_laplace(42, [5], [2.0]) == [a]
+
+
+# -- counter-based noise kernel ------------------------------------------------
+
+KERNEL_SEEDS = [0, 1, 2**63 - 1, 2**64 + 1, trial_seed(5, "range-mse", 3, 1)]
+KERNEL_INDICES = [0, 1, 2, 2 * 4096 + 1, _h_index(10**5, 10**5, 10**5), 2**63]
+
+
+@pytest.mark.parametrize("seed", KERNEL_SEEDS)
+def test_philox_kernel_matches_numpy_streams(seed):
+    got = philox_uniforms(seed, np.array(KERNEL_INDICES, dtype=np.uint64))
+    want = [philox_first_uniform(seed, i) for i in KERNEL_INDICES]
+    assert got.tolist() == want
+    assert philox_uniforms(seed, np.arange(300)).tolist() == [
+        philox_first_uniform(seed, i) for i in range(300)
+    ]
+
+
+def test_node_and_stream_noise_match_per_stream_sampling():
+    indices = list(range(40)) + [2**63]
+    scales = [0.5 + (i % 3) for i in range(len(indices))]
+    want = [sample_laplace(s, philox_stream(9, i)) for i, s in zip(indices, scales)]
+    assert node_laplace(9, indices, scales) == want
+    rng = philox_stream(9, 0)
+    assert stream_laplace(9, 0, 1.5, 20).tolist() == [sample_laplace(1.5, rng) for _ in range(20)]
+    assert node_laplace(9, [1, 2], [0.0, 0.0]) == [0.0, 0.0]
+    assert stream_laplace(9, 0, 0.0, 3).tolist() == [0.0, 0.0, 0.0]
+
+
+def test_philox_kernel_rejects_bad_indices_and_seeds():
+    with pytest.raises(ValueError):
+        philox_uniforms(0, [2**64])
+    with pytest.raises(ValueError):
+        philox_uniforms(0, [-1])
+    with pytest.raises(ValueError):
+        philox_uniforms(-1, [0])
+    assert philox_uniforms(0, []).size == 0
+
+
+def test_zero_uniform_is_clamped_like_sample_laplace(monkeypatch):
+    class ZeroRng:
+        def random(self):
+            return 0.0
+
+    expected = sample_laplace(2.0, ZeroRng())
+    assert math.isfinite(expected) and expected < 0
+    monkeypatch.setattr(mechanisms, "philox_uniforms", lambda seed, idx: np.zeros(len(idx)))
+    assert node_laplace(3, [7], [2.0]) == [expected]
 
 
 def test_laplace_mechanism_exact_cases():

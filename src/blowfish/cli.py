@@ -31,7 +31,7 @@ from .mechanisms import (
     optimal_budget_split,
     ordered_mechanism,
 )
-from .policy import ConstraintKind, Policy, load_policy
+from .policy import ConstraintKind, Policy, SecretGraph, load_policy
 from .sensitivity import (
     ClusterSizeQuery,
     ClusterSumQuery,
@@ -40,6 +40,7 @@ from .sensitivity import (
     HistogramQuery,
     Method,
     SensitivityResult,
+    _max_edge_rank_gap,
     brute_force_sensitivity,
     closed_form_sensitivity,
     is_sparse,
@@ -156,11 +157,22 @@ def _cmd_release_histogram(args) -> int:
     return 0
 
 
+def _rank_theta(domain, theta: int) -> int:
+    """Rank positions one protected change can move a tuple under distance(theta).
+
+    The ordered and ordered-hierarchical mechanisms protect changes of at most
+    this many ranks.  On one attribute it is theta; on several it is the largest
+    rank gap of an L1 step of theta, which is the cumulative query's sensitivity.
+    """
+    return max(theta, _max_edge_rank_gap(SecretGraph.distance(domain, theta)))
+
+
 def _cmd_release_cdf(args) -> int:
     domain = load_domain(_read(args.domain))
     data = ingest_dataset(_read(args.data), domain)
     counts = histogram(data)
-    released = ordered_mechanism(counts, args.theta, PrivacyParams(args.epsilon, args.seed))
+    theta = _rank_theta(domain, args.theta)
+    released = ordered_mechanism(counts, theta, PrivacyParams(args.epsilon, args.seed))
     payload = _release_payload(args, None, released.to_dict())
     payload["policy"] = f"distance(theta={args.theta})|cardinality"
     _write_atomic(args.out, _format_payload(payload, args.format))
@@ -171,8 +183,9 @@ def _cmd_release_range(args) -> int:
     domain = load_domain(_read(args.domain))
     data = ingest_dataset(_read(args.data), domain)
     counts = histogram(data)
-    split = optimal_budget_split(domain.size, args.theta, args.fanout, args.epsilon)
-    tree = build_oh_release(counts, args.theta, args.fanout, split.eps_s, split.eps_h, args.seed)
+    theta = _rank_theta(domain, args.theta)
+    split = optimal_budget_split(domain.size, theta, args.fanout, args.epsilon)
+    tree = build_oh_release(counts, theta, args.fanout, split.eps_s, split.eps_h, args.seed)
     payload = _release_payload(args, None, tree.to_dict())
     payload["epsilon"] = args.epsilon
     payload["policy"] = f"distance(theta={args.theta})|cardinality"

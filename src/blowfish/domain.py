@@ -25,12 +25,16 @@ class Attribute:
     name: str
     values: tuple[str, ...]
     ordinal: bool = False
+    # label -> value index, built once
+    _index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.values:
             raise ValueError(f"attribute {self.name!r} has no values")
-        if len(set(self.values)) != len(self.values):
+        index = {label: i for i, label in enumerate(self.values)}
+        if len(index) != len(self.values):
             raise ValueError(f"attribute {self.name!r} has duplicate value labels")
+        object.__setattr__(self, "_index", index)
 
     @property
     def size(self) -> int:
@@ -38,8 +42,8 @@ class Attribute:
 
     def index_of(self, label: str) -> int:
         try:
-            return self.values.index(label)
-        except ValueError:
+            return self._index[label]
+        except (KeyError, TypeError):  # an unhashable label is unknown too
             raise ValueError(f"unknown value {label!r} for attribute {self.name!r}") from None
 
 
@@ -104,24 +108,41 @@ class DomainSpec:
         return sum(a.size - 1 for a in self.attributes)
 
 
-@dataclass(frozen=True)
+def _int64_column(name: str, values) -> np.ndarray:
+    """A read-only int64 copy of a 1-D integer sequence."""
+    arr = np.asarray(values)
+    if arr.ndim != 1:
+        raise ValueError(f"{name} must be a 1-D sequence")
+    if arr.size and (arr.dtype.kind not in "iu" or not np.can_cast(arr.dtype, np.int64)):
+        raise ValueError(f"{name} must be integers in the int64 range")
+    arr = arr.astype(np.int64)
+    arr.flags.writeable = False
+    return arr
+
+
+@dataclass(frozen=True, eq=False)
 class Dataset:
+    """Rows as two aligned int64 columns: row ids and mixed-radix ranks."""
+
     domain: DomainSpec
-    rows: tuple[tuple[int, Point], ...]
+    ids: np.ndarray
+    ranks: np.ndarray
 
     def __post_init__(self) -> None:
-        ids = [rid for rid, _ in self.rows]
-        if len(set(ids)) != len(ids):
+        ids = _int64_column("ids", self.ids)
+        ranks = _int64_column("ranks", self.ranks)
+        if ids.size != ranks.size:
+            raise ValueError(f"{ids.size} row ids for {ranks.size} ranks")
+        if np.unique(ids).size != ids.size:
             raise ValueError("duplicate row ids")
-        for _, point in self.rows:
-            self.domain.validate_point(point)
+        if ranks.size and not (0 <= ranks.min() and ranks.max() < self.domain.size):
+            raise ValueError(f"rank out of range for domain of size {self.domain.size}")
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "ranks", ranks)
 
     @property
     def n(self) -> int:
-        return len(self.rows)
-
-    def ranks(self) -> list[int]:
-        return [self.domain.rank(p) for _, p in self.rows]
+        return int(self.ranks.size)
 
 
 @dataclass(frozen=True)
@@ -199,27 +220,34 @@ def ingest_dataset(text: str, domain: DomainSpec) -> Dataset:
     expected = (["id"] if has_id else []) + [a.name for a in domain.attributes]
     if sorted(header) != sorted(expected):
         raise ValueError(f"header {header} does not match domain attributes {expected}")
-    col = {name: header.index(name) for name in header}
-    rows: list[tuple[int, Point]] = []
-    for lineno, raw in enumerate(reader):
-        if not raw or (len(raw) == 1 and not raw[0].strip()):
-            continue
-        if len(raw) != len(header):
-            raise ValueError(f"row {lineno}: expected {len(header)} columns, got {len(raw)}")
-        point = tuple(
-            a.index_of(raw[col[a.name]].strip()) for a in domain.attributes
-        )
-        rid = int(raw[col["id"]]) if has_id else len(rows)
-        rows.append((rid, point))
-    return Dataset(domain=domain, rows=tuple(rows))
+    if domain.size > np.iinfo(np.int64).max:
+        raise ValueError(f"domain of size {domain.size} has ranks beyond int64")
+    width = len(header)
+    id_col = header.index("id") if has_id else None
+    # (column, attribute, place value) per attribute, in rank order
+    cells = [(header.index(a.name), a, w) for a, w in zip(domain.attributes, domain._weights)]
+    ids: list[int] = []
+
+    def row_ranks():
+        for lineno, raw in enumerate(reader):
+            if not raw or (len(raw) == 1 and not raw[0].strip()):
+                continue
+            if len(raw) != width:
+                raise ValueError(f"row {lineno}: expected {width} columns, got {len(raw)}")
+            rank = 0
+            for c, attr, w in cells:
+                rank += attr.index_of(raw[c].strip()) * w
+            if has_id:
+                ids.append(int(raw[id_col]))
+            yield rank
+
+    ranks = np.fromiter(row_ranks(), dtype=np.int64)
+    return Dataset(domain=domain, ids=ids if has_id else np.arange(ranks.size), ranks=ranks)
 
 
 def histogram(data: Dataset) -> np.ndarray:
     """Complete histogram: counts[rank(x)] = multiplicity of x in the data."""
-    counts = np.zeros(data.domain.size, dtype=np.int64)
-    for r in data.ranks():
-        counts[r] += 1
-    return counts
+    return np.bincount(data.ranks, minlength=data.domain.size).astype(np.int64, copy=False)
 
 
 def cumulative_histogram(counts) -> CumulativeHistogram:

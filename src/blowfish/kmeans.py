@@ -106,13 +106,23 @@ def kmeans_objective(points, centroids) -> float:
         raise ValueError("no data points")
     if pts.shape[1] != cents.shape[1]:
         raise ValueError("points and centroids have different dimensions")
-    d2 = ((pts[:, None, :] - cents[None, :, :]) ** 2).sum(axis=2)
+    return _objective(_sq_distances(pts, cents))
+
+
+def _sq_distances(pts: np.ndarray, cents: np.ndarray) -> np.ndarray:
+    """(n, k) squared L2 distances; argmin over axis 1 is the assignment.
+
+    Filled one centroid column at a time, so no (n, k, d) tensor is held;
+    each entry is the same sum over the same d contiguous squares.
+    """
+    d2 = np.empty((len(pts), len(cents)))
+    for c, cent in enumerate(cents):
+        d2[:, c] = ((pts - cent) ** 2).sum(axis=1)
+    return d2
+
+
+def _objective(d2: np.ndarray) -> float:
     return float(d2.min(axis=1).sum())
-
-
-def _assign(pts: np.ndarray, cents: np.ndarray) -> np.ndarray:
-    d2 = ((pts[:, None, :] - cents[None, :, :]) ** 2).sum(axis=2)
-    return d2.argmin(axis=1)
 
 
 def _init_centroids(cfg: KmeansConfig, bounds, seed: int, n: int) -> np.ndarray:
@@ -140,16 +150,19 @@ def kmeans_nonprivate(points, cfg: KmeansConfig, seed: int, bounds=None) -> Clus
     if bounds is None:
         bounds = _data_bounds(pts)
     cents = _init_centroids(cfg, bounds, seed, len(pts))
+    d2 = _sq_distances(pts, cents)
     trace = []
     for _ in range(cfg.iterations):
-        assign = _assign(pts, cents)
+        assign = d2.argmin(axis=1)
         new = cents.copy()
         for c in range(cfg.k):
             members = pts[assign == c]
             if len(members):
                 new[c] = members.mean(axis=0)
         cents = new
-        trace.append(kmeans_objective(pts, cents))
+        # one distance matrix per centroid set: this objective and the next assignment
+        d2 = _sq_distances(pts, cents)
+        trace.append(_objective(d2))
     return ClusteringResult(centroids=cents, objective=trace[-1], trace=tuple(trace))
 
 
@@ -198,8 +211,9 @@ def kmeans_private(
     ledger = BudgetLedger()
     trace = []
     dims = pts.shape[1]
+    d2 = _sq_distances(pts, cents)
     for t in range(cfg.iterations):
-        assign = _assign(pts, cents)
+        assign = d2.argmin(axis=1)
         if not zero_noise:
             size_noise = stream_laplace(pp.seed, 2 + 2 * t, size_scale, cfg.k)
             sum_noise = stream_laplace(pp.seed, 3 + 2 * t, sum_scale, cfg.k * dims)
@@ -216,7 +230,8 @@ def kmeans_private(
         cents = np.clip(new, lows, highs)
         ledger.charge(f"iteration {t}: sizes", eps_size)
         ledger.charge(f"iteration {t}: sums", eps_sum)
-        trace.append(kmeans_objective(pts, cents))
+        d2 = _sq_distances(pts, cents)
+        trace.append(_objective(d2))
     return ClusteringResult(
         centroids=cents, objective=trace[-1], trace=tuple(trace), ledger=ledger
     )

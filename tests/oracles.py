@@ -8,12 +8,14 @@ meaningful.
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
 from collections import deque
 
 import numpy as np
 
-from blowfish import Policy, Workload, is_edge
+from blowfish import DomainSpec, Policy, Workload, is_edge
 from blowfish.experiments import _tag
 from blowfish.sensitivity import PolicyGraph
 
@@ -196,3 +198,40 @@ def philox_stream(seed: int, index: int) -> np.random.Generator:
 
 def philox_first_uniform(seed: int, index: int) -> float:
     return philox_stream(seed, index).random()
+
+
+def ingest_by_index(text: str, domain: DomainSpec) -> tuple[list[int], list[int]]:
+    """(ids, ranks) of delimited rows, read one cell at a time: each label is
+    found with ``tuple.index`` and each point ranked with ``DomainSpec.rank``.
+    Raises ``ValueError`` on the same inputs, with the same messages, as
+    ``ingest_dataset``."""
+    reader = csv.reader(io.StringIO(text))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ValueError("empty input: missing header") from None
+    header = [h.strip() for h in header]
+    has_id = "id" in header
+    expected = (["id"] if has_id else []) + [a.name for a in domain.attributes]
+    if sorted(header) != sorted(expected):
+        raise ValueError(f"header {header} does not match domain attributes {expected}")
+    col = {name: header.index(name) for name in header}
+    ids: list[int] = []
+    ranks: list[int] = []
+    for lineno, raw in enumerate(reader):
+        if not raw or (len(raw) == 1 and not raw[0].strip()):
+            continue
+        if len(raw) != len(header):
+            raise ValueError(f"row {lineno}: expected {len(header)} columns, got {len(raw)}")
+        point = []
+        for a in domain.attributes:
+            label = raw[col[a.name]].strip()
+            try:
+                point.append(a.values.index(label))
+            except ValueError:
+                raise ValueError(f"unknown value {label!r} for attribute {a.name!r}") from None
+        ids.append(int(raw[col["id"]]) if has_id else len(ids))
+        ranks.append(domain.rank(tuple(point)))
+    if len(set(ids)) != len(ids):
+        raise ValueError("duplicate row ids")
+    return ids, ranks

@@ -7,6 +7,7 @@ lines as they complete.
 import itertools
 import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +34,8 @@ from blowfish import (
     closed_form_sensitivity,
     enumerate_databases,
     hierarchical_release,
+    histogram,
+    ingest_dataset,
     is_sparse,
     isotonic_inference,
     kmeans_nonprivate,
@@ -50,7 +53,7 @@ from blowfish import (
 )
 from blowfish.experiments import synth_clusters, synth_histogram
 from blowfish.mechanisms import oh_error_model
-from blowfish.policy import neighbor_databases
+from blowfish.policy import load_policy, neighbor_databases
 from blowfish.sensitivity import _delta_eval
 
 from oracles import is_neighbor_by_definition, isotonic_by_enumeration, range_query_truth
@@ -413,3 +416,40 @@ def test_c10_determinism(tmp_path):
     t2 = build_oh_release(counts, 8, 4, 0.5, 0.5, seed=9).to_dict()
     assert t1 == t2
     _report(10, "CLI release, experiment CSV and tree release byte-identical under repeated seeds")
+
+
+# -- criterion 11: cdf and range releases calibrated to the policy ------------------------
+
+
+def test_c11_cdf_range_calibrated_to_policy(tmp_path):
+    from blowfish.cli import cli_main
+
+    data_dir = Path(__file__).resolve().parent.parent / "data"
+    domain = load_domain((data_dir / "domain_abc.json").read_text())
+    policy = load_policy((data_dir / "policy_distance.json").read_text(), domain)
+    assert policy.describe() == "distance(theta=1)|cardinality"
+    closed = closed_form_sensitivity(CumulativeQuery(), policy)
+    oracle = brute_force_sensitivity(CumulativeQuery(), policy, n=1)
+    assert closed.value == oracle.value == 6
+
+    common = ["--domain", str(data_dir / "domain_abc.json"), "--data", str(data_dir / "rows_abc.csv"),
+              "--theta", "1", "--epsilon", "0.5", "--seed", "3"]
+    cdf_out, range_out = tmp_path / "cdf.json", tmp_path / "range.json"
+    assert cli_main(["release", "cdf", *common, "--out", str(cdf_out)]) == 0
+    assert cli_main(["release", "range", *common, "--fanout", "2", "--out", str(range_out)]) == 0
+    cdf = json.loads(cdf_out.read_text())
+    tree = json.loads(range_out.read_text())
+    assert cdf["policy"] == tree["policy"] == "distance(theta=1)|cardinality"
+    # one protected change moves a tuple 6 ranks, and both releases are the
+    # library's at rank theta 6, not at the flag's 1
+    rank_theta = int(oracle.value)
+    assert cdf["theta"] == tree["theta"] == rank_theta
+    counts = histogram(ingest_dataset((data_dir / "rows_abc.csv").read_text(), domain))
+    expected_cdf = ordered_mechanism(counts, rank_theta, PrivacyParams(0.5, 3)).to_dict()
+    assert cdf["values"] == expected_cdf["values"]
+    split = optimal_budget_split(domain.size, rank_theta, 2, 0.5)
+    expected_tree = build_oh_release(counts, rank_theta, 2, split.eps_s, split.eps_h, 3).to_dict()
+    assert tree["nodes"] == expected_tree["nodes"]
+    under = ordered_mechanism(counts, 1, PrivacyParams(0.5, 3)).to_dict()
+    assert cdf["values"] != under["values"]
+    _report(11, f"abc theta=1: cdf and range calibrated to {cdf['theta']} == closed form == oracle (n=1)")

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from blowfish import (
+    Attribute,
     Dataset,
     cumulative_histogram,
     histogram,
@@ -9,6 +10,8 @@ from blowfish import (
     l1_distance,
     load_domain,
 )
+
+from oracles import ingest_by_index
 
 ABC_SPEC = {
     "attributes": [
@@ -53,14 +56,16 @@ def test_ingest_dataset_basic():
     text = "A1,A2,A3\na1,b1,c1\na1,b1,c1\na2,b2,c3\na1,b2,c2\na2,b1,c1\n"
     data = ingest_dataset(text, dom)
     assert data.n == 5
-    assert [rid for rid, _ in data.rows] == [0, 1, 2, 3, 4]
+    assert data.ids.tolist() == [0, 1, 2, 3, 4]
+    assert data.ranks.tolist() == [0, 0, 11, 4, 6]
 
 
 def test_ingest_dataset_with_id_column():
     dom = load_domain(ABC_SPEC)
     text = "id,A1,A2,A3\n7,a1,b1,c1\n3,a2,b1,c2\n"
     data = ingest_dataset(text, dom)
-    assert [rid for rid, _ in data.rows] == [7, 3]
+    assert data.ids.tolist() == [7, 3]
+    assert data.ranks.tolist() == [0, 7]
 
 
 def test_ingest_dataset_errors():
@@ -71,6 +76,9 @@ def test_ingest_dataset_errors():
         ingest_dataset("A1,A2,A3\na1,b1\n", dom)
     with pytest.raises(ValueError):
         ingest_dataset("A1,A9,A3\na1,b1,c1\n", dom)
+    huge = load_domain({"attributes": [{"name": f"A{i}", "values": [str(j) for j in range(100)]} for i in range(10)]})
+    with pytest.raises(ValueError, match="beyond int64"):
+        ingest_dataset(",".join(f"A{i}" for i in range(10)) + "\n" + ",".join(["99"] * 10) + "\n", huge)
 
 
 def test_ingest_empty_file_with_header():
@@ -91,9 +99,116 @@ def test_histogram_conservation_random():
     dom = load_domain(ABC_SPEC)
     for _ in range(20):
         n = int(rng.integers(0, 30))
-        rows = tuple((i, dom.unrank(int(rng.integers(0, dom.size)))) for i in range(n))
-        data = Dataset(domain=dom, rows=rows)
+        ranks = [int(rng.integers(0, dom.size)) for _ in range(n)]
+        data = Dataset(domain=dom, ids=np.arange(n), ranks=ranks)
         assert histogram(data).sum() == n
+
+
+def test_attribute_index_of():
+    attr = Attribute("v", ("c", "a", "b"))
+    assert [attr.index_of(x) for x in ("a", "b", "c")] == [1, 2, 0]
+    with pytest.raises(ValueError, match="unknown value 'd' for attribute 'v'"):
+        attr.index_of("d")
+    with pytest.raises(ValueError, match="unknown value"):
+        attr.index_of(["a"])
+    with pytest.raises(ValueError, match="duplicate value labels"):
+        Attribute("v", ("a", "b", "a"))
+    assert Attribute("v", ("a", "b")) == Attribute("v", ("a", "b"))
+    assert hash(Attribute("v", ("a", "b"))) == hash(Attribute("v", ("a", "b")))
+
+
+def test_dataset_validates_columns():
+    dom = load_domain(ABC_SPEC)
+    data = Dataset(domain=dom, ids=[5, 2], ranks=np.array([11, 0], dtype=np.int32))
+    assert data.n == 2
+    assert data.ids.dtype == data.ranks.dtype == np.int64
+    with pytest.raises(ValueError):
+        data.ranks[0] = 3  # columns are read-only
+    assert Dataset(domain=dom, ids=[], ranks=[]).n == 0
+    with pytest.raises(ValueError, match="duplicate row ids"):
+        Dataset(domain=dom, ids=[1, 1], ranks=[0, 1])
+    with pytest.raises(ValueError, match="rank out of range"):
+        Dataset(domain=dom, ids=[0], ranks=[12])
+    with pytest.raises(ValueError, match="rank out of range"):
+        Dataset(domain=dom, ids=[0], ranks=[-1])
+    with pytest.raises(ValueError, match="row ids for"):
+        Dataset(domain=dom, ids=[0, 1], ranks=[0])
+    with pytest.raises(ValueError, match="integers"):
+        Dataset(domain=dom, ids=[0.5], ranks=[0])
+    with pytest.raises(ValueError, match="integers"):
+        Dataset(domain=dom, ids=[2**63], ranks=[0])
+    with pytest.raises(ValueError, match="1-D"):
+        Dataset(domain=dom, ids=[[0]], ranks=[[0]])
+
+
+def _ingest_outcome(ingest, text, dom):
+    try:
+        ids, ranks = ingest(text, dom)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return list(ids), list(ranks)
+
+
+def _columnar(text, dom):
+    data = ingest_dataset(text, dom)
+    assert data.n == len(data.ids) == len(data.ranks)
+    return data.ids.tolist(), data.ranks.tolist()
+
+
+def _random_csv(rng, dom) -> str:
+    """Rows in a shuffled column order, sometimes with an id column, blank lines
+    and padded labels, and sometimes one fault: an unknown label, a short row,
+    a duplicate id or an id that is not an integer."""
+    has_id = rng.random() < 0.6
+    names = (["id"] if has_id else []) + [a.name for a in dom.attributes]
+    order = [names[i] for i in rng.permutation(len(names))]
+    n = int(rng.integers(0, 25))
+    ids = rng.permutation(1000)[:n] - 500
+    rows = []
+    for j in range(n):
+        cells = {"id": str(ids[j])}
+        for a in dom.attributes:
+            label = a.values[int(rng.integers(0, a.size))]
+            cells[a.name] = f"  {label} " if rng.random() < 0.3 else label
+        rows.append([cells[name] for name in order])
+    fault = int(rng.integers(0, 8))  # 4..7: no fault
+    if n and fault == 0:
+        rows[rng.integers(0, n)][rng.integers(0, len(order))] = "zz"
+    elif n and fault == 1:
+        rows[rng.integers(0, n)].pop()
+    elif n and fault == 2 and has_id:
+        rows.append(list(rows[rng.integers(0, n)]))
+    elif n and fault == 3 and has_id:
+        rows[rng.integers(0, n)][order.index("id")] = "7x"
+    lines = [" , ".join(order)]
+    for row in rows:
+        lines.append(",".join(row))
+        if rng.random() < 0.1:
+            lines.append(" " if rng.random() < 0.5 else "")
+    return "\n".join(lines) + ("\n" if rng.random() < 0.7 else "")
+
+
+def test_ingest_matches_index_oracle():
+    outcomes = set()
+    for trial in range(400):
+        rng = np.random.default_rng(trial)
+        n_attr = int(rng.integers(1, 4))
+        spec = {
+            "attributes": [
+                {
+                    "name": f"A{i}",
+                    "values": [f"v{i}.{j}" if j % 3 else f"v {i} {j}" for j in rng.permutation(int(rng.integers(1, 7)))],
+                }
+                for i in range(n_attr)
+            ]
+        }
+        dom = load_domain(spec)
+        text = _random_csv(rng, dom)
+        expected = _ingest_outcome(ingest_by_index, text, dom)
+        assert _ingest_outcome(_columnar, text, dom) == expected, text
+        outcomes.add(expected[1].split(":")[0].split(" ")[0] if expected[0] is ValueError else "ok")
+    # every fault and the clean path occur
+    assert {"ok", "unknown", "row", "duplicate", "invalid"} <= outcomes, outcomes
 
 
 def test_cumulative_histogram_examples():

@@ -63,6 +63,26 @@ POINTS = [
 ]
 POINTS_CSV = "".join(f"{x},{y}\n" for x, y in POINTS)
 
+
+def _wide_rows(n: int) -> list[int]:
+    """n ranks drawn uniformly from [0, 4096) by a 64-bit LCG (top 12 bits)."""
+    x, out = 1, []
+    for _ in range(n):
+        x = (x * 6364136223846793005 + 1442695040888963407) % 2**64
+        out.append(x >> 52)
+    return out
+
+
+# one ordinal attribute of 4096 values whose labels are a permutation of
+# 000..fff, so label order is not rank order; 2000 uniform rows under a
+# descending id column, with every 7th label padded and a blank line
+WIDE_LABELS = [f"{(i * 1237) % 4096:03x}" for i in range(4096)]
+WIDE_DOMAIN = {"attributes": [{"name": "v", "values": WIDE_LABELS, "ordinal": True}]}
+WIDE_CSV = "id,v\n" + "".join(
+    f"{2000 - j},{' ' + WIDE_LABELS[r] + ' ' if j % 7 == 0 else WIDE_LABELS[r]}\n" + ("\n" if j == 1000 else "")
+    for j, r in enumerate(_wide_rows(2000))
+)
+
 CASES = {
     "release-histogram": (
         ["release", "histogram", "--domain", "domain_abc.json", "--policy", "policy_marginal.json",
@@ -72,12 +92,27 @@ CASES = {
     "release-cdf": (
         ["release", "cdf", "--domain", "domain_abc.json", "--data", "rows_abc.csv",
          "--theta", "2", "--epsilon", "0.5", "--seed", "7", "--out", "out.json"],
-        "6629e5a3f1abef4bc5b5d4f4de160d2480994c981debe21e18b1d17ed1a650bb",
+        "7418f53573ea1695e4cbf74d7b4e404dd160b1e109740473b01cd8a00f380ff6",
     ),
     "release-range": (
         ["release", "range", "--domain", "domain_abc.json", "--data", "rows_abc.csv",
          "--theta", "4", "--fanout", "2", "--epsilon", "0.5", "--seed", "11", "--out", "out.json"],
-        "da0253337173069202f0a7f5fd124fd3af2e915f94f3bac81f2ad9e6c9e349e4",
+        "5835ebd1965bdd32ee721912fc0091b0b7f5ab56df79b22deebca8f520f59c73",
+    ),
+    "wide-histogram": (
+        ["release", "histogram", "--domain", "wide_domain.json", "--policy", "policy_distance.json",
+         "--data", "wide_rows.csv", "--epsilon", "1.0", "--seed", "31", "--out", "out.json"],
+        "879d8cc1fc8fe6d74860f8a8156c376f0cc6c009750697ab05ac5d71c6ee62b4",
+    ),
+    "wide-cdf": (
+        ["release", "cdf", "--domain", "wide_domain.json", "--data", "wide_rows.csv",
+         "--theta", "3", "--epsilon", "0.5", "--seed", "32", "--out", "out.json"],
+        "07b17cb2f8a067c9c162896a4c12319a95988c875f1f2199b2f5c8cd1fbbc031",
+    ),
+    "wide-range": (
+        ["release", "range", "--domain", "wide_domain.json", "--data", "wide_rows.csv",
+         "--theta", "16", "--fanout", "4", "--epsilon", "1.0", "--seed", "33", "--out", "out.json"],
+        "9083fe50ac068426d8b528cb927117f8d6ef0bc2baea234f98f4a902cc2b41eb",
     ),
     "experiment-range-mse": (
         ["experiment", "run", "--config", "range_mse.json", "--out", "out.csv"],
@@ -97,11 +132,13 @@ CASES = {
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_output(name, tmp_path, monkeypatch):
-    for f in ("domain_abc.json", "policy_marginal.json", "rows_abc.csv"):
+    for f in ("domain_abc.json", "policy_marginal.json", "policy_distance.json", "rows_abc.csv"):
         shutil.copy(DATA / f, tmp_path / f)
     (tmp_path / "range_mse.json").write_text(json.dumps(RANGE_MSE_CONFIG))
     (tmp_path / "cdf_release.json").write_text(json.dumps(CDF_RELEASE_CONFIG))
     (tmp_path / "points.csv").write_text(POINTS_CSV)
+    (tmp_path / "wide_domain.json").write_text(json.dumps(WIDE_DOMAIN))
+    (tmp_path / "wide_rows.csv").write_text(WIDE_CSV)
     monkeypatch.chdir(tmp_path)
     argv, digest = CASES[name]
     assert cli_main(argv) == 0

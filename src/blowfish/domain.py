@@ -100,6 +100,10 @@ class DomainSpec:
             out.append((r // w) % attr.size)
         return tuple(out)
 
+    def coords(self) -> np.ndarray:
+        """(size, n_attributes) int64 value indices of every rank, in rank order."""
+        return np.stack(np.unravel_index(np.arange(self.size, dtype=np.int64), self.sizes), axis=1)
+
     def point_from_labels(self, labels: dict[str, str]) -> Point:
         return tuple(a.index_of(labels[a.name]) for a in self.attributes)
 

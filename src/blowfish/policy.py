@@ -22,6 +22,8 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .domain import DomainSpec, Point, l1_distance
 from .errors import BudgetExceededError, InfeasibleConstraintsError
 
@@ -117,16 +119,13 @@ class SecretGraph:
             return self.theta >= 1 and self.domain.size >= 2
         return bool(self.edge_list)
 
-    def edge_matrix(self):
+    def edge_matrix(self) -> np.ndarray:
         """Dense boolean rank-by-rank adjacency (tiny domains only)."""
-        import numpy as np
-
         size = self.domain.size
         if size * size > DEFAULT_EDGE_BUDGET:
             raise BudgetExceededError(f"edge matrix over {size} ranks exceeds budget")
         mat = np.zeros((size, size), dtype=bool)
-        for x_rank, y_rank in iter_graph_edges(self):
-            mat[x_rank, y_rank] = True
+        mat[tuple(iter_graph_edges(self).T)] = True
         return mat
 
 
@@ -189,25 +188,22 @@ def _bfs_distance(g: SecretGraph, src: int, dst: int) -> float:
     return math.inf
 
 
-def iter_graph_edges(g: SecretGraph, budget: int = DEFAULT_EDGE_BUDGET):
-    """Yield ordered rank pairs (x, y), x != y, that are edges of g.
+def iter_graph_edges(g: SecretGraph, budget: int = DEFAULT_EDGE_BUDGET) -> np.ndarray:
+    """Ordered rank pairs (x, y), x != y, that are edges of g.
 
-    Both directions of every edge are produced.  Raises BudgetExceededError
-    if the enumeration would visit more than ``budget`` candidate pairs.
+    One (m, 2) int64 array holding both directions of every edge, its rows
+    sorted by (x, y); it costs 16 bytes per pair.  Raises
+    BudgetExceededError if the enumeration would visit more than ``budget``
+    candidate pairs.
     """
     domain = g.domain
     size = domain.size
-    if g.kind in (GraphKind.FULL, GraphKind.DISTANCE) and domain.n_attributes > 1:
-        candidates = size * size
-    elif g.kind is GraphKind.FULL:
+    if g.kind is GraphKind.FULL or (g.kind is GraphKind.DISTANCE and domain.n_attributes > 1):
         candidates = size * size
     elif g.kind is GraphKind.ATTRIBUTE:
         candidates = size * sum(a.size for a in domain.attributes)
     elif g.kind is GraphKind.PARTITION:
-        counts: dict[int, int] = {}
-        for c in g.cells:
-            counts[c] = counts.get(c, 0) + 1
-        candidates = sum(v * v for v in counts.values())
+        candidates = int((np.unique(g.cells, return_counts=True)[1] ** 2).sum())
     elif g.kind is GraphKind.DISTANCE:
         candidates = size * min(size, 2 * g.theta + 1)
     else:
@@ -217,45 +213,79 @@ def iter_graph_edges(g: SecretGraph, budget: int = DEFAULT_EDGE_BUDGET):
             f"edge iteration would visit ~{candidates} pairs, budget is {budget}"
         )
 
+    ranks = np.arange(size, dtype=np.int64)
     if g.kind is GraphKind.FULL:
-        for x in range(size):
-            for y in range(size):
-                if x != y:
-                    yield x, y
-    elif g.kind is GraphKind.ATTRIBUTE:
-        for x in range(size):
-            point = domain.unrank(x)
-            for i, attr in enumerate(domain.attributes):
-                for v in range(attr.size):
-                    if v != point[i]:
-                        y = x + (v - point[i]) * domain._weights[i]
-                        yield x, y
-    elif g.kind is GraphKind.PARTITION:
-        groups: dict[int, list[int]] = {}
-        for r, c in enumerate(g.cells):
-            groups.setdefault(c, []).append(r)
-        for group in groups.values():
-            for x in group:
-                for y in group:
-                    if x != y:
-                        yield x, y
-    elif g.kind is GraphKind.DISTANCE:
-        if g.theta >= 1:
-            if domain.n_attributes == 1:
-                for x in range(size):
-                    for y in range(max(0, x - g.theta), min(size, x + g.theta + 1)):
-                        if y != x:
-                            yield x, y
-            else:
-                points = [domain.unrank(r) for r in range(size)]
-                for x in range(size):
-                    for y in range(size):
-                        if x != y and l1_distance(points[x], points[y]) <= g.theta:
-                            yield x, y
-    else:
-        for a, b in g.edge_list:
-            yield a, b
-            yield b, a
+        return _distinct_pairs(ranks)
+    if g.kind is GraphKind.ATTRIBUTE:
+        # rank offsets to every value of every attribute, sorted per rank;
+        # the zero offsets (a rank to itself) are dropped
+        attrs = zip(domain.coords().T, domain.attributes, domain._weights)
+        offsets = np.hstack([(np.arange(a.size) - col[:, None]) * w for col, a, w in attrs])
+        offsets.sort(axis=1)
+        x, j = np.nonzero(offsets)
+        return np.stack([x, x + offsets[x, j]], axis=1)
+    if g.kind is GraphKind.PARTITION:
+        cells = np.asarray(g.cells)
+        order = np.argsort(cells, kind="stable")
+        ordered = cells[order]
+        # per rank: where its cell starts in cell order, and the cell's size;
+        # a stable sort lists every cell's ranks in ascending order
+        start = np.searchsorted(ordered, cells)
+        k = np.searchsorted(ordered, cells, side="right") - start
+        x = np.repeat(ranks, k)
+        y = order[np.arange(k.sum()) + np.repeat(start - np.cumsum(k) + k, k)]
+        return np.stack([x[x != y], y[x != y]], axis=1)
+    if g.kind is GraphKind.DISTANCE:
+        if g.theta < 1:
+            return np.empty((0, 2), dtype=np.int64)
+        if domain.n_attributes == 1:
+            reach = min(g.theta, size - 1)
+            offsets = np.concatenate([np.arange(-reach, 0), np.arange(1, reach + 1)])
+            y = ranks[:, None] + offsets
+            x, j = np.nonzero((y >= 0) & (y < size))
+            return np.stack([x, y[x, j]], axis=1)
+        # L1 distances never exceed the diameter, so the narrowest signed
+        # type holding it keeps the size-by-size matrix small
+        coords = domain.coords().astype(np.min_scalar_type(-domain.diameter()))
+        dist = sum(np.abs(col[:, None] - col[None, :]) for col in coords.T)
+        return np.stack(np.nonzero((dist >= 1) & (dist <= g.theta)), axis=1)
+    e = np.array(sorted(g.edge_list), dtype=np.int64).reshape(-1, 2)
+    both = np.concatenate([e, e[:, ::-1]])
+    return both[np.lexsort((both[:, 1], both[:, 0]))]
+
+
+def _distinct_pairs(ranks: np.ndarray) -> np.ndarray:
+    """Every ordered pair of distinct entries of an ascending rank array, in
+    (x, y) order."""
+    x, y = np.nonzero(~np.eye(len(ranks), dtype=bool))
+    return np.stack([ranks[x], ranks[y]], axis=1)
+
+
+def signature_edges(g: SecretGraph, match: np.ndarray, budget: int = DEFAULT_EDGE_BUDGET) -> np.ndarray:
+    """The first edge of g, in (x, y) order, joining each ordered pair of
+    different signatures; a (k, 2) int64 array in (x, y) order.
+
+    A rank's signature is its column of the (n_queries, size) bool ``match``
+    matrix.  Ranks with the same signature act alike on every query, so a
+    per-query scan of these edges sees everything a scan of all edges sees.
+    """
+    _, first, sig = np.unique(match.T, axis=0, return_index=True, return_inverse=True)
+    sig = sig.reshape(-1)
+    n_sig = len(first)
+    if g.kind is GraphKind.FULL:
+        # every pair of distinct ranks is an edge, so the first edge joining
+        # two signatures joins their first ranks
+        if n_sig * n_sig > budget:
+            raise BudgetExceededError(
+                f"{n_sig} signatures would visit ~{n_sig * n_sig} pairs, budget is {budget}"
+            )
+        return _distinct_pairs(np.sort(first))
+    pairs = iter_graph_edges(g, budget)
+    code = sig[pairs[:, 0]] * n_sig + sig[pairs[:, 1]]
+    _, idx = np.unique(code, return_index=True)
+    # drop the pairs within one signature
+    idx = idx[code[idx] // n_sig != code[idx] % n_sig]
+    return pairs[np.sort(idx)]
 
 
 # -- constraints -----------------------------------------------------------
@@ -327,6 +357,17 @@ class CountQuery:
 
     def with_answer(self, answer: int) -> "CountQuery":
         return CountQuery(self.allowed, answer)
+
+
+def match_matrix(queries, domain: DomainSpec) -> np.ndarray:
+    """(len(queries), size) bool matrix: whether each rank matches each query."""
+    coords = domain.coords()
+    out = np.ones((len(queries), domain.size), dtype=bool)
+    for row, q in zip(out, queries):
+        for col, s in zip(coords.T, q.allowed):
+            if s is not None:
+                row &= np.isin(col, list(s))
+    return out
 
 
 class ConstraintKind(str, Enum):
@@ -476,38 +517,14 @@ def enumerate_databases(policy: Policy, n: int, budget: int = DEFAULT_ENUM_BUDGE
     total = size**n
     if total > budget:
         raise BudgetExceededError(f"{total} databases exceed enumeration budget {budget}")
-    match = _query_match_vectors(policy)
-    out = []
-    for db in itertools.product(range(size), repeat=n):
-        if _fast_satisfies(match, db, n):
-            out.append(db)
+    answered = [q for q in policy.constraints.queries if q.answer is not None]
+    answers = np.array([q.answer for q in answered], dtype=np.int64)
+    dbs = np.array(list(itertools.product(range(size), repeat=n)), dtype=np.int64).reshape(total, n)
+    counts = match_matrix(answered, policy.domain)[:, dbs].sum(axis=2)
+    out = [tuple(db) for db in dbs[(counts == answers[:, None]).all(axis=0)].tolist()]
     if not out:
         raise InfeasibleConstraintsError("constraint answers admit no database")
     return out
-
-
-def _query_match_vectors(policy: Policy) -> list[tuple[list[bool], int]]:
-    """Per answered query: rank->match vector plus the recorded answer."""
-    if policy.constraints.unconstrained:
-        return []
-    out = []
-    for q in policy.constraints.queries:
-        if q.answer is None:
-            continue
-        vec = [q.matches(policy.domain.unrank(r)) for r in range(policy.domain.size)]
-        out.append((vec, q.answer))
-    return out
-
-
-def _fast_satisfies(match, db, n: int) -> bool:
-    for vec, answer in match:
-        c = 0
-        for r in db:
-            if vec[r]:
-                c += 1
-        if c != answer:
-            return False
-    return True
 
 
 def _mask_candidates(dbs, d1, n, size, edge):
@@ -604,34 +621,32 @@ def neighbor_databases(policy: Policy, n: int, budget: int = DEFAULT_ENUM_BUDGET
 # -- parallel decomposition --------------------------------------------------
 
 
-def _critical_value_pairs(policy: Policy, q: CountQuery, n: int, budget: int) -> set[tuple[int, int]]:
-    """Edge value pairs (x, y) critical to q: changing some tuple from x to y
-    can flip q's satisfaction while a witness database satisfying q exists.
+def _has_critical_pair(policy: Policy, q: CountQuery, n: int, budget: int) -> bool:
+    """Whether some edge value pair (x, y) is critical to q: changing some
+    tuple from x to y can flip q's satisfaction while a witness database
+    satisfying q exists.
 
     For a count query with recorded answer this is decidable by a counting
     argument: the pair must lift or lower q, and the remaining n-1 tuples
-    must be able to meet the answer.
+    must be able to meet the answer.  Only whether x matches q matters, so
+    one edge per pair of signatures decides.
     """
     if q.answer is None:
-        return set()
+        return False
     domain = policy.domain
     supp = q.support_size(domain)
     cosupp = domain.size - supp
-    out = set()
-    for x_rank, y_rank in iter_graph_edges(policy.graph, budget):
-        x, y = domain.unrank(x_rank), domain.unrank(y_rank)
-        mx, my = q.matches(x), q.matches(y)
-        if mx == my:
-            continue
-        need = q.answer - (1 if mx else 0)
+    match = match_matrix([q], domain)
+    for x_rank, _ in signature_edges(policy.graph, match, budget).tolist():
+        need = q.answer - (1 if match[0, x_rank] else 0)
         if not 0 <= need <= n - 1:
             continue
         if need > 0 and supp == 0:
             continue
         if (n - 1 - need) > 0 and cosupp == 0:
             continue
-        out.add((x_rank, y_rank))
-    return out
+        return True
+    return False
 
 
 def check_parallel_decomposition(
@@ -659,9 +674,8 @@ def check_parallel_decomposition(
     for q in policy.constraints.queries:
         if q.answer is None:
             continue
-        crit = _critical_value_pairs(policy, q, n, budget)
         # secrets are uniform across ids, so a critical pair exists for every
         # id at once; such a query conflicts with every other non-empty subset
-        if crit and nonempty > 1:
+        if _has_critical_pair(policy, q, n, budget) and nonempty > 1:
             return False
     return True

@@ -21,6 +21,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .domain import DomainSpec, Point, l1_distance
 from .errors import (
     BudgetExceededError,
@@ -36,7 +38,9 @@ from .policy import (
     Policy,
     SecretGraph,
     iter_graph_edges,
+    match_matrix,
     neighbor_databases,
+    signature_edges,
 )
 
 MAX_POLICY_GRAPH_VERTICES = 16
@@ -182,50 +186,25 @@ def _max_edge_l1(g: SecretGraph, pair_budget: int = DEFAULT_EDGE_BUDGET) -> int:
     if g.kind is GraphKind.DISTANCE:
         return min(g.theta, domain.diameter())
     if g.kind is GraphKind.PARTITION:
-        groups: dict[int, list[Point]] = {}
-        for r, c in enumerate(g.cells):
-            groups.setdefault(c, []).append(domain.unrank(r))
-        if sum(len(v) ** 2 for v in groups.values()) > pair_budget:
-            raise BudgetExceededError("partition cell diameter scan exceeds budget")
-        best = 0
-        for pts in groups.values():
-            for i, x in enumerate(pts):
-                for y in pts[i + 1 :]:
-                    best = max(best, l1_distance(x, y))
-        return best
-    return max(
-        l1_distance(domain.unrank(a), domain.unrank(b)) for a, b in g.edge_list
-    )
+        pairs = iter_graph_edges(g, pair_budget)
+    else:
+        pairs = np.array(list(g.edge_list), dtype=np.int64)
+    diff = np.subtract(np.unravel_index(pairs[:, 0], domain.sizes), np.unravel_index(pairs[:, 1], domain.sizes))
+    return int(np.abs(diff).sum(axis=0).max())
 
 
 def _partition_query_crossed(g: SecretGraph, cells: tuple[int, ...]) -> bool:
     """Whether some edge of g joins two different cells of the query partition."""
-    domain = g.domain
     if not g.has_any_edge():
         return False
-    if g.kind is GraphKind.FULL:
-        return len(set(cells)) >= 2
     if g.kind is GraphKind.PARTITION:
-        groups: dict[int, set[int]] = {}
-        for r, gc in enumerate(g.cells):
-            groups.setdefault(gc, set()).add(cells[r])
-        return any(len(v) >= 2 for v in groups.values())
-    if g.kind in (GraphKind.ATTRIBUTE, GraphKind.DISTANCE):
-        # one unit step along a single attribute is an edge for both kinds
-        # (distance needs theta >= 1, guaranteed by has_any_edge)
-        for r in range(domain.size):
-            point = domain.unrank(r)
-            for i, w in enumerate(domain._weights):
-                if point[i] + 1 < domain.attributes[i].size:
-                    if cells[r] != cells[r + w]:
-                        return True
-        if g.kind is GraphKind.ATTRIBUTE:
-            return False
-        # wider theta jumps can cross cells even if unit steps do not
-        if g.theta == 1:
-            return False
-        return any(cells[a] != cells[b] for a, b in iter_graph_edges(g))
-    return any(cells[a] != cells[b] for a, b in g.edge_list)
+        # some secret cell holds ranks of two query cells
+        return len(set(zip(g.cells, cells))) > len(set(g.cells))
+    if g.kind is GraphKind.EXPLICIT:
+        return any(cells[a] != cells[b] for a, b in g.edge_list)
+    # unit steps connect the domain and are edges of full, attribute and
+    # distance graphs alike (distance needs theta >= 1, given by has_any_edge)
+    return len(set(cells)) >= 2
 
 
 def closed_form_sensitivity(query: QueryKind, policy: Policy) -> SensitivityResult:
@@ -284,7 +263,8 @@ class PolicyGraph:
 
     Vertices 0..n_queries-1 are the queries, then source (lift without lower)
     and sink (lower without lift).  The (source, sink) edge is always present.
-    Each query-to-query edge stores one witnessing secret pair of ranks.
+    Every other edge stores its witness: the first secret pair of ranks, in
+    (x, y) order, that produces it.
     """
 
     n_queries: int
@@ -315,21 +295,22 @@ def build_policy_graph(
 ) -> PolicyGraph:
     """Construct the policy graph of a sparse constraint set.
 
-    Raises NonSparseConstraintsError if some edge lifts or lowers more than
-    one query (detected during the same scan).
+    Only the signature edges of g are classified: pairs of ranks that match
+    the same queries act alike.  Raises NonSparseConstraintsError if some
+    edge lifts or lowers more than one query (detected during the same scan).
     """
     queries = constraints.queries
     nq = len(queries)
     domain = g.domain
-    points = [domain.unrank(r) for r in range(domain.size)]
     edges: set[tuple[int, int]] = set()
     witnesses: dict[tuple[int, int], tuple[int, int]] = {}
     source, sink = nq, nq + 1
-    for x_rank, y_rank in iter_graph_edges(g, budget):
+    for x_rank, y_rank in signature_edges(g, match_matrix(queries, domain), budget).tolist():
+        pair = (domain.unrank(x_rank), domain.unrank(y_rank))
         lift_idx: list[int] = []
         lower_idx: list[int] = []
         for qi, q in enumerate(queries):
-            eff = lifts_lowers((points[x_rank], points[y_rank]), q)
+            eff = lifts_lowers(pair, q)
             if eff is Effect.LIFTS:
                 lift_idx.append(qi)
             elif eff is Effect.LOWERS:

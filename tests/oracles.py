@@ -15,8 +15,19 @@ from collections import deque
 
 import numpy as np
 
-from blowfish import DomainSpec, Policy, Workload, is_edge
+from blowfish import (
+    CountQuery,
+    DomainSpec,
+    Effect,
+    NonSparseConstraintsError,
+    Policy,
+    SecretGraph,
+    Workload,
+    is_edge,
+    lifts_lowers,
+)
 from blowfish.experiments import _tag
+from blowfish.policy import iter_graph_edges
 from blowfish.sensitivity import PolicyGraph
 
 
@@ -165,6 +176,101 @@ def alpha_xi_by_backtracking(pg: PolicyGraph) -> tuple[int, int]:
 
     path_search(pg.source, {pg.source}, 0)
     return best_cycle, best_path
+
+
+def random_secret_graph(rng: np.random.Generator, domain: DomainSpec, kind: str) -> SecretGraph:
+    """A secret graph of the named kind with random cells, theta or edges;
+    theta runs from 0 to one past the diameter, and explicit graphs may be
+    empty."""
+    if kind == "full":
+        return SecretGraph.full(domain)
+    if kind == "attribute":
+        return SecretGraph.attribute(domain)
+    if kind == "partition":
+        ncells = int(rng.integers(1, domain.size + 1))
+        groups: dict[int, list[int]] = {}
+        for r in range(domain.size):
+            groups.setdefault(int(rng.integers(ncells)), []).append(r)
+        return SecretGraph.partition(domain, list(groups.values()))
+    if kind == "distance":
+        return SecretGraph.distance(domain, int(rng.integers(0, domain.diameter() + 2)))
+    pairs = list(itertools.combinations(range(domain.size), 2))
+    take = int(rng.integers(0, len(pairs) + 1))
+    idx = rng.choice(len(pairs), size=take, replace=False) if take else []
+    return SecretGraph.explicit(domain, [pairs[i] for i in idx])
+
+
+def random_rectangle(rng: np.random.Generator, domain: DomainSpec, answer: int | None = None) -> CountQuery:
+    """A rectangle that bounds each attribute with probability 0.6."""
+    bounds = {}
+    for attr in domain.attributes:
+        if rng.random() < 0.6:
+            lo = int(rng.integers(0, attr.size))
+            bounds[attr.name] = (lo, int(rng.integers(lo, attr.size)))
+    return CountQuery.rectangle(domain, bounds, answer)
+
+
+def policy_graph_by_loop(constraints, g: SecretGraph) -> PolicyGraph:
+    """The policy graph from one classification per secret-graph edge: every
+    row of ``iter_graph_edges`` is run through ``lifts_lowers`` against every
+    query, and each policy edge keeps the first pair that produced it."""
+    queries = constraints.queries
+    nq = len(queries)
+    points = [g.domain.unrank(r) for r in range(g.domain.size)]
+    source, sink = nq, nq + 1
+    witnesses: dict[tuple[int, int], tuple[int, int]] = {}
+    for x_rank, y_rank in iter_graph_edges(g).tolist():
+        effects = [lifts_lowers((points[x_rank], points[y_rank]), q) for q in queries]
+        lift_idx = [qi for qi, eff in enumerate(effects) if eff is Effect.LIFTS]
+        lower_idx = [qi for qi, eff in enumerate(effects) if eff is Effect.LOWERS]
+        if len(lift_idx) > 1 or len(lower_idx) > 1:
+            raise NonSparseConstraintsError(
+                f"constraints are not sparse: secret pair (ranks {x_rank},{y_rank}) "
+                f"lifts {len(lift_idx)} and lowers {len(lower_idx)} queries"
+            )
+        if not lift_idx and not lower_idx:
+            continue
+        e = (lower_idx[0] if lower_idx else source, lift_idx[0] if lift_idx else sink)
+        if e[0] != e[1]:
+            witnesses.setdefault(e, (x_rank, y_rank))
+    return PolicyGraph(
+        n_queries=nq,
+        edges=frozenset(witnesses) | {(source, sink)},
+        witnesses=tuple(sorted(witnesses.items())),
+    )
+
+
+def critical_pairs_by_loop(policy: Policy, q: CountQuery, n: int) -> set[tuple[int, int]]:
+    """Every secret-graph edge (x, y) that lifts or lowers q while the other
+    n-1 tuples can still meet q's answer."""
+    if q.answer is None:
+        return set()
+    domain = policy.domain
+    supp = q.support_size(domain)
+    cosupp = domain.size - supp
+    out = set()
+    for x_rank, y_rank in iter_graph_edges(policy.graph).tolist():
+        mx, my = q.matches(domain.unrank(x_rank)), q.matches(domain.unrank(y_rank))
+        if mx == my:
+            continue
+        need = q.answer - (1 if mx else 0)
+        if not 0 <= need <= n - 1:
+            continue
+        if need > 0 and supp == 0:
+            continue
+        if (n - 1 - need) > 0 and cosupp == 0:
+            continue
+        out.add((x_rank, y_rank))
+    return out
+
+
+def parallel_decomposition_by_loop(policy: Policy, subsets, n: int) -> bool:
+    """``check_parallel_decomposition`` on disjoint subsets, from the full
+    critical-pair set of every answered query."""
+    nonempty = sum(1 for s in subsets if s)
+    return not any(
+        critical_pairs_by_loop(policy, q, n) and nonempty > 1 for q in policy.constraints.queries
+    )
 
 
 def range_query_truth(counts, queries) -> np.ndarray:

@@ -56,7 +56,12 @@ from blowfish.mechanisms import oh_error_model
 from blowfish.policy import load_policy, neighbor_databases
 from blowfish.sensitivity import _delta_eval
 
-from oracles import is_neighbor_by_definition, isotonic_by_enumeration, range_query_truth
+from oracles import (
+    is_neighbor_by_definition,
+    isotonic_by_enumeration,
+    random_secret_graph,
+    range_query_truth,
+)
 
 
 def _report(num: int, text: str) -> None:
@@ -90,23 +95,7 @@ def test_c01_oracle_equivalence_unconstrained():
                 break
         dom = _grid_domain(*sizes)
         kind = kinds[trial % 5]
-        if kind == "full":
-            g = SecretGraph.full(dom)
-        elif kind == "attribute":
-            g = SecretGraph.attribute(dom)
-        elif kind == "partition":
-            groups: dict[int, list[int]] = {}
-            ncells = int(rng.integers(1, dom.size + 1))
-            for r in range(dom.size):
-                groups.setdefault(int(rng.integers(ncells)), []).append(r)
-            g = SecretGraph.partition(dom, list(groups.values()))
-        elif kind == "distance":
-            g = SecretGraph.distance(dom, int(rng.integers(0, dom.diameter() + 2)))
-        else:
-            pairs = list(itertools.combinations(range(dom.size), 2))
-            take = int(rng.integers(0, len(pairs) + 1))
-            idx = rng.choice(len(pairs), size=take, replace=False) if take else []
-            g = SecretGraph.explicit(dom, [pairs[i] for i in idx])
+        g = random_secret_graph(rng, dom, kind)
         policy = Policy(dom, g, ConstraintSet.none())
         n = int(rng.integers(1, 4))
         ncells = int(rng.integers(1, dom.size + 1))

@@ -282,6 +282,25 @@ def test_enumeration_budget_fails_cleanly(capsys):
 
 
 def test_edge_budget_fails_cleanly(tmp_path, capsys):
+    # one 5000-rank cell has 25M candidate pairs, over the 20M budget
+    domain = tmp_path / "wide.json"
+    domain.write_text(json.dumps({"attributes": [{"name": "x", "values": [str(i) for i in range(5000)]}]}))
+    policy = tmp_path / "partition.json"
+    policy.write_text(
+        json.dumps(
+            {
+                "graph": {"kind": "partition", "cells": [list(range(5000))]},
+                "constraints": {"kind": "general", "queries": [{"where": {"x": ["0"]}, "answer": 1}]},
+            }
+        )
+    )
+    rc = cli_main(["policy", "validate", "--domain", str(domain), "--policy", str(policy)])
+    assert rc == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_validate_wide_full_graph_answers(tmp_path, capsys):
+    # a full graph is classified per pair of query signatures, not per edge
     domain = tmp_path / "wide.json"
     domain.write_text(json.dumps({"attributes": [{"name": "x", "values": [str(i) for i in range(10_000)]}]}))
     policy = tmp_path / "full.json"
@@ -294,8 +313,8 @@ def test_edge_budget_fails_cleanly(tmp_path, capsys):
         )
     )
     rc = cli_main(["policy", "validate", "--domain", str(domain), "--policy", str(policy)])
-    assert rc == 1
-    assert "error:" in capsys.readouterr().err
+    assert rc == 0
+    assert capsys.readouterr().out.strip().endswith(", sparse")
 
 
 SEEDED_RELEASES = {

@@ -20,7 +20,17 @@ from blowfish import (
     load_policy,
 )
 
-from oracles import bfs_graph_distance, neighbors_by_definition
+from blowfish.policy import _has_critical_pair, iter_graph_edges
+from oracles import (
+    bfs_graph_distance,
+    critical_pairs_by_loop,
+    neighbors_by_definition,
+    parallel_decomposition_by_loop,
+    random_rectangle,
+    random_secret_graph,
+)
+
+GRAPH_KINDS = ("full", "attribute", "partition", "distance", "explicit")
 
 INF = math.inf
 
@@ -108,6 +118,34 @@ def test_graph_distance_matches_bfs():
             for _ in range(25):
                 a, b = int(rng.integers(dom.size)), int(rng.integers(dom.size))
                 assert graph_distance(g, dom.unrank(a), dom.unrank(b)) == bfs_graph_distance(mat, a, b)
+
+
+def test_iter_graph_edges_matches_is_edge():
+    rng = np.random.default_rng(17)
+    checked = 0
+    while checked < 40:
+        sizes = [int(rng.integers(1, 5)) for _ in range(int(rng.integers(1, 4)))]
+        dom = grid_domain(*sizes)
+        if dom.size > 24:
+            continue
+        checked += 1
+        points = [dom.unrank(r) for r in range(dom.size)]
+        graphs = [random_secret_graph(rng, dom, kind) for kind in GRAPH_KINDS]
+        graphs += [
+            SecretGraph.distance(dom, 0),
+            SecretGraph.distance(dom, dom.diameter() + 1),
+            SecretGraph.explicit(dom, []),
+        ]
+        for g in graphs:
+            got = iter_graph_edges(g)
+            assert got.dtype == np.int64 and got.shape == (len(got), 2)
+            expected = [
+                [x, y]
+                for x in range(dom.size)
+                for y in range(dom.size)
+                if is_edge(g, points[x], points[y])
+            ]
+            assert got.tolist() == expected, (sizes, g.kind, g.theta)
 
 
 # -- constraints and policy files ---------------------------------------------
@@ -273,3 +311,22 @@ def test_parallel_decomposition_cardinality_only():
     assert check_parallel_decomposition(pol, [{0}, {1}, {2}], n=3)
     with pytest.raises(ValueError):
         check_parallel_decomposition(pol, [{0, 1}, {1, 2}], n=3)
+
+
+def test_parallel_decomposition_matches_critical_pair_loop():
+    rng = np.random.default_rng(23)
+    for trial in range(100):
+        sizes = [int(rng.integers(1, 4)) for _ in range(int(rng.integers(1, 4)))]
+        dom = grid_domain(*sizes)
+        g = random_secret_graph(rng, dom, GRAPH_KINDS[trial % 5])
+        n = int(rng.integers(1, 4))
+        queries = [
+            random_rectangle(rng, dom, None if rng.random() < 0.2 else int(rng.integers(0, n + 2)))
+            for _ in range(int(rng.integers(1, 4)))
+        ]
+        pol = Policy(dom, g, ConstraintSet.of(queries))
+        for q in queries:
+            assert _has_critical_pair(pol, q, n, 10**6) == bool(critical_pairs_by_loop(pol, q, n))
+        for subsets in ([{0}, {1}], [{0, 1}], [{0}, set(), {1, 2}], [set(), {0}]):
+            got = check_parallel_decomposition(pol, subsets, n=n)
+            assert got == parallel_decomposition_by_loop(pol, subsets, n), (sizes, g.kind, n)

@@ -34,7 +34,12 @@ from blowfish import (
 )
 from blowfish.sensitivity import PolicyGraph
 
-from oracles import alpha_xi_by_backtracking
+from oracles import (
+    alpha_xi_by_backtracking,
+    policy_graph_by_loop,
+    random_rectangle,
+    random_secret_graph,
+)
 
 
 def line_domain(size):
@@ -262,24 +267,40 @@ def test_sparse_engine_caps():
 
 def test_sparse_engine_random_policies_cap_and_soundness():
     rng = np.random.default_rng(7)
-    for trial in range(15):
-        sizes = [int(rng.integers(2, 4)) for _ in range(int(rng.integers(1, 3)))]
+    kinds = ("full", "attribute", "partition", "distance", "explicit")
+    sparse = nonsparse = 0
+    for trial in range(300):
+        sizes = [int(rng.integers(1, 4)) for _ in range(int(rng.integers(1, 4)))]
         dom = grid_domain(*sizes)
-        if dom.size > 6:
+        if dom.size > 8:
             continue
-        attr_idx = int(rng.integers(len(sizes)))
+        g = random_secret_graph(rng, dom, kinds[trial % 5])
+        n = int(rng.integers(1, 3))
+        # answers read off one database keep the constraints satisfiable
+        db = [dom.unrank(int(r)) for r in rng.integers(0, dom.size, size=n)]
         queries = []
-        for v in range(sizes[attr_idx]):
-            queries.append(CountQuery.from_labels(dom, {f"A{attr_idx}": [f"v{v}"]}, answer=1))
-        n = sizes[attr_idx]
-        g = SecretGraph.full(dom) if trial % 2 == 0 else SecretGraph.attribute(dom)
+        for _ in range(int(rng.integers(1, 4))):
+            q = random_rectangle(rng, dom)
+            queries.append(q.with_answer(sum(q.matches(x) for x in db)))
         pol = Policy(dom, g, ConstraintSet.of(queries))
-        if not is_sparse(pol.constraints, pol.graph):
+        try:
+            expected = policy_graph_by_loop(pol.constraints, g)
+        except NonSparseConstraintsError as exc:
+            with pytest.raises(NonSparseConstraintsError) as got:
+                build_policy_graph(pol.constraints, g)
+            assert str(got.value) == str(exc)
+            assert not is_sparse(pol.constraints, g)
+            nonsparse += 1
             continue
+        pg = build_policy_graph(pol.constraints, g)
+        assert pg.edges == expected.edges, (sizes, g.kind)
+        assert pg.witnesses == expected.witnesses, (sizes, g.kind)
         engine = sparse_constraint_sensitivity(pol)
         assert engine.value <= 2 * (len(queries) + 1)
         oracle = brute_force_sensitivity(HistogramQuery(), pol, n)
-        assert oracle.value <= engine.value
+        assert oracle.value <= engine.value, (sizes, g.kind, n)
+        sparse += 1
+    assert sparse >= 50 and nonsparse >= 20
 
 
 # -- specialized shapes -------------------------------------------------------------

@@ -245,8 +245,8 @@ def iter_graph_edges(g: SecretGraph, budget: int = DEFAULT_EDGE_BUDGET) -> np.nd
             x, j = np.nonzero((y >= 0) & (y < size))
             return np.stack([x, y[x, j]], axis=1)
         # L1 distances never exceed the diameter, so the narrowest signed
-        # type holding it keeps the size-by-size matrix small
-        coords = domain.coords().astype(np.min_scalar_type(-domain.diameter()))
+        # type holding +diameter keeps the size-by-size matrix small
+        coords = domain.coords().astype(np.min_scalar_type(-domain.diameter() - 1))
         dist = sum(np.abs(col[:, None] - col[None, :]) for col in coords.T)
         return np.stack(np.nonzero((dist >= 1) & (dist <= g.theta)), axis=1)
     e = np.array(sorted(g.edge_list), dtype=np.int64).reshape(-1, 2)
@@ -621,34 +621,6 @@ def neighbor_databases(policy: Policy, n: int, budget: int = DEFAULT_ENUM_BUDGET
 # -- parallel decomposition --------------------------------------------------
 
 
-def _has_critical_pair(policy: Policy, q: CountQuery, n: int, budget: int) -> bool:
-    """Whether some edge value pair (x, y) is critical to q: changing some
-    tuple from x to y can flip q's satisfaction while a witness database
-    satisfying q exists.
-
-    For a count query with recorded answer this is decidable by a counting
-    argument: the pair must lift or lower q, and the remaining n-1 tuples
-    must be able to meet the answer.  Only whether x matches q matters, so
-    one edge per pair of signatures decides.
-    """
-    if q.answer is None:
-        return False
-    domain = policy.domain
-    supp = q.support_size(domain)
-    cosupp = domain.size - supp
-    match = match_matrix([q], domain)
-    for x_rank, _ in signature_edges(policy.graph, match, budget).tolist():
-        need = q.answer - (1 if match[0, x_rank] else 0)
-        if not 0 <= need <= n - 1:
-            continue
-        if need > 0 and supp == 0:
-            continue
-        if (n - 1 - need) > 0 and cosupp == 0:
-            continue
-        return True
-    return False
-
-
 def check_parallel_decomposition(
     policy: Policy,
     subsets,
@@ -671,11 +643,20 @@ def check_parallel_decomposition(
     if n is None:
         n = max((max(s) for s in subsets if s), default=-1) + 1
     nonempty = sum(1 for s in subsets if s)
-    for q in policy.constraints.queries:
-        if q.answer is None:
-            continue
-        # secrets are uniform across ids, so a critical pair exists for every
-        # id at once; such a query conflicts with every other non-empty subset
-        if _has_critical_pair(policy, q, n, budget) and nonempty > 1:
-            return False
-    return True
+    answered = [q for q in policy.constraints.queries if q.answer is not None]
+    if not answered:
+        return True
+    # a query is crossed when some edge joins a rank matching it to one that
+    # does not; one edge per pair of signatures over all answered queries
+    # shows every crossing
+    match = match_matrix(answered, policy.domain)
+    x, y = signature_edges(policy.graph, match, budget).T
+    crossed = (match[:, x] != match[:, y]).any(axis=1)
+    # secret graphs are symmetric, so a crossed query is both lifted and
+    # lowered; a pair is critical when the other n-1 tuples can meet the
+    # answer with the changed tuple inside q or outside it
+    answers = np.array([q.answer for q in answered])
+    critical = crossed & (n >= 1) & (answers >= 0) & (answers <= n)
+    # secrets are uniform across ids, so a critical pair exists for every
+    # id at once; such a query conflicts with every other non-empty subset
+    return not (critical.any() and nonempty > 1)

@@ -11,6 +11,7 @@ from blowfish import (
     InfeasibleConstraintsError,
     Policy,
     SecretGraph,
+    build_policy_graph,
     check_parallel_decomposition,
     enumerate_databases,
     enumerate_neighbors,
@@ -20,7 +21,7 @@ from blowfish import (
     load_policy,
 )
 
-from blowfish.policy import _has_critical_pair, iter_graph_edges
+from blowfish.policy import iter_graph_edges
 from oracles import (
     bfs_graph_distance,
     critical_pairs_by_loop,
@@ -146,6 +147,28 @@ def test_iter_graph_edges_matches_is_edge():
                 if is_edge(g, points[x], points[y])
             ]
             assert got.tolist() == expected, (sizes, g.kind, g.theta)
+
+
+def test_iter_graph_edges_distance_at_diameter_128():
+    # a diameter of 128 overflows int8, while 127 still fits it
+    for sizes in ((128, 2), (127, 2)):
+        dom = grid_domain(*sizes)
+        points = [dom.unrank(r) for r in range(dom.size)]
+        for theta in (dom.diameter(), dom.diameter() - 1):
+            g = SecretGraph.distance(dom, theta)
+            expected = [
+                [x, y]
+                for x in range(dom.size)
+                for y in range(dom.size)
+                if is_edge(g, points[x], points[y])
+            ]
+            assert iter_graph_edges(g).tolist() == expected, (sizes, theta)
+    # the corner-to-corner pair is the only edge joining the two point queries
+    dom = grid_domain(128, 2)
+    corners = [CountQuery.rectangle(dom, {"A0": (v, v), "A1": (w, w)}, answer=0) for v, w in ((0, 0), (127, 1))]
+    pg = build_policy_graph(ConstraintSet.of(corners), SecretGraph.distance(dom, 128))
+    far = dom.rank((127, 1))
+    assert pg.witness((0, 1)) == (0, far) and pg.witness((1, 0)) == (far, 0)
 
 
 # -- constraints and policy files ---------------------------------------------
@@ -326,7 +349,8 @@ def test_parallel_decomposition_matches_critical_pair_loop():
         ]
         pol = Policy(dom, g, ConstraintSet.of(queries))
         for q in queries:
-            assert _has_critical_pair(pol, q, n, 10**6) == bool(critical_pairs_by_loop(pol, q, n))
+            alone = Policy(dom, g, ConstraintSet.of([q]))
+            assert check_parallel_decomposition(alone, [{0}, {1}], n=n) == (not critical_pairs_by_loop(pol, q, n))
         for subsets in ([{0}, {1}], [{0, 1}], [{0}, set(), {1, 2}], [set(), {0}]):
             got = check_parallel_decomposition(pol, subsets, n=n)
             assert got == parallel_decomposition_by_loop(pol, subsets, n), (sizes, g.kind, n)

@@ -265,6 +265,29 @@ def test_sparse_engine_caps():
     assert oracle.value == 4  # the bound is attained, so the literal cap is impossible
 
 
+def _check_sparse_engine_against_oracles(pol, n):
+    """Compare the policy graph (or the non-sparse error) with the per-edge
+    loop, and the engine's bound with its cap and the brute-force value.
+    Returns whether the constraints were sparse."""
+    g = pol.graph
+    try:
+        expected = policy_graph_by_loop(pol.constraints, g)
+    except NonSparseConstraintsError as exc:
+        with pytest.raises(NonSparseConstraintsError) as got:
+            build_policy_graph(pol.constraints, g)
+        assert str(got.value) == str(exc)
+        assert not is_sparse(pol.constraints, g)
+        return False
+    pg = build_policy_graph(pol.constraints, g)
+    assert pg.edges == expected.edges, (pol.domain.size, g.kind)
+    assert pg.witnesses == expected.witnesses, (pol.domain.size, g.kind)
+    engine = sparse_constraint_sensitivity(pol)
+    assert engine.value <= 2 * (len(pol.constraints.queries) + 1)
+    oracle = brute_force_sensitivity(HistogramQuery(), pol, n)
+    assert oracle.value <= engine.value, (pol.domain.size, g.kind, n)
+    return True
+
+
 def test_sparse_engine_random_policies_cap_and_soundness():
     rng = np.random.default_rng(7)
     kinds = ("full", "attribute", "partition", "distance", "explicit")
@@ -282,25 +305,28 @@ def test_sparse_engine_random_policies_cap_and_soundness():
         for _ in range(int(rng.integers(1, 4))):
             q = random_rectangle(rng, dom)
             queries.append(q.with_answer(sum(q.matches(x) for x in db)))
-        pol = Policy(dom, g, ConstraintSet.of(queries))
-        try:
-            expected = policy_graph_by_loop(pol.constraints, g)
-        except NonSparseConstraintsError as exc:
-            with pytest.raises(NonSparseConstraintsError) as got:
-                build_policy_graph(pol.constraints, g)
-            assert str(got.value) == str(exc)
-            assert not is_sparse(pol.constraints, g)
+        if _check_sparse_engine_against_oracles(Policy(dom, g, ConstraintSet.of(queries)), n):
+            sparse += 1
+        else:
             nonsparse += 1
-            continue
-        pg = build_policy_graph(pol.constraints, g)
-        assert pg.edges == expected.edges, (sizes, g.kind)
-        assert pg.witnesses == expected.witnesses, (sizes, g.kind)
-        engine = sparse_constraint_sensitivity(pol)
-        assert engine.value <= 2 * (len(queries) + 1)
-        oracle = brute_force_sensitivity(HistogramQuery(), pol, n)
-        assert oracle.value <= engine.value, (sizes, g.kind, n)
-        sparse += 1
     assert sparse >= 50 and nonsparse >= 20
+
+    # complete single-attribute marginals, one tuple per value, on full and
+    # attribute graphs with n equal to the attribute's size
+    rng = np.random.default_rng(7)
+    marginals = 0
+    for trial in range(15):
+        sizes = [int(rng.integers(2, 4)) for _ in range(int(rng.integers(1, 3)))]
+        dom = grid_domain(*sizes)
+        if dom.size > 6:
+            continue
+        attr_idx = int(rng.integers(len(sizes)))
+        queries = []
+        for v in range(sizes[attr_idx]):
+            queries.append(CountQuery.from_labels(dom, {f"A{attr_idx}": [f"v{v}"]}, answer=1))
+        g = SecretGraph.full(dom) if trial % 2 == 0 else SecretGraph.attribute(dom)
+        marginals += _check_sparse_engine_against_oracles(Policy(dom, g, ConstraintSet.of(queries)), sizes[attr_idx])
+    assert marginals >= 10
 
 
 # -- specialized shapes -------------------------------------------------------------

@@ -47,6 +47,7 @@ from .mechanisms import (
     isotonic_inference,
     laplace_mechanism,
     oh_cumulative,
+    oh_range_answers,
     oh_range_query,
     optimal_budget_split,
     ordered_mechanism,

@@ -20,7 +20,7 @@ from .kmeans import ClusteringPolicy, KmeansConfig, kmeans_nonprivate, kmeans_pr
 from .mechanisms import (
     PrivacyParams,
     build_oh_release,
-    oh_range_query,
+    oh_range_answers,
     optimal_budget_split,
     ordered_mechanism,
 )
@@ -179,9 +179,10 @@ def run_experiment(config: str | dict) -> ExperimentReport:
     raise ValueError(f"unknown experiment {name!r}; known: {', '.join(EXPERIMENTS)}")
 
 
-def _range_truth(counts: np.ndarray, workload: Workload) -> np.ndarray:
+def _range_truth(counts: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Exact count of each (i, j) row of ``queries``, from int64 prefixes."""
     prefix = np.concatenate([[0], np.cumsum(counts)])
-    return np.array([prefix[j] - prefix[i - 1] for i, j in workload.queries], dtype=float)
+    return (prefix[queries[:, 1]] - prefix[queries[:, 0] - 1]).astype(float)
 
 
 def _config_histogram(config: dict, size: int, seed: int) -> np.ndarray:
@@ -209,7 +210,8 @@ def _run_range_mse(config: dict) -> ExperimentReport:
 
     counts = _config_histogram(config, size, seed)
     workload = random_range_workload(size, n_queries, seed)
-    truth = _range_truth(counts, workload)
+    queries = np.asarray(workload.queries, dtype=np.int64).reshape(-1, 2)
+    truth = _range_truth(counts, queries)
 
     # (mechanism, policy, theta) per row group; the hierarchical baseline is
     # the theta = |T| tree, whose budget split puts all of epsilon on H nodes
@@ -229,7 +231,7 @@ def _run_range_mse(config: dict) -> ExperimentReport:
                 ts = trial_seed(seed, "range-mse", row_idx, t)
                 split = optimal_budget_split(size, theta, fanout, eps)
                 tree = build_oh_release(counts, theta, fanout, split.eps_s, split.eps_h, ts)
-                est = np.array([oh_range_query(tree, i, j) for i, j in workload.queries])
+                est = oh_range_answers(tree, queries)
                 errors.append(float(((est - truth) ** 2).mean()))
             mean, q1, q3 = _summary(errors)
             rows.append(

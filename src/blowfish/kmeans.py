@@ -191,7 +191,9 @@ def kmeans_private(
     (sensitivity 2) and the sum query (policy-specific sensitivity).  Noisy
     centroids are noisy_sum / max(noisy_size, 1), clamped to the policy
     bounds.  Initialization is data-independent: seeded uniform points in
-    the bounds box (or the explicit centroids from the config).
+    the bounds box (or the explicit centroids from the config).  Every point
+    must be finite and inside the bounds box, edges included; otherwise a
+    ``ValueError`` names the first offending row (1-based).
     """
     pts = np.asarray(points, dtype=float)
     cpolicy, qsum_sens = _resolve_policy(policy, cfg)
@@ -201,6 +203,15 @@ def kmeans_private(
         raise ValueError("data dimension does not match policy bounds")
     lows = np.array([lo for lo, _ in cpolicy.bounds])
     highs = np.array([hi for _, hi in cpolicy.bounds])
+    # the sum query's sensitivity is calibrated to the bounds box: a point
+    # outside it would move the sums further than the noise covers
+    bad = ~(np.isfinite(pts) & (pts >= lows) & (pts <= highs)).all(axis=1)
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise ValueError(
+            f"point on row {row + 1} {pts[row].tolist()} is not finite or lies "
+            f"outside the bounds {[list(b) for b in cpolicy.bounds]}"
+        )
     cents = _init_centroids(cfg, cpolicy.bounds, pp.seed, len(pts))
 
     eps_iter = pp.epsilon / cfg.iterations

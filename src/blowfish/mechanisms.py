@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -285,13 +286,28 @@ class OHNode:
     scale: float
 
 
-@dataclass(frozen=True)
-class OHTree:
-    """Released ordered-hierarchical structure.
+def _readonly(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
-    ``s_nodes[i-1]`` holds the noisy prefix count up to position min(i*theta,
-    size); ``blocks[b]`` maps (lo, hi) intervals to noisy H nodes of block b.
-    For theta >= 2 the block-1 root doubles as s_1.  Positions are 1-based.
+
+@dataclass(frozen=True, eq=False)
+class OHTree:
+    """Released ordered-hierarchical structure, one flat array per node field.
+
+    Nodes come in release order: the prefix (S) nodes s_1..s_k first, s_i
+    covering [1, min(i*theta, size)], then the interval (H) nodes sorted by
+    (lo, hi).  For theta >= 2 the block-1 root doubles as s_1.  Positions are
+    1-based.  Per node: ``lo``, ``hi``, stream ``index``, noise ``scale``,
+    released ``value``, ``depth`` below its block root (0 for S nodes),
+    child ``slot`` within its parent and the parent's ``parent_hi``.
+
+    An H node joins the estimate of prefix j exactly for j in [hi,
+    parent_hi - 1]: it lies left of j's path through the block and ends at or
+    before j.  ``cumulative`` adds these contributions deepest level first and
+    by descending slot within a level, the order in which a walk from the
+    block root that pops its last child first adds them, so each entry is
+    the same float sum as that walk.
     """
 
     domain_size: int
@@ -300,57 +316,75 @@ class OHTree:
     eps_s: float
     eps_h: float
     seed: int
-    s_nodes: tuple[OHNode, ...]
-    blocks: dict[int, dict[tuple[int, int], OHNode]] = field(compare=False)
+    lo: np.ndarray = field(repr=False)
+    hi: np.ndarray = field(repr=False)
+    index: np.ndarray = field(repr=False)
+    scale: np.ndarray = field(repr=False)
+    value: np.ndarray = field(repr=False)
+    depth: np.ndarray = field(repr=False)
+    slot: np.ndarray = field(repr=False)
+    parent_hi: np.ndarray = field(repr=False)
 
     @property
     def k(self) -> int:
-        return len(self.s_nodes)
+        return -(-self.domain_size // self.theta)
 
     @property
     def height(self) -> int:
         return _subtree_height(self.theta, self.fanout)
 
+    @cached_property
+    def cumulative(self) -> np.ndarray:
+        """``oh_cumulative(self, j)`` for every j in [0, size], read-only.
+
+        Built on first use: a block-end position is its block's S node; any
+        other j is the previous block's S node (0 in block 1) plus the H
+        contributions accumulated in ``acc``.
+        """
+        size, theta = self.domain_size, self.theta
+        h = self.depth > 0
+        key = self.depth[h] * self.fanout + self.slot[h]
+        order = np.argsort(-key, kind="stable")
+        key, start = key[order], self.hi[h][order]
+        length = self.parent_hi[h][order] - start
+        position = np.repeat(start, length) + _within(length)
+        contribution = np.repeat(self.value[h][order], length)
+        # one fancy-indexed add per (depth, slot) group: the group's nodes have
+        # disjoint parents, so no position repeats within it
+        edges = [0, *np.cumsum(length)[np.flatnonzero(np.diff(key))].tolist(), position.size]
+        acc = np.zeros(size + 1)
+        for a, b in zip(edges, edges[1:]):
+            acc[position[a:b]] += contribution[a:b]
+        s = self.value[: self.k]
+        out = np.empty(size + 1)
+        out[0] = 0.0
+        out[1:] = np.concatenate([[0.0], s])[np.arange(size) // theta] + acc[1:]
+        out[self.hi[: self.k]] = s
+        return _readonly(out)
+
     def nodes(self) -> list[OHNode]:
-        seen: set[int] = set()
-        out: list[OHNode] = []
-        for node in self.s_nodes:
-            seen.add(node.index)
-            out.append(node)
-        for b in sorted(self.blocks):
-            for key in sorted(self.blocks[b]):
-                node = self.blocks[b][key]
-                if node.index not in seen:
-                    seen.add(node.index)
-                    out.append(node)
-        return out
+        """Every node in release order; the first ``k`` are s_1..s_k."""
+        return [
+            OHNode(index=i, lo=lo, hi=hi, value=v, scale=s)
+            for i, lo, hi, v, s in zip(
+                self.index.tolist(), self.lo.tolist(), self.hi.tolist(),
+                self.value.tolist(), self.scale.tolist(),
+            )
+        ]
 
     def to_dict(self) -> dict:
-        items = []
-        s_indices = set()
-        for i, node in enumerate(self.s_nodes, start=1):
-            s_indices.add(node.index)
-            items.append(
-                {
-                    "id": f"S{i}",
-                    "interval": [node.lo, node.hi],
-                    "value": node.value,
-                    "scale": node.scale,
-                }
+        k, theta = self.k, self.theta
+        items = [
+            {
+                "id": f"S{n + 1}" if n < k else f"H{(lo - 1) // theta + 1}:{lo}-{hi}",
+                "interval": [lo, hi],
+                "value": v,
+                "scale": s,
+            }
+            for n, (lo, hi, v, s) in enumerate(
+                zip(self.lo.tolist(), self.hi.tolist(), self.value.tolist(), self.scale.tolist())
             )
-        for b in sorted(self.blocks):
-            for (lo, hi) in sorted(self.blocks[b]):
-                node = self.blocks[b][(lo, hi)]
-                if node.index in s_indices:
-                    continue
-                items.append(
-                    {
-                        "id": f"H{b}:{lo}-{hi}",
-                        "interval": [lo, hi],
-                        "value": node.value,
-                        "scale": node.scale,
-                    }
-                )
+        ]
         return {
             "mechanism": "ordered-hierarchical",
             "domain_size": self.domain_size,
@@ -369,20 +403,43 @@ def _subtree_height(theta: int, fanout: int) -> int:
     return math.ceil(math.log(theta, fanout) - 1e-12)
 
 
-def _children(lo: int, hi: int, fanout: int) -> list[tuple[int, int]]:
-    width = hi - lo + 1
-    delta = math.ceil(width / fanout)
-    out = []
-    start = lo
-    while start <= hi:
-        out.append((start, min(start + delta - 1, hi)))
-        start += delta
-    return out
+def _within(counts: np.ndarray) -> np.ndarray:
+    """0, 1, .., c-1 for each c in ``counts``, concatenated."""
+    total = int(counts.sum())
+    return np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
-def _h_index(lo: int, hi: int, size: int) -> int:
+def _h_index(lo, hi, size: int):
     # odd stream indices for H nodes, even (2i) for S nodes
     return (lo * (size + 2) + hi) * 2 + 1
+
+
+def _h_layout(size: int, theta: int, fanout: int) -> np.ndarray:
+    """Rows lo, hi, depth, slot, parent_hi of every H node but the block
+    roots, one column per node, sorted by (lo, hi).
+
+    Built level by level from the block roots: a node of width w >= 2 has
+    children of width ceil(w / fanout), the last one cut at the parent's end.
+    """
+    lo = np.arange(1, size + 1, theta, dtype=np.int64)
+    hi = np.minimum(lo + theta - 1, size)
+    levels = []
+    depth = 0
+    while lo.size:
+        wide = hi > lo
+        lo, hi = lo[wide], hi[wide]
+        width = hi - lo + 1
+        delta = -(-width // fanout)
+        count = -(-width // delta)
+        slot = _within(count)
+        parent_hi = np.repeat(hi, count)
+        delta = np.repeat(delta, count)
+        lo = np.repeat(lo, count) + slot * delta
+        hi = np.minimum(lo + delta - 1, parent_hi)
+        depth += 1
+        levels.append(np.stack([lo, hi, np.full(lo.size, depth), slot, parent_hi]))
+    layout = np.concatenate(levels, axis=1)
+    return layout[:, np.lexsort((layout[1], layout[0]))]
 
 
 def build_oh_release(
@@ -419,59 +476,33 @@ def build_oh_release(
     prefix = np.concatenate([[0], np.cumsum(counts)]).astype(float)
     k = math.ceil(size / theta)
     h = _subtree_height(theta, fanout)
+    block1_scale = (1.0 if theta == 1 else 2.0 * h) / (eps_s + eps_h)
 
-    def scale_for(block: int, is_s: bool) -> float:
-        if block == 1:
-            combined = eps_s + eps_h
-            return (1.0 if theta == 1 else 2.0 * h) / combined
-        if is_s:
-            if eps_s == 0:
-                raise ValueError("eps_s must be positive when the structure has S nodes")
-            return 1.0 / eps_s
+    h_layout = _h_layout(size, theta, fanout)
+    s_hi = np.minimum(np.arange(1, k + 1, dtype=np.int64) * theta, size)
+    s_layout = np.stack([np.ones(k, dtype=np.int64), s_hi, np.zeros_like(s_hi), np.zeros_like(s_hi), s_hi])
+    lo, hi, depth, slot, parent_hi = np.concatenate([s_layout, h_layout], axis=1)
+    index = np.concatenate([2 * np.arange(1, k + 1, dtype=np.int64), _h_index(lo[k:], hi[k:], size)])
+
+    scale = np.full(lo.size, block1_scale)
+    if k >= 2:
+        if eps_s == 0:
+            raise ValueError("eps_s must be positive when the structure has S nodes")
+        scale[1:k] = 1.0 / eps_s
+    past_block1 = np.flatnonzero(hi[k:] > theta) + k
+    if past_block1.size:
         if eps_h == 0:
             raise ValueError("eps_h must be positive when the structure has H nodes")
-        return 2.0 * h / eps_h
-
-    # (block, lo, hi, stream index, scale) per node; block 0 marks an S node
-    layout: list[tuple[int, int, int, int, float]] = []
-    for b in range(1, k + 1):
-        blo = (b - 1) * theta + 1
-        bhi = min(b * theta, size)
-        if theta >= 2:
-            if b == 1:
-                stack = [(blo, bhi)]
-            elif blo < bhi:
-                stack = _children(blo, bhi, fanout)
-            else:
-                stack = []
-            while stack:
-                lo, hi = stack.pop()
-                # the block-1 root doubles as the first prefix node s_1
-                idx = 2 if (b, lo, hi) == (1, blo, bhi) else _h_index(lo, hi, size)
-                layout.append((b, lo, hi, idx, scale_for(b, is_s=False)))
-                if lo != hi:
-                    stack.extend(_children(lo, hi, fanout))
-        if b >= 2 or theta == 1:
-            layout.append((0, 1, bhi, 2 * b, scale_for(b, is_s=(b >= 2))))
-
+        scale[past_block1] = 2.0 * h / eps_h
     if zero_noise:
-        noise = [0.0] * len(layout)
+        noise = np.zeros(scale.size)
     else:
-        noise = node_laplace(seed, [n[3] for n in layout], [n[4] for n in layout])
-    s_nodes: list[OHNode] = []
-    blocks: dict[int, dict[tuple[int, int], OHNode]] = (
-        {b: {} for b in range(1, k + 1)} if theta >= 2 else {}
-    )
-    pre = prefix.tolist()
-    for (b, lo, hi, idx, scale), z in zip(layout, noise):
-        value = (pre[hi] - pre[lo - 1]) + z
-        node = OHNode(index=idx, lo=lo, hi=hi, value=value, scale=scale)
-        if b:
-            blocks[b][(lo, hi)] = node
-        else:
-            s_nodes.append(node)
-    if theta >= 2:
-        s_nodes.insert(0, blocks[1][(1, min(theta, size))])
+        noise = np.array(node_laplace(seed, index, scale.tolist()))
+    value = (prefix[hi] - prefix[lo - 1]) + noise
+    columns = {
+        "lo": lo, "hi": hi, "index": index, "scale": scale, "value": value,
+        "depth": depth, "slot": slot, "parent_hi": parent_hi,
+    }
     return OHTree(
         domain_size=size,
         theta=theta,
@@ -479,8 +510,7 @@ def build_oh_release(
         eps_s=eps_s,
         eps_h=eps_h,
         seed=seed,
-        s_nodes=tuple(s_nodes),
-        blocks=blocks,
+        **{name: _readonly(col) for name, col in columns.items()},
     )
 
 
@@ -499,26 +529,6 @@ def hierarchical_release(
     return build_oh_release(hist, size, fanout, 0.0, epsilon, seed, zero_noise)
 
 
-def _block_prefix(tree: OHTree, block: int, target: int) -> float:
-    """Sum of H nodes canonically covering [block start, target]."""
-    blo = (block - 1) * tree.theta + 1
-    bhi = min(block * tree.theta, tree.domain_size)
-    nodes = tree.blocks[block]
-    total = 0.0
-    # walk from the root interval; the block-1 root is materialized (as s_1)
-    # while other roots are not, but a strict residual never needs them
-    stack = _children(blo, bhi, tree.fanout) if blo < bhi else [(blo, bhi)]
-    while stack:
-        lo, hi = stack.pop()
-        if lo > target:
-            continue
-        if hi <= target:
-            total += nodes[(lo, hi)].value
-            continue
-        stack.extend(_children(lo, hi, tree.fanout))
-    return total
-
-
 def oh_cumulative(tree: OHTree, j: int) -> float:
     """Unbiased estimate of the prefix count up to position j (1-based).
 
@@ -528,20 +538,26 @@ def oh_cumulative(tree: OHTree, j: int) -> float:
     """
     if not 0 <= j <= tree.domain_size:
         raise ValueError(f"position {j} out of range [0, {tree.domain_size}]")
-    if j == 0:
-        return 0.0
-    block = (j + tree.theta - 1) // tree.theta
-    if j == min(block * tree.theta, tree.domain_size):
-        return float(tree.s_nodes[block - 1].value)
-    total = tree.s_nodes[block - 2].value if block >= 2 else 0.0
-    return float(total + _block_prefix(tree, block, j))
+    return float(tree.cumulative[j])
 
 
 def oh_range_query(tree: OHTree, i: int, j: int) -> float:
     """Noisy count of positions in [i, j], as a difference of two prefixes."""
     if not 1 <= i <= j <= tree.domain_size:
         raise ValueError(f"invalid range [{i},{j}]")
-    return oh_cumulative(tree, j) - oh_cumulative(tree, i - 1)
+    cum = tree.cumulative
+    return float(cum[j] - cum[i - 1])
+
+
+def oh_range_answers(tree: OHTree, queries) -> np.ndarray:
+    """``oh_range_query`` for every (i, j) in ``queries``, in one indexing pass."""
+    q = np.asarray(queries, dtype=np.int64).reshape(-1, 2)
+    i, j = q[:, 0], q[:, 1]
+    bad = np.flatnonzero((i < 1) | (i > j) | (j > tree.domain_size))
+    if bad.size:
+        raise ValueError(f"invalid range [{i[bad[0]]},{j[bad[0]]}]")
+    cum = tree.cumulative
+    return cum[j] - cum[i - 1]
 
 
 # -- budget accounting ---------------------------------------------------------

@@ -278,6 +278,42 @@ def range_query_truth(counts, queries) -> np.ndarray:
     return np.array([prefix[j] - prefix[i - 1] for i, j in queries], dtype=float)
 
 
+def _oh_children(lo: int, hi: int, fanout: int) -> list[tuple[int, int]]:
+    delta = -(-(hi - lo + 1) // fanout)
+    return [(start, min(start + delta - 1, hi)) for start in range(lo, hi + 1, delta)]
+
+
+def oh_cumulative_by_walk(
+    values: dict[tuple[int, int], float], size: int, theta: int, fanout: int, j: int
+) -> float:
+    """Prefix estimate of an ordered-hierarchical tree by walking its blocks.
+
+    ``values`` maps each released node's (lo, hi) to its value; the block-1
+    root and s_1 share one interval.  A block end is its S node alone; any
+    other j adds the previous S node to the H nodes that canonically cover
+    [block start, j], found by a stack walk from the block root that pops
+    the last child first.
+    """
+    if j == 0:
+        return 0.0
+    block = (j + theta - 1) // theta
+    blo, bhi = (block - 1) * theta + 1, min(block * theta, size)
+    if j == bhi:
+        return float(values[(1, bhi)])
+    total = values[(1, blo - 1)] if block >= 2 else 0.0
+    covered = 0.0
+    stack = _oh_children(blo, bhi, fanout)
+    while stack:
+        lo, hi = stack.pop()
+        if lo > j:
+            continue
+        if hi <= j:
+            covered += values[(lo, hi)]
+            continue
+        stack.extend(_oh_children(lo, hi, fanout))
+    return float(total + covered)
+
+
 def range_workload_by_loop(domain_size: int, count: int, seed: int) -> Workload:
     """The same draws as ``random_range_workload``, unranked by walking the
     rows of the pair triangle one at a time."""

@@ -42,8 +42,7 @@ from blowfish import (
     kmeans_private,
     laplace_mechanism,
     load_domain,
-    oh_cumulative,
-    oh_range_query,
+    oh_range_answers,
     optimal_budget_split,
     ordered_mechanism,
     random_range_workload,
@@ -209,7 +208,7 @@ def test_c04_ordered_mechanism_bound():
         assert mse_ordered <= 1.1 * bound
 
         tree = hierarchical_release(counts, fanout=16, epsilon=eps, seed=99)
-        est_h = np.array([oh_range_query(tree, i, j) for i, j in workload.queries])
+        est_h = oh_range_answers(tree, workload.queries)
         mse_base = float(((est_h - truth) ** 2).mean())
         assert mse_ordered < mse_base / 10
         summary.append(f"eps={eps}: {mse_ordered:.2f} <= {1.1 * bound:.2f}, baseline/{mse_base / mse_ordered:.0f}")
@@ -244,7 +243,7 @@ def test_c05_budget_split_optimality():
             tree = build_oh_release(
                 counts, theta, fanout, split.eps_s, split.eps_h, seed=5000 + 100 * idx + t
             )
-            est = np.array([oh_range_query(tree, i, j) for i, j in workload.queries])
+            est = oh_range_answers(tree, workload.queries)
             errors.append(float(((est - truth) ** 2).mean()))
         ratio = float(np.mean(errors)) / split.predicted_mse
         worst = max(worst, abs(ratio - 1))
@@ -272,7 +271,7 @@ def test_c06_structural_degeneracies():
     assert split.eps_s == 1.0
     oh_one = build_oh_release(counts, theta=1, fanout=4, eps_s=split.eps_s, eps_h=split.eps_h, seed=17)
     om = ordered_mechanism(counts, 1, PrivacyParams(1.0, 17), clamp_nonnegative=True)
-    prefixes = np.array([oh_cumulative(oh_one, j) for j in range(1, 257)])
+    prefixes = oh_one.cumulative[1:]
     assert np.array_equal(prefixes, om.noisy)
     assert np.array_equal(isotonic_inference(prefixes, lower_bound=0.0), om.inferred)
     _report(6, "theta=|T| tree == baseline node-for-node over 15 (size, fanout) shapes; theta=1 == ordered mechanism")

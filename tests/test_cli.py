@@ -209,6 +209,20 @@ def test_kmeans_cli(tmp_path):
     assert payload["epsilon_spent"] == pytest.approx(1.0)
 
 
+def test_kmeans_cli_point_outside_bounds_fails_cleanly(tmp_path, capsys):
+    data = tmp_path / "pts.csv"
+    data.write_text("0.1,0.2\n0.15,0.1\n1000,1000\n0.85,1.95\n")
+    out = tmp_path / "clusters.json"
+    argv = ["kmeans", "--data", str(data), "--k", "2", "--epsilon", "1.0", "--seed", "5", "--out", str(out)]
+    assert cli_main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "row 3" in err
+    assert not out.exists()
+    # widening the box to cover the points makes the same rows releasable
+    assert cli_main(argv + ["--high", "1000"]) == 0
+    assert out.exists()
+
+
 def test_budget_total(capsys, tmp_path):
     assert cli_main(["budget", "total", "--ledger", LEDGER]) == 0
     assert capsys.readouterr().out.strip() == "1.4"

@@ -124,3 +124,34 @@ def test_config_validation():
         KmeansConfig(k=2, split=1.0)
     with pytest.raises(ValueError):
         kmeans_nonprivate(np.zeros((1, 2)), KmeansConfig(k=2), seed=0, bounds=unit_bounds(2))
+
+
+@pytest.mark.parametrize(
+    "bad,row",
+    [((1000.0, 1000.0), 3), ((0.5, -0.01), 2), ((1.0 + 1e-9, 0.5), 4), ((np.nan, 0.5), 1), ((0.5, np.inf), 2)],
+)
+def test_private_rejects_points_outside_bounds(bad, row):
+    # the sum sensitivity is the bounds box's diameter: a point outside it
+    # would move the released sums further than the noise was calibrated for
+    pts = np.full((5, 2), 0.5)
+    pts[-1] = (1.0, 0.0)  # the box's own corners are inside
+    pts[row - 1] = bad
+    cfg, pp = KmeansConfig(k=2, iterations=2), PrivacyParams(1.0, 4)
+    for kind in ("full", "distance", "attribute"):
+        policy = ClusteringPolicy(unit_bounds(2), kind, theta=0.25)
+        with pytest.raises(ValueError, match=f"point on row {row} "):
+            kmeans_private(pts, cfg, policy, pp)
+        kmeans_private(np.delete(pts, row - 1, axis=0), cfg, policy, pp)
+    # an unbounded box still has a finite distance-threshold sensitivity
+    unbounded = ClusteringPolicy(((-np.inf, np.inf),) * 2, "distance", theta=0.25)
+    if not np.isfinite(bad).all():
+        with pytest.raises(ValueError, match=f"point on row {row} "):
+            kmeans_private(pts, cfg, unbounded, pp)
+
+
+def test_private_rejects_points_outside_discrete_domain():
+    dom = load_domain({"attributes": [{"name": "a", "values": ["0", "1", "2"]}]})
+    pol = Policy(dom, SecretGraph.distance(dom, 1), ConstraintSet.none())
+    pts = np.array([[0.0], [2.0], [3.0], [-1.0]])
+    with pytest.raises(ValueError, match="point on row 3 "):
+        kmeans_private(pts, KmeansConfig(k=2, iterations=2), pol, PrivacyParams(1.0, 4))

@@ -14,13 +14,14 @@ from blowfish import (
     isotonic_inference,
     laplace_mechanism,
     oh_cumulative,
+    oh_range_answers,
     oh_range_query,
     optimal_budget_split,
     ordered_mechanism,
     sample_laplace,
 )
 from blowfish import mechanisms
-from blowfish.experiments import trial_seed
+from blowfish.experiments import random_range_workload, trial_seed
 from blowfish.mechanisms import (
     _h_index,
     node_laplace,
@@ -29,7 +30,12 @@ from blowfish.mechanisms import (
     stream_laplace,
 )
 
-from oracles import isotonic_by_enumeration, philox_first_uniform, philox_stream
+from oracles import (
+    isotonic_by_enumeration,
+    oh_cumulative_by_walk,
+    philox_first_uniform,
+    philox_stream,
+)
 
 
 # -- laplace primitive ---------------------------------------------------------
@@ -199,21 +205,34 @@ def test_optimal_split_matches_grid_search():
 # -- ordered hierarchical structure -----------------------------------------------
 
 
+def _blocks(tree):
+    """Block b -> {(lo, hi): node} from ``nodes()``, the block-1 root (s_1) included."""
+    nodes = tree.nodes()
+    out = {b: {} for b in range(1, tree.k + 1)} if tree.theta >= 2 else {}
+    for node in nodes[tree.k:]:
+        out[(node.lo - 1) // tree.theta + 1][(node.lo, node.hi)] = node
+    if tree.theta >= 2:
+        out[1][(nodes[0].lo, nodes[0].hi)] = nodes[0]
+    return out
+
+
 def test_oh_structure_blocks_and_heights():
     counts = np.ones(16, dtype=int)
     tree = build_oh_release(counts, theta=4, fanout=2, eps_s=0.5, eps_h=0.5, seed=1)
     assert tree.k == 4
     assert tree.height == 2
+    blocks = _blocks(tree)
     # the block-1 root doubles as s_1; other blocks carry no root interval
-    assert (1, 4) in tree.blocks[1]
+    assert (tree.nodes()[0].lo, tree.nodes()[0].hi) == (1, 4)
+    assert (1, 4) in blocks[1]
     for b in range(2, 5):
         lo, hi = (b - 1) * 4 + 1, b * 4
-        assert (lo, hi) not in tree.blocks[b]
-        assert (lo, lo + 1) in tree.blocks[b]
+        assert (lo, hi) not in blocks[b]
+        assert (lo, lo + 1) in blocks[b]
     for b in range(1, 5):
         lo, hi = (b - 1) * 4 + 1, b * 4
         for j in range(lo, hi + 1):
-            assert (j, j) in tree.blocks[b]
+            assert (j, j) in blocks[b]
 
 
 def test_oh_noise_scales():
@@ -221,12 +240,12 @@ def test_oh_noise_scales():
     eps_s, eps_h = 0.4, 0.6
     tree = build_oh_release(counts, theta=4, fanout=2, eps_s=eps_s, eps_h=eps_h, seed=1)
     h = tree.height
-    for i, node in enumerate(tree.s_nodes, start=1):
+    for i, node in enumerate(tree.nodes()[: tree.k], start=1):
         if i == 1:
             assert node.scale == pytest.approx(2 * h / (eps_s + eps_h))
         else:
             assert node.scale == pytest.approx(1 / eps_s)
-    for b, nodes in tree.blocks.items():
+    for b, nodes in _blocks(tree).items():
         expected = 2 * h / (eps_s + eps_h) if b == 1 else 2 * h / eps_h
         for node in nodes.values():
             assert node.scale == pytest.approx(expected)
@@ -244,12 +263,61 @@ def test_oh_zero_noise_cumulative_exact():
         oh_cumulative(tree, 22)
     with pytest.raises(ValueError):
         oh_range_query(tree, 5, 4)
+    with pytest.raises(ValueError, match=r"invalid range \[5,4\]"):
+        oh_range_answers(tree, [(1, 2), (5, 4)])
+    with pytest.raises(ValueError):
+        oh_range_answers(tree, [(0, 3)])
+    with pytest.raises(ValueError):
+        oh_range_answers(tree, [(1, 22)])
+
+
+# (size, theta, fanout): theta in {1, 3, 4, 7, 16, 256, |T|}, fanout in
+# {2, 3, 4, 16}, last blocks full, one position wide and wider but partial
+OH_SHAPES = [
+    (1, 1, 2), (40, 1, 4), (12, 3, 2), (13, 3, 3), (14, 4, 3), (64, 4, 16), (66, 7, 2),
+    (300, 16, 3), (4096, 256, 16), (4100, 256, 4), (777, 777, 2), (1000, 1000, 16),
+    (100_000, 256, 4),
+]
+
+
+@pytest.mark.parametrize("zero_noise", [False, True])
+@pytest.mark.parametrize("size,theta,fanout", OH_SHAPES)
+def test_oh_prefixes_bit_identical_to_walk(size, theta, fanout, zero_noise):
+    rng = np.random.default_rng(size + theta + fanout)
+    counts = rng.integers(0, 9, size=size)
+    split = optimal_budget_split(size, theta, fanout, 1.0)
+    tree = build_oh_release(counts, theta, fanout, split.eps_s, split.eps_h, seed=31, zero_noise=zero_noise)
+    values = {(n.lo, n.hi): n.value for n in tree.nodes()}
+    if size <= 5000:
+        js = np.arange(size + 1)
+    else:
+        # every block end and the position before it, plus random positions
+        ends = np.minimum(np.arange(1, tree.k + 1) * theta, size)
+        js = np.unique(np.concatenate([[0, 1], ends, ends - 1, rng.integers(0, size + 1, 1000)]))
+    want = np.array([oh_cumulative_by_walk(values, size, theta, fanout, int(j)) for j in js])
+    assert np.array_equal(tree.cumulative[js], want)
+    assert np.array_equal([oh_cumulative(tree, int(j)) for j in js[:200]], want[:200])
+
+    queries = random_range_workload(size, 500, seed=size).queries
+    walk = {j: oh_cumulative_by_walk(values, size, theta, fanout, j) for q in queries for j in (q[0] - 1, q[1])}
+    want = np.array([walk[j] - walk[i - 1] for i, j in queries])
+    assert np.array_equal(oh_range_answers(tree, queries), want)
+    assert np.array_equal([oh_range_query(tree, i, j) for i, j in queries], want)
+
+
+def test_oh_prefixes_are_cached_and_read_only():
+    tree = build_oh_release(np.arange(20), theta=4, fanout=2, eps_s=0.5, eps_h=0.5, seed=3)
+    assert tree.cumulative is tree.cumulative
+    with pytest.raises(ValueError):
+        tree.cumulative[3] = 0.0
+    with pytest.raises(ValueError):
+        tree.value[0] = 0.0
 
 
 def test_oh_boundary_uses_s_node_alone():
     counts = np.arange(12)
     tree = build_oh_release(counts, theta=3, fanout=2, eps_s=0.7, eps_h=0.3, seed=5)
-    for i, node in enumerate(tree.s_nodes, start=1):
+    for i, node in enumerate(tree.nodes()[: tree.k], start=1):
         assert oh_cumulative(tree, min(i * 3, 12)) == pytest.approx(node.value)
 
 
@@ -283,7 +351,7 @@ def test_oh_edge_change_perturbs_few_nodes():
         lo, hi = min(p, q), max(p, q)
         s_hits = sum(1 for i in range(1, tree.k + 1) if lo <= min(i * theta, 64) < hi)
         h_hits = 0
-        for b, nodes in tree.blocks.items():
+        for b, nodes in _blocks(tree).items():
             for (nlo, nhi) in nodes:
                 if b == 1 and (nlo, nhi) == (1, theta):
                     continue  # the block-1 root is s_1, counted on the S side

@@ -193,9 +193,35 @@ def _cmd_release_range(args) -> int:
     return 0
 
 
+def _read_points(path: str) -> np.ndarray:
+    """(n, d) floats of a headerless numeric CSV, parsed in one numpy pass.
+
+    Blank lines are skipped and cells may carry spaces; a ragged row or a
+    non-numeric cell is an error naming its 1-based row (blank lines not
+    counted, as in ``kmeans_private``'s bounds check).
+    """
+    lines = [line for line in _read(path).splitlines() if line.strip()]
+    if not lines:
+        raise ValueError(f"{path}: no data points")
+    widths = [line.count(",") + 1 for line in lines]
+    width = widths[0]
+    if widths.count(width) != len(widths):
+        row = next(i for i, w in enumerate(widths) if w != width)
+        raise ValueError(f"{path}: row {row + 1} has {widths[row]} cells, expected {width}")
+    cells = ",".join(lines).split(",")
+    try:
+        return np.array(cells, dtype=float).reshape(len(lines), width)
+    except ValueError:
+        for j, cell in enumerate(cells):
+            try:
+                float(cell)
+            except ValueError:
+                raise ValueError(f"{path}: row {j // width + 1}: {cell.strip()!r} is not a number") from None
+        raise
+
+
 def _cmd_kmeans(args) -> int:
-    rows = [line.split(",") for line in _read(args.data).strip().splitlines() if line.strip()]
-    pts = np.array([[float(v) for v in row] for row in rows])
+    pts = _read_points(args.data)
     bounds = tuple((args.low, args.high) for _ in range(pts.shape[1]))
     policy = ClusteringPolicy(bounds=bounds, kind=args.graph, theta=args.theta)
     cfg = KmeansConfig(k=args.k, iterations=args.iterations)

@@ -7,12 +7,17 @@ full-domain secrets, but only twice the threshold under distance-threshold
 secrets.  Each iteration spends an equal slice of the budget, split between
 the two queries; the charges are recorded in a budget ledger that composes
 sequentially to the configured epsilon.
+
+Both variants share one Lloyd kernel over the points' (d, n) columns: (k, n)
+squared distances, an argmin over axis 0 (ties to the lowest index) and
+``np.bincount`` cluster sizes and sums (see ``_sq_distances`` for when its
+floats equal a per-centroid, per-cluster loop's).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -100,29 +105,54 @@ class ClusteringResult:
 def kmeans_objective(points, centroids) -> float:
     """Sum of squared L2 distances to the nearest centroid (ties to the
     lowest centroid index)."""
+    return _assign(np.ascontiguousarray(_as_points(points).T), np.asarray(centroids, dtype=float))[1]
+
+
+def _as_points(points) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
-    cents = np.asarray(centroids, dtype=float)
     if pts.size == 0:
         raise ValueError("no data points")
-    if pts.shape[1] != cents.shape[1]:
-        raise ValueError("points and centroids have different dimensions")
-    return _objective(_sq_distances(pts, cents))
+    if pts.ndim != 2:
+        raise ValueError("points must be a 2-D array, one row per point")
+    return pts
 
 
-def _sq_distances(pts: np.ndarray, cents: np.ndarray) -> np.ndarray:
-    """(n, k) squared L2 distances; argmin over axis 1 is the assignment.
-
-    Filled one centroid column at a time, so no (n, k, d) tensor is held;
-    each entry is the same sum over the same d contiguous squares.
-    """
-    d2 = np.empty((len(pts), len(cents)))
-    for c, cent in enumerate(cents):
-        d2[:, c] = ((pts - cent) ** 2).sum(axis=1)
+def _sq_distances(cols: np.ndarray, cents: np.ndarray) -> np.ndarray:
+    """(k, n) squared L2 distances to the (d, n) columns, added one coordinate
+    at a time in place.  For 2 <= d <= 7 each entry, and each bincount cluster
+    sum, is the float of a per-centroid, per-cluster loop over (n, d) rows; at
+    d = 1 and d >= 8 numpy sums those pairwise and the last bits can differ."""
+    d2 = (cols[0] - cents[:, :1]) ** 2
+    sq = np.empty_like(d2)
+    for j in range(1, len(cols)):
+        np.subtract(cols[j], cents[:, j : j + 1], out=sq)
+        sq *= sq
+        d2 += sq
     return d2
 
 
-def _objective(d2: np.ndarray) -> float:
-    return float(d2.min(axis=1).sum())
+def _assign(cols: np.ndarray, cents: np.ndarray) -> tuple[np.ndarray, float]:
+    """Nearest-centroid index of every point and the objective."""
+    if cents.ndim != 2 or cents.shape[1] != len(cols):
+        raise ValueError("points and centroids have different dimensions")
+    d2 = _sq_distances(cols, cents)
+    assign = d2.argmin(axis=0)
+    return assign, float(d2.min(axis=0).sum())
+
+
+def _lloyd(pts: np.ndarray, cents: np.ndarray, iterations: int, update) -> ClusteringResult:
+    """``iterations`` Lloyd rounds; ``update(t, cents, sizes, sums)`` maps the
+    round's (k,) sizes and (k, d) coordinate sums to the next centroids."""
+    cols = np.ascontiguousarray(pts.T)
+    assign, _ = _assign(cols, cents)
+    trace = []
+    for t in range(iterations):
+        sizes = np.bincount(assign, minlength=len(cents))
+        sums = np.stack([np.bincount(assign, weights=col, minlength=len(cents)) for col in cols], axis=1)
+        cents = update(t, cents, sizes, sums)
+        assign, objective = _assign(cols, cents)
+        trace.append(objective)
+    return ClusteringResult(centroids=cents, objective=trace[-1], trace=tuple(trace))
 
 
 def _init_centroids(cfg: KmeansConfig, bounds, seed: int, n: int) -> np.ndarray:
@@ -136,34 +166,20 @@ def _init_centroids(cfg: KmeansConfig, bounds, seed: int, n: int) -> np.ndarray:
     return lows + rng.random((cfg.k, len(bounds))) * (highs - lows)
 
 
-def _data_bounds(pts: np.ndarray) -> tuple[tuple[float, float], ...]:
-    return tuple((float(lo), float(hi)) for lo, hi in zip(pts.min(axis=0), pts.max(axis=0)))
-
-
 def kmeans_nonprivate(points, cfg: KmeansConfig, seed: int, bounds=None) -> ClusteringResult:
     """Plain Lloyd iteration for a fixed number of rounds.
 
     Empty clusters keep their previous centroid.  ``bounds`` feeds the seeded
     uniform initialization; by default the data bounding box is used.
     """
-    pts = np.asarray(points, dtype=float)
+    pts = _as_points(points)
     if bounds is None:
-        bounds = _data_bounds(pts)
-    cents = _init_centroids(cfg, bounds, seed, len(pts))
-    d2 = _sq_distances(pts, cents)
-    trace = []
-    for _ in range(cfg.iterations):
-        assign = d2.argmin(axis=1)
-        new = cents.copy()
-        for c in range(cfg.k):
-            members = pts[assign == c]
-            if len(members):
-                new[c] = members.mean(axis=0)
-        cents = new
-        # one distance matrix per centroid set: this objective and the next assignment
-        d2 = _sq_distances(pts, cents)
-        trace.append(_objective(d2))
-    return ClusteringResult(centroids=cents, objective=trace[-1], trace=tuple(trace))
+        bounds = tuple(zip(pts.min(axis=0).tolist(), pts.max(axis=0).tolist()))
+
+    def update(t, cents, sizes, sums):
+        return np.where(sizes[:, None] > 0, sums / np.maximum(sizes, 1)[:, None], cents)
+
+    return _lloyd(pts, _init_centroids(cfg, bounds, seed, len(pts)), cfg.iterations, update)
 
 
 def _resolve_policy(policy, cfg: KmeansConfig) -> tuple[ClusteringPolicy, float]:
@@ -195,7 +211,7 @@ def kmeans_private(
     must be finite and inside the bounds box, edges included; otherwise a
     ``ValueError`` names the first offending row (1-based).
     """
-    pts = np.asarray(points, dtype=float)
+    pts = _as_points(points)
     cpolicy, qsum_sens = _resolve_policy(policy, cfg)
     if not math.isfinite(qsum_sens):
         raise InfiniteSensitivityError("sum query has infinite sensitivity under this policy")
@@ -212,7 +228,6 @@ def kmeans_private(
             f"point on row {row + 1} {pts[row].tolist()} is not finite or lies "
             f"outside the bounds {[list(b) for b in cpolicy.bounds]}"
         )
-    cents = _init_centroids(cfg, cpolicy.bounds, pp.seed, len(pts))
 
     eps_iter = pp.epsilon / cfg.iterations
     eps_size = eps_iter * cfg.split
@@ -220,29 +235,14 @@ def kmeans_private(
     size_scale = 2.0 / eps_size
     sum_scale = qsum_sens / eps_sum
     ledger = BudgetLedger()
-    trace = []
-    dims = pts.shape[1]
-    d2 = _sq_distances(pts, cents)
-    for t in range(cfg.iterations):
-        assign = d2.argmin(axis=1)
+
+    def update(t, cents, sizes, sums):
         if not zero_noise:
-            size_noise = stream_laplace(pp.seed, 2 + 2 * t, size_scale, cfg.k)
-            sum_noise = stream_laplace(pp.seed, 3 + 2 * t, sum_scale, cfg.k * dims)
-            sum_noise = sum_noise.reshape(cfg.k, dims)
-        new = np.empty_like(cents)
-        for c in range(cfg.k):
-            members = pts[assign == c]
-            size = float(len(members))
-            total = members.sum(axis=0) if len(members) else np.zeros(dims)
-            if not zero_noise:
-                size += size_noise[c]
-                total = total + sum_noise[c]
-            new[c] = total / max(size, 1.0)
-        cents = np.clip(new, lows, highs)
+            sizes = sizes + stream_laplace(pp.seed, 2 + 2 * t, size_scale, cfg.k)
+            sums += stream_laplace(pp.seed, 3 + 2 * t, sum_scale, sums.size).reshape(sums.shape)
         ledger.charge(f"iteration {t}: sizes", eps_size)
         ledger.charge(f"iteration {t}: sums", eps_sum)
-        d2 = _sq_distances(pts, cents)
-        trace.append(_objective(d2))
-    return ClusteringResult(
-        centroids=cents, objective=trace[-1], trace=tuple(trace), ledger=ledger
-    )
+        return np.clip(sums / np.maximum(sizes, 1.0)[:, None], lows, highs)
+
+    cents = _init_centroids(cfg, cpolicy.bounds, pp.seed, len(pts))
+    return replace(_lloyd(pts, cents, cfg.iterations, update), ledger=ledger)

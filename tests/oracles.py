@@ -27,6 +27,8 @@ from blowfish import (
     lifts_lowers,
 )
 from blowfish.experiments import _tag
+from blowfish.kmeans import ClusteringResult, KmeansConfig, _init_centroids, _resolve_policy
+from blowfish.mechanisms import BudgetLedger, PrivacyParams, stream_laplace
 from blowfish.policy import iter_graph_edges
 from blowfish.sensitivity import PolicyGraph
 
@@ -377,3 +379,77 @@ def ingest_by_index(text: str, domain: DomainSpec) -> tuple[list[int], list[int]
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate row ids")
     return ids, ranks
+
+
+def sq_distances_by_loop(pts: np.ndarray, cents: np.ndarray) -> np.ndarray:
+    """(n, k) squared L2 distances, one centroid column at a time, each entry
+    a row-sum over that centroid's (n, d) squared differences."""
+    d2 = np.empty((len(pts), len(cents)))
+    for c, cent in enumerate(cents):
+        d2[:, c] = ((pts - cent) ** 2).sum(axis=1)
+    return d2
+
+
+def kmeans_objective_by_loop(points, centroids) -> float:
+    pts = np.asarray(points, dtype=float)
+    return float(sq_distances_by_loop(pts, np.asarray(centroids, dtype=float)).min(axis=1).sum())
+
+
+def kmeans_nonprivate_by_loop(points, cfg: KmeansConfig, seed: int, bounds=None) -> ClusteringResult:
+    """Lloyd iteration with one boolean-mask gather and mean per cluster."""
+    pts = np.asarray(points, dtype=float)
+    if bounds is None:
+        bounds = tuple((float(lo), float(hi)) for lo, hi in zip(pts.min(axis=0), pts.max(axis=0)))
+    cents = _init_centroids(cfg, bounds, seed, len(pts))
+    d2 = sq_distances_by_loop(pts, cents)
+    trace = []
+    for _ in range(cfg.iterations):
+        assign = d2.argmin(axis=1)
+        new = cents.copy()
+        for c in range(cfg.k):
+            members = pts[assign == c]
+            if len(members):
+                new[c] = members.mean(axis=0)
+        cents = new
+        d2 = sq_distances_by_loop(pts, cents)
+        trace.append(float(d2.min(axis=1).sum()))
+    return ClusteringResult(centroids=cents, objective=trace[-1], trace=tuple(trace))
+
+
+def kmeans_private_by_loop(
+    points, cfg: KmeansConfig, policy, pp: PrivacyParams, zero_noise: bool = False
+) -> ClusteringResult:
+    """Private Lloyd iteration with one boolean-mask gather per cluster: its
+    size and coordinate sum get that cluster's slice of the round's noise."""
+    pts = np.asarray(points, dtype=float)
+    cpolicy, qsum_sens = _resolve_policy(policy, cfg)
+    lows = np.array([lo for lo, _ in cpolicy.bounds])
+    highs = np.array([hi for _, hi in cpolicy.bounds])
+    cents = _init_centroids(cfg, cpolicy.bounds, pp.seed, len(pts))
+    eps_iter = pp.epsilon / cfg.iterations
+    eps_size = eps_iter * cfg.split
+    eps_sum = eps_iter - eps_size
+    ledger = BudgetLedger()
+    trace = []
+    dims = pts.shape[1]
+    d2 = sq_distances_by_loop(pts, cents)
+    for t in range(cfg.iterations):
+        assign = d2.argmin(axis=1)
+        if not zero_noise:
+            size_noise = stream_laplace(pp.seed, 2 + 2 * t, 2.0 / eps_size, cfg.k)
+            sum_noise = stream_laplace(pp.seed, 3 + 2 * t, qsum_sens / eps_sum, cfg.k * dims).reshape(cfg.k, dims)
+        new = np.empty_like(cents)
+        for c in range(cfg.k):
+            members = pts[assign == c]
+            size = float(len(members))
+            total = members.sum(axis=0) if len(members) else np.zeros(dims)
+            if not zero_noise:
+                size += size_noise[c]
+                total = total + sum_noise[c]
+            new[c] = total / max(size, 1.0)
+        cents = np.clip(new, lows, highs)
+        ledger.charge(f"iteration {t}: sizes", eps_size)
+        ledger.charge(f"iteration {t}: sums", eps_sum)
+        d2 = sq_distances_by_loop(pts, cents)
+        trace.append(float(d2.min(axis=1).sum()))
+    return ClusteringResult(centroids=cents, objective=trace[-1], trace=tuple(trace), ledger=ledger)

@@ -223,6 +223,49 @@ def test_kmeans_cli_point_outside_bounds_fails_cleanly(tmp_path, capsys):
     assert out.exists()
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("", "no data points"),
+        ("\n  \n\t\n", "no data points"),
+        ("0.1,0.2\n0.3\n0.5,0.5\n", "row 2 has 1 cells, expected 2"),
+        ("0.1,0.2\n\n0.3,0.4\n0.5,0.5,0.5\n", "row 3 has 3 cells, expected 2"),
+        ("0.1,0.2\n0.3,0.4\n0.5, abc\n", "row 3: 'abc' is not a number"),
+        ("0.1,0.2\n0.3,\n", "row 2: '' is not a number"),
+    ],
+    ids=["empty", "blank-lines", "short-row", "long-row", "word", "empty-cell"],
+)
+def test_kmeans_cli_bad_points_file_fails_cleanly(tmp_path, capsys, text, message):
+    data = tmp_path / "pts.csv"
+    data.write_text(text)
+    out = tmp_path / "clusters.json"
+    argv = ["kmeans", "--data", str(data), "--k", "2", "--epsilon", "1.0", "--seed", "5", "--out", str(out)]
+    assert cli_main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert not out.exists()
+
+
+def test_kmeans_cli_points_parse_like_float(tmp_path):
+    # blank and whitespace-only lines are skipped and cells may carry spaces;
+    # every value is the float that float() gives for its cell
+    cells = [["0.1", " 0.2 "], ["\t1e-1", "0.30000000000000004"], ["1", "0"], ["0.5", "4.9406564584124654e-324"]]
+    padded = tmp_path / "padded.csv"
+    lines = [",".join(row) for row in cells]
+    padded.write_text("\n".join(lines[:2]) + "\n   \n\n" + "\n".join(lines[2:]))
+    plain = tmp_path / "plain.csv"
+    plain.write_text("".join(",".join(repr(float(v)) for v in row) + "\n" for row in cells))
+    outs = []
+    for data in (padded, plain):
+        out = tmp_path / f"{data.stem}.json"
+        argv = ["kmeans", "--data", str(data), "--k", "2", "--epsilon", "1.0", "--seed", "5", "--out", str(out)]
+        assert cli_main(argv) == 0
+        payload = json.loads(out.read_text())
+        del payload["flags"]["data"], payload["flags"]["out"]
+        outs.append(payload)
+    assert outs[0] == outs[1]
+
+
 def test_budget_total(capsys, tmp_path):
     assert cli_main(["budget", "total", "--ledger", LEDGER]) == 0
     assert capsys.readouterr().out.strip() == "1.4"

@@ -20,6 +20,7 @@ from blowfish import (
     KmeansConfig,
     PrivacyParams,
     build_oh_release,
+    kmeans_nonprivate,
     kmeans_private,
     laplace_mechanism,
     optimal_budget_split,
@@ -62,6 +63,17 @@ POINTS = [
     for i in range(60)
 ]
 POINTS_CSV = "".join(f"{x},{y}\n" for x, y in POINTS)
+
+KMEANS_RATIO_CONFIG = {
+    "experiment": "kmeans-ratio",
+    "seed": 26,
+    "n": 500,
+    "dims": 4,
+    "k": 4,
+    "trials": 2,
+    "iterations": 5,
+    "epsilons": [0.5, 1.0],
+}
 
 
 def _wide_rows(n: int) -> list[int]:
@@ -122,6 +134,10 @@ CASES = {
         ["experiment", "run", "--config", "cdf_release.json", "--out", "out.csv"],
         "bd1b66d0783c6f20b4c7ac3d6924db25d0be78833fd0b19abea0efebefb372f8",
     ),
+    "experiment-kmeans-ratio": (
+        ["experiment", "run", "--config", "kmeans_ratio.json", "--out", "out.csv"],
+        "85ccfdee1701cddc95e91319bfaa8019c49a3a5a08568587aaed9d276c164a94",
+    ),
     "kmeans": (
         ["kmeans", "--data", "points.csv", "--k", "3", "--iterations", "4", "--epsilon", "2.0",
          "--seed", "13", "--graph", "distance", "--theta", "0.3", "--out", "out.json"],
@@ -136,6 +152,7 @@ def test_golden_output(name, tmp_path, monkeypatch):
         shutil.copy(DATA / f, tmp_path / f)
     (tmp_path / "range_mse.json").write_text(json.dumps(RANGE_MSE_CONFIG))
     (tmp_path / "cdf_release.json").write_text(json.dumps(CDF_RELEASE_CONFIG))
+    (tmp_path / "kmeans_ratio.json").write_text(json.dumps(KMEANS_RATIO_CONFIG))
     (tmp_path / "points.csv").write_text(POINTS_CSV)
     (tmp_path / "wide_domain.json").write_text(json.dumps(WIDE_DOMAIN))
     (tmp_path / "wide_rows.csv").write_text(WIDE_CSV)
@@ -193,3 +210,8 @@ def test_golden_kmeans_private(kind):
     policy = ClusteringPolicy(bounds=((0.0, 1.0), (0.0, 1.0)), kind=kind, theta=0.25)
     result = kmeans_private(POINTS, KmeansConfig(k=3, iterations=5), policy, PrivacyParams(30.0, 24))
     assert _sha(result.to_dict()) == KMEANS_PINS[kind]
+
+
+def test_golden_kmeans_nonprivate():
+    result = kmeans_nonprivate(POINTS, KmeansConfig(k=3, iterations=5), seed=24)
+    assert _sha(result.to_dict()) == "9578e43cbbbc8c21ee61ed2bf2e9e6e1cff6d11c8f35b421efa0282d848b1cb3"

@@ -15,6 +15,12 @@ from blowfish import (
     load_domain,
 )
 from blowfish.experiments import synth_clusters
+from oracles import (
+    kmeans_nonprivate_by_loop,
+    kmeans_objective_by_loop,
+    kmeans_private_by_loop,
+    sq_distances_by_loop,
+)
 
 
 def unit_bounds(dims):
@@ -155,3 +161,114 @@ def test_private_rejects_points_outside_discrete_domain():
     pts = np.array([[0.0], [2.0], [3.0], [-1.0]])
     with pytest.raises(ValueError, match="point on row 3 "):
         kmeans_private(pts, KmeansConfig(k=2, iterations=2), pol, PrivacyParams(1.0, 4))
+
+
+def _assert_same_release(got, want):
+    assert np.array_equal(got.centroids, want.centroids)
+    assert got.objective == want.objective
+    assert got.trace == want.trace
+    assert (got.ledger is None) == (want.ledger is None)
+    if want.ledger is not None:
+        assert got.ledger.charges == want.ledger.charges
+
+
+def _discrete_policy(dims: int) -> Policy:
+    dom = load_domain({"attributes": [{"name": f"a{j}", "values": ["0", "1", "2"]} for j in range(dims)]})
+    return Policy(dom, SecretGraph.full(dom), ConstraintSet.none())
+
+
+def _kernel_cases(dims: int):
+    """(points, config, policy) triples covering k = 1, empty clusters, n == k,
+    every clustering policy kind and an unconstrained discrete policy."""
+    box = ClusteringPolicy(unit_bounds(dims), "full")
+    pts = synth_clusters(400, dims, 3, 0.15, seed=dims)
+    far = tuple((0.25,) * dims if c == 0 else (0.75,) * dims if c == 1 else (50.0 + c,) * dims for c in range(5))
+    cases = [
+        (pts, KmeansConfig(k=1, iterations=3), box),
+        (pts, KmeansConfig(k=5, iterations=4, init=far), box),
+        (pts[:4], KmeansConfig(k=4, iterations=3), box),
+        (pts[:7], KmeansConfig(k=7, iterations=2, split=0.3), box),
+    ]
+    for kind in ("full", "distance", "attribute"):
+        policy = ClusteringPolicy(unit_bounds(dims), kind, theta=0.3)
+        cases.append((pts, KmeansConfig(k=4, iterations=5), policy))
+    grid = np.random.default_rng(dims).integers(0, 3, size=(300, dims)).astype(float)
+    cases.append((grid, KmeansConfig(k=3, iterations=4), _discrete_policy(dims)))
+    return cases
+
+
+@pytest.mark.parametrize("dims", [2, 3, 4, 7])
+def test_kernel_bit_identical_to_loop(dims):
+    # for 2 <= d <= 7 the column kernel adds every distance and every cluster
+    # sum in the loop's order, so each released float is the same
+    for i, (pts, cfg, policy) in enumerate(_kernel_cases(dims)):
+        seed = 100 * dims + i
+        for zero_noise in (False, True):
+            pp = PrivacyParams(3.0, seed)
+            _assert_same_release(
+                kmeans_private(pts, cfg, policy, pp, zero_noise=zero_noise),
+                kmeans_private_by_loop(pts, cfg, policy, pp, zero_noise=zero_noise),
+            )
+        bounds = policy.bounds if isinstance(policy, ClusteringPolicy) else None
+        for b in (bounds, None):
+            _assert_same_release(
+                kmeans_nonprivate(pts, cfg, seed=seed, bounds=b),
+                kmeans_nonprivate_by_loop(pts, cfg, seed=seed, bounds=b),
+            )
+        cents = np.random.default_rng(seed).random((cfg.k, dims))
+        assert kmeans_objective(pts, cents) == kmeans_objective_by_loop(pts, cents)
+
+
+def test_kernel_keeps_empty_clusters_in_place():
+    pts = synth_clusters(200, 2, 2, 0.1, seed=4)
+    init = ((0.2, 0.2), (0.8, 0.8), (40.0, 40.0))
+    res = kmeans_nonprivate(pts, KmeansConfig(k=3, iterations=3, init=init), seed=0)
+    assert res.centroids[2].tolist() == [40.0, 40.0]
+    # the private variant divides an empty cluster's noisy sum by max(noisy size, 1)
+    box = ClusteringPolicy(unit_bounds(2), "full")
+    priv = kmeans_private(pts, KmeansConfig(k=3, iterations=3, init=init), box, PrivacyParams(1.0, 4))
+    assert ((priv.centroids >= 0) & (priv.centroids <= 1)).all()
+
+
+@pytest.mark.parametrize("dims", [1, 9])
+def test_kernel_close_to_loop_outside_bit_identical_dims(dims):
+    # numpy sums d = 1 cluster sums and d >= 8 distance rows pairwise, so only
+    # the last bits may differ from the loop
+    pts = synth_clusters(500, dims, 4, 0.15, seed=dims)
+    cfg = KmeansConfig(k=4, iterations=6)
+    box = ClusteringPolicy(unit_bounds(dims), "distance", theta=0.5)
+    pp = PrivacyParams(5.0, 3)
+    pairs = [
+        (kmeans_private(pts, cfg, box, pp), kmeans_private_by_loop(pts, cfg, box, pp)),
+        (kmeans_nonprivate(pts, cfg, seed=3), kmeans_nonprivate_by_loop(pts, cfg, seed=3)),
+    ]
+    for got, want in pairs:
+        assert np.allclose(got.centroids, want.centroids, rtol=1e-12, atol=0)
+        assert np.array_equal(
+            sq_distances_by_loop(pts, got.centroids).argmin(axis=1),
+            sq_distances_by_loop(pts, want.centroids).argmin(axis=1),
+        )
+        assert got.trace == pytest.approx(want.trace, rel=1e-12)
+
+
+@pytest.mark.parametrize("points", [[], np.zeros((0, 2)), np.zeros(0), [0.5, 0.25], np.zeros((2, 2, 2))])
+def test_empty_or_misshapen_points_rejected(points):
+    cfg = KmeansConfig(k=2, iterations=2, init=((0.0, 0.0), (1.0, 1.0)))
+    policy = ClusteringPolicy(unit_bounds(2), "full")
+    message = "no data points|points must be a 2-D array"
+    with pytest.raises(ValueError, match=message):
+        kmeans_private(points, cfg, policy, PrivacyParams(1.0, 1))
+    with pytest.raises(ValueError, match=message):
+        kmeans_nonprivate(points, cfg, seed=1, bounds=unit_bounds(2))
+    with pytest.raises(ValueError, match=message):
+        kmeans_objective(points, [[0.0, 0.0]])
+
+
+def test_centroid_dimension_mismatch_rejected():
+    pts = np.full((4, 2), 0.5)
+    with pytest.raises(ValueError, match="different dimensions"):
+        kmeans_objective(pts, [[0.5, 0.5, 0.5]])
+    with pytest.raises(ValueError, match="different dimensions"):
+        kmeans_nonprivate(pts, KmeansConfig(k=1, iterations=1, init=((0.5, 0.5, 0.5),)), seed=0)
+    with pytest.raises(ValueError, match="different dimensions"):
+        kmeans_nonprivate(pts, KmeansConfig(k=1, iterations=1, init=((0.5,),)), seed=0)

@@ -33,9 +33,7 @@ from .mechanisms import (
 )
 from .policy import ConstraintKind, Policy, SecretGraph, load_policy
 from .sensitivity import (
-    ClusterSizeQuery,
-    ClusterSumQuery,
-    CumulativeQuery,
+    QUERY_KINDS,
     Exactness,
     HistogramQuery,
     Method,
@@ -48,14 +46,6 @@ from .sensitivity import (
     sparse_constraint_sensitivity,
     specialized_constraint_sensitivity,
 )
-
-QUERY_KINDS = {
-    "histogram": lambda args: HistogramQuery(),
-    "cumulative": lambda args: CumulativeQuery(),
-    "cluster-size": lambda args: ClusterSizeQuery(args.k),
-    "cluster-sum": lambda args: ClusterSumQuery(args.k),
-}
-
 
 def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
@@ -116,7 +106,7 @@ def _cmd_policy_validate(args) -> int:
 
 def _cmd_sensitivity(args) -> int:
     policy = _load_policy_args(args)
-    query = QUERY_KINDS[args.query](args)
+    query = QUERY_KINDS[args.query](args.k)
     res = _resolve_sensitivity(query, policy, args)
     value = int(res.value) if float(res.value).is_integer() else res.value
     print(f"{value} {res.exactness.value} {res.method.value}")

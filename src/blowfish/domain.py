@@ -24,7 +24,6 @@ Point = tuple[int, ...]
 class Attribute:
     name: str
     values: tuple[str, ...]
-    ordinal: bool = False
     # label -> value index, built once
     _index: dict[str, int] = field(init=False, repr=False, compare=False)
 
@@ -175,9 +174,9 @@ class CumulativeHistogram:
 def load_domain(source: str | dict) -> DomainSpec:
     """Parse a domain description from JSON text or an equivalent dict.
 
-    Expected shape: ``{"attributes": [{"name": ..., "values": [...],
-    "ordinal": bool?}, ...]}``.  A bare list of attribute objects is also
-    accepted.
+    Expected shape: ``{"attributes": [{"name": ..., "values": [...]},
+    ...]}``.  A bare list of attribute objects is also accepted.  Other keys
+    are ignored.  Values are ordered as listed.
     """
     if isinstance(source, str):
         try:
@@ -202,7 +201,6 @@ def load_domain(source: str | dict) -> DomainSpec:
             Attribute(
                 name=str(a["name"]),
                 values=tuple(str(v) for v in a["values"]),
-                ordinal=bool(a.get("ordinal", False)),
             )
         )
     return DomainSpec(attributes=tuple(parsed))

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .domain import load_domain
 from .kmeans import ClusteringPolicy, KmeansConfig, kmeans_nonprivate, kmeans_private
 from .mechanisms import (
     PrivacyParams,
@@ -24,6 +25,8 @@ from .mechanisms import (
     optimal_budget_split,
     ordered_mechanism,
 )
+from .policy import load_policy
+from .sensitivity import QUERY_KINDS, policy_sensitivity
 
 EXPERIMENTS = ("range-mse", "cdf-release", "kmeans-ratio", "sensitivity-table")
 
@@ -338,27 +341,12 @@ def _run_kmeans_ratio(config: dict) -> ExperimentReport:
 
 
 def _run_sensitivity_table(config: dict) -> ExperimentReport:
-    from .domain import load_domain
-    from .policy import load_policy
-    from .sensitivity import (
-        CumulativeQuery,
-        ClusterSizeQuery,
-        ClusterSumQuery,
-        HistogramQuery,
-        policy_sensitivity,
-    )
-
     seed = int(config.get("seed", 0))
     domain = load_domain(config["domain"])
-    kinds = {
-        "histogram": HistogramQuery(),
-        "cumulative": CumulativeQuery(),
-        "cluster-size": ClusterSizeQuery(int(config.get("k", 2))),
-        "cluster-sum": ClusterSumQuery(int(config.get("k", 2))),
-    }
+    k = int(config.get("k", 2))
     rows: list[ReportRow] = []
     for entry in config.get("entries", ()):
-        query = kinds[str(entry["query"])]
+        query = QUERY_KINDS[str(entry["query"])](k)
         policy = load_policy(entry["policy"], domain)
         res = policy_sensitivity(query, policy)
         rows.append(

@@ -8,9 +8,9 @@ constraints restrict which databases are considered possible; neighbors are
 constraint-satisfying database pairs that are minimally different, first in
 the set of realized secret pairs and then in raw tuple changes.
 
-Neighbor enumeration is exact and therefore confined to tiny instances by an
-explicit budget; it is the ground truth the sensitivity engines are checked
-against.
+Neighbor enumeration is exact and therefore confined to tiny instances by a
+fixed budget (``DEFAULT_ENUM_BUDGET`` databases); it is the ground truth the
+sensitivity engines are checked against.
 """
 
 from __future__ import annotations
@@ -188,13 +188,13 @@ def _bfs_distance(g: SecretGraph, src: int, dst: int) -> float:
     return math.inf
 
 
-def iter_graph_edges(g: SecretGraph, budget: int = DEFAULT_EDGE_BUDGET) -> np.ndarray:
+def iter_graph_edges(g: SecretGraph) -> np.ndarray:
     """Ordered rank pairs (x, y), x != y, that are edges of g.
 
     One (m, 2) int64 array holding both directions of every edge, its rows
     sorted by (x, y); it costs 16 bytes per pair.  Raises
-    BudgetExceededError if the enumeration would visit more than ``budget``
-    candidate pairs.
+    BudgetExceededError if the enumeration would visit more than
+    ``DEFAULT_EDGE_BUDGET`` candidate pairs.
     """
     domain = g.domain
     size = domain.size
@@ -208,9 +208,9 @@ def iter_graph_edges(g: SecretGraph, budget: int = DEFAULT_EDGE_BUDGET) -> np.nd
         candidates = size * min(size, 2 * g.theta + 1)
     else:
         candidates = 2 * len(g.edge_list)
-    if candidates > budget:
+    if candidates > DEFAULT_EDGE_BUDGET:
         raise BudgetExceededError(
-            f"edge iteration would visit ~{candidates} pairs, budget is {budget}"
+            f"edge iteration would visit ~{candidates} pairs, budget is {DEFAULT_EDGE_BUDGET}"
         )
 
     ranks = np.arange(size, dtype=np.int64)
@@ -261,7 +261,7 @@ def _distinct_pairs(ranks: np.ndarray) -> np.ndarray:
     return np.stack([ranks[x], ranks[y]], axis=1)
 
 
-def signature_edges(g: SecretGraph, match: np.ndarray, budget: int = DEFAULT_EDGE_BUDGET) -> np.ndarray:
+def signature_edges(g: SecretGraph, match: np.ndarray) -> np.ndarray:
     """The first edge of g, in (x, y) order, joining each ordered pair of
     different signatures; a (k, 2) int64 array in (x, y) order.
 
@@ -275,17 +275,32 @@ def signature_edges(g: SecretGraph, match: np.ndarray, budget: int = DEFAULT_EDG
     if g.kind is GraphKind.FULL:
         # every pair of distinct ranks is an edge, so the first edge joining
         # two signatures joins their first ranks
-        if n_sig * n_sig > budget:
+        if n_sig * n_sig > DEFAULT_EDGE_BUDGET:
             raise BudgetExceededError(
-                f"{n_sig} signatures would visit ~{n_sig * n_sig} pairs, budget is {budget}"
+                f"{n_sig} signatures would visit ~{n_sig * n_sig} pairs, budget is {DEFAULT_EDGE_BUDGET}"
             )
         return _distinct_pairs(np.sort(first))
-    pairs = iter_graph_edges(g, budget)
+    pairs = iter_graph_edges(g)
     code = sig[pairs[:, 0]] * n_sig + sig[pairs[:, 1]]
     _, idx = np.unique(code, return_index=True)
     # drop the pairs within one signature
     idx = idx[code[idx] // n_sig != code[idx] % n_sig]
     return pairs[np.sort(idx)]
+
+
+def _partition_query_crossed(g: SecretGraph, cells) -> bool:
+    """Whether some edge of g joins two different cells of a query partition,
+    given as a cell id (or a match flag) per rank."""
+    if not g.has_any_edge():
+        return False
+    if g.kind is GraphKind.PARTITION:
+        # some secret cell holds ranks of two query cells
+        return len(set(zip(g.cells, cells))) > len(set(g.cells))
+    if g.kind is GraphKind.EXPLICIT:
+        return any(cells[a] != cells[b] for a, b in g.edge_list)
+    # unit steps connect the domain and are edges of full, attribute and
+    # distance graphs alike (distance needs theta >= 1, given by has_any_edge)
+    return len(set(cells)) >= 2
 
 
 # -- constraints -----------------------------------------------------------
@@ -511,12 +526,12 @@ class NeighborPair:
     delta: int
 
 
-def enumerate_databases(policy: Policy, n: int, budget: int = DEFAULT_ENUM_BUDGET) -> list[tuple[int, ...]]:
+def enumerate_databases(policy: Policy, n: int) -> list[tuple[int, ...]]:
     """All databases of n tuples (as rank vectors) satisfying the constraints."""
     size = policy.domain.size
     total = size**n
-    if total > budget:
-        raise BudgetExceededError(f"{total} databases exceed enumeration budget {budget}")
+    if total > DEFAULT_ENUM_BUDGET:
+        raise BudgetExceededError(f"{total} databases exceed enumeration budget {DEFAULT_ENUM_BUDGET}")
     answered = [q for q in policy.constraints.queries if q.answer is not None]
     answers = np.array([q.answer for q in answered], dtype=np.int64)
     dbs = np.array(list(itertools.product(range(size), repeat=n)), dtype=np.int64).reshape(total, n)
@@ -581,7 +596,7 @@ def _neighbors_of(cands):
     return survivors
 
 
-def enumerate_neighbors(policy: Policy, n: int, budget: int = DEFAULT_ENUM_BUDGET) -> list[NeighborPair]:
+def enumerate_neighbors(policy: Policy, n: int) -> list[NeighborPair]:
     """All ordered neighbor pairs under the policy, at tiny scale.
 
     A neighbor pair satisfies every recorded constraint answer on both
@@ -593,7 +608,7 @@ def enumerate_neighbors(policy: Policy, n: int, budget: int = DEFAULT_ENUM_BUDGE
     along a secret-graph edge.
     """
     pairs: list[NeighborPair] = []
-    for d1, neighbors in neighbor_databases(policy, n, budget):
+    for d1, neighbors in neighbor_databases(policy, n):
         for d2 in neighbors:
             # every change of a neighbor runs along a secret-graph edge
             changes = frozenset((i, a, b) for i, (a, b) in enumerate(zip(d1, d2)) if a != b)
@@ -601,7 +616,7 @@ def enumerate_neighbors(policy: Policy, n: int, budget: int = DEFAULT_ENUM_BUDGE
     return pairs
 
 
-def neighbor_databases(policy: Policy, n: int, budget: int = DEFAULT_ENUM_BUDGET, d1_filter=None):
+def neighbor_databases(policy: Policy, n: int, d1_filter=None):
     """Yield (d1, [d2 databases that are neighbors of d1]) lazily per d1.
 
     The d1 side can be restricted (e.g. to canonical representatives under
@@ -609,7 +624,7 @@ def neighbor_databases(policy: Policy, n: int, budget: int = DEFAULT_ENUM_BUDGET
     """
     domain = policy.domain
     size = domain.size
-    dbs = enumerate_databases(policy, n, budget)
+    dbs = enumerate_databases(policy, n)
     edge = [row.tolist() for row in policy.graph.edge_matrix()]
     for d1 in dbs:
         if d1_filter is not None and not d1_filter(d1):
@@ -621,17 +636,14 @@ def neighbor_databases(policy: Policy, n: int, budget: int = DEFAULT_ENUM_BUDGET
 # -- parallel decomposition --------------------------------------------------
 
 
-def check_parallel_decomposition(
-    policy: Policy,
-    subsets,
-    n: int | None = None,
-    budget: int = DEFAULT_EDGE_BUDGET,
-) -> bool:
+def check_parallel_decomposition(policy: Policy, subsets, n: int | None = None) -> bool:
     """Whether the constraints decompose over the given disjoint id subsets.
 
     True when the constraint set can be split into disjoint groups, one per
     subset, such that no constraint's critical secret pairs touch ids outside
     its own subset.  Cardinality-only and empty constraint sets always pass.
+    Each answered query's match row goes through the closed-form crossing
+    rule, so no secret-graph edge is enumerated and no graph is too large.
     """
     subsets = [frozenset(s) for s in subsets]
     for i, a in enumerate(subsets):
@@ -647,11 +659,9 @@ def check_parallel_decomposition(
     if not answered:
         return True
     # a query is crossed when some edge joins a rank matching it to one that
-    # does not; one edge per pair of signatures over all answered queries
-    # shows every crossing
+    # does not: its match row splits the domain into two query cells
     match = match_matrix(answered, policy.domain)
-    x, y = signature_edges(policy.graph, match, budget).T
-    crossed = (match[:, x] != match[:, y]).any(axis=1)
+    crossed = np.array([_partition_query_crossed(policy.graph, row) for row in match])
     # secret graphs are symmetric, so a crossed query is both lifted and
     # lowered; a pair is critical when the other n-1 tuples can meet the
     # answer with the changed tuple inside q or outside it

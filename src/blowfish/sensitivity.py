@@ -6,6 +6,8 @@ Four routes are provided and kept deliberately independent of each other:
 * the sparse count-constraint engine, which builds a directed policy graph
   over the constraint queries and bounds the histogram sensitivity by twice
   the larger of its longest simple cycle and its longest source-to-sink path;
+  the graph's edges come from the rank-by-query match matrix, read at one
+  secret pair per pair of query signatures;
 * specialized exact formulas for three recognized constraint shapes
   (one marginal with full-domain secrets, disjoint marginals with attribute
   secrets, disjoint rectangles with distance-threshold secrets);
@@ -13,6 +15,7 @@ Four routes are provided and kept deliberately independent of each other:
   query difference, used to certify the other routes at tiny scale.
 
 Sensitivities are in L1, measured across the policy's neighbor relation.
+Every enumeration is capped by the fixed budgets of ``blowfish.policy``.
 """
 
 from __future__ import annotations
@@ -30,13 +33,12 @@ from .errors import (
     ShapeNotRecognizedError,
 )
 from .policy import (
-    DEFAULT_EDGE_BUDGET,
-    DEFAULT_ENUM_BUDGET,
     ConstraintSet,
     CountQuery,
     GraphKind,
     Policy,
     SecretGraph,
+    _partition_query_crossed,
     iter_graph_edges,
     match_matrix,
     neighbor_databases,
@@ -113,6 +115,15 @@ QueryKind = (
     | ClusterSumQuery
 )
 
+# the query names of the CLI and the experiment configs; each constructor
+# takes the cluster count k
+QUERY_KINDS = {
+    "histogram": lambda k: HistogramQuery(),
+    "cumulative": lambda k: CumulativeQuery(),
+    "cluster-size": ClusterSizeQuery,
+    "cluster-sum": ClusterSumQuery,
+}
+
 
 class Exactness(str, Enum):
     EXACT = "Exact"
@@ -174,7 +185,7 @@ def _max_edge_rank_gap(g: SecretGraph) -> int:
     return max(abs(a - b) for a, b in g.edge_list)
 
 
-def _max_edge_l1(g: SecretGraph, pair_budget: int = DEFAULT_EDGE_BUDGET) -> int:
+def _max_edge_l1(g: SecretGraph) -> int:
     """max L1 length of an edge of g; 0 if g has no edges."""
     domain = g.domain
     if not g.has_any_edge():
@@ -186,25 +197,11 @@ def _max_edge_l1(g: SecretGraph, pair_budget: int = DEFAULT_EDGE_BUDGET) -> int:
     if g.kind is GraphKind.DISTANCE:
         return min(g.theta, domain.diameter())
     if g.kind is GraphKind.PARTITION:
-        pairs = iter_graph_edges(g, pair_budget)
+        pairs = iter_graph_edges(g)
     else:
         pairs = np.array(list(g.edge_list), dtype=np.int64)
     diff = np.subtract(np.unravel_index(pairs[:, 0], domain.sizes), np.unravel_index(pairs[:, 1], domain.sizes))
     return int(np.abs(diff).sum(axis=0).max())
-
-
-def _partition_query_crossed(g: SecretGraph, cells: tuple[int, ...]) -> bool:
-    """Whether some edge of g joins two different cells of the query partition."""
-    if not g.has_any_edge():
-        return False
-    if g.kind is GraphKind.PARTITION:
-        # some secret cell holds ranks of two query cells
-        return len(set(zip(g.cells, cells))) > len(set(g.cells))
-    if g.kind is GraphKind.EXPLICIT:
-        return any(cells[a] != cells[b] for a, b in g.edge_list)
-    # unit steps connect the domain and are edges of full, attribute and
-    # distance graphs alike (distance needs theta >= 1, given by has_any_edge)
-    return len(set(cells)) >= 2
 
 
 def closed_form_sensitivity(query: QueryKind, policy: Policy) -> SensitivityResult:
@@ -290,64 +287,55 @@ class PolicyGraph:
         return None
 
 
-def build_policy_graph(
-    constraints: ConstraintSet, g: SecretGraph, budget: int = DEFAULT_EDGE_BUDGET
-) -> PolicyGraph:
+def build_policy_graph(constraints: ConstraintSet, g: SecretGraph) -> PolicyGraph:
     """Construct the policy graph of a sparse constraint set.
 
-    Only the signature edges of g are classified: pairs of ranks that match
-    the same queries act alike.  Raises NonSparseConstraintsError if some
-    edge lifts or lowers more than one query (detected during the same scan).
+    Only the signature edges of g are classified, all at once from the
+    (n_queries, size) match matrix: pairs of ranks that match the same
+    queries act alike.  Each policy edge keeps its first signature edge in
+    (x, y) order as witness.  Raises NonSparseConstraintsError, naming the
+    first such secret pair, if some edge lifts or lowers more than one query.
     """
-    queries = constraints.queries
-    nq = len(queries)
-    domain = g.domain
-    edges: set[tuple[int, int]] = set()
-    witnesses: dict[tuple[int, int], tuple[int, int]] = {}
-    source, sink = nq, nq + 1
-    for x_rank, y_rank in signature_edges(g, match_matrix(queries, domain), budget).tolist():
-        pair = (domain.unrank(x_rank), domain.unrank(y_rank))
-        lift_idx: list[int] = []
-        lower_idx: list[int] = []
-        for qi, q in enumerate(queries):
-            eff = lifts_lowers(pair, q)
-            if eff is Effect.LIFTS:
-                lift_idx.append(qi)
-            elif eff is Effect.LOWERS:
-                lower_idx.append(qi)
-        if len(lift_idx) > 1 or len(lower_idx) > 1:
-            raise NonSparseConstraintsError(
-                f"constraints are not sparse: secret pair (ranks {x_rank},{y_rank}) "
-                f"lifts {len(lift_idx)} and lowers {len(lower_idx)} queries"
-            )
-        if lift_idx and lower_idx:
-            e = (lower_idx[0], lift_idx[0])
-        elif lift_idx:
-            e = (source, lift_idx[0])
-        elif lower_idx:
-            e = (lower_idx[0], sink)
-        else:
-            continue
-        if e[0] != e[1] and e not in edges:
-            edges.add(e)
-            witnesses[e] = (x_rank, y_rank)
-    edges.add((source, sink))
+    nq = len(constraints.queries)
+    source, sink, nv = nq, nq + 1, nq + 2
+    match = match_matrix(constraints.queries, g.domain)
+    x, y = signature_edges(g, match).T
+    # column j: the queries that changing a tuple from x[j] to y[j] moves
+    lifts = ~match[:, x] & match[:, y]
+    lowers = match[:, x] & ~match[:, y]
+    n_lift, n_lower = lifts.sum(axis=0), lowers.sum(axis=0)
+    bad = np.flatnonzero((n_lift > 1) | (n_lower > 1))
+    if bad.size:
+        j = bad[0]
+        raise NonSparseConstraintsError(
+            f"constraints are not sparse: secret pair (ranks {int(x[j])},{int(y[j])}) "
+            f"lifts {int(n_lift[j])} and lowers {int(n_lower[j])} queries"
+        )
+    # an edge runs from the lowered query (else the source) to the lifted
+    # one (else the sink); pairs that move no query give (source, sink)
+    qids = np.arange(nq)
+    tail = np.where(n_lower > 0, qids @ lowers, source)
+    head = np.where(n_lift > 0, qids @ lifts, sink)
+    codes, first = np.unique(tail * nv + head, return_index=True)
+    witnesses = tuple(
+        ((c // nv, c % nv), (int(x[i]), int(y[i])))
+        for c, i in zip(codes.tolist(), first.tolist())
+        if c != source * nv + sink
+    )
     return PolicyGraph(
         n_queries=nq,
-        edges=frozenset(edges),
-        witnesses=tuple(sorted(witnesses.items())),
+        edges=frozenset(e for e, _ in witnesses) | {(source, sink)},
+        witnesses=witnesses,
     )
 
 
-def is_sparse(
-    constraints: ConstraintSet, g: SecretGraph, budget: int = DEFAULT_EDGE_BUDGET
-) -> bool:
+def is_sparse(constraints: ConstraintSet, g: SecretGraph) -> bool:
     """Whether every secret-graph edge lifts at most one query and lowers at
     most one query of the constraint set."""
     if not constraints.queries:
         return True
     try:
-        build_policy_graph(constraints, g, budget)
+        build_policy_graph(constraints, g)
     except NonSparseConstraintsError:
         return False
     return True
@@ -360,11 +348,30 @@ def _adjacency(pg: PolicyGraph) -> list[list[int]]:
     return adj
 
 
+def _path_states(adj, starts, allowed_mask: int) -> set[tuple[int, int]]:
+    """The (visited mask, last vertex) state of every simple path in ``adj``
+    that begins at a vertex of ``starts`` and then steps only onto vertices
+    of ``allowed_mask``.  Exhaustive subset search over bitmasks, so only for
+    graphs of at most ``MAX_POLICY_GRAPH_VERTICES`` vertices.
+    """
+    states = {(1 << s, s) for s in starts}
+    frontier = set(states)
+    while frontier:
+        frontier = {
+            (mask | 1 << w, w)
+            for mask, last in frontier
+            for w in adj[last]
+            if (allowed_mask & ~mask) >> w & 1
+        } - states
+        states |= frontier
+    return states
+
+
 def alpha_xi(pg: PolicyGraph) -> tuple[int, int]:
     """Longest simple cycle length and longest source-to-sink simple path length.
 
-    Exhaustive subset dynamic program, so the graph is capped at 16 vertices.
-    The cycle length is 0 for acyclic graphs; the path length is at least 1
+    Exhaustive subset search, so the graph is capped at 16 vertices.  The
+    cycle length is 0 for acyclic graphs; the path length is at least 1
     because the (source, sink) edge always exists.
     """
     nv = pg.n_vertices
@@ -378,44 +385,16 @@ def alpha_xi(pg: PolicyGraph) -> tuple[int, int]:
     # cycles live among query vertices only (sentinels are one-sided);
     # dedupe by rooting each cycle at its smallest vertex
     for start in range(pg.n_queries):
-        # dp maps (visited mask, last vertex) over vertices >= start
-        frontier = {(1 << start, start)}
-        seen = set(frontier)
-        while frontier:
-            nxt = set()
-            for mask, last in frontier:
-                for w in adj[last]:
-                    if w == start:
-                        alpha = max(alpha, mask.bit_count())
-                    elif w >= start and w < pg.n_queries and not (mask >> w) & 1:
-                        state = (mask | (1 << w), w)
-                        if state not in seen:
-                            seen.add(state)
-                            nxt.add(state)
-            frontier = nxt
-    xi = 0
-    frontier = {(1 << pg.source, pg.source)}
-    seen = set(frontier)
-    while frontier:
-        nxt = set()
-        for mask, last in frontier:
-            for w in adj[last]:
-                if w == pg.sink:
-                    xi = max(xi, mask.bit_count())
-                elif not (mask >> w) & 1:
-                    state = (mask | (1 << w), w)
-                    if state not in seen:
-                        seen.add(state)
-                        nxt.add(state)
-        frontier = nxt
+        above = (1 << pg.n_queries) - (1 << (start + 1))
+        for mask, last in _path_states(adj, [start], above):
+            if start in adj[last]:
+                alpha = max(alpha, mask.bit_count())
+    paths = _path_states(adj, [pg.source], (1 << nv) - 1 - (1 << pg.sink))
+    xi = max((mask.bit_count() for mask, last in paths if pg.sink in adj[last]), default=0)
     return alpha, xi
 
 
-def sparse_constraint_sensitivity(
-    policy: Policy,
-    budget: int = DEFAULT_EDGE_BUDGET,
-    certify_n: int | None = None,
-) -> SensitivityResult:
+def sparse_constraint_sensitivity(policy: Policy, certify_n: int | None = None) -> SensitivityResult:
     """Histogram sensitivity bound 2*max(alpha, xi) from the policy graph.
 
     The result is an upper bound; pass ``certify_n`` to run the brute-force
@@ -425,7 +404,7 @@ def sparse_constraint_sensitivity(
     """
     if policy.constraints.unconstrained:
         raise ValueError("policy has no general constraints; use closed_form_sensitivity")
-    pg = build_policy_graph(policy.constraints, policy.graph, budget)
+    pg = build_policy_graph(policy.constraints, policy.graph)
     alpha, xi = alpha_xi(pg)
     value = 2.0 * max(alpha, xi)
     exactness = Exactness.UPPER_BOUND
@@ -505,21 +484,12 @@ def _rects_disjoint(a, b) -> bool:
 
 
 def _has_hamiltonian_path(nodes: list[int], adj: dict[int, set[int]]) -> bool:
-    """Undirected Hamiltonian path check by subset DP (components are small)."""
-    k = len(nodes)
-    if k <= 2:
-        return True
+    """Whether a simple path of the undirected graph ``adj`` visits every
+    vertex of ``nodes`` (a small component, by vertex id)."""
     index = {v: i for i, v in enumerate(nodes)}
-    reach = [set() for _ in range(1 << k)]
-    for i in range(k):
-        reach[1 << i].add(i)
-    for mask in range(1 << k):
-        for last in list(reach[mask]):
-            for w in adj[nodes[last]]:
-                j = index[w]
-                if not (mask >> j) & 1:
-                    reach[mask | (1 << j)].add(j)
-    return bool(reach[(1 << k) - 1])
+    local = [[index[w] for w in adj[v]] for v in nodes]
+    everything = (1 << len(nodes)) - 1
+    return any(mask == everything for mask, _ in _path_states(local, range(len(nodes)), everything))
 
 
 def specialized_constraint_sensitivity(policy: Policy) -> SensitivityResult:
@@ -682,12 +652,7 @@ def _delta_eval(query: QueryKind, domain: DomainSpec, d1, d2) -> float:
     raise TypeError(f"unknown query kind {type(query).__name__}")
 
 
-def brute_force_sensitivity(
-    query: QueryKind,
-    policy: Policy,
-    n: int,
-    budget: int = DEFAULT_ENUM_BUDGET,
-) -> SensitivityResult:
+def brute_force_sensitivity(query: QueryKind, policy: Policy, n: int) -> SensitivityResult:
     """Exact sensitivity by enumerating all neighbor pairs at size n.
 
     For id-symmetric queries and count constraints the outer database can be
@@ -698,17 +663,13 @@ def brute_force_sensitivity(
     if _query_is_id_symmetric(query):
         d1_filter = lambda db: tuple(sorted(db)) == db
     best = 0.0
-    for d1, neighbors in neighbor_databases(policy, n, budget, d1_filter):
+    for d1, neighbors in neighbor_databases(policy, n, d1_filter):
         for d2 in neighbors:
             best = max(best, _delta_eval(query, policy.domain, d1, d2))
     return SensitivityResult(value=best, exactness=Exactness.EXACT, method=Method.BRUTE_FORCE)
 
 
-def policy_sensitivity(
-    query: QueryKind,
-    policy: Policy,
-    budget: int = DEFAULT_EDGE_BUDGET,
-) -> SensitivityResult:
+def policy_sensitivity(query: QueryKind, policy: Policy) -> SensitivityResult:
     """Default dispatch: closed forms when unconstrained, else the sparse
     engine (histogram query only).
 
@@ -721,4 +682,4 @@ def policy_sensitivity(
         raise ValueError(
             "constrained sensitivity is only supported for the complete histogram"
         )
-    return sparse_constraint_sensitivity(policy, budget)
+    return sparse_constraint_sensitivity(policy)

@@ -180,6 +180,15 @@ def alpha_xi_by_backtracking(pg: PolicyGraph) -> tuple[int, int]:
     return best_cycle, best_path
 
 
+def hamiltonian_path_by_permutation(nodes, adj) -> bool:
+    """Whether some ordering of ``nodes`` steps along an edge of the
+    undirected graph ``adj`` between every two consecutive vertices."""
+    return any(
+        all(b in adj[a] for a, b in zip(order, order[1:]))
+        for order in itertools.permutations(nodes)
+    )
+
+
 def random_secret_graph(rng: np.random.Generator, domain: DomainSpec, kind: str) -> SecretGraph:
     """A secret graph of the named kind with random cells, theta or edges;
     theta runs from 0 to one past the diameter, and explicit graphs may be

@@ -28,6 +28,13 @@ def test_load_domain_sizes():
     assert dom.sizes == (2, 2, 3)
 
 
+def test_load_domain_ignores_ordinal_key():
+    # older domain files flag ordered attributes; every attribute is ordered
+    # as listed, so the flag is an ignored extra key
+    flagged = {"attributes": [dict(a, ordinal=True) for a in ABC_SPEC["attributes"]]}
+    assert load_domain(flagged) == load_domain(ABC_SPEC)
+
+
 def test_load_domain_rejects_empty_and_duplicates():
     with pytest.raises(ValueError):
         load_domain({"attributes": []})

@@ -297,7 +297,7 @@ def test_enumeration_errors():
     dom = line_domain(10)
     pol = Policy(dom, SecretGraph.full(dom), ConstraintSet.none())
     with pytest.raises(BudgetExceededError):
-        enumerate_databases(pol, 7, budget=1000)
+        enumerate_databases(pol, 7)
     q = CountQuery.from_labels(dom, {"x": ["0"]}, answer=5)
     infeasible = Policy(dom, SecretGraph.full(dom), ConstraintSet.of([q]))
     with pytest.raises(InfeasibleConstraintsError):
@@ -334,6 +334,19 @@ def test_parallel_decomposition_cardinality_only():
     assert check_parallel_decomposition(pol, [{0}, {1}, {2}], n=3)
     with pytest.raises(ValueError):
         check_parallel_decomposition(pol, [{0, 1}, {1, 2}], n=3)
+
+
+def test_parallel_decomposition_past_edge_budget():
+    # one 5000-rank cell has 25M candidate pairs, over the 20M edge budget;
+    # the crossing rule reads the match row, not the edges
+    dom = line_domain(5000)
+    g = SecretGraph.partition(dom, [range(5000)])
+    with pytest.raises(BudgetExceededError):
+        iter_graph_edges(g)
+    q = CountQuery.from_labels(dom, {"x": ["0"]}, answer=1)
+    pol = Policy(dom, g, ConstraintSet.of([q]))
+    assert not check_parallel_decomposition(pol, [{0}, {1}], n=2)
+    assert check_parallel_decomposition(pol, [{0, 1}], n=2)
 
 
 def test_parallel_decomposition_matches_critical_pair_loop():

@@ -32,10 +32,11 @@ from blowfish import (
     sparse_constraint_sensitivity,
     specialized_constraint_sensitivity,
 )
-from blowfish.sensitivity import PolicyGraph
+from blowfish.sensitivity import PolicyGraph, _has_hamiltonian_path
 
 from oracles import (
     alpha_xi_by_backtracking,
+    hamiltonian_path_by_permutation,
     policy_graph_by_loop,
     random_rectangle,
     random_secret_graph,
@@ -401,6 +402,25 @@ def test_specialized_rectangles_star_component_upper_bound():
     res = specialized_constraint_sensitivity(pol)
     assert res.value == 2 * (4 + 1)
     assert res.exactness is Exactness.UPPER_BOUND
+
+
+def test_hamiltonian_path_agrees_with_permutations():
+    # ids are drawn from 0..49, so they are neither contiguous nor sorted by
+    # position; graphs may be disconnected
+    rng = np.random.default_rng(11)
+    found = 0
+    for _ in range(400):
+        nodes = rng.choice(50, size=int(rng.integers(1, 8)), replace=False).tolist()
+        adj = {v: set() for v in nodes}
+        density = rng.random()
+        for a, b in itertools.combinations(nodes, 2):
+            if rng.random() < density:
+                adj[a].add(b)
+                adj[b].add(a)
+        expected = hamiltonian_path_by_permutation(nodes, adj)
+        assert _has_hamiltonian_path(nodes, adj) == expected, (nodes, adj)
+        found += expected
+    assert 50 <= found <= 350
 
 
 def test_specialized_rejects_unrecognized_shapes():

@@ -22,6 +22,7 @@ from .domain import (
     load_domain,
 )
 from .errors import (
+    BlowfishError,
     BudgetExceededError,
     InfeasibleConstraintsError,
     InfiniteSensitivityError,

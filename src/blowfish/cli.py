@@ -10,16 +10,19 @@ partial output on error).
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import os
 import sys
 import tempfile
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
 from . import __version__
 from .domain import histogram, ingest_dataset, load_domain
-from .errors import BudgetExceededError
+from .errors import BlowfishError
 from .experiments import run_experiment
 from .kmeans import ClusteringPolicy, KmeansConfig, kmeans_private
 from .mechanisms import (
@@ -234,15 +237,77 @@ def _cmd_budget_total(args) -> int:
     return 0
 
 
+def _columns(items: list, pad: str):
+    """``(template, columns)`` with ``items[i]`` encoded as ``template % row i``
+    of the columns, or None when the items are not one shape.
+
+    The items share one type: float, int, str, lists of one length or dicts
+    with the same str keys, whose fields become sub-columns.  ``pad`` is the
+    indentation of the line each item starts on.
+    """
+    kind = type(items[0])
+    if any(type(x) is not kind for x in items):
+        return None
+    if kind is float:
+        col = list(map(float.__repr__, items))
+        return None if "n" in "".join(col) else ("%s", [col])  # nan, inf
+    if kind is int:
+        return "%s", [list(map(int.__repr__, items))]
+    if kind is str:
+        return "%s", [list(map(encode_basestring_ascii, items))]
+    if kind is list:
+        width = len(items[0])
+        if any(len(x) != width for x in items):
+            return None
+        fields, labels, brackets = range(width), [""] * width, "[]"
+    elif kind is dict:
+        keys = items[0].keys()
+        if any(type(k) is not str for k in keys) or any(x.keys() != keys for x in items):
+            return None
+        fields = sorted(keys)
+        labels = [encode_basestring_ascii(k).replace("%", "%%") + ": " for k in fields]
+        brackets = "{}"
+    else:
+        return None
+    if not fields:
+        return None
+    inner = pad + "  "
+    parts = [_columns([x[f] for x in items], inner) for f in fields]
+    if any(part is None for part in parts):
+        return None
+    body = ",\n".join(inner + label + template for label, (template, _) in zip(labels, parts))
+    return f"{brackets[0]}\n{body}\n{pad}{brackets[1]}", [col for _, cols in parts for col in cols]
+
+
+def _to_json(value, pad: str = "") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` for a value that starts
+    on a line indented by ``pad``, encoding each column of a uniform list once."""
+    inner = pad + "  "
+    if type(value) is dict and value and all(type(k) is str for k in value):
+        items = [f"{inner}{encode_basestring_ascii(k)}: {_to_json(value[k], inner)}" for k in sorted(value)]
+        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
+    if type(value) is list and value:
+        shape = _columns(value, inner)
+        if shape is None:
+            rows = [_to_json(x, inner) for x in value]
+        else:
+            template, cols = shape
+            rows = cols[0] if template == "%s" else [template % row for row in zip(*cols)]
+        return f"[\n{inner}" + f",\n{inner}".join(rows) + f"\n{pad}]"
+    # scalars, empty containers and anything irregular; a JSON text holds no
+    # raw newline inside a string, so re-indenting its lines is exact
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + pad)
+
+
 def _format_payload(payload: dict, fmt: str) -> str:
     if fmt == "csv":
-        lines = ["key,value"]
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(["key", "value"])
         for k, v in payload.items():
-            if isinstance(v, (list, dict)):
-                v = json.dumps(v)
-            lines.append(f"{k},{json.dumps(v) if ',' in str(v) else v}")
-        return "\n".join(lines) + "\n"
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+            writer.writerow([k, json.dumps(v) if isinstance(v, (list, dict)) else v])
+        return out.getvalue()
+    return _to_json(payload) + "\n"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -332,7 +397,7 @@ def cli_main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, KeyError, BudgetExceededError) as exc:
+    except (ValueError, OSError, KeyError, BlowfishError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -136,7 +136,8 @@ class Dataset:
         ranks = _int64_column("ranks", self.ranks)
         if ids.size != ranks.size:
             raise ValueError(f"{ids.size} row ids for {ranks.size} ranks")
-        if np.unique(ids).size != ids.size:
+        ordered = np.sort(ids)
+        if (ordered[1:] == ordered[:-1]).any():
             raise ValueError("duplicate row ids")
         if ranks.size and not (0 <= ranks.min() and ranks.max() < self.domain.size):
             raise ValueError(f"rank out of range for domain of size {self.domain.size}")
@@ -228,23 +229,30 @@ def ingest_dataset(text: str, domain: DomainSpec) -> Dataset:
     id_col = header.index("id") if has_id else None
     # (column, attribute, place value) per attribute, in rank order
     cells = [(header.index(a.name), a, w) for a, w in zip(domain.attributes, domain._weights)]
-    ids: list[int] = []
-
-    def row_ranks():
-        for lineno, raw in enumerate(reader):
-            if not raw or (len(raw) == 1 and not raw[0].strip()):
+    records = list(reader)
+    rows = [r for r in records if len(r) > 1 or (r and r[0].strip())]
+    try:
+        if any(len(r) != width for r in rows):
+            raise ValueError
+        ranks = np.zeros(len(rows), dtype=np.int64)
+        for c, attr, w in cells:
+            labels = [r[c].strip() for r in rows]
+            ranks += np.fromiter(map(attr._index.__getitem__, labels), dtype=np.int64, count=len(rows)) * w
+        ids = [int(r[id_col]) for r in rows] if has_id else np.arange(len(rows))
+    except (KeyError, ValueError):
+        # the first fault in file order: row width, then labels in attribute
+        # order, then the id
+        for lineno, raw in enumerate(records):
+            if not (len(raw) > 1 or (raw and raw[0].strip())):
                 continue
             if len(raw) != width:
-                raise ValueError(f"row {lineno}: expected {width} columns, got {len(raw)}")
-            rank = 0
-            for c, attr, w in cells:
-                rank += attr.index_of(raw[c].strip()) * w
+                raise ValueError(f"row {lineno}: expected {width} columns, got {len(raw)}") from None
+            for c, attr, _ in cells:
+                attr.index_of(raw[c].strip())
             if has_id:
-                ids.append(int(raw[id_col]))
-            yield rank
-
-    ranks = np.fromiter(row_ranks(), dtype=np.int64)
-    return Dataset(domain=domain, ids=ids if has_id else np.arange(ranks.size), ranks=ranks)
+                int(raw[id_col])
+        raise
+    return Dataset(domain=domain, ids=ids, ranks=ranks)
 
 
 def histogram(data: Dataset) -> np.ndarray:

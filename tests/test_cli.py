@@ -1,9 +1,15 @@
+import csv
+import inspect
 import json
+import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from blowfish.cli import cli_main
+from blowfish import errors
+from blowfish.cli import _format_payload, cli_main
+from blowfish.mechanisms import build_oh_release
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -356,6 +362,16 @@ def test_edge_budget_fails_cleanly(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_every_error_is_a_blowfish_error():
+    classes = [c for _, c in inspect.getmembers(errors, inspect.isclass) if c.__module__ == errors.__name__]
+    assert len(classes) >= 6
+    for cls in classes:
+        assert issubclass(cls, errors.BlowfishError)
+    # each keeps its builtin base, so `except ValueError` callers still catch it
+    assert issubclass(errors.BudgetExceededError, RuntimeError)
+    assert issubclass(errors.InfiniteSensitivityError, ValueError)
+
+
 def test_validate_wide_full_graph_answers(tmp_path, capsys):
     # a full graph is classified per pair of query signatures, not per edge
     domain = tmp_path / "wide.json"
@@ -405,3 +421,77 @@ def test_seed_above_64_bits_releases(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["seed"] == 2**64 + 1
     assert len(payload["values"]) == 12
+
+
+def _random_json(rng: random.Random, depth: int = 0):
+    """A payload-like value: uniform columns of every kind the JSON writer
+    encodes at once, and the irregular values it must hand to ``json.dumps``."""
+    scalars = [
+        lambda: rng.random() * 10 ** rng.randint(-8, 8),
+        lambda: rng.choice([float("nan"), float("inf"), -float("inf"), -0.0, 1e300, 5e-324]),
+        lambda: np.float64(rng.random()),
+        lambda: rng.choice([True, False, None]),
+        lambda: rng.randint(-(2**70), 2**70),
+        lambda: rng.randint(-3, 3),
+        lambda: rng.choice(["", "plain", "caf\u00e9", "50%", "%s%d", "tab\tquote\"", "\u2603"]),
+    ]
+    keys = ["a", "b", "id", "%s", "100%", "\u00e9t\u00e9", "\u2603"]
+    kind = rng.randrange(6) if depth < 3 else 0
+    if kind == 0:
+        return rng.choice(scalars)()
+    if kind == 1:  # a column of one scalar kind, sometimes with one odd element
+        make = rng.choice(scalars)
+        items = [make() for _ in range(rng.randrange(0, 6))]
+        if items and rng.random() < 0.3:
+            items[rng.randrange(len(items))] = rng.choice(scalars)()
+        return items
+    if kind == 2:  # rows of one length, sometimes ragged, int and float mixed
+        width = rng.randrange(0, 4)
+        rows = [[rng.random() if rng.random() < 0.8 else rng.randint(0, 9) for _ in range(width)]
+                for _ in range(rng.randrange(0, 5))]
+        if rows and rng.random() < 0.3:
+            rows[-1].append(1.5)
+        return rows
+    if kind == 3:  # records with the same keys, sometimes one with other keys
+        names = rng.sample(keys, rng.randrange(0, 4))
+        records = [{k: _random_json(rng, depth + 1) for k in names} for _ in range(rng.randrange(0, 5))]
+        if records and rng.random() < 0.3:
+            records[0][rng.choice(keys)] = 0
+        return records
+    if kind == 4:
+        return [_random_json(rng, depth + 1) for _ in range(rng.randrange(0, 4))]
+    return {k: _random_json(rng, depth + 1) for k in rng.sample(keys, rng.randrange(0, 4))}
+
+
+def test_json_writer_matches_json_dumps(tmp_path):
+    rng = random.Random(20131105)
+    payloads = [{k: _random_json(rng) for k in rng.sample(["flags", "nodes", "%x", "\u00e9", "v"], 3)}
+                for _ in range(2000)]
+    counts = np.random.default_rng(0).integers(0, 50, size=300)
+    payloads.append(build_oh_release(counts, 16, 4, 0.5, 0.5, 7).to_dict())
+    out = tmp_path / "tree.json"
+    assert cli_main(SEEDED_RELEASES["range"] + ["--seed", "3", "--out", str(out)]) == 0
+    payloads.append(json.loads(out.read_text()))
+    for payload in payloads:
+        assert _format_payload(payload, "json") == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("command", ["histogram", "cdf", "range"])
+def test_csv_release_parses(command, tmp_path):
+    out = tmp_path / "a,b \"c\".out"
+    argv = SEEDED_RELEASES[command] + ["--seed", "5", "--out", str(out)]
+    assert cli_main(argv + ["--format", "csv"]) == 0
+    with open(out, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert cli_main(argv) == 0
+    expected = json.loads(out.read_text())
+    expected["flags"]["format"] = "csv"
+    assert rows[0] == ["key", "value"]
+    assert all(len(row) == 2 for row in rows)
+    assert {key for key, _ in rows[1:]} == set(expected)
+    for key, cell in rows[1:]:
+        value = expected[key]
+        if isinstance(value, (list, dict)):
+            assert json.loads(cell) == value, key
+        else:
+            assert cell == str(value), key

@@ -218,6 +218,62 @@ def test_ingest_matches_index_oracle():
     assert {"ok", "unknown", "row", "duplicate", "invalid"} <= outcomes, outcomes
 
 
+TWO_FAULTS = {
+    # the earlier row wins even when its fault sits in a later column
+    "labels in row 5 col 1 and row 2 col 3": (
+        "A1,A2,A3\na1,b1,c1\na1,b1,c9\na2,b2,c3\na1,b2,c2\nzz,b1,c1\n",
+        "unknown value 'c9' for attribute 'A3'",
+    ),
+    "bad id before bad label": (
+        "id,A1,A2,A3\n1,a1,b1,c1\n2x,a1,b1,c1\n3,a1,zz,c1\n",
+        "invalid literal for int() with base 10: '2x'",
+    ),
+    "bad label before bad id": (
+        "id,A1,A2,A3\n1,a1,b1,c1\n2,a1,zz,c1\n3x,a1,b1,c1\n",
+        "unknown value 'zz' for attribute 'A2'",
+    ),
+    # within one row labels are checked before the id
+    "bad id and bad label in one row": (
+        "id,A1,A2,A3\n1x,zz,b1,c1\n",
+        "unknown value 'zz' for attribute 'A1'",
+    ),
+    # and in attribute order, not column order
+    "two labels in one row": (
+        "A3,A1,A2\nc1,a1,b1\nyy,a1,zz\n",
+        "unknown value 'zz' for attribute 'A2'",
+    ),
+    "short row after unknown label": (
+        "A1,A2,A3\na1,b1,c1\na1,b1,zz\n\na1,b1\n",
+        "unknown value 'zz' for attribute 'A3'",
+    ),
+    "short row before unknown label": (
+        "A1,A2,A3\na1,b1,c1\n\n \na1,b1\na1,b1,zz\n",
+        "row 3: expected 3 columns, got 2",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TWO_FAULTS))
+def test_ingest_reports_first_fault_in_file_order(case):
+    text, message = TWO_FAULTS[case]
+    dom = load_domain(ABC_SPEC)
+    expected = _ingest_outcome(ingest_by_index, text, dom)
+    assert expected == (ValueError, message)
+    assert _ingest_outcome(_columnar, text, dom) == expected
+
+
+def test_ingest_quoted_cells_crlf_and_blank_lines():
+    dom = load_domain(
+        {"attributes": [{"name": "city", "values": ["Paris, FR", "Oslo", 'say "hi"']}, {"name": "n", "values": ["0", "1"]}]}
+    )
+    text = 'n,id,city\r\n1,7,"Paris, FR"\r\n\r\n0, 3 ,Oslo\r\n  \r\n1,-2,"say ""hi"""\r\n'
+    expected = _ingest_outcome(ingest_by_index, text, dom)
+    assert expected == ([7, 3, -2], [1, 2, 5])
+    assert _ingest_outcome(_columnar, text, dom) == expected
+    data = ingest_dataset(text.replace("\r\n", "\n"), dom)
+    assert data.ids.tolist() == [7, 3, -2] and data.ranks.tolist() == [1, 2, 5]
+
+
 def test_cumulative_histogram_examples():
     assert cumulative_histogram([2, 0, 1]).prefix == (2, 2, 3)
     zeros = cumulative_histogram([0, 0, 0, 0])

@@ -34,14 +34,13 @@ from .mechanisms import (
     optimal_budget_split,
     ordered_mechanism,
 )
-from .policy import ConstraintKind, Policy, SecretGraph, load_policy
+from .policy import ConstraintKind, ConstraintSet, Policy, SecretGraph, load_policy
 from .sensitivity import (
     QUERY_KINDS,
+    CumulativeQuery,
     Exactness,
     HistogramQuery,
-    Method,
     SensitivityResult,
-    _max_edge_rank_gap,
     brute_force_sensitivity,
     closed_form_sensitivity,
     is_sparse,
@@ -116,72 +115,53 @@ def _cmd_sensitivity(args) -> int:
     return 0
 
 
-def _release_payload(args, policy: Policy | None, extra: dict) -> dict:
-    payload = {
-        "tool": f"blowfish {__version__}",
-        "flags": {k: v for k, v in sorted(vars(args).items()) if k != "func" and v is not None},
+def _cmd_release(args) -> int:
+    """Every ``release`` subcommand: load, ingest, calibrate, then the
+    subcommand's mechanism.  ``histogram`` reads its policy file; ``cdf`` and
+    ``range`` protect distance-theta secrets under cardinality constraints,
+    so a protected change moves a tuple at most ``max(theta, res.value)``
+    rank positions: theta on one attribute, and on several the cumulative
+    query's sensitivity, the largest rank gap of an L1 step of theta."""
+    domain = load_domain(_read(args.domain))
+    if args.subcommand == "histogram":
+        policy, query = load_policy(_read(args.policy), domain), HistogramQuery()
+    else:
+        policy = Policy(domain, SecretGraph.distance(domain, args.theta), ConstraintSet.cardinality_only())
+        query = CumulativeQuery()
+    counts = histogram(ingest_dataset(_read(args.data), domain))
+    res = _resolve_sensitivity(query, policy, args)
+    return _write_release(args, args.release(args, policy, counts, res))
+
+
+def _release_histogram(args, policy: Policy, counts, res: SensitivityResult) -> dict:
+    values = laplace_mechanism(counts, res.value, PrivacyParams(epsilon=args.epsilon, seed=args.seed))
+    return {
+        "policy": policy.describe(),
+        "mechanism": "laplace-histogram",
+        "epsilon": args.epsilon,
+        "seed": args.seed,
+        "sensitivity": res.value,
+        "exactness": res.exactness.value,
+        "values": [float(v) for v in values],
     }
-    if policy is not None:
-        payload["policy"] = policy.describe()
-    payload.update(extra)
-    return payload
 
 
-def _cmd_release_histogram(args) -> int:
-    policy = _load_policy_args(args)
-    data = ingest_dataset(_read(args.data), policy.domain)
-    counts = histogram(data)
-    res = _resolve_sensitivity(HistogramQuery(), policy, args)
-    pp = PrivacyParams(epsilon=args.epsilon, seed=args.seed)
-    values = laplace_mechanism(counts, res.value, pp)
-    payload = _release_payload(
-        args,
-        policy,
-        {
-            "mechanism": "laplace-histogram",
-            "epsilon": args.epsilon,
-            "seed": args.seed,
-            "sensitivity": res.value,
-            "exactness": res.exactness.value,
-            "values": [float(v) for v in values],
-        },
-    )
-    _write_atomic(args.out, _format_payload(payload, args.format))
-    return 0
+def _release_cdf(args, policy: Policy, counts, res: SensitivityResult) -> dict:
+    released = ordered_mechanism(counts, max(args.theta, int(res.value)), PrivacyParams(args.epsilon, args.seed))
+    return {**released.to_dict(), "policy": policy.describe()}
 
 
-def _rank_theta(domain, theta: int) -> int:
-    """Rank positions one protected change can move a tuple under distance(theta).
-
-    The ordered and ordered-hierarchical mechanisms protect changes of at most
-    this many ranks.  On one attribute it is theta; on several it is the largest
-    rank gap of an L1 step of theta, which is the cumulative query's sensitivity.
-    """
-    return max(theta, _max_edge_rank_gap(SecretGraph.distance(domain, theta)))
-
-
-def _cmd_release_cdf(args) -> int:
-    domain = load_domain(_read(args.domain))
-    data = ingest_dataset(_read(args.data), domain)
-    counts = histogram(data)
-    theta = _rank_theta(domain, args.theta)
-    released = ordered_mechanism(counts, theta, PrivacyParams(args.epsilon, args.seed))
-    payload = _release_payload(args, None, released.to_dict())
-    payload["policy"] = f"distance(theta={args.theta})|cardinality"
-    _write_atomic(args.out, _format_payload(payload, args.format))
-    return 0
-
-
-def _cmd_release_range(args) -> int:
-    domain = load_domain(_read(args.domain))
-    data = ingest_dataset(_read(args.data), domain)
-    counts = histogram(data)
-    theta = _rank_theta(domain, args.theta)
-    split = optimal_budget_split(domain.size, theta, args.fanout, args.epsilon)
+def _release_range(args, policy: Policy, counts, res: SensitivityResult) -> dict:
+    theta = max(args.theta, int(res.value))
+    split = optimal_budget_split(policy.domain.size, theta, args.fanout, args.epsilon)
     tree = build_oh_release(counts, theta, args.fanout, split.eps_s, split.eps_h, args.seed)
-    payload = _release_payload(args, None, tree.to_dict())
-    payload["epsilon"] = args.epsilon
-    payload["policy"] = f"distance(theta={args.theta})|cardinality"
+    return {**tree.to_dict(), "epsilon": args.epsilon, "policy": policy.describe()}
+
+
+def _write_release(args, body: dict) -> int:
+    """Write the tool version, the flags and then ``body`` to ``--out``."""
+    flags = {k: v for k, v in sorted(vars(args).items()) if k not in ("func", "release") and v is not None}
+    payload = {"tool": f"blowfish {__version__}", "flags": flags, **body}
     _write_atomic(args.out, _format_payload(payload, args.format))
     return 0
 
@@ -219,10 +199,7 @@ def _cmd_kmeans(args) -> int:
     policy = ClusteringPolicy(bounds=bounds, kind=args.graph, theta=args.theta)
     cfg = KmeansConfig(k=args.k, iterations=args.iterations)
     result = kmeans_private(pts, cfg, policy, PrivacyParams(args.epsilon, args.seed))
-    payload = _release_payload(args, None, result.to_dict())
-    payload["mechanism"] = "private-kmeans"
-    _write_atomic(args.out, _format_payload(payload, args.format))
-    return 0
+    return _write_release(args, {**result.to_dict(), "mechanism": "private-kmeans"})
 
 
 def _cmd_experiment_run(args) -> int:
@@ -349,18 +326,18 @@ def build_parser() -> argparse.ArgumentParser:
     _common_release(p_hist, with_policy=True)
     p_hist.add_argument("--method", choices=["auto", "closed", "sparse", "specialized"], default="auto")
     p_hist.add_argument("--require-exact", action="store_true")
-    p_hist.set_defaults(func=_cmd_release_histogram)
+    p_hist.set_defaults(func=_cmd_release, release=_release_histogram)
 
     p_cdf = release_sub.add_parser("cdf", help="ordered-mechanism cumulative release")
     _common_release(p_cdf, with_policy=False)
     p_cdf.add_argument("--theta", type=int, default=1)
-    p_cdf.set_defaults(func=_cmd_release_cdf)
+    p_cdf.set_defaults(func=_cmd_release, release=_release_cdf)
 
     p_range = release_sub.add_parser("range", help="ordered-hierarchical tree release")
     _common_release(p_range, with_policy=False)
     p_range.add_argument("--theta", type=int, required=True)
     p_range.add_argument("--fanout", type=int, default=16)
-    p_range.set_defaults(func=_cmd_release_range)
+    p_range.set_defaults(func=_cmd_release, release=_release_range)
 
     p_km = sub.add_parser("kmeans", help="private k-means over numeric CSV data")
     p_km.add_argument("--data", required=True, help="headerless numeric CSV")

@@ -196,8 +196,10 @@ def load_domain(source: str | dict) -> DomainSpec:
         raise ValueError("domain needs at least one attribute")
     parsed = []
     for a in attrs:
-        if "name" not in a or "values" not in a:
+        if not isinstance(a, dict) or "name" not in a or "values" not in a:
             raise ValueError("each attribute needs 'name' and 'values'")
+        if not isinstance(a["values"], list):
+            raise ValueError(f"attribute {a['name']!r}: 'values' must be a list")
         parsed.append(
             Attribute(
                 name=str(a["name"]),
@@ -247,10 +249,13 @@ def ingest_dataset(text: str, domain: DomainSpec) -> Dataset:
                 continue
             if len(raw) != width:
                 raise ValueError(f"row {lineno}: expected {width} columns, got {len(raw)}") from None
-            for c, attr, _ in cells:
-                attr.index_of(raw[c].strip())
-            if has_id:
-                int(raw[id_col])
+            try:
+                for c, attr, _ in cells:
+                    attr.index_of(raw[c].strip())
+                if has_id:
+                    int(raw[id_col])
+            except ValueError as exc:
+                raise ValueError(f"row {lineno}: {exc}") from None
         raise
     return Dataset(domain=domain, ids=ids, ranks=ranks)
 

@@ -28,9 +28,6 @@ from .mechanisms import (
 from .policy import load_policy
 from .sensitivity import QUERY_KINDS, policy_sensitivity
 
-EXPERIMENTS = ("range-mse", "cdf-release", "kmeans-ratio", "sensitivity-table")
-
-
 @dataclass(frozen=True)
 class Workload:
     """Range queries (i, j), 1-based inclusive, drawn uniformly from the set
@@ -166,22 +163,6 @@ def _summary(values) -> tuple[float, float, float]:
     return float(arr.mean()), float(np.percentile(arr, 25)), float(np.percentile(arr, 75))
 
 
-def run_experiment(config: str | dict) -> ExperimentReport:
-    """Execute a registered experiment described by a config object."""
-    if isinstance(config, str):
-        config = json.loads(config)
-    name = config.get("experiment")
-    if name == "range-mse":
-        return _run_range_mse(config)
-    if name == "cdf-release":
-        return _run_cdf_release(config)
-    if name == "kmeans-ratio":
-        return _run_kmeans_ratio(config)
-    if name == "sensitivity-table":
-        return _run_sensitivity_table(config)
-    raise ValueError(f"unknown experiment {name!r}; known: {', '.join(EXPERIMENTS)}")
-
-
 def _range_truth(counts: np.ndarray, queries: np.ndarray) -> np.ndarray:
     """Exact count of each (i, j) row of ``queries``, from int64 prefixes."""
     prefix = np.concatenate([[0], np.cumsum(counts)])
@@ -201,62 +182,45 @@ def _config_histogram(config: dict, size: int, seed: int) -> np.ndarray:
     )
 
 
-def _run_range_mse(config: dict) -> ExperimentReport:
-    seed = int(config.get("seed", 0))
+def _sweep(name: str, seed: int, trials: int, cells, measure):
+    """Yield each cell with its ``trials`` values of ``measure(cell, ts)``;
+    trial t of the cell at index i is seeded by ``trial_seed(seed, name, i, t)``."""
+    for row, cell in enumerate(cells):
+        yield cell, [measure(cell, trial_seed(seed, name, row, t)) for t in range(trials)]
+
+
+def _run_range_mse(config: dict, seed: int) -> list[ReportRow]:
     size = int(config.get("domain_size", 400))
     trials = int(config.get("trials", 20))
     n_queries = int(config.get("queries", 2000))
     fanout = int(config.get("fanout", 16))
-    thetas = config.get("thetas", [1, "full"])
+    thetas = [size if t == "full" else int(t) for t in config.get("thetas", [1, "full"])]
     epsilons = [float(e) for e in config.get("epsilons", [0.5, 1.0])]
-    include_baseline = bool(config.get("baseline", True))
 
     counts = _config_histogram(config, size, seed)
-    workload = random_range_workload(size, n_queries, seed)
-    queries = np.asarray(workload.queries, dtype=np.int64).reshape(-1, 2)
+    queries = np.asarray(random_range_workload(size, n_queries, seed).queries, dtype=np.int64).reshape(-1, 2)
     truth = _range_truth(counts, queries)
 
     # (mechanism, policy, theta) per row group; the hierarchical baseline is
     # the theta = |T| tree, whose budget split puts all of epsilon on H nodes
-    specs = []
-    for theta_raw in thetas:
-        theta = size if theta_raw == "full" else int(theta_raw)
-        specs.append(("ordered-hierarchical", f"distance(theta={theta})", theta))
-    if include_baseline:
+    specs = [("ordered-hierarchical", f"distance(theta={theta})", theta) for theta in thetas]
+    if config.get("baseline", True):
         specs.append(("hierarchical", "full", size))
 
-    rows: list[ReportRow] = []
-    row_idx = 0
-    for mechanism, policy, theta in specs:
-        for eps in epsilons:
-            errors = []
-            for t in range(trials):
-                ts = trial_seed(seed, "range-mse", row_idx, t)
-                split = optimal_budget_split(size, theta, fanout, eps)
-                tree = build_oh_release(counts, theta, fanout, split.eps_s, split.eps_h, ts)
-                est = oh_range_answers(tree, queries)
-                errors.append(float(((est - truth) ** 2).mean()))
-            mean, q1, q3 = _summary(errors)
-            rows.append(
-                ReportRow(
-                    "range-mse",
-                    mechanism,
-                    policy,
-                    eps,
-                    theta,
-                    fanout,
-                    "range_mse",
-                    mean,
-                    q1,
-                    q3,
-                )
-            )
-            row_idx += 1
-    return ExperimentReport(seed=seed, rows=tuple(rows))
+    def measure(cell, ts):
+        _, _, theta, eps = cell
+        split = optimal_budget_split(size, theta, fanout, eps)
+        tree = build_oh_release(counts, theta, fanout, split.eps_s, split.eps_h, ts)
+        return float(((oh_range_answers(tree, queries) - truth) ** 2).mean())
+
+    cells = [spec + (eps,) for spec in specs for eps in epsilons]
+    return [
+        ReportRow("range-mse", mechanism, policy, eps, theta, fanout, "range_mse", *_summary(errors))
+        for (mechanism, policy, theta, eps), errors in _sweep("range-mse", seed, trials, cells, measure)
+    ]
 
 
-def _run_cdf_release(config: dict) -> ExperimentReport:
-    seed = int(config.get("seed", 0))
+def _run_cdf_release(config: dict, seed: int) -> list[ReportRow]:
     size = int(config.get("domain_size", 400))
     trials = int(config.get("trials", 20))
     thetas = [int(t) for t in config.get("thetas", [1])]
@@ -264,36 +228,20 @@ def _run_cdf_release(config: dict) -> ExperimentReport:
 
     counts = _config_histogram(config, size, seed)
     truth = np.cumsum(counts).astype(float)
-    rows: list[ReportRow] = []
-    row_idx = 0
-    for theta in thetas:
-        for eps in epsilons:
-            errors = []
-            for t in range(trials):
-                ts = trial_seed(seed, "cdf-release", row_idx, t)
-                released = ordered_mechanism(counts, theta, PrivacyParams(eps, ts))
-                errors.append(float(((released.inferred - truth) ** 2).sum()))
-            mean, q1, q3 = _summary(errors)
-            rows.append(
-                ReportRow(
-                    "cdf-release",
-                    "ordered",
-                    f"distance(theta={theta})",
-                    eps,
-                    theta,
-                    None,
-                    "cdf_mse",
-                    mean,
-                    q1,
-                    q3,
-                )
-            )
-            row_idx += 1
-    return ExperimentReport(seed=seed, rows=tuple(rows))
+
+    def measure(cell, ts):
+        theta, eps = cell
+        released = ordered_mechanism(counts, theta, PrivacyParams(eps, ts))
+        return float(((released.inferred - truth) ** 2).sum())
+
+    cells = [(theta, eps) for theta in thetas for eps in epsilons]
+    return [
+        ReportRow("cdf-release", "ordered", f"distance(theta={theta})", eps, theta, None, "cdf_mse", *_summary(errors))
+        for (theta, eps), errors in _sweep("cdf-release", seed, trials, cells, measure)
+    ]
 
 
-def _run_kmeans_ratio(config: dict) -> ExperimentReport:
-    seed = int(config.get("seed", 0))
+def _run_kmeans_ratio(config: dict, seed: int) -> list[ReportRow]:
     n = int(config.get("n", 1000))
     dims = int(config.get("dims", 4))
     k = int(config.get("k", 4))
@@ -305,62 +253,66 @@ def _run_kmeans_ratio(config: dict) -> ExperimentReport:
     bounds = tuple((0.0, 1.0) for _ in range(dims))
 
     cfg = KmeansConfig(k=k, iterations=iterations)
-    rows: list[ReportRow] = []
-    row_idx = 0
-    for pol_cfg in policies_cfg:
-        policy = ClusteringPolicy(
-            bounds=bounds,
-            kind=str(pol_cfg.get("kind", "full")),
-            theta=float(pol_cfg.get("theta", 0.0)),
-        )
-        for eps in epsilons:
-            ratios = []
-            for t in range(trials):
-                ts = trial_seed(seed, "kmeans-ratio", row_idx, t)
-                pts = synth_clusters(n, dims, k, sigma, ts)
-                base = kmeans_nonprivate(pts, cfg, seed=ts, bounds=bounds)
-                priv = kmeans_private(pts, cfg, policy, PrivacyParams(eps, ts))
-                ratios.append(priv.objective / base.objective)
-            mean, q1, q3 = _summary(ratios)
-            median = float(np.median(ratios))
-            theta_col = int(policy.theta) if policy.theta == int(policy.theta) else None
+    policies = [
+        ClusteringPolicy(bounds=bounds, kind=str(p.get("kind", "full")), theta=float(p.get("theta", 0.0)))
+        for p in policies_cfg
+    ]
+
+    def measure(cell, ts):
+        policy, eps = cell
+        pts = synth_clusters(n, dims, k, sigma, ts)
+        base = kmeans_nonprivate(pts, cfg, seed=ts, bounds=bounds)
+        return kmeans_private(pts, cfg, policy, PrivacyParams(eps, ts)).objective / base.objective
+
+    rows = []
+    cells = [(policy, eps) for policy in policies for eps in epsilons]
+    for (policy, eps), ratios in _sweep("kmeans-ratio", seed, trials, cells, measure):
+        mean, q1, q3 = _summary(ratios)
+        theta_col = int(policy.theta) if policy.theta == int(policy.theta) else None
+        for metric, value in (("objective_ratio", mean), ("objective_ratio_median", float(np.median(ratios)))):
             rows.append(
                 ReportRow(
-                    "kmeans-ratio", "private-kmeans", policy.describe(), eps,
-                    theta_col, None, "objective_ratio", mean, q1, q3,
+                    "kmeans-ratio", "private-kmeans", policy.describe(), eps, theta_col, None, metric, value, q1, q3
                 )
             )
-            rows.append(
-                ReportRow(
-                    "kmeans-ratio", "private-kmeans", policy.describe(), eps,
-                    theta_col, None, "objective_ratio_median", median, q1, q3,
-                )
-            )
-            row_idx += 1
-    return ExperimentReport(seed=seed, rows=tuple(rows))
+    return rows
 
 
-def _run_sensitivity_table(config: dict) -> ExperimentReport:
-    seed = int(config.get("seed", 0))
+def _run_sensitivity_table(config: dict, seed: int) -> list[ReportRow]:
     domain = load_domain(config["domain"])
     k = int(config.get("k", 2))
-    rows: list[ReportRow] = []
+    rows = []
     for entry in config.get("entries", ()):
         query = QUERY_KINDS[str(entry["query"])](k)
         policy = load_policy(entry["policy"], domain)
         res = policy_sensitivity(query, policy)
         rows.append(
             ReportRow(
-                "sensitivity-table",
-                res.method.value,
-                policy.describe(),
-                None,
-                None,
-                None,
-                f"sensitivity[{entry['query']},{res.exactness.value}]",
-                res.value,
-                res.value,
-                res.value,
+                "sensitivity-table", res.method.value, policy.describe(), None, None, None,
+                f"sensitivity[{entry['query']},{res.exactness.value}]", res.value, res.value, res.value,
             )
         )
-    return ExperimentReport(seed=seed, rows=tuple(rows))
+    return rows
+
+
+_RUNNERS = {
+    "range-mse": _run_range_mse,
+    "cdf-release": _run_cdf_release,
+    "kmeans-ratio": _run_kmeans_ratio,
+    "sensitivity-table": _run_sensitivity_table,
+}
+EXPERIMENTS = tuple(_RUNNERS)
+
+
+def run_experiment(config: str | dict) -> ExperimentReport:
+    """Execute a registered experiment described by a config object."""
+    if isinstance(config, str):
+        config = json.loads(config)
+    if not isinstance(config, dict):
+        raise ValueError("experiment config must be a JSON object")
+    name = config.get("experiment")
+    runner = _RUNNERS.get(name) if isinstance(name, str) else None
+    if runner is None:
+        raise ValueError(f"unknown experiment {name!r}; known: {', '.join(EXPERIMENTS)}")
+    seed = int(config.get("seed", 0))
+    return ExperimentReport(seed=seed, rows=tuple(runner(config, seed)))

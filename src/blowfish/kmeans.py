@@ -24,7 +24,7 @@ import numpy as np
 from .errors import InfiniteSensitivityError
 from .mechanisms import BudgetLedger, PrivacyParams, compose_budgets, stream_laplace
 from .policy import Policy
-from .sensitivity import ClusterSumQuery, closed_form_sensitivity
+from .sensitivity import ClusterSumQuery, _cluster_sum_sensitivity, _l1_reach, closed_form_sensitivity
 
 
 @dataclass(frozen=True)
@@ -66,17 +66,9 @@ class ClusteringPolicy:
         if self.kind == "distance" and self.theta < 0:
             raise ValueError("theta must be non-negative")
 
-    def diameter(self) -> float:
-        return sum(hi - lo for lo, hi in self.bounds)
-
     def qsum_sensitivity(self, k: int) -> float:
-        if self.kind == "full":
-            reach = self.diameter()
-        elif self.kind == "distance":
-            reach = min(self.theta, self.diameter())
-        else:
-            reach = max(hi - lo for lo, hi in self.bounds)
-        return reach if k == 1 else 2.0 * reach
+        spans = [hi - lo for lo, hi in self.bounds]
+        return _cluster_sum_sensitivity(k, _l1_reach(self.kind, spans, self.theta))
 
     def describe(self) -> str:
         if self.kind == "distance":

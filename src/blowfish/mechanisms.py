@@ -604,10 +604,17 @@ class BudgetLedger:
 
     @classmethod
     def from_dict(cls, data: dict) -> "BudgetLedger":
+        if not isinstance(data, dict):
+            raise ValueError("ledger must be a JSON object")
+        entries, groups = data.get("entries", []), data.get("certified_groups", [])
+        if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+            raise ValueError("ledger 'entries' must be a list of objects")
+        if not isinstance(groups, list):
+            raise ValueError("ledger 'certified_groups' must be a list")
         ledger = cls()
-        for e in data.get("entries", ()):
+        for e in entries:
             ledger.charge(str(e["label"]), float(e["epsilon"]), e.get("group"))
-        for g in data.get("certified_groups", ()):
+        for g in groups:
             ledger.certify_group(str(g))
         return ledger
 

@@ -454,6 +454,8 @@ def load_policy(source: str | dict, domain: DomainSpec) -> Policy:
     if not isinstance(source, dict) or "graph" not in source:
         raise ValueError("policy file needs a 'graph' object")
     gspec = source["graph"]
+    if not isinstance(gspec, dict):
+        raise ValueError("policy 'graph' must be an object")
     kind = str(gspec.get("kind", "")).lower()
     if kind == "full":
         graph = SecretGraph.full(domain)
@@ -464,9 +466,12 @@ def load_policy(source: str | dict, domain: DomainSpec) -> Policy:
             raise ValueError("distance graph needs 'theta'")
         graph = SecretGraph.distance(domain, int(gspec["theta"]))
     elif kind == "partition":
-        if "cells" not in gspec:
+        cells = gspec.get("cells")
+        if not isinstance(cells, list) or not all(
+            isinstance(group, list) and all(isinstance(r, int) for r in group) for group in cells
+        ):
             raise ValueError("partition graph needs 'cells' (lists of ranks)")
-        graph = SecretGraph.partition(domain, gspec["cells"])
+        graph = SecretGraph.partition(domain, cells)
     elif kind == "explicit":
         if "edges" not in gspec:
             raise ValueError("explicit graph needs 'edges'")
@@ -477,6 +482,8 @@ def load_policy(source: str | dict, domain: DomainSpec) -> Policy:
     cspec = source.get("constraints", {"kind": "none"})
     if isinstance(cspec, list):
         cspec = {"kind": "general", "queries": cspec}
+    if not isinstance(cspec, dict):
+        raise ValueError("policy 'constraints' must be an object or a list of queries")
     ckind = str(cspec.get("kind", "general")).lower()
     if ckind == "none":
         constraints = ConstraintSet.none()
@@ -484,8 +491,13 @@ def load_policy(source: str | dict, domain: DomainSpec) -> Policy:
         constraints = ConstraintSet.cardinality_only()
     elif ckind == "general":
         queries = []
-        for q in cspec.get("queries", ()):
-            where_raw = q.get("where", {})
+        queries_raw = cspec.get("queries", [])
+        if not isinstance(queries_raw, list):
+            raise ValueError("constraint 'queries' must be a list")
+        for q in queries_raw:
+            where_raw = q.get("where", {}) if isinstance(q, dict) else None
+            if not isinstance(where_raw, dict):
+                raise ValueError("each constraint query needs a 'where' object")
             labels: dict[str, list[str]] = {}
             ranges: dict[str, tuple[int, int]] = {}
             for attr, sel in where_raw.items():

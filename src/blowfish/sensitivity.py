@@ -185,17 +185,30 @@ def _max_edge_rank_gap(g: SecretGraph) -> int:
     return max(abs(a - b) for a, b in g.edge_list)
 
 
+def _l1_reach(kind: str, spans, theta=0):
+    """Largest L1 move of one changed tuple in a box with these per-attribute
+    spans under full, attribute or distance(theta) secrets."""
+    if kind == "full":
+        return sum(spans)
+    if kind == "attribute":
+        return max(spans)
+    return min(theta, sum(spans))
+
+
+def _cluster_sum_sensitivity(k: int, reach):
+    """Sensitivity of k per-cluster coordinate sums when one changed tuple
+    moves at most ``reach`` in L1: with k >= 2 it can also leave one cluster
+    for another, moving two sums."""
+    return reach if k == 1 else 2 * reach
+
+
 def _max_edge_l1(g: SecretGraph) -> int:
     """max L1 length of an edge of g; 0 if g has no edges."""
     domain = g.domain
+    if g.kind in (GraphKind.FULL, GraphKind.ATTRIBUTE, GraphKind.DISTANCE):
+        return _l1_reach(g.kind, [a.size - 1 for a in domain.attributes], g.theta)
     if not g.has_any_edge():
         return 0
-    if g.kind is GraphKind.FULL:
-        return domain.diameter()
-    if g.kind is GraphKind.ATTRIBUTE:
-        return max(a.size - 1 for a in domain.attributes)
-    if g.kind is GraphKind.DISTANCE:
-        return min(g.theta, domain.diameter())
     if g.kind is GraphKind.PARTITION:
         pairs = iter_graph_edges(g)
     else:
@@ -227,8 +240,7 @@ def closed_form_sensitivity(query: QueryKind, policy: Policy) -> SensitivityResu
     elif isinstance(query, ClusterSumQuery):
         if query.k < 1:
             raise ValueError("k must be >= 1")
-        length = _max_edge_l1(g)
-        value = float(length if query.k == 1 else 2 * length)
+        value = float(_cluster_sum_sensitivity(query.k, _max_edge_l1(g)))
     else:
         raise TypeError(f"unknown query kind {type(query).__name__}")
     return SensitivityResult(value=value, exactness=Exactness.EXACT, method=Method.CLOSED_FORM)

@@ -382,8 +382,11 @@ def ingest_by_index(text: str, domain: DomainSpec) -> tuple[list[int], list[int]
             try:
                 point.append(a.values.index(label))
             except ValueError:
-                raise ValueError(f"unknown value {label!r} for attribute {a.name!r}") from None
-        ids.append(int(raw[col["id"]]) if has_id else len(ids))
+                raise ValueError(f"row {lineno}: unknown value {label!r} for attribute {a.name!r}") from None
+        try:
+            ids.append(int(raw[col["id"]]) if has_id else len(ids))
+        except ValueError as exc:
+            raise ValueError(f"row {lineno}: {exc}") from None
         ranks.append(domain.rank(tuple(point)))
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate row ids")

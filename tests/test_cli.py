@@ -495,3 +495,37 @@ def test_csv_release_parses(command, tmp_path):
             assert json.loads(cell) == value, key
         else:
             assert cell == str(value), key
+
+
+# valid JSON of the wrong shape, one file at a time; each names its field
+MALFORMED_FILES = {
+    "ledger-list": ("ledger", [1]),
+    "ledger-entry-int": ("ledger", {"entries": [1]}),
+    "ledger-groups-int": ("ledger", {"certified_groups": 3}),
+    "policy-graph-int": ("policy", {"graph": 3}),
+    "policy-partition-label": ("policy", {"graph": {"kind": "partition", "cells": [[0, "a"]]}}),
+    "policy-constraints-str": ("policy", {"graph": {"kind": "full"}, "constraints": "x"}),
+    "policy-queries-int": ("policy", {"graph": {"kind": "full"}, "constraints": {"kind": "general", "queries": 3}}),
+    "policy-query-int": ("policy", {"graph": {"kind": "full"}, "constraints": [1]}),
+    "policy-where-list": ("policy", {"graph": {"kind": "full"}, "constraints": [{"where": ["A1"]}]}),
+    "domain-attribute-int": ("domain", {"attributes": [1]}),
+    "domain-values-int": ("domain", {"attributes": [{"name": "x", "values": 3}]}),
+    "experiment-list": ("experiment", [1]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_FILES))
+def test_malformed_file_fails_cleanly(case, tmp_path, capsys):
+    kind, content = MALFORMED_FILES[case]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(content))
+    argv = {
+        "ledger": ["budget", "total", "--ledger", str(bad)],
+        "policy": ["policy", "validate", "--domain", DOMAIN, "--policy", str(bad)],
+        "domain": ["policy", "validate", "--domain", str(bad), "--policy", POLICY_MARGINAL],
+        "experiment": ["experiment", "run", "--config", str(bad), "--out", str(tmp_path / "out.csv")],
+    }[kind]
+    assert cli_main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not (tmp_path / "out.csv").exists()

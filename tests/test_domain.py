@@ -213,38 +213,43 @@ def test_ingest_matches_index_oracle():
         text = _random_csv(rng, dom)
         expected = _ingest_outcome(ingest_by_index, text, dom)
         assert _ingest_outcome(_columnar, text, dom) == expected, text
-        outcomes.add(expected[1].split(":")[0].split(" ")[0] if expected[0] is ValueError else "ok")
+        if expected[0] is ValueError:
+            # the first word of the message after its "row N: " prefix
+            message = expected[1].split(": ", 1)[1] if expected[1].startswith("row ") else expected[1]
+            outcomes.add(message.split(" ")[0])
+        else:
+            outcomes.add("ok")
     # every fault and the clean path occur
-    assert {"ok", "unknown", "row", "duplicate", "invalid"} <= outcomes, outcomes
+    assert {"ok", "unknown", "expected", "duplicate", "invalid"} <= outcomes, outcomes
 
 
 TWO_FAULTS = {
     # the earlier row wins even when its fault sits in a later column
     "labels in row 5 col 1 and row 2 col 3": (
         "A1,A2,A3\na1,b1,c1\na1,b1,c9\na2,b2,c3\na1,b2,c2\nzz,b1,c1\n",
-        "unknown value 'c9' for attribute 'A3'",
+        "row 1: unknown value 'c9' for attribute 'A3'",
     ),
     "bad id before bad label": (
         "id,A1,A2,A3\n1,a1,b1,c1\n2x,a1,b1,c1\n3,a1,zz,c1\n",
-        "invalid literal for int() with base 10: '2x'",
+        "row 1: invalid literal for int() with base 10: '2x'",
     ),
     "bad label before bad id": (
         "id,A1,A2,A3\n1,a1,b1,c1\n2,a1,zz,c1\n3x,a1,b1,c1\n",
-        "unknown value 'zz' for attribute 'A2'",
+        "row 1: unknown value 'zz' for attribute 'A2'",
     ),
     # within one row labels are checked before the id
     "bad id and bad label in one row": (
         "id,A1,A2,A3\n1x,zz,b1,c1\n",
-        "unknown value 'zz' for attribute 'A1'",
+        "row 0: unknown value 'zz' for attribute 'A1'",
     ),
     # and in attribute order, not column order
     "two labels in one row": (
         "A3,A1,A2\nc1,a1,b1\nyy,a1,zz\n",
-        "unknown value 'zz' for attribute 'A2'",
+        "row 1: unknown value 'zz' for attribute 'A2'",
     ),
     "short row after unknown label": (
         "A1,A2,A3\na1,b1,c1\na1,b1,zz\n\na1,b1\n",
-        "unknown value 'zz' for attribute 'A3'",
+        "row 1: unknown value 'zz' for attribute 'A3'",
     ),
     "short row before unknown label": (
         "A1,A2,A3\na1,b1,c1\n\n \na1,b1\na1,b1,zz\n",
@@ -312,3 +317,18 @@ def test_l1_distance_is_a_metric():
         assert (l1_distance(x, y) == 0) == (x == y)
         assert l1_distance(x, y) == l1_distance(y, x)
         assert l1_distance(x, z) <= l1_distance(x, y) + l1_distance(y, z)
+
+
+def test_ingest_error_names_deep_row():
+    dom = load_domain(ABC_SPEC)
+    rows = [f"{i},a{1 + i % 2},b{1 + i % 3 % 2},c{1 + i % 3}" for i in range(20_000)]
+    rows[17_345] = "17345,a1,b2,c9"
+    text = "id,A1,A2,A3\n" + "\n".join(rows) + "\n"
+    message = "row 17345: unknown value 'c9' for attribute 'A3'"
+    with pytest.raises(ValueError) as exc:
+        ingest_dataset(text, dom)
+    assert str(exc.value) == message
+    assert _ingest_outcome(ingest_by_index, text, dom) == (ValueError, message)
+    rows[17_345] = "17345x,a1,b2,c1"
+    with pytest.raises(ValueError, match=r"^row 17345: invalid literal for int\(\) with base 10: '17345x'$"):
+        ingest_dataset("id,A1,A2,A3\n" + "\n".join(rows) + "\n", dom)

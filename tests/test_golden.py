@@ -143,6 +143,28 @@ CASES = {
          "--seed", "13", "--graph", "distance", "--theta", "0.3", "--out", "out.json"],
         "0aa904e74230ff57814c5d8caaa703936b2ae04b3b6b8182a97f3b5400785a16",
     ),
+    # --format csv writes one row per payload key in insertion order, so these
+    # pin the key order that the json pins cannot see
+    "release-histogram-csv": (
+        ["release", "histogram", "--domain", "domain_abc.json", "--policy", "policy_marginal.json",
+         "--data", "rows_abc.csv", "--epsilon", "1.0", "--seed", "3", "--format", "csv", "--out", "out.csv"],
+        "24b5944c6e7d3169d7dfabb3b65254cd2ed2b02f1f109384fe8500a2bb3905a1",
+    ),
+    "release-cdf-csv": (
+        ["release", "cdf", "--domain", "domain_abc.json", "--data", "rows_abc.csv",
+         "--theta", "2", "--epsilon", "0.5", "--seed", "7", "--format", "csv", "--out", "out.csv"],
+        "8bc5c898e1668c1a9157840fed4dab34670f1b5b8913a044602791440c78178b",
+    ),
+    "release-range-csv": (
+        ["release", "range", "--domain", "domain_abc.json", "--data", "rows_abc.csv",
+         "--theta", "4", "--fanout", "2", "--epsilon", "0.5", "--seed", "11", "--format", "csv", "--out", "out.csv"],
+        "f7a9f54e39cef6cd7400024b247c23e374ebcc7f0e6ef2efe2d0e214a23f6a14",
+    ),
+    "kmeans-csv": (
+        ["kmeans", "--data", "points.csv", "--k", "3", "--iterations", "4", "--epsilon", "2.0",
+         "--seed", "13", "--graph", "distance", "--theta", "0.3", "--format", "csv", "--out", "out.csv"],
+        "f02c44f63d96c4031de10eeb0072cd0ea2def32be6e65bbff5ac909eea182bb7",
+    ),
 }
 
 

@@ -59,21 +59,16 @@ from .policy import (
     ConstraintSet,
     CountQuery,
     GraphKind,
-    NeighborPair,
     Policy,
     SecretGraph,
     check_parallel_decomposition,
     enumerate_databases,
-    enumerate_neighbors,
-    graph_distance,
-    is_edge,
     load_policy,
 )
 from .sensitivity import (
     ClusterSizeQuery,
     ClusterSumQuery,
     CumulativeQuery,
-    Effect,
     Exactness,
     HistogramQuery,
     LinearSumQuery,
@@ -86,7 +81,6 @@ from .sensitivity import (
     build_policy_graph,
     closed_form_sensitivity,
     is_sparse,
-    lifts_lowers,
     policy_sensitivity,
     sparse_constraint_sensitivity,
     specialized_constraint_sensitivity,

@@ -78,12 +78,12 @@ def _resolve_sensitivity(query, policy: Policy, args) -> SensitivityResult:
         res = policy_sensitivity(query, policy)
     elif method == "closed":
         res = closed_form_sensitivity(query, policy)
-    elif method == "sparse":
+    elif method in ("sparse", "specialized"):
+        # both engines bound the complete histogram only
         if not isinstance(query, HistogramQuery):
             raise ValueError("constrained sensitivity supports the histogram query only")
-        res = sparse_constraint_sensitivity(policy)
-    elif method == "specialized":
-        res = specialized_constraint_sensitivity(policy)
+        engine = sparse_constraint_sensitivity if method == "sparse" else specialized_constraint_sensitivity
+        res = engine(policy)
     elif method == "oracle":
         res = brute_force_sensitivity(query, policy, n=args.n)
     else:

@@ -169,9 +169,27 @@ def _range_truth(counts: np.ndarray, queries: np.ndarray) -> np.ndarray:
     return (prefix[queries[:, 1]] - prefix[queries[:, 0] - 1]).astype(float)
 
 
+def _at_least_one(config: dict, key: str, default: int) -> int:
+    """The integer ``config[key]``, which must be at least 1."""
+    value = int(config.get(key, default))
+    if value < 1:
+        raise ValueError(f"experiment {key!r} must be at least 1, got {value}")
+    return value
+
+
+def _objects(config: dict, key: str, default) -> list:
+    """``config[key]``, which must be a list of objects."""
+    value = config.get(key, default)
+    if not isinstance(value, list) or not all(isinstance(v, dict) for v in value):
+        raise ValueError(f"experiment {key!r} must be a list of objects")
+    return value
+
+
 def _config_histogram(config: dict, size: int, seed: int) -> np.ndarray:
     """The synthetic histogram described by a config's ``data`` object."""
-    data_cfg = dict(config.get("data", {"kind": "zipf", "n": 10_000}))
+    data_cfg = config.get("data", {"kind": "zipf", "n": 10_000})
+    if not isinstance(data_cfg, dict):
+        raise ValueError("experiment 'data' must be an object")
     return synth_histogram(
         kind=data_cfg.get("kind", "zipf"),
         size=size,
@@ -191,8 +209,8 @@ def _sweep(name: str, seed: int, trials: int, cells, measure):
 
 def _run_range_mse(config: dict, seed: int) -> list[ReportRow]:
     size = int(config.get("domain_size", 400))
-    trials = int(config.get("trials", 20))
-    n_queries = int(config.get("queries", 2000))
+    trials = _at_least_one(config, "trials", 20)
+    n_queries = _at_least_one(config, "queries", 2000)
     fanout = int(config.get("fanout", 16))
     thetas = [size if t == "full" else int(t) for t in config.get("thetas", [1, "full"])]
     epsilons = [float(e) for e in config.get("epsilons", [0.5, 1.0])]
@@ -222,7 +240,7 @@ def _run_range_mse(config: dict, seed: int) -> list[ReportRow]:
 
 def _run_cdf_release(config: dict, seed: int) -> list[ReportRow]:
     size = int(config.get("domain_size", 400))
-    trials = int(config.get("trials", 20))
+    trials = _at_least_one(config, "trials", 20)
     thetas = [int(t) for t in config.get("thetas", [1])]
     epsilons = [float(e) for e in config.get("epsilons", [0.5, 1.0])]
 
@@ -246,10 +264,10 @@ def _run_kmeans_ratio(config: dict, seed: int) -> list[ReportRow]:
     dims = int(config.get("dims", 4))
     k = int(config.get("k", 4))
     sigma = float(config.get("sigma", 0.2))
-    trials = int(config.get("trials", 50))
+    trials = _at_least_one(config, "trials", 50)
     iterations = int(config.get("iterations", 10))
     epsilons = [float(e) for e in config.get("epsilons", [0.2])]
-    policies_cfg = config.get("policies", [{"kind": "full"}, {"kind": "distance", "theta": 0.25}])
+    policies_cfg = _objects(config, "policies", [{"kind": "full"}, {"kind": "distance", "theta": 0.25}])
     bounds = tuple((0.0, 1.0) for _ in range(dims))
 
     cfg = KmeansConfig(k=k, iterations=iterations)
@@ -282,7 +300,7 @@ def _run_sensitivity_table(config: dict, seed: int) -> list[ReportRow]:
     domain = load_domain(config["domain"])
     k = int(config.get("k", 2))
     rows = []
-    for entry in config.get("entries", ()):
+    for entry in _objects(config, "entries", []):
         query = QUERY_KINDS[str(entry["query"])](k)
         policy = load_policy(entry["policy"], domain)
         res = policy_sensitivity(query, policy)

@@ -613,7 +613,12 @@ class BudgetLedger:
             raise ValueError("ledger 'certified_groups' must be a list")
         ledger = cls()
         for e in entries:
-            ledger.charge(str(e["label"]), float(e["epsilon"]), e.get("group"))
+            label = str(e["label"])
+            try:
+                epsilon = float(e["epsilon"])
+            except TypeError:
+                raise ValueError("ledger entry 'epsilon' must be a number") from None
+            ledger.charge(label, epsilon, e.get("group"))
         for g in groups:
             ledger.certify_group(str(g))
         return ledger

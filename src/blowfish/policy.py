@@ -5,26 +5,26 @@ A policy bundles a domain, a discriminative secret graph over that domain,
 and a set of count-query constraints.  The secret graph's edges are the value
 pairs an adversary must not be able to tell apart for any individual.  The
 constraints restrict which databases are considered possible; neighbors are
-constraint-satisfying database pairs that are minimally different, first in
-the set of realized secret pairs and then in raw tuple changes.
+constraint-satisfying database pairs that differ only along secret-graph
+edges and are minimal in their realized secret pairs: no proper non-empty
+part of the changes gives a satisfying database.
 
-Neighbor enumeration is exact and therefore confined to tiny instances by a
-fixed budget (``DEFAULT_ENUM_BUDGET`` databases); it is the ground truth the
-sensitivity engines are checked against.
+Neighbor enumeration is exact, a rank-array search over every database of n
+tuples, and therefore confined to tiny instances by a fixed budget
+(``DEFAULT_ENUM_BUDGET`` databases); it is the ground truth the sensitivity
+engines are checked against.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-import math
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .domain import DomainSpec, Point, l1_distance
+from .domain import DomainSpec, Point
 from .errors import BudgetExceededError, InfeasibleConstraintsError
 
 DEFAULT_ENUM_BUDGET = 100_000
@@ -127,65 +127,6 @@ class SecretGraph:
         mat = np.zeros((size, size), dtype=bool)
         mat[tuple(iter_graph_edges(self).T)] = True
         return mat
-
-
-def is_edge(g: SecretGraph, x: Point, y: Point) -> bool:
-    """Whether (x, y) is a discriminative secret pair.  False for x == y."""
-    if x == y:
-        return False
-    g.domain.validate_point(x)
-    g.domain.validate_point(y)
-    if g.kind is GraphKind.FULL:
-        return True
-    if g.kind is GraphKind.ATTRIBUTE:
-        return sum(1 for a, b in zip(x, y) if a != b) == 1
-    if g.kind is GraphKind.PARTITION:
-        return g.cells[g.domain.rank(x)] == g.cells[g.domain.rank(y)]
-    if g.kind is GraphKind.DISTANCE:
-        return l1_distance(x, y) <= g.theta
-    rx, ry = g.domain.rank(x), g.domain.rank(y)
-    return (min(rx, ry), max(rx, ry)) in g.edge_list
-
-
-def graph_distance(g: SecretGraph, x: Point, y: Point) -> float:
-    """Shortest-path edge count between x and y; 0 iff x == y, inf if disconnected.
-
-    Closed forms cover the implicit graph kinds; explicit graphs fall back
-    to breadth-first search over ranks.
-    """
-    if x == y:
-        g.domain.validate_point(x)
-        return 0
-    if g.kind is GraphKind.FULL:
-        return 1
-    if g.kind is GraphKind.ATTRIBUTE:
-        return sum(1 for a, b in zip(x, y) if a != b)
-    if g.kind is GraphKind.PARTITION:
-        return 1 if is_edge(g, x, y) else math.inf
-    if g.kind is GraphKind.DISTANCE:
-        if g.theta < 1:
-            return math.inf
-        # coordinates move independently, so theta L1 steps per hop are free
-        return math.ceil(l1_distance(x, y) / g.theta)
-    return _bfs_distance(g, g.domain.rank(x), g.domain.rank(y))
-
-
-def _bfs_distance(g: SecretGraph, src: int, dst: int) -> float:
-    adj: dict[int, list[int]] = {}
-    for a, b in g.edge_list:
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
-    seen = {src: 0}
-    queue = deque([src])
-    while queue:
-        u = queue.popleft()
-        if u == dst:
-            return seen[u]
-        for v in adj.get(u, ()):
-            if v not in seen:
-                seen[v] = seen[u] + 1
-                queue.append(v)
-    return math.inf
 
 
 def iter_graph_edges(g: SecretGraph) -> np.ndarray:
@@ -444,6 +385,15 @@ class Policy:
         return f"{gdesc}|{cdesc}"
 
 
+def _integer(value, field: str) -> int:
+    """``int(value)`` for a JSON scalar; a list or an object is an error
+    naming the field."""
+    try:
+        return int(value)
+    except TypeError:
+        raise ValueError(f"{field} must be an integer") from None
+
+
 def load_policy(source: str | dict, domain: DomainSpec) -> Policy:
     """Parse a policy file: ``{"graph": {...}, "constraints": {...}}``."""
     if isinstance(source, str):
@@ -464,7 +414,7 @@ def load_policy(source: str | dict, domain: DomainSpec) -> Policy:
     elif kind == "distance":
         if "theta" not in gspec:
             raise ValueError("distance graph needs 'theta'")
-        graph = SecretGraph.distance(domain, int(gspec["theta"]))
+        graph = SecretGraph.distance(domain, _integer(gspec["theta"], "distance graph 'theta'"))
     elif kind == "partition":
         cells = gspec.get("cells")
         if not isinstance(cells, list) or not all(
@@ -473,9 +423,12 @@ def load_policy(source: str | dict, domain: DomainSpec) -> Policy:
             raise ValueError("partition graph needs 'cells' (lists of ranks)")
         graph = SecretGraph.partition(domain, cells)
     elif kind == "explicit":
-        if "edges" not in gspec:
-            raise ValueError("explicit graph needs 'edges'")
-        graph = SecretGraph.explicit(domain, [tuple(e) for e in gspec["edges"]])
+        edges = gspec.get("edges")
+        if not isinstance(edges, list) or not all(
+            isinstance(e, list) and len(e) == 2 and all(isinstance(r, int) for r in e) for e in edges
+        ):
+            raise ValueError("explicit graph needs 'edges' (pairs of ranks)")
+        graph = SecretGraph.explicit(domain, edges)
     else:
         raise ValueError(f"unknown graph kind {gspec.get('kind')!r}")
 
@@ -501,15 +454,17 @@ def load_policy(source: str | dict, domain: DomainSpec) -> Policy:
             labels: dict[str, list[str]] = {}
             ranges: dict[str, tuple[int, int]] = {}
             for attr, sel in where_raw.items():
-                if isinstance(sel, dict) and "range" in sel:
+                if isinstance(sel, list):
+                    labels[attr] = sel
+                elif isinstance(sel, dict) and isinstance(sel.get("range"), list) and len(sel["range"]) == 2:
                     lo, hi = sel["range"]
-                    ranges[attr] = (int(lo), int(hi))
+                    ranges[attr] = (_integer(lo, f"range of {attr!r}"), _integer(hi, f"range of {attr!r}"))
                 else:
-                    labels[attr] = list(sel)
+                    raise ValueError(f"selection of {attr!r} must be a list of labels or {{\"range\": [lo, hi]}}")
             if ranges and labels:
                 raise ValueError("mix of label and range selections in one query")
             answer = q.get("answer")
-            answer = None if answer is None else int(answer)
+            answer = None if answer is None else _integer(answer, "constraint 'answer'")
             if ranges:
                 queries.append(CountQuery.rectangle(domain, ranges, answer))
             else:
@@ -521,21 +476,6 @@ def load_policy(source: str | dict, domain: DomainSpec) -> Policy:
 
 
 # -- neighbor enumeration ----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class NeighborPair:
-    """An ordered neighbor pair of databases, stored as per-id value ranks.
-
-    ``t_set`` holds the realized discriminative secret pairs as
-    (id, x_rank, y_rank) triples; ``delta`` is the size of the symmetric
-    difference of the two databases as sets of (id, value) tuples.
-    """
-
-    d1: tuple[int, ...]
-    d2: tuple[int, ...]
-    t_set: frozenset[tuple[int, int, int]]
-    delta: int
 
 
 def enumerate_databases(policy: Policy, n: int) -> list[tuple[int, ...]]:
@@ -554,95 +494,51 @@ def enumerate_databases(policy: Policy, n: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _mask_candidates(dbs, d1, n, size, edge):
-    """(t_mask, delta_mask, db) for every database differing from d1.
-
-    Masks are ints with bit (i*size + value) set per changed tuple; the t
-    mask keeps only changes along secret-graph edges.
-    """
-    out = []
-    for db in dbs:
-        t = 0
-        d = 0
-        for i in range(n):
-            v1 = d1[i]
-            v2 = db[i]
-            if v1 != v2:
-                b = 1 << (i * size + v2)
-                d |= b
-                if edge[v1][v2]:
-                    t |= b
-        if d:
-            out.append((t, d, db))
-    return out
-
-
-def _neighbors_of(cands):
-    """Filter mask candidates down to the minimally-different ones.
-
-    Only databases whose every difference realizes a discriminative pair are
-    comparable (t mask == delta mask): changes the policy does not protect
-    cannot create or break neighbor pairs.  A candidate is then discarded
-    when some comparable database realizes a non-empty proper subset of its
-    secret pairs, or the same secret pairs with strictly fewer raw changes.
-    Candidates are scanned in (|t|, |delta|) order so the running antichain
-    of survivors is a complete set of potential dominators.
-    """
-    cands = [c for c in cands if c[0] != 0 and c[0] == c[1]]
-    cands.sort(key=lambda c: (c[0].bit_count(), c[1].bit_count()))
-    antichain: list[tuple[int, int]] = []
-    survivors = []
-    for t2, d2, db2 in cands:
-        dominated = False
-        for t3, d3 in antichain:
-            if t3 & ~t2 == 0:
-                if t3 != t2:
-                    dominated = True
-                    break
-                if d3 & ~d2 == 0 and d3 != d2:
-                    dominated = True
-                    break
-        if not dominated:
-            antichain.append((t2, d2))
-            survivors.append((t2, d2, db2))
-    return survivors
-
-
-def enumerate_neighbors(policy: Policy, n: int) -> list[NeighborPair]:
-    """All ordered neighbor pairs under the policy, at tiny scale.
-
-    A neighbor pair satisfies every recorded constraint answer on both
-    sides, differs only along secret-graph edges (each difference is a
-    realized discriminative pair), and is minimal: no constraint-satisfying
-    database realizes a non-empty proper subset of its secret pairs, nor the
-    same pairs with a strictly smaller symmetric difference.  With no
-    constraints this is exactly the set of pairs differing in one tuple
-    along a secret-graph edge.
-    """
-    pairs: list[NeighborPair] = []
-    for d1, neighbors in neighbor_databases(policy, n):
-        for d2 in neighbors:
-            # every change of a neighbor runs along a secret-graph edge
-            changes = frozenset((i, a, b) for i, (a, b) in enumerate(zip(d1, d2)) if a != b)
-            pairs.append(NeighborPair(d1=d1, d2=d2, t_set=changes, delta=2 * len(changes)))
-    return pairs
-
-
 def neighbor_databases(policy: Policy, n: int, d1_filter=None):
     """Yield (d1, [d2 databases that are neighbors of d1]) lazily per d1.
 
-    The d1 side can be restricted (e.g. to canonical representatives under
-    id permutation) with ``d1_filter``.
+    d2 is a neighbor of d1 when it satisfies the constraints, differs from
+    d1, changes tuples only along secret-graph edges, and no proper non-empty
+    part of its changes, applied to d1 alone, gives a satisfying database.
+    Both sides come in ``enumerate_databases`` order.  The d1 side can be
+    restricted (e.g. to canonical representatives under id permutation) with
+    ``d1_filter``.
+
+    Minimality in the realized secret pairs alone is the whole rule: every
+    change of a candidate realizes a secret pair, so two candidates with the
+    same pairs are the same database and "same pairs, fewer raw changes"
+    never separates them.  Over the ``|T|^n`` table of databases, with
+    ``reach(x)`` = x satisfies or is dominated (and d1 itself unreachable),
+    x is dominated when setting one of its changed tuples back to d1 gives a
+    reachable database; both are filled in order of the number of changes,
+    O(n * |T|^n) per d1.
     """
-    domain = policy.domain
-    size = domain.size
+    size = policy.domain.size
     dbs = enumerate_databases(policy, n)
-    edge = [row.tolist() for row in policy.graph.edge_matrix()]
+    total = size**n
+    # row i holds tuple i of every database, in enumerate_databases order
+    table = np.indices((size,) * n).reshape(n, total)
+    place = size ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    satisfies = np.zeros(total, dtype=bool)
+    satisfies[np.array(dbs, dtype=np.int64).reshape(len(dbs), n) @ place] = True
+    edge = policy.graph.edge_matrix()
     for d1 in dbs:
         if d1_filter is not None and not d1_filter(d1):
             continue
-        cands = _mask_candidates(dbs, d1, n, size, edge)
-        yield d1, [db2 for _, _, db2 in _neighbors_of(cands)]
+        base = np.array(d1, dtype=np.int64).reshape(n, 1)
+        changed = table != base
+        n_changed = changed.sum(axis=0)
+        along_edges = (edge[base, table] | ~changed).all(axis=0)
+        # entry (i, x): the database x with tuple i set back to d1's value
+        back = np.arange(total) - (table - base) * place[:, None]
+        reach = np.zeros(total, dtype=bool)
+        dominated = np.zeros(total, dtype=bool)
+        for k in range(1, n + 1):
+            at = np.flatnonzero(along_edges & (n_changed == k))
+            dominated[at] = (changed[:, at] & reach[back[:, at]]).any(axis=0)
+            reach[at] = satisfies[at] | dominated[at]
+        hits = np.flatnonzero(satisfies & along_edges & ~dominated & (n_changed > 0))
+        yield d1, [tuple(db) for db in table[:, hits].T.tolist()]
 
 
 # -- parallel decomposition --------------------------------------------------

@@ -26,7 +26,7 @@ from enum import Enum
 
 import numpy as np
 
-from .domain import DomainSpec, Point, l1_distance
+from .domain import DomainSpec, l1_distance
 from .errors import (
     BudgetExceededError,
     NonSparseConstraintsError,
@@ -247,23 +247,6 @@ def closed_form_sensitivity(query: QueryKind, policy: Policy) -> SensitivityResu
 
 
 # -- sparse constraint engine --------------------------------------------------
-
-
-class Effect(str, Enum):
-    LIFTS = "Lifts"
-    LOWERS = "Lowers"
-    NEITHER = "Neither"
-
-
-def lifts_lowers(pair: tuple[Point, Point], q: CountQuery) -> Effect:
-    """Effect of changing a tuple from pair[0] to pair[1] on the count query."""
-    x, y = pair
-    mx, my = q.matches(x), q.matches(y)
-    if not mx and my:
-        return Effect.LIFTS
-    if mx and not my:
-        return Effect.LOWERS
-    return Effect.NEITHER
 
 
 @dataclass(frozen=True)

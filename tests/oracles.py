@@ -11,26 +11,61 @@ from __future__ import annotations
 import csv
 import io
 import itertools
-from collections import deque
+from enum import Enum
+from functools import cache
 
 import numpy as np
 
 from blowfish import (
     CountQuery,
     DomainSpec,
-    Effect,
     NonSparseConstraintsError,
     Policy,
     SecretGraph,
     Workload,
-    is_edge,
-    lifts_lowers,
+    l1_distance,
 )
 from blowfish.experiments import _tag
 from blowfish.kmeans import ClusteringResult, KmeansConfig, _init_centroids, _resolve_policy
 from blowfish.mechanisms import BudgetLedger, PrivacyParams, stream_laplace
-from blowfish.policy import iter_graph_edges
+from blowfish.policy import GraphKind, iter_graph_edges
 from blowfish.sensitivity import PolicyGraph
+
+
+def is_edge(g: SecretGraph, x, y) -> bool:
+    """Whether (x, y) is a discriminative secret pair, from the points'
+    coordinates.  False for x == y."""
+    if x == y:
+        return False
+    g.domain.validate_point(x)
+    g.domain.validate_point(y)
+    if g.kind is GraphKind.FULL:
+        return True
+    if g.kind is GraphKind.ATTRIBUTE:
+        return sum(1 for a, b in zip(x, y) if a != b) == 1
+    if g.kind is GraphKind.PARTITION:
+        return g.cells[g.domain.rank(x)] == g.cells[g.domain.rank(y)]
+    if g.kind is GraphKind.DISTANCE:
+        return l1_distance(x, y) <= g.theta
+    rx, ry = g.domain.rank(x), g.domain.rank(y)
+    return (min(rx, ry), max(rx, ry)) in g.edge_list
+
+
+class Effect(str, Enum):
+    LIFTS = "Lifts"
+    LOWERS = "Lowers"
+    NEITHER = "Neither"
+
+
+def lifts_lowers(pair, q: CountQuery) -> Effect:
+    """Effect of changing a tuple from pair[0] to pair[1] on the count query."""
+    x, y = pair
+    mx, my = q.matches(x), q.matches(y)
+    if not mx and my:
+        return Effect.LIFTS
+    if mx and not my:
+        return Effect.LOWERS
+    return Effect.NEITHER
 
 
 def isotonic_by_enumeration(y) -> np.ndarray:
@@ -85,6 +120,7 @@ def is_neighbor_by_definition(policy: Policy, d1, d2, dbs=None) -> bool:
     if tuple(d1) not in dbs or tuple(d2) not in dbs:
         return False
 
+    @cache
     def edge(a, b):
         return is_edge(policy.graph, points[a], points[b])
 
@@ -125,22 +161,6 @@ def neighbors_by_definition(policy: Policy, n: int) -> set[tuple[tuple[int, ...]
             if d1 != d2 and is_neighbor_by_definition(policy, d1, d2, dbs):
                 out.add((d1, d2))
     return out
-
-
-def bfs_graph_distance(edge_matrix, src: int, dst: int) -> float:
-    if src == dst:
-        return 0
-    seen = {src: 0}
-    queue = deque([src])
-    while queue:
-        u = queue.popleft()
-        for v in range(len(edge_matrix)):
-            if edge_matrix[u][v] and v not in seen:
-                seen[v] = seen[u] + 1
-                if v == dst:
-                    return seen[v]
-                queue.append(v)
-    return float("inf")
 
 
 def alpha_xi_by_backtracking(pg: PolicyGraph) -> tuple[int, int]:

@@ -75,6 +75,28 @@ def test_sensitivity_specialized_method(capsys):
     assert capsys.readouterr().out.strip() == "8 Exact Specialized"
 
 
+@pytest.mark.parametrize("method", ["sparse", "specialized"])
+@pytest.mark.parametrize("query", ["cumulative", "cluster-size", "cluster-sum"])
+def test_constrained_engines_refuse_other_queries(method, query, capsys):
+    # both engines bound the complete histogram; the oracle gives 28 for
+    # cluster-sum at n = 4, so printing the histogram's 8 would understate it
+    argv = ["sensitivity", "--query", query, "--domain", DOMAIN, "--policy", POLICY_MARGINAL, "--method", method]
+    assert cli_main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.out == ""
+
+
+def test_oracle_at_zero_tuples(capsys):
+    # the empty database is the only one, and it has no neighbor
+    argv = ["sensitivity", "--domain", DOMAIN, "--policy", str(DATA / "policy_distance.json"), "--method", "oracle"]
+    assert cli_main([*argv, "--n", "0"]) == 0
+    assert capsys.readouterr().out == "0 Exact BruteForce\n"
+    # the marginal policy's answers are not zero, so no empty database meets them
+    argv[argv.index("--policy") + 1] = POLICY_MARGINAL
+    assert cli_main([*argv, "--n", "0"]) == 1
+    assert capsys.readouterr().err == "error: constraint answers admit no database\n"
+
+
 def test_release_cdf_deterministic(tmp_path):
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
     args = [
@@ -498,6 +520,8 @@ def test_csv_release_parses(command, tmp_path):
 
 
 # valid JSON of the wrong shape, one file at a time; each names its field
+DOMAIN_SPEC = json.loads(Path(DOMAIN).read_text())
+
 MALFORMED_FILES = {
     "ledger-list": ("ledger", [1]),
     "ledger-entry-int": ("ledger", {"entries": [1]}),
@@ -511,6 +535,19 @@ MALFORMED_FILES = {
     "domain-attribute-int": ("domain", {"attributes": [1]}),
     "domain-values-int": ("domain", {"attributes": [{"name": "x", "values": 3}]}),
     "experiment-list": ("experiment", [1]),
+    "policy-selection-str": ("policy", {"graph": {"kind": "full"}, "constraints": [{"where": {"A1": "a1"}, "answer": 1}]}),
+    "policy-selection-int": ("policy", {"graph": {"kind": "full"}, "constraints": [{"where": {"A1": 3}, "answer": 1}]}),
+    "policy-range-int": ("policy", {"graph": {"kind": "full"}, "constraints": [{"where": {"A1": {"range": 3}}}]}),
+    "policy-answer-list": ("policy", {"graph": {"kind": "full"}, "constraints": [{"where": {"A1": ["a1"]}, "answer": [1]}]}),
+    "policy-edges-int": ("policy", {"graph": {"kind": "explicit", "edges": [1]}}),
+    "policy-theta-list": ("policy", {"graph": {"kind": "distance", "theta": [1]}}),
+    "ledger-epsilon-list": ("ledger", {"entries": [{"label": "a", "epsilon": [1]}]}),
+    "experiment-policies-int": ("experiment", {"experiment": "kmeans-ratio", "policies": [1]}),
+    "experiment-data-int": ("experiment", {"experiment": "cdf-release", "data": 3}),
+    "experiment-entries-int": ("experiment", {"experiment": "sensitivity-table", "domain": DOMAIN_SPEC, "entries": [1]}),
+    "experiment-trials-zero": ("experiment", {"experiment": "cdf-release", "trials": 0}),
+    "experiment-trials-negative": ("experiment", {"experiment": "range-mse", "trials": -1}),
+    "experiment-queries-zero": ("experiment", {"experiment": "range-mse", "queries": 0}),
 }
 
 

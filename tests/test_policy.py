@@ -1,5 +1,4 @@
 import itertools
-import math
 
 import numpy as np
 import pytest
@@ -14,17 +13,14 @@ from blowfish import (
     build_policy_graph,
     check_parallel_decomposition,
     enumerate_databases,
-    enumerate_neighbors,
-    graph_distance,
-    is_edge,
     load_domain,
     load_policy,
 )
 
-from blowfish.policy import iter_graph_edges
+from blowfish.policy import iter_graph_edges, neighbor_databases
 from oracles import (
-    bfs_graph_distance,
     critical_pairs_by_loop,
+    is_edge,
     neighbors_by_definition,
     parallel_decomposition_by_loop,
     random_rectangle,
@@ -32,8 +28,6 @@ from oracles import (
 )
 
 GRAPH_KINDS = ("full", "attribute", "partition", "distance", "explicit")
-
-INF = math.inf
 
 
 def line_domain(size, name="x"):
@@ -45,7 +39,7 @@ def grid_domain(*sizes):
     return load_domain({"attributes": attrs})
 
 
-# -- edges and distances ------------------------------------------------------
+# -- edges ------------------------------------------------------------------
 
 
 def test_is_edge_examples():
@@ -80,45 +74,6 @@ def test_is_edge_symmetric_and_irreflexive():
             y = dom.unrank(int(rng.integers(dom.size)))
             assert is_edge(g, x, y) == is_edge(g, y, x)
             assert not is_edge(g, x, x)
-
-
-def test_graph_distance_examples():
-    line = line_domain(5)
-    g = SecretGraph.distance(line, 1)
-    assert graph_distance(g, (0,), (4,)) == 4
-
-    dom = grid_domain(2, 2)
-    part = SecretGraph.partition(dom, [[0, 1], [2, 3]])
-    assert graph_distance(part, (0, 0), (1, 0)) == INF
-    assert graph_distance(part, (0, 0), (0, 1)) == 1
-
-    full = SecretGraph.full(dom)
-    assert graph_distance(full, (0, 0), (1, 1)) == 1
-    assert graph_distance(full, (0, 1), (0, 1)) == 0
-
-
-def test_graph_distance_matches_bfs():
-    rng = np.random.default_rng(4)
-    doms = [line_domain(200), grid_domain(6, 5), grid_domain(3, 3, 3)]
-    for dom in doms:
-        graphs = [
-            SecretGraph.attribute(dom),
-            SecretGraph.distance(dom, int(rng.integers(1, 5))),
-        ]
-        if dom.size <= 30:
-            ncells = int(rng.integers(1, 4))
-            groups = {}
-            for r in range(dom.size):
-                groups.setdefault(int(rng.integers(ncells)), []).append(r)
-            graphs.append(SecretGraph.partition(dom, list(groups.values())))
-            pairs = list(itertools.combinations(range(dom.size), 2))
-            idx = rng.choice(len(pairs), size=min(40, len(pairs)), replace=False)
-            graphs.append(SecretGraph.explicit(dom, [pairs[i] for i in idx]))
-        for g in graphs:
-            mat = g.edge_matrix()
-            for _ in range(25):
-                a, b = int(rng.integers(dom.size)), int(rng.integers(dom.size))
-                assert graph_distance(g, dom.unrank(a), dom.unrank(b)) == bfs_graph_distance(mat, a, b)
 
 
 def test_iter_graph_edges_matches_is_edge():
@@ -221,28 +176,32 @@ def test_load_policy_round_trip():
 # -- neighbor enumeration -----------------------------------------------------
 
 
+def neighbor_pairs(policy, n):
+    """Every ordered neighbor pair (d1, d2) from ``neighbor_databases``."""
+    return {(d1, d2) for d1, neighbors in neighbor_databases(policy, n) for d2 in neighbors}
+
+
 def test_neighbors_single_tuple_two_values():
     dom = line_domain(2)
     pol = Policy(dom, SecretGraph.full(dom), ConstraintSet.none())
-    pairs = {(p.d1, p.d2) for p in enumerate_neighbors(pol, 1)}
-    assert pairs == {((0,), (1,)), ((1,), (0,))}
+    assert neighbor_pairs(pol, 1) == {((0,), (1,)), ((1,), (0,))}
 
 
 def test_neighbors_swap_under_count_constraint():
     dom = line_domain(2)
     q = CountQuery.from_labels(dom, {"x": ["1"]}, answer=1)
     pol = Policy(dom, SecretGraph.full(dom), ConstraintSet.of([q]))
-    pairs = enumerate_neighbors(pol, 2)
-    assert {(p.d1, p.d2) for p in pairs} == {((0, 1), (1, 0)), ((1, 0), (0, 1))}
-    assert all(len(p.t_set) == 2 for p in pairs)
-    assert all(p.delta == 4 for p in pairs)
+    pairs = neighbor_pairs(pol, 2)
+    assert pairs == {((0, 1), (1, 0)), ((1, 0), (0, 1))}
+    # each pair swaps both tuples: two secret pairs, four changed (id, value) tuples
+    assert all(sum(a != b for a, b in zip(d1, d2)) == 2 for d1, d2 in pairs)
 
 
 def test_partition_cross_pair_not_neighbor():
     dom = line_domain(4)
     part = SecretGraph.partition(dom, [[0, 1], [2, 3]])
     pol = Policy(dom, part, ConstraintSet.none())
-    pairs = {(p.d1, p.d2) for p in enumerate_neighbors(pol, 1)}
+    pairs = neighbor_pairs(pol, 1)
     assert ((0,), (2,)) not in pairs
     assert ((0,), (1,)) in pairs
 
@@ -259,7 +218,7 @@ def test_unconstrained_neighbors_equal_direct_construction():
     for g in graphs:
         pol = Policy(dom, g, ConstraintSet.none())
         n = int(rng.integers(1, 3))
-        got = {(p.d1, p.d2) for p in enumerate_neighbors(pol, n)}
+        got = neighbor_pairs(pol, n)
         mat = g.edge_matrix()
         expected = set()
         for db in itertools.product(range(dom.size), repeat=n):
@@ -280,8 +239,7 @@ def test_neighbors_match_independent_validator():
         CountQuery.from_labels(dom, {"A0": ["v1"]}, answer=1),
     ]
     pol = Policy(dom, g, ConstraintSet.of(queries))
-    got = {(p.d1, p.d2) for p in enumerate_neighbors(pol, 2)}
-    assert got == neighbors_by_definition(pol, 2)
+    assert neighbor_pairs(pol, 2) == neighbors_by_definition(pol, 2)
 
     line = line_domain(4)
     pol2 = Policy(
@@ -289,8 +247,33 @@ def test_neighbors_match_independent_validator():
         SecretGraph.distance(line, 2),
         ConstraintSet.of([CountQuery.rectangle(line, {"x": (1, 2)}, answer=1)]),
     )
-    got2 = {(p.d1, p.d2) for p in enumerate_neighbors(pol2, 2)}
-    assert got2 == neighbors_by_definition(pol2, 2)
+    assert neighbor_pairs(pol2, 2) == neighbors_by_definition(pol2, 2)
+
+
+def test_neighbors_match_definition_on_random_policies():
+    rng = np.random.default_rng(11)
+    checked = {kind: 0 for kind in GRAPH_KINDS}
+    swaps = 0
+    for trial in range(150):
+        sizes = [int(rng.integers(1, 4)) for _ in range(int(rng.integers(1, 3)))]
+        dom = grid_domain(*sizes)
+        n = int(rng.integers(1, 4))
+        if dom.size**n > 64:
+            continue
+        g = random_secret_graph(rng, dom, GRAPH_KINDS[trial % 5])
+        # answers read off one database keep the constraints satisfiable
+        db = [dom.unrank(int(r)) for r in rng.integers(0, dom.size, size=n)]
+        queries = []
+        for _ in range(int(rng.integers(0, 4))):
+            q = random_rectangle(rng, dom)
+            queries.append(q.with_answer(sum(q.matches(x) for x in db)))
+        pol = Policy(dom, g, ConstraintSet.of(queries))
+        pairs = neighbor_pairs(pol, n)
+        assert pairs == neighbors_by_definition(pol, n), (sizes, g, queries, n)
+        checked[g.kind.value] += 1
+        # neighbors that change several tuples are where minimality bites
+        swaps += any(sum(a != b for a, b in zip(d1, d2)) > 1 for d1, d2 in pairs)
+    assert min(checked.values()) >= 10 and swaps >= 10, (checked, swaps)
 
 
 def test_enumeration_errors():

@@ -11,7 +11,6 @@ from blowfish import (
     ConstraintSet,
     CountQuery,
     CumulativeQuery,
-    Effect,
     Exactness,
     HistogramQuery,
     LinearSumQuery,
@@ -26,7 +25,6 @@ from blowfish import (
     build_policy_graph,
     closed_form_sensitivity,
     is_sparse,
-    lifts_lowers,
     load_domain,
     policy_sensitivity,
     sparse_constraint_sensitivity,
@@ -35,8 +33,10 @@ from blowfish import (
 from blowfish.sensitivity import PolicyGraph, _has_hamiltonian_path
 
 from oracles import (
+    Effect,
     alpha_xi_by_backtracking,
     hamiltonian_path_by_permutation,
+    lifts_lowers,
     policy_graph_by_loop,
     random_rectangle,
     random_secret_graph,

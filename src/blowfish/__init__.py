@@ -12,10 +12,8 @@ __version__ = "0.1.0"
 
 from .domain import (
     Attribute,
-    CumulativeHistogram,
     Dataset,
     DomainSpec,
-    cumulative_histogram,
     histogram,
     ingest_dataset,
     l1_distance,

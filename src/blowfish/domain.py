@@ -149,29 +149,6 @@ class Dataset:
         return int(self.ranks.size)
 
 
-@dataclass(frozen=True)
-class CumulativeHistogram:
-    """Prefix-sum vector of a histogram over the rank order."""
-
-    prefix: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if any(b < a for a, b in zip(self.prefix, self.prefix[1:])):
-            raise ValueError("cumulative histogram must be non-decreasing")
-
-    @property
-    def n(self) -> int:
-        return self.prefix[-1] if self.prefix else 0
-
-    @property
-    def distinct(self) -> int:
-        """Number of distinct prefix values."""
-        return len(set(self.prefix))
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.prefix, dtype=np.int64)
-
-
 def load_domain(source: str | dict) -> DomainSpec:
     """Parse a domain description from JSON text or an equivalent dict.
 
@@ -263,15 +240,6 @@ def ingest_dataset(text: str, domain: DomainSpec) -> Dataset:
 def histogram(data: Dataset) -> np.ndarray:
     """Complete histogram: counts[rank(x)] = multiplicity of x in the data."""
     return np.bincount(data.ranks, minlength=data.domain.size).astype(np.int64, copy=False)
-
-
-def cumulative_histogram(counts) -> CumulativeHistogram:
-    arr = np.asarray(counts, dtype=np.int64)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("histogram must be a non-empty 1-D vector")
-    if (arr < 0).any():
-        raise ValueError("histogram counts must be non-negative")
-    return CumulativeHistogram(prefix=tuple(int(v) for v in np.cumsum(arr)))
 
 
 def l1_distance(x: Point, y: Point) -> int:

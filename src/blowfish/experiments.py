@@ -169,34 +169,52 @@ def _range_truth(counts: np.ndarray, queries: np.ndarray) -> np.ndarray:
     return (prefix[queries[:, 1]] - prefix[queries[:, 0] - 1]).astype(float)
 
 
-def _at_least_one(config: dict, key: str, default: int) -> int:
-    """The integer ``config[key]``, which must be at least 1."""
-    value = int(config.get(key, default))
-    if value < 1:
-        raise ValueError(f"experiment {key!r} must be at least 1, got {value}")
-    return value
+def _theta(value):
+    return value if value == "full" else int(value)
 
 
-def _objects(config: dict, key: str, default) -> list:
-    """``config[key]``, which must be a list of objects."""
+# what each field reader accepts, for one value and for a list of them
+_SHAPES = {
+    int: ("an integer", "integers"),
+    float: ("a number", "numbers"),
+    str: ("a string", "strings"),
+    dict: ("an object", "objects"),
+    _theta: ('an integer or "full"', 'integers or "full"'),
+}
+
+
+def _field(config: dict, key: str, default, kind, least=None, where: str = "experiment"):
+    """``config[key]``, or ``default`` when the key is absent, read as a
+    ``kind`` of ``_SHAPES`` or, for ``[kind]``, as a list of them.  Numbers
+    convert as ``int()`` and ``float()`` do.  A value of another shape, or a
+    number below ``least``, is a ValueError that names the field."""
     value = config.get(key, default)
-    if not isinstance(value, list) or not all(isinstance(v, dict) for v in value):
-        raise ValueError(f"experiment {key!r} must be a list of objects")
-    return value
+    many = isinstance(kind, list)
+    item = kind[0] if many else kind
+    values = value if many else [value]
+    try:
+        if not isinstance(values, list) or any(item in (str, dict) and not isinstance(v, item) for v in values):
+            raise TypeError
+        out = [item(v) for v in values]
+    except (TypeError, ValueError, OverflowError):
+        shape = "a list of " + _SHAPES[item][1] if many else _SHAPES[item][0]
+        raise ValueError(f"{where} {key!r} must be {shape}, got {value!r}") from None
+    if least is not None and any(v < least for v in out):
+        raise ValueError(f"{where} {key!r} must be at least {least}, got {value!r}")
+    return out if many else out[0]
 
 
 def _config_histogram(config: dict, size: int, seed: int) -> np.ndarray:
     """The synthetic histogram described by a config's ``data`` object."""
-    data_cfg = config.get("data", {"kind": "zipf", "n": 10_000})
-    if not isinstance(data_cfg, dict):
-        raise ValueError("experiment 'data' must be an object")
+    data_cfg = _field(config, "data", {"kind": "zipf", "n": 10_000}, dict)
+    where = "experiment 'data' field"
     return synth_histogram(
-        kind=data_cfg.get("kind", "zipf"),
+        kind=_field(data_cfg, "kind", "zipf", str, where=where),
         size=size,
-        n=int(data_cfg.get("n", 10_000)),
+        n=_field(data_cfg, "n", 10_000, int, where=where),
         seed=seed,
-        zipf_s=float(data_cfg.get("zipf_s", 1.1)),
-        zero_frac=float(data_cfg.get("zero_frac", 0.9)),
+        zipf_s=_field(data_cfg, "zipf_s", 1.1, float, where=where),
+        zero_frac=_field(data_cfg, "zero_frac", 0.9, float, where=where),
     )
 
 
@@ -208,12 +226,12 @@ def _sweep(name: str, seed: int, trials: int, cells, measure):
 
 
 def _run_range_mse(config: dict, seed: int) -> list[ReportRow]:
-    size = int(config.get("domain_size", 400))
-    trials = _at_least_one(config, "trials", 20)
-    n_queries = _at_least_one(config, "queries", 2000)
-    fanout = int(config.get("fanout", 16))
-    thetas = [size if t == "full" else int(t) for t in config.get("thetas", [1, "full"])]
-    epsilons = [float(e) for e in config.get("epsilons", [0.5, 1.0])]
+    size = _field(config, "domain_size", 400, int, least=1)
+    trials = _field(config, "trials", 20, int, least=1)
+    n_queries = _field(config, "queries", 2000, int, least=1)
+    fanout = _field(config, "fanout", 16, int)
+    thetas = [size if t == "full" else t for t in _field(config, "thetas", [1, "full"], [_theta])]
+    epsilons = _field(config, "epsilons", [0.5, 1.0], [float])
 
     counts = _config_histogram(config, size, seed)
     queries = np.asarray(random_range_workload(size, n_queries, seed).queries, dtype=np.int64).reshape(-1, 2)
@@ -239,10 +257,10 @@ def _run_range_mse(config: dict, seed: int) -> list[ReportRow]:
 
 
 def _run_cdf_release(config: dict, seed: int) -> list[ReportRow]:
-    size = int(config.get("domain_size", 400))
-    trials = _at_least_one(config, "trials", 20)
-    thetas = [int(t) for t in config.get("thetas", [1])]
-    epsilons = [float(e) for e in config.get("epsilons", [0.5, 1.0])]
+    size = _field(config, "domain_size", 400, int, least=1)
+    trials = _field(config, "trials", 20, int, least=1)
+    thetas = _field(config, "thetas", [1], [int])
+    epsilons = _field(config, "epsilons", [0.5, 1.0], [float])
 
     counts = _config_histogram(config, size, seed)
     truth = np.cumsum(counts).astype(float)
@@ -260,19 +278,20 @@ def _run_cdf_release(config: dict, seed: int) -> list[ReportRow]:
 
 
 def _run_kmeans_ratio(config: dict, seed: int) -> list[ReportRow]:
-    n = int(config.get("n", 1000))
-    dims = int(config.get("dims", 4))
-    k = int(config.get("k", 4))
-    sigma = float(config.get("sigma", 0.2))
-    trials = _at_least_one(config, "trials", 50)
-    iterations = int(config.get("iterations", 10))
-    epsilons = [float(e) for e in config.get("epsilons", [0.2])]
-    policies_cfg = _objects(config, "policies", [{"kind": "full"}, {"kind": "distance", "theta": 0.25}])
+    n = _field(config, "n", 1000, int)
+    dims = _field(config, "dims", 4, int)
+    k = _field(config, "k", 4, int)
+    sigma = _field(config, "sigma", 0.2, float)
+    trials = _field(config, "trials", 50, int, least=1)
+    iterations = _field(config, "iterations", 10, int)
+    epsilons = _field(config, "epsilons", [0.2], [float])
+    policies_cfg = _field(config, "policies", [{"kind": "full"}, {"kind": "distance", "theta": 0.25}], [dict])
     bounds = tuple((0.0, 1.0) for _ in range(dims))
 
     cfg = KmeansConfig(k=k, iterations=iterations)
+    where = "kmeans-ratio policy"
     policies = [
-        ClusteringPolicy(bounds=bounds, kind=str(p.get("kind", "full")), theta=float(p.get("theta", 0.0)))
+        ClusteringPolicy(bounds, _field(p, "kind", "full", str, where=where), _field(p, "theta", 0.0, float, where=where))
         for p in policies_cfg
     ]
 
@@ -286,7 +305,7 @@ def _run_kmeans_ratio(config: dict, seed: int) -> list[ReportRow]:
     cells = [(policy, eps) for policy in policies for eps in epsilons]
     for (policy, eps), ratios in _sweep("kmeans-ratio", seed, trials, cells, measure):
         mean, q1, q3 = _summary(ratios)
-        theta_col = int(policy.theta) if policy.theta == int(policy.theta) else None
+        theta_col = int(policy.theta) if float(policy.theta).is_integer() else None
         for metric, value in (("objective_ratio", mean), ("objective_ratio_median", float(np.median(ratios)))):
             rows.append(
                 ReportRow(
@@ -298,16 +317,19 @@ def _run_kmeans_ratio(config: dict, seed: int) -> list[ReportRow]:
 
 def _run_sensitivity_table(config: dict, seed: int) -> list[ReportRow]:
     domain = load_domain(config["domain"])
-    k = int(config.get("k", 2))
+    k = _field(config, "k", 2, int)
     rows = []
-    for entry in _objects(config, "entries", []):
-        query = QUERY_KINDS[str(entry["query"])](k)
+    for entry in _field(config, "entries", [], [dict]):
+        name = _field(entry, "query", None, str, where="sensitivity-table entry")
+        if name not in QUERY_KINDS:
+            raise ValueError(f"unknown sensitivity-table query {name!r}; known: {', '.join(QUERY_KINDS)}")
+        query = QUERY_KINDS[name](k)
         policy = load_policy(entry["policy"], domain)
         res = policy_sensitivity(query, policy)
         rows.append(
             ReportRow(
                 "sensitivity-table", res.method.value, policy.describe(), None, None, None,
-                f"sensitivity[{entry['query']},{res.exactness.value}]", res.value, res.value, res.value,
+                f"sensitivity[{name},{res.exactness.value}]", res.value, res.value, res.value,
             )
         )
     return rows
@@ -332,5 +354,5 @@ def run_experiment(config: str | dict) -> ExperimentReport:
     runner = _RUNNERS.get(name) if isinstance(name, str) else None
     if runner is None:
         raise ValueError(f"unknown experiment {name!r}; known: {', '.join(EXPERIMENTS)}")
-    seed = int(config.get("seed", 0))
+    seed = _field(config, "seed", 0, int)
     return ExperimentReport(seed=seed, rows=tuple(runner(config, seed)))

@@ -197,7 +197,6 @@ def ordered_mechanism(
     hist,
     theta: int,
     pp: PrivacyParams,
-    clamp_nonnegative: bool = True,
     zero_noise: bool = False,
 ) -> ReleasedCumulative:
     """Release the cumulative histogram with Laplace(theta / epsilon) noise
@@ -213,7 +212,7 @@ def ordered_mechanism(
     scale = 0.0 if zero_noise else theta / pp.epsilon
     noisy = np.cumsum(counts).astype(float)
     noisy += node_laplace(pp.seed, np.arange(2, 2 * counts.size + 1, 2), [scale] * counts.size)
-    inferred = isotonic_inference(noisy, lower_bound=0.0 if clamp_nonnegative else None)
+    inferred = isotonic_inference(noisy, lower_bound=0.0)
     return ReleasedCumulative(
         noisy=noisy, inferred=inferred, theta=theta, epsilon=pp.epsilon, seed=pp.seed
     )

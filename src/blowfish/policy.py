@@ -106,18 +106,30 @@ class SecretGraph:
     # -- predicates ----------------------------------------------------
 
     def has_any_edge(self) -> bool:
+        return self.max_rank_gap() > 0
+
+    def max_rank_gap(self) -> int:
+        """max |rank(x) - rank(y)| over the edges; 0 if there are none."""
+        domain = self.domain
         if self.kind is GraphKind.FULL:
-            return self.domain.size >= 2
+            return domain.size - 1
         if self.kind is GraphKind.ATTRIBUTE:
-            return any(a.size >= 2 for a in self.domain.attributes)
+            return max((a.size - 1) * w for a, w in zip(domain.attributes, domain._weights))
         if self.kind is GraphKind.PARTITION:
-            counts: dict[int, int] = {}
-            for c in self.cells:
-                counts[c] = counts.get(c, 0) + 1
-            return any(v >= 2 for v in counts.values())
+            # each cell's first rank, and its last one from the reversed cells
+            cells = np.asarray(self.cells)
+            _, first = np.unique(cells, return_index=True)
+            _, from_end = np.unique(cells[::-1], return_index=True)
+            return int((len(cells) - 1 - from_end - first).max())
         if self.kind is GraphKind.DISTANCE:
-            return self.theta >= 1 and self.domain.size >= 2
-        return bool(self.edge_list)
+            # maximize sum of d_i * weight_i subject to sum d_i <= theta,
+            # 0 <= d_i <= |A_i| - 1: greedy on the largest place values
+            budget, gap = self.theta, 0
+            for w, span in sorted(zip(domain._weights, (a.size - 1 for a in domain.attributes)), reverse=True):
+                take = min(budget, span)
+                budget, gap = budget - take, gap + take * w
+            return gap
+        return max((b - a for a, b in self.edge_list), default=0)
 
     def edge_matrix(self) -> np.ndarray:
         """Dense boolean rank-by-rank adjacency (tiny domains only)."""

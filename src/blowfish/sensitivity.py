@@ -10,7 +10,9 @@ Four routes are provided and kept deliberately independent of each other:
   secret pair per pair of query signatures;
 * specialized exact formulas for three recognized constraint shapes
   (one marginal with full-domain secrets, disjoint marginals with attribute
-  secrets, disjoint rectangles with distance-threshold secrets);
+  secrets, disjoint rectangles with distance-threshold secrets); rectangles
+  are compared as (queries, attributes) bounds arrays, O(q^2 * attributes)
+  with no enumeration of edges or ranks;
 * a brute-force oracle that enumerates neighbors and maximizes the actual
   query difference, used to certify the other routes at tiny scale.
 
@@ -34,7 +36,6 @@ from .errors import (
 )
 from .policy import (
     ConstraintSet,
-    CountQuery,
     GraphKind,
     Policy,
     SecretGraph,
@@ -151,40 +152,6 @@ class SensitivityResult:
 # -- closed forms (unconstrained policies) ------------------------------------
 
 
-def _max_edge_rank_gap(g: SecretGraph) -> int:
-    """max |rank(x) - rank(y)| over edges of g; 0 if g has no edges."""
-    domain = g.domain
-    if not g.has_any_edge():
-        return 0
-    if g.kind is GraphKind.FULL:
-        return domain.size - 1
-    if g.kind is GraphKind.ATTRIBUTE:
-        return max((a.size - 1) * w for a, w in zip(domain.attributes, domain._weights))
-    if g.kind is GraphKind.PARTITION:
-        lo: dict[int, int] = {}
-        hi: dict[int, int] = {}
-        for r, c in enumerate(g.cells):
-            lo.setdefault(c, r)
-            hi[c] = r
-        return max(hi[c] - lo[c] for c in lo)
-    if g.kind is GraphKind.DISTANCE:
-        # maximize sum of d_i * weight_i subject to sum d_i <= theta,
-        # 0 <= d_i <= |A_i| - 1: greedy on the largest place values
-        budget = g.theta
-        gap = 0
-        dims = sorted(
-            zip(domain._weights, (a.size - 1 for a in domain.attributes)), reverse=True
-        )
-        for w, span in dims:
-            take = min(budget, span)
-            gap += take * w
-            budget -= take
-            if budget == 0:
-                break
-        return gap
-    return max(abs(a - b) for a, b in g.edge_list)
-
-
 def _l1_reach(kind: str, spans, theta=0):
     """Largest L1 move of one changed tuple in a box with these per-attribute
     spans under full, attribute or distance(theta) secrets."""
@@ -229,10 +196,10 @@ def closed_form_sensitivity(query: QueryKind, policy: Policy) -> SensitivityResu
             raise ValueError("partition query needs one cell id per rank")
         value = 2.0 if _partition_query_crossed(g, query.cells) else 0.0
     elif isinstance(query, CumulativeQuery):
-        value = float(_max_edge_rank_gap(g))
+        value = float(g.max_rank_gap())
     elif isinstance(query, LinearSumQuery):
         wmax = max((abs(w) for w in query.weights), default=0.0)
-        value = _max_edge_rank_gap(g) * query.value_step(policy.domain) * wmax
+        value = g.max_rank_gap() * query.value_step(policy.domain) * wmax
     elif isinstance(query, ClusterSizeQuery):
         if query.k < 1:
             raise ValueError("k must be >= 1")
@@ -389,102 +356,74 @@ def alpha_xi(pg: PolicyGraph) -> tuple[int, int]:
     return alpha, xi
 
 
-def sparse_constraint_sensitivity(policy: Policy, certify_n: int | None = None) -> SensitivityResult:
+def sparse_constraint_sensitivity(policy: Policy) -> SensitivityResult:
     """Histogram sensitivity bound 2*max(alpha, xi) from the policy graph.
 
-    The result is an upper bound; pass ``certify_n`` to run the brute-force
-    oracle at that database size and upgrade the tag to Exact when the bound
-    is attained.  The bound never exceeds 2*(|Q| + 1): cycles visit only
-    query vertices and a source-to-sink path visits each query at most once.
+    The result is an upper bound: the brute-force oracle certifies it at
+    tiny scale.  It never exceeds 2*(|Q| + 1): cycles visit only query
+    vertices and a source-to-sink path visits each query at most once.
     """
     if policy.constraints.unconstrained:
         raise ValueError("policy has no general constraints; use closed_form_sensitivity")
     pg = build_policy_graph(policy.constraints, policy.graph)
     alpha, xi = alpha_xi(pg)
-    value = 2.0 * max(alpha, xi)
-    exactness = Exactness.UPPER_BOUND
-    if certify_n is not None:
-        oracle = brute_force_sensitivity(HistogramQuery(), policy, certify_n)
-        if oracle.value == value:
-            exactness = Exactness.EXACT
-    return SensitivityResult(value=value, exactness=exactness, method=Method.SPARSE_ENGINE)
+    return SensitivityResult(value=2.0 * max(alpha, xi), exactness=Exactness.UPPER_BOUND, method=Method.SPARSE_ENGINE)
 
 
 # -- specialized shapes --------------------------------------------------------
 
 
-def _marginal_attrs(q: CountQuery, domain: DomainSpec) -> tuple[int, ...] | None:
-    """Indices of attributes pinned to single values, or None if q is not a
-    marginal cell (some constrained attribute allows several values)."""
-    pinned = []
-    for i, s in enumerate(q.allowed):
-        if s is None:
-            continue
-        if len(s) == 1:
-            pinned.append(i)
-        else:
-            return None
-    return tuple(pinned)
-
-
 def _as_marginals(queries, domain: DomainSpec) -> list[tuple[tuple[int, ...], int]] | None:
-    """Group queries into complete marginals: [(attr index set, size)] or None.
+    """Group queries into complete marginals: [(attr index set, size)] in
+    order of first appearance, or None.
 
-    A complete marginal over attributes S contributes exactly one cell query
-    per value combination of S.
+    A marginal cell pins each of its attributes to one value and leaves the
+    others unconstrained; a complete marginal over attributes S contributes
+    exactly one cell query per value combination of S.
     """
-    by_attrs: dict[tuple[int, ...], set[tuple[int, ...]]] = {}
-    for q in queries:
-        attrs = _marginal_attrs(q, domain)
-        if attrs is None or not attrs:
-            return None
-        cell = tuple(next(iter(q.allowed[i])) for i in attrs)
-        cells = by_attrs.setdefault(attrs, set())
-        if cell in cells:
-            return None
-        cells.add(cell)
+    cells = np.full((len(queries), domain.n_attributes), -1, dtype=np.int64)
+    for row, q in zip(cells, queries):
+        for i, s in enumerate(q.allowed):
+            if s is not None:
+                if len(s) != 1:
+                    return None
+                row[i] = next(iter(s))
+    pinned = cells >= 0
+    if not pinned.any(axis=1).all() or len(np.unique(cells, axis=0)) < len(queries):
+        return None
+    masks, first, counts = np.unique(pinned, axis=0, return_index=True, return_counts=True)
     out = []
-    for attrs, cells in by_attrs.items():
+    for j in np.argsort(first):
+        attrs = tuple(np.flatnonzero(masks[j]).tolist())
         size = math.prod(domain.attributes[i].size for i in attrs)
-        if len(cells) != size:
+        if counts[j] != size:
             return None
         out.append((attrs, size))
     return out
 
 
-def _rect_bounds(q: CountQuery, domain: DomainSpec) -> tuple[tuple[int, int], ...]:
-    out = []
-    for s, attr in zip(q.allowed, domain.attributes):
-        if s is None:
-            out.append((0, attr.size - 1))
-        else:
-            vals = sorted(s)
-            out.append((vals[0], vals[-1]))
-    return tuple(out)
+def _has_hamiltonian_path(adj: np.ndarray) -> bool:
+    """Whether a simple path visits every vertex of the small undirected
+    graph with boolean adjacency matrix ``adj``."""
+    local = [np.flatnonzero(row).tolist() for row in adj]
+    everything = (1 << len(adj)) - 1
+    return any(mask == everything for mask, _ in _path_states(local, range(len(adj)), everything))
 
 
-def _rect_distance(a, b) -> int:
-    """Min L1 distance between two axis-aligned boxes."""
-    d = 0
-    for (alo, ahi), (blo, bhi) in zip(a, b):
-        if ahi < blo:
-            d += blo - ahi
-        elif bhi < alo:
-            d += alo - bhi
-    return d
-
-
-def _rects_disjoint(a, b) -> bool:
-    return any(ahi < blo or bhi < alo for (alo, ahi), (blo, bhi) in zip(a, b))
-
-
-def _has_hamiltonian_path(nodes: list[int], adj: dict[int, set[int]]) -> bool:
-    """Whether a simple path of the undirected graph ``adj`` visits every
-    vertex of ``nodes`` (a small component, by vertex id)."""
-    index = {v: i for i, v in enumerate(nodes)}
-    local = [[index[w] for w in adj[v]] for v in nodes]
-    everything = (1 << len(nodes)) - 1
-    return any(mask == everything for mask, _ in _path_states(local, range(len(nodes)), everything))
+def _components(near: np.ndarray) -> np.ndarray:
+    """Component label per vertex of the symmetric boolean matrix ``near``:
+    the smallest vertex of its component.  Each row is read once, by a
+    frontier search."""
+    label = np.full(len(near), -1)
+    for start in range(len(near)):
+        if label[start] >= 0:
+            continue
+        frontier = np.array([start])
+        label[start] = start
+        while frontier.size:
+            frontier = np.flatnonzero(near[frontier].any(axis=0) & (label < 0))
+            label[frontier] = start
+    return label
 
 
 def specialized_constraint_sensitivity(policy: Policy) -> SensitivityResult:
@@ -513,15 +452,11 @@ def specialized_constraint_sensitivity(policy: Policy) -> SensitivityResult:
         marginals = _as_marginals(queries, domain)
         if marginals is None:
             raise ShapeNotRecognizedError("constraints are not complete marginals")
-        all_attrs = set(range(domain.n_attributes))
-        for attrs, _ in marginals:
-            if set(attrs) == all_attrs:
+        for attrs, size in marginals:
+            if len(attrs) == domain.n_attributes:
                 raise ShapeNotRecognizedError("marginal covers every attribute")
             # the matching construction varies the unconstrained attributes
-            rest = math.prod(
-                domain.attributes[i].size for i in all_attrs - set(attrs)
-            )
-            if rest < 2:
+            if domain.size // size < 2:
                 raise ShapeNotRecognizedError("degenerate marginal complement")
         if g.kind is GraphKind.FULL:
             if len(marginals) != 1:
@@ -530,60 +465,43 @@ def specialized_constraint_sensitivity(policy: Policy) -> SensitivityResult:
                 )
             value = 2.0 * marginals[0][1]
             return SensitivityResult(value, Exactness.EXACT, Method.SPECIALIZED)
-        seen: set[int] = set()
-        for attrs, _ in marginals:
-            if seen & set(attrs):
-                raise ShapeNotRecognizedError("marginals share attributes")
-            seen |= set(attrs)
+        used = [i for attrs, _ in marginals for i in attrs]
+        if len(set(used)) < len(used):
+            raise ShapeNotRecognizedError("marginals share attributes")
         value = 2.0 * max(size for _, size in marginals)
         return SensitivityResult(value, Exactness.EXACT, Method.SPECIALIZED)
 
     if g.kind is GraphKind.DISTANCE:
         if g.theta <= 0:
             raise ShapeNotRecognizedError("distance threshold must be positive")
-        rects = [_rect_bounds(q, domain) for q in queries]
-        for q in queries:
-            if not q.is_rectangle():
-                raise ShapeNotRecognizedError("constraint is not a rectangle")
-        for i in range(len(rects)):
-            for j in range(i + 1, len(rects)):
-                if not _rects_disjoint(rects[i], rects[j]):
-                    raise ShapeNotRecognizedError("rectangles overlap")
-        adj: dict[int, set[int]] = {i: set() for i in range(len(rects))}
-        for i in range(len(rects)):
-            for j in range(i + 1, len(rects)):
-                if _rect_distance(rects[i], rects[j]) <= g.theta:
-                    adj[i].add(j)
-                    adj[j].add(i)
-        components: list[list[int]] = []
-        unvisited = set(range(len(rects)))
-        while unvisited:
-            start = min(unvisited)
-            comp = [start]
-            unvisited.discard(start)
-            stack = [start]
-            while stack:
-                u = stack.pop()
-                for v in adj[u]:
-                    if v in unvisited:
-                        unvisited.discard(v)
-                        comp.append(v)
-                        stack.append(v)
-            components.append(comp)
-        maxcomp = max(len(c) for c in components)
+        if not all(q.is_rectangle() for q in queries):
+            raise ShapeNotRecognizedError("constraint is not a rectangle")
+        # (q, attributes) bounds; gap[i, j, a] > 0 when rectangles i and j
+        # are apart on attribute a, and then it is their distance along a
+        whole = [(0, a.size - 1) for a in domain.attributes]
+        bounds = np.array([[w if s is None else (min(s), max(s)) for s, w in zip(q.allowed, whole)] for q in queries])
+        lo, hi = bounds[..., 0], bounds[..., 1]
+        gap = np.maximum(lo[None, :, :] - hi[:, None, :], lo[:, None, :] - hi[None, :, :])
+        overlap = ~(gap > 0).any(axis=2)
+        np.fill_diagonal(overlap, False)
+        if overlap.any():
+            raise ShapeNotRecognizedError("rectangles overlap")
+        near = np.maximum(gap, 0).sum(axis=2) <= g.theta
+        label = _components(near)
+        sizes = np.bincount(label)
+        maxcomp = int(sizes.max())
         value = 2.0 * (maxcomp + 1)
         # rectangles that cover the domain leave no tuple outside them, so
-        # the source-to-sink path behind the "+1" cannot occur
-        covered = sum(q.support_size(domain) for q in queries) == domain.size
-        exact = not covered and not any(q.is_point_query(domain) for q in queries)
-        if exact:
-            # the bound is attained along a path through a largest component,
-            # which requires the component to be traceable
-            for comp in components:
-                if len(comp) == maxcomp:
-                    if len(comp) > MAX_POLICY_GRAPH_VERTICES or not _has_hamiltonian_path(comp, adj):
-                        exact = False
-                        break
+        # the source-to-sink path behind the "+1" cannot occur; the bound is
+        # attained along a path through a largest component, which requires
+        # the component to be traceable
+        largest = (np.flatnonzero(label == start) for start in np.flatnonzero(sizes == maxcomp))
+        exact = (
+            sum(q.support_size(domain) for q in queries) < domain.size
+            and not (lo == hi).all(axis=1).any()
+            and maxcomp <= MAX_POLICY_GRAPH_VERTICES
+            and all(_has_hamiltonian_path(near[np.ix_(comp, comp)]) for comp in largest)
+        )
         tag = Exactness.EXACT if exact else Exactness.UPPER_BOUND
         return SensitivityResult(value, tag, Method.SPECIALIZED)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+import math
 from enum import Enum
 from functools import cache
 
@@ -19,9 +20,13 @@ import numpy as np
 from blowfish import (
     CountQuery,
     DomainSpec,
+    Exactness,
+    Method,
     NonSparseConstraintsError,
     Policy,
     SecretGraph,
+    SensitivityResult,
+    ShapeNotRecognizedError,
     Workload,
     l1_distance,
 )
@@ -29,7 +34,7 @@ from blowfish.experiments import _tag
 from blowfish.kmeans import ClusteringResult, KmeansConfig, _init_centroids, _resolve_policy
 from blowfish.mechanisms import BudgetLedger, PrivacyParams, stream_laplace
 from blowfish.policy import GraphKind, iter_graph_edges
-from blowfish.sensitivity import PolicyGraph
+from blowfish.sensitivity import MAX_POLICY_GRAPH_VERTICES, PolicyGraph, _path_states
 
 
 def is_edge(g: SecretGraph, x, y) -> bool:
@@ -269,6 +274,186 @@ def policy_graph_by_loop(constraints, g: SecretGraph) -> PolicyGraph:
         edges=frozenset(witnesses) | {(source, sink)},
         witnesses=tuple(sorted(witnesses.items())),
     )
+
+
+def _marginal_attrs(q: CountQuery, domain: DomainSpec) -> tuple[int, ...] | None:
+    """Indices of attributes pinned to single values, or None if q is not a
+    marginal cell (some constrained attribute allows several values)."""
+    pinned = []
+    for i, s in enumerate(q.allowed):
+        if s is None:
+            continue
+        if len(s) == 1:
+            pinned.append(i)
+        else:
+            return None
+    return tuple(pinned)
+
+
+def _as_marginals(queries, domain: DomainSpec) -> list[tuple[tuple[int, ...], int]] | None:
+    """Group queries into complete marginals: [(attr index set, size)] or None.
+
+    A complete marginal over attributes S contributes exactly one cell query
+    per value combination of S.
+    """
+    by_attrs: dict[tuple[int, ...], set[tuple[int, ...]]] = {}
+    for q in queries:
+        attrs = _marginal_attrs(q, domain)
+        if attrs is None or not attrs:
+            return None
+        cell = tuple(next(iter(q.allowed[i])) for i in attrs)
+        cells = by_attrs.setdefault(attrs, set())
+        if cell in cells:
+            return None
+        cells.add(cell)
+    out = []
+    for attrs, cells in by_attrs.items():
+        size = math.prod(domain.attributes[i].size for i in attrs)
+        if len(cells) != size:
+            return None
+        out.append((attrs, size))
+    return out
+
+
+def _rect_bounds(q: CountQuery, domain: DomainSpec) -> tuple[tuple[int, int], ...]:
+    out = []
+    for s, attr in zip(q.allowed, domain.attributes):
+        if s is None:
+            out.append((0, attr.size - 1))
+        else:
+            vals = sorted(s)
+            out.append((vals[0], vals[-1]))
+    return tuple(out)
+
+
+def _rect_distance(a, b) -> int:
+    """Min L1 distance between two axis-aligned boxes."""
+    d = 0
+    for (alo, ahi), (blo, bhi) in zip(a, b):
+        if ahi < blo:
+            d += blo - ahi
+        elif bhi < alo:
+            d += alo - bhi
+    return d
+
+
+def _rects_disjoint(a, b) -> bool:
+    return any(ahi < blo or bhi < alo for (alo, ahi), (blo, bhi) in zip(a, b))
+
+
+def _has_hamiltonian_path(nodes: list[int], adj: dict[int, set[int]]) -> bool:
+    """Whether a simple path of the undirected graph ``adj`` visits every
+    vertex of ``nodes`` (a small component, by vertex id)."""
+    index = {v: i for i, v in enumerate(nodes)}
+    local = [[index[w] for w in adj[v]] for v in nodes]
+    everything = (1 << len(nodes)) - 1
+    return any(mask == everything for mask, _ in _path_states(local, range(len(nodes)), everything))
+
+
+def specialized_by_loop(policy: Policy) -> SensitivityResult:
+    """``specialized_constraint_sensitivity`` with pairwise rectangle loops, a
+    set-based component search and per-query marginal cells.
+
+    Exact histogram sensitivity for the three recognized constraint shapes.
+
+    (a) one complete marginal, full-domain secrets: 2 * size(marginal);
+    (b) pairwise-disjoint complete marginals, attribute secrets:
+        2 * max size;
+    (c) pairwise-disjoint rectangles, distance-threshold secrets:
+        2 * (largest proximity component + 1), exact when no rectangle is a
+        point query, the rectangles leave part of the domain uncovered and
+        the largest components admit a Hamiltonian path in the proximity
+        graph (otherwise an upper bound).
+
+    Raises ShapeNotRecognizedError when the policy fits none of these.
+    """
+    if policy.constraints.unconstrained:
+        raise ValueError("policy has no general constraints")
+    domain = policy.domain
+    g = policy.graph
+    queries = policy.constraints.queries
+    if not queries:
+        raise ShapeNotRecognizedError("empty constraint set")
+
+    if g.kind in (GraphKind.FULL, GraphKind.ATTRIBUTE):
+        marginals = _as_marginals(queries, domain)
+        if marginals is None:
+            raise ShapeNotRecognizedError("constraints are not complete marginals")
+        all_attrs = set(range(domain.n_attributes))
+        for attrs, _ in marginals:
+            if set(attrs) == all_attrs:
+                raise ShapeNotRecognizedError("marginal covers every attribute")
+            # the matching construction varies the unconstrained attributes
+            rest = math.prod(
+                domain.attributes[i].size for i in all_attrs - set(attrs)
+            )
+            if rest < 2:
+                raise ShapeNotRecognizedError("degenerate marginal complement")
+        if g.kind is GraphKind.FULL:
+            if len(marginals) != 1:
+                raise ShapeNotRecognizedError(
+                    "full-domain secrets support a single marginal"
+                )
+            value = 2.0 * marginals[0][1]
+            return SensitivityResult(value, Exactness.EXACT, Method.SPECIALIZED)
+        seen: set[int] = set()
+        for attrs, _ in marginals:
+            if seen & set(attrs):
+                raise ShapeNotRecognizedError("marginals share attributes")
+            seen |= set(attrs)
+        value = 2.0 * max(size for _, size in marginals)
+        return SensitivityResult(value, Exactness.EXACT, Method.SPECIALIZED)
+
+    if g.kind is GraphKind.DISTANCE:
+        if g.theta <= 0:
+            raise ShapeNotRecognizedError("distance threshold must be positive")
+        rects = [_rect_bounds(q, domain) for q in queries]
+        for q in queries:
+            if not q.is_rectangle():
+                raise ShapeNotRecognizedError("constraint is not a rectangle")
+        for i in range(len(rects)):
+            for j in range(i + 1, len(rects)):
+                if not _rects_disjoint(rects[i], rects[j]):
+                    raise ShapeNotRecognizedError("rectangles overlap")
+        adj: dict[int, set[int]] = {i: set() for i in range(len(rects))}
+        for i in range(len(rects)):
+            for j in range(i + 1, len(rects)):
+                if _rect_distance(rects[i], rects[j]) <= g.theta:
+                    adj[i].add(j)
+                    adj[j].add(i)
+        components: list[list[int]] = []
+        unvisited = set(range(len(rects)))
+        while unvisited:
+            start = min(unvisited)
+            comp = [start]
+            unvisited.discard(start)
+            stack = [start]
+            while stack:
+                u = stack.pop()
+                for v in adj[u]:
+                    if v in unvisited:
+                        unvisited.discard(v)
+                        comp.append(v)
+                        stack.append(v)
+            components.append(comp)
+        maxcomp = max(len(c) for c in components)
+        value = 2.0 * (maxcomp + 1)
+        # rectangles that cover the domain leave no tuple outside them, so
+        # the source-to-sink path behind the "+1" cannot occur
+        covered = sum(q.support_size(domain) for q in queries) == domain.size
+        exact = not covered and not any(q.is_point_query(domain) for q in queries)
+        if exact:
+            # the bound is attained along a path through a largest component,
+            # which requires the component to be traceable
+            for comp in components:
+                if len(comp) == maxcomp:
+                    if len(comp) > MAX_POLICY_GRAPH_VERTICES or not _has_hamiltonian_path(comp, adj):
+                        exact = False
+                        break
+        tag = Exactness.EXACT if exact else Exactness.UPPER_BOUND
+        return SensitivityResult(value, tag, Method.SPECIALIZED)
+
+    raise ShapeNotRecognizedError(f"no specialization for {g.kind.value} secrets")
 
 
 def critical_pairs_by_loop(policy: Policy, q: CountQuery, n: int) -> set[tuple[int, int]]:

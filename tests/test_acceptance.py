@@ -270,7 +270,7 @@ def test_c06_structural_degeneracies():
     split = optimal_budget_split(256, 1, 4, 1.0)
     assert split.eps_s == 1.0
     oh_one = build_oh_release(counts, theta=1, fanout=4, eps_s=split.eps_s, eps_h=split.eps_h, seed=17)
-    om = ordered_mechanism(counts, 1, PrivacyParams(1.0, 17), clamp_nonnegative=True)
+    om = ordered_mechanism(counts, 1, PrivacyParams(1.0, 17))
     prefixes = oh_one.cumulative[1:]
     assert np.array_equal(prefixes, om.noisy)
     assert np.array_equal(isotonic_inference(prefixes, lower_bound=0.0), om.inferred)

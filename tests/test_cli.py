@@ -548,6 +548,20 @@ MALFORMED_FILES = {
     "experiment-trials-zero": ("experiment", {"experiment": "cdf-release", "trials": 0}),
     "experiment-trials-negative": ("experiment", {"experiment": "range-mse", "trials": -1}),
     "experiment-queries-zero": ("experiment", {"experiment": "range-mse", "queries": 0}),
+    "experiment-range-epsilons-int": ("experiment", {"experiment": "range-mse", "epsilons": 3}),
+    "experiment-range-thetas-int": ("experiment", {"experiment": "range-mse", "thetas": 3}),
+    "experiment-cdf-epsilons-int": ("experiment", {"experiment": "cdf-release", "epsilons": 3}),
+    "experiment-cdf-thetas-int": ("experiment", {"experiment": "cdf-release", "thetas": 3}),
+    "experiment-epsilons-nested": ("experiment", {"experiment": "cdf-release", "epsilons": [[1]]}),
+    "experiment-fanout-list": ("experiment", {"experiment": "range-mse", "fanout": [2]}),
+    "experiment-seed-list": ("experiment", {"experiment": "cdf-release", "seed": [1]}),
+    "experiment-kmeans-theta-list": ("experiment", {"experiment": "kmeans-ratio", "policies": [{"kind": "distance", "theta": [1]}]}),
+    "experiment-data-n-list": ("experiment", {"experiment": "cdf-release", "data": {"n": [1]}}),
+    "experiment-domain-size-zero": ("experiment", {"experiment": "cdf-release", "domain_size": 0}),
+    "experiment-entries-unknown-query": (
+        "experiment",
+        {"experiment": "sensitivity-table", "domain": DOMAIN_SPEC, "entries": [{"query": "nope", "policy": {}}]},
+    ),
 }
 
 

@@ -4,7 +4,6 @@ import pytest
 from blowfish import (
     Attribute,
     Dataset,
-    cumulative_histogram,
     histogram,
     ingest_dataset,
     l1_distance,
@@ -277,25 +276,6 @@ def test_ingest_quoted_cells_crlf_and_blank_lines():
     assert _ingest_outcome(_columnar, text, dom) == expected
     data = ingest_dataset(text.replace("\r\n", "\n"), dom)
     assert data.ids.tolist() == [7, 3, -2] and data.ranks.tolist() == [1, 2, 5]
-
-
-def test_cumulative_histogram_examples():
-    assert cumulative_histogram([2, 0, 1]).prefix == (2, 2, 3)
-    zeros = cumulative_histogram([0, 0, 0, 0])
-    assert zeros.prefix == (0, 0, 0, 0)
-    assert zeros.distinct == 1
-    uniform = cumulative_histogram([1, 1, 1, 1])
-    assert uniform.prefix == (1, 2, 3, 4)
-    assert uniform.distinct == 4
-
-
-def test_cumulative_histogram_monotone_random():
-    rng = np.random.default_rng(1)
-    for _ in range(50):
-        counts = rng.integers(0, 10, size=int(rng.integers(1, 20)))
-        cum = cumulative_histogram(counts)
-        assert all(a <= b for a, b in zip(cum.prefix, cum.prefix[1:]))
-        assert cum.n == counts.sum()
 
 
 def test_l1_distance_examples():

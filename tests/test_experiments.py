@@ -111,6 +111,34 @@ def test_run_experiment_unknown_name():
         run_experiment({"experiment": "nope"})
 
 
+@pytest.mark.parametrize(
+    "config, field",
+    [
+        ({"experiment": "range-mse", "epsilons": 3}, "'epsilons' must be a list of numbers"),
+        ({"experiment": "range-mse", "thetas": 3}, "'thetas' must be a list of integers or \"full\""),
+        ({"experiment": "cdf-release", "thetas": [1.5, "x"]}, "'thetas' must be a list of integers"),
+        ({"experiment": "cdf-release", "epsilons": [[1]]}, "'epsilons' must be a list of numbers"),
+        ({"experiment": "range-mse", "fanout": [2]}, "'fanout' must be an integer"),
+        ({"experiment": "cdf-release", "seed": [1]}, "'seed' must be an integer"),
+        ({"experiment": "cdf-release", "trials": 1e400}, "'trials' must be an integer"),
+        ({"experiment": "kmeans-ratio", "policies": [{"theta": [1]}]}, "policy 'theta' must be a number"),
+        ({"experiment": "cdf-release", "data": {"n": [1]}}, "'data' field 'n' must be an integer"),
+        ({"experiment": "cdf-release", "data": {"kind": 3}}, "'data' field 'kind' must be a string"),
+        ({"experiment": "range-mse", "domain_size": 0}, "'domain_size' must be at least 1"),
+        ({"experiment": "cdf-release", "domain_size": -2}, "'domain_size' must be at least 1"),
+        (
+            {"experiment": "sensitivity-table", "domain": {"attributes": [{"name": "a", "values": ["0"]}]},
+             "entries": [{"query": "nope", "policy": {}}]},
+            "unknown sensitivity-table query 'nope'; known: histogram, cumulative, cluster-size, cluster-sum",
+        ),
+    ],
+)
+def test_config_errors_name_the_field(config, field):
+    with pytest.raises(ValueError) as exc:
+        run_experiment(config)
+    assert field in str(exc.value)
+
+
 def test_range_mse_trends():
     size = 1024
     config = {

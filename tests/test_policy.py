@@ -104,6 +104,27 @@ def test_iter_graph_edges_matches_is_edge():
             assert got.tolist() == expected, (sizes, g.kind, g.theta)
 
 
+def test_max_rank_gap_matches_edges():
+    rng = np.random.default_rng(23)
+    kinds = set()
+    for _ in range(300):
+        sizes = [int(rng.integers(1, 6)) for _ in range(int(rng.integers(1, 4)))]
+        dom = grid_domain(*sizes)
+        graphs = [random_secret_graph(rng, dom, kind) for kind in GRAPH_KINDS]
+        graphs += [
+            SecretGraph.distance(dom, 0),
+            SecretGraph.partition(dom, [[r] for r in range(dom.size)]),
+            SecretGraph.explicit(dom, []),
+        ]
+        for g in graphs:
+            pairs = iter_graph_edges(g)
+            expected = int(np.abs(pairs[:, 0] - pairs[:, 1]).max()) if len(pairs) else 0
+            assert g.max_rank_gap() == expected, (sizes, g.kind, g.theta, g.cells)
+            assert g.has_any_edge() == (len(pairs) > 0)
+            kinds.add((g.kind, expected > 0))
+    assert len(kinds) == 2 * len(GRAPH_KINDS)
+
+
 def test_iter_graph_edges_distance_at_diameter_128():
     # a diameter of 128 overflows int8, while 127 still fits it
     for sizes in ((128, 2), (127, 2)):

@@ -40,6 +40,7 @@ from oracles import (
     policy_graph_by_loop,
     random_rectangle,
     random_secret_graph,
+    specialized_by_loop,
 )
 
 
@@ -239,8 +240,7 @@ def test_sparse_engine_worked_example():
     assert res.value == 8
     assert res.exactness is Exactness.UPPER_BOUND
     assert res.method is Method.SPARSE_ENGINE
-    certified = sparse_constraint_sensitivity(pol, certify_n=4)
-    assert certified.value == 8 and certified.exactness is Exactness.EXACT
+    assert brute_force_sensitivity(HistogramQuery(), pol, 4).value == 8
 
 
 def test_sparse_engine_empty_constraints():
@@ -418,7 +418,8 @@ def test_hamiltonian_path_agrees_with_permutations():
                 adj[a].add(b)
                 adj[b].add(a)
         expected = hamiltonian_path_by_permutation(nodes, adj)
-        assert _has_hamiltonian_path(nodes, adj) == expected, (nodes, adj)
+        matrix = np.array([[w in adj[v] for w in nodes] for v in nodes], dtype=bool)
+        assert _has_hamiltonian_path(matrix) == expected, (nodes, adj)
         found += expected
     assert 50 <= found <= 350
 
@@ -455,6 +456,117 @@ def test_specialization_consistent_with_engine():
         specialized_constraint_sensitivity(pol2).value
         == sparse_constraint_sensitivity(pol2).value
     )
+
+
+def _cell_query(n_attributes, allowed):
+    """A count query with the value-index sets ``allowed`` (attribute -> set)."""
+    return CountQuery(tuple(frozenset(allowed[i]) if i in allowed else None for i in range(n_attributes)))
+
+
+def _random_marginals(rng, dom):
+    """One or two marginals, each over a random attribute set (possibly empty
+    or every attribute), then sometimes a cell dropped, duplicated or widened
+    to two values."""
+    sizes, nat = dom.sizes, dom.n_attributes
+    queries = []
+    for _ in range(int(rng.integers(1, 3))):
+        k = int(rng.integers(1, nat + 1)) if rng.random() < 0.9 else 0
+        attrs = rng.choice(nat, size=k, replace=False).tolist()
+        for values in itertools.product(*(range(sizes[i]) for i in attrs)):
+            queries.append(_cell_query(nat, {i: {v} for i, v in zip(attrs, values)}))
+    roll, pick = rng.random(), int(rng.integers(len(queries)))
+    if roll < 0.15:
+        del queries[pick]
+    elif roll < 0.3:
+        queries.append(queries[pick])
+    elif roll < 0.4:
+        wide = [i for i, s in enumerate(queries[pick].allowed) if s is not None and sizes[i] >= 2]
+        if wide:
+            allowed = {i: s for i, s in enumerate(queries[pick].allowed) if s is not None}
+            queries[pick] = _cell_query(nat, {**allowed, wide[0]: {0, 1}})
+    return queries
+
+
+def _random_rectangles(rng, dom):
+    """Boxes of a random grid over the domain: all of them (covering it) or
+    a few, some shrunk (down to points); sometimes one overlapping rectangle
+    or one non-contiguous query is added."""
+    sizes, nat = dom.sizes, dom.n_attributes
+    runs = []
+    for size in sizes:
+        cuts = [c for c in range(1, size) if rng.random() < 0.5]
+        runs.append(list(zip([0] + cuts, [c - 1 for c in cuts] + [size - 1])))
+    boxes = list(itertools.product(*runs))
+    if rng.random() >= 0.2:
+        keep = rng.choice(len(boxes), size=int(rng.integers(1, min(len(boxes), 8) + 1)), replace=False)
+        boxes = [boxes[i] for i in sorted(keep)]
+    queries = []
+    for box in boxes:
+        if rng.random() < 0.3:
+            box = [(lo, int(rng.integers(lo, hi + 1))) for lo, hi in box]
+        # an interval over the whole attribute may also be left unconstrained
+        bounded = [i for i, (lo, hi) in enumerate(box) if (lo, hi) != (0, sizes[i] - 1) or rng.random() < 0.5]
+        queries.append(_cell_query(nat, {i: range(box[i][0], box[i][1] + 1) for i in bounded}))
+    roll = rng.random()
+    if roll < 0.15:
+        queries.append(random_rectangle(rng, dom))
+    elif roll < 0.25 and max(sizes) >= 3:
+        queries.append(_cell_query(nat, {int(np.argmax(sizes)): {0, 2}}))
+    return [queries[i] for i in rng.permutation(len(queries))]
+
+
+def _outcome(engine, policy):
+    try:
+        res = engine(policy)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return res.value, res.exactness, res.method
+
+
+def test_specialized_matches_loop():
+    rng = np.random.default_rng(29)
+    kinds = ("full", "attribute", "partition", "distance", "explicit")
+    outcomes = []
+    for _ in range(2400):
+        dom = grid_domain(*(int(rng.integers(1, 5)) for _ in range(int(rng.integers(1, 4)))))
+        roll = rng.random()
+        if roll < 0.45:
+            kind = kinds[int(rng.integers(2))] if rng.random() < 0.8 else kinds[int(rng.integers(5))]
+            constraints = ConstraintSet.of(_random_marginals(rng, dom))
+        elif roll < 0.95:
+            kind = "distance" if rng.random() < 0.8 else kinds[int(rng.integers(5))]
+            constraints = ConstraintSet.of(_random_rectangles(rng, dom))
+        else:
+            kind = kinds[int(rng.integers(5))]
+            constraints = ConstraintSet.of([]) if rng.random() < 0.5 else ConstraintSet.none()
+        pol = Policy(dom, random_secret_graph(rng, dom, kind), constraints)
+        got = _outcome(specialized_constraint_sensitivity, pol)
+        assert got == _outcome(specialized_by_loop, pol), (dom.sizes, pol.describe(), constraints)
+        outcomes.append(got)
+    # a proximity component of 18 unit rectangles is past the traceability search
+    dom = line_domain(40)
+    rects = [CountQuery.rectangle(dom, {"x": (r, r + 1)}) for r in range(0, 36, 2)]
+    pol = Policy(dom, SecretGraph.distance(dom, 2), ConstraintSet.of(rects))
+    assert _outcome(specialized_constraint_sensitivity, pol) == _outcome(specialized_by_loop, pol)
+    assert _outcome(specialized_constraint_sensitivity, pol) == (38.0, Exactness.UPPER_BOUND, Method.SPECIALIZED)
+    # every result tag and every rejection occurs
+    tags = {o[1] for o in outcomes if o[0] is not ShapeNotRecognizedError}
+    assert {Exactness.EXACT, Exactness.UPPER_BOUND} <= tags
+    messages = {o[1] for o in outcomes if o[0] is ShapeNotRecognizedError}
+    assert {
+        "empty constraint set",
+        "constraints are not complete marginals",
+        "marginal covers every attribute",
+        "degenerate marginal complement",
+        "full-domain secrets support a single marginal",
+        "marginals share attributes",
+        "distance threshold must be positive",
+        "constraint is not a rectangle",
+        "rectangles overlap",
+        "no specialization for partition secrets",
+        "no specialization for explicit secrets",
+    } <= messages
+    assert (ValueError, "policy has no general constraints") in outcomes
 
 
 # -- brute force oracle ----------------------------------------------------------

@@ -50,7 +50,6 @@ from .mechanisms import (
     oh_range_query,
     optimal_budget_split,
     ordered_mechanism,
-    sample_laplace,
 )
 from .policy import (
     ConstraintKind,

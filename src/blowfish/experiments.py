@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import zlib
 from dataclasses import dataclass
 
@@ -186,8 +187,9 @@ _SHAPES = {
 def _field(config: dict, key: str, default, kind, least=None, where: str = "experiment"):
     """``config[key]``, or ``default`` when the key is absent, read as a
     ``kind`` of ``_SHAPES`` or, for ``[kind]``, as a list of them.  Numbers
-    convert as ``int()`` and ``float()`` do.  A value of another shape, or a
-    number below ``least``, is a ValueError that names the field."""
+    convert as ``int()`` and ``float()`` do.  A value of another shape, a
+    float that is NaN or infinite, or a number below ``least``, is a
+    ValueError that names the field."""
     value = config.get(key, default)
     many = isinstance(kind, list)
     item = kind[0] if many else kind
@@ -199,6 +201,8 @@ def _field(config: dict, key: str, default, kind, least=None, where: str = "expe
     except (TypeError, ValueError, OverflowError):
         shape = "a list of " + _SHAPES[item][1] if many else _SHAPES[item][0]
         raise ValueError(f"{where} {key!r} must be {shape}, got {value!r}") from None
+    if item is float and not all(map(math.isfinite, out)):
+        raise ValueError(f"{where} {key!r} must be finite, got {value!r}")
     if least is not None and any(v < least for v in out):
         raise ValueError(f"{where} {key!r} must be at least {least}, got {value!r}")
     return out if many else out[0]
@@ -316,7 +320,7 @@ def _run_kmeans_ratio(config: dict, seed: int) -> list[ReportRow]:
 
 
 def _run_sensitivity_table(config: dict, seed: int) -> list[ReportRow]:
-    domain = load_domain(config["domain"])
+    domain = load_domain(_field(config, "domain", None, dict))
     k = _field(config, "k", 2, int)
     rows = []
     for entry in _field(config, "entries", [], [dict]):
@@ -324,7 +328,7 @@ def _run_sensitivity_table(config: dict, seed: int) -> list[ReportRow]:
         if name not in QUERY_KINDS:
             raise ValueError(f"unknown sensitivity-table query {name!r}; known: {', '.join(QUERY_KINDS)}")
         query = QUERY_KINDS[name](k)
-        policy = load_policy(entry["policy"], domain)
+        policy = load_policy(_field(entry, "policy", None, dict, where="sensitivity-table entry"), domain)
         res = policy_sensitivity(query, policy)
         rows.append(
             ReportRow(

@@ -8,10 +8,12 @@ secrets.  Each iteration spends an equal slice of the budget, split between
 the two queries; the charges are recorded in a budget ledger that composes
 sequentially to the configured epsilon.
 
-Both variants share one Lloyd kernel over the points' (d, n) columns: (k, n)
-squared distances, an argmin over axis 0 (ties to the lowest index) and
-``np.bincount`` cluster sizes and sums (see ``_sq_distances`` for when its
-floats equal a per-centroid, per-cluster loop's).
+Both variants share one Lloyd kernel over the points' (d, n) columns.  It
+assigns points one centroid at a time: each centroid's (n,) squared-distance
+row is folded into a running minimum, and a point's index moves only on a
+strictly smaller distance, so ties go to the lowest index and no (k, n)
+matrix is built.  Cluster sizes and sums come from ``np.bincount`` (see
+``_sq_rows`` for when its floats equal a per-centroid, per-cluster loop's).
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import InfiniteSensitivityError
-from .mechanisms import BudgetLedger, PrivacyParams, compose_budgets, stream_laplace
+from .mechanisms import BudgetLedger, PrivacyParams, compose_budgets, stream_generator, stream_laplace
 from .policy import Policy
 from .sensitivity import ClusterSumQuery, _cluster_sum_sensitivity, _l1_reach, closed_form_sensitivity
 
@@ -109,27 +111,48 @@ def _as_points(points) -> np.ndarray:
     return pts
 
 
-def _sq_distances(cols: np.ndarray, cents: np.ndarray) -> np.ndarray:
-    """(k, n) squared L2 distances to the (d, n) columns, added one coordinate
-    at a time in place.  For 2 <= d <= 7 each entry, and each bincount cluster
-    sum, is the float of a per-centroid, per-cluster loop over (n, d) rows; at
-    d = 1 and d >= 8 numpy sums those pairwise and the last bits can differ."""
-    d2 = (cols[0] - cents[:, :1]) ** 2
-    sq = np.empty_like(d2)
-    for j in range(1, len(cols)):
-        np.subtract(cols[j], cents[:, j : j + 1], out=sq)
-        sq *= sq
-        d2 += sq
-    return d2
+def _sq_rows(cols: np.ndarray, cents: np.ndarray):
+    """Yield each centroid's (n,) squared L2 distances to the (d, n) columns,
+    added one coordinate at a time into one reused buffer.  For 2 <= d <= 7
+    each entry, and each bincount cluster sum, is the float of a per-centroid,
+    per-cluster loop over (n, d) rows; at d = 1 and d >= 8 numpy sums those
+    pairwise and the last bits can differ."""
+    row = np.empty(cols.shape[1])
+    sq = np.empty_like(row)
+    for cent in cents.tolist():
+        np.subtract(cols[0], cent[0], out=row)
+        row *= row
+        for col, c in zip(cols[1:], cent[1:]):
+            np.subtract(col, c, out=sq)
+            sq *= sq
+            row += sq
+        yield row
 
 
 def _assign(cols: np.ndarray, cents: np.ndarray) -> tuple[np.ndarray, float]:
-    """Nearest-centroid index of every point and the objective."""
+    """Nearest-centroid index of every point and the objective, as argmin and
+    min over a (k, n) distance matrix give them, without building it: a
+    running minimum row, whose index moves only on a strict ``<`` (ties go to
+    the lowest index)."""
     if cents.ndim != 2 or cents.shape[1] != len(cols):
         raise ValueError("points and centroids have different dimensions")
-    d2 = _sq_distances(cols, cents)
-    assign = d2.argmin(axis=0)
-    return assign, float(d2.min(axis=0).sum())
+    if not len(cents):
+        raise ValueError("need at least one centroid")
+    rows = _sq_rows(cols, cents)
+    best = next(rows).copy()
+    assign = np.zeros(best.size, dtype=np.intp)
+    for i, row in enumerate(rows, 1):
+        np.copyto(assign, i, where=row < best)
+        np.minimum(best, row, out=best)
+    objective = float(best.sum())
+    if math.isnan(objective):
+        # argmin takes a point's first NaN distance, which no "<" ever moves to
+        unset = np.isnan(best)
+        for i, row in enumerate(_sq_rows(cols, cents)):
+            hit = unset & np.isnan(row)
+            assign[hit] = i
+            unset &= ~hit
+    return assign, objective
 
 
 def _lloyd(pts: np.ndarray, cents: np.ndarray, iterations: int, update) -> ClusteringResult:
@@ -154,7 +177,7 @@ def _init_centroids(cfg: KmeansConfig, bounds, seed: int, n: int) -> np.ndarray:
         raise ValueError(f"need at least k={cfg.k} points for random initialization")
     lows = np.array([lo for lo, _ in bounds])
     highs = np.array([hi for _, hi in bounds])
-    rng = np.random.Generator(np.random.Philox(seed).jumped(1))
+    rng = stream_generator(seed, 1)
     return lows + rng.random((cfg.k, len(bounds))) * (highs - lows)
 
 

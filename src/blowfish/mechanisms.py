@@ -20,7 +20,9 @@ index.  A node's single draw is output word 0 of block 0, the block at counter
 ``(1, 0, index, 0)``; ``philox_uniforms`` evaluates it for every node of a
 release in one numpy pass.  Prefix (S) nodes use even indices ``2i`` and
 interval (H) nodes odd ones.  Streams that draw several values in a row
-(the Laplace histogram, k-means) keep a numpy generator per stream.
+(the Laplace histogram, k-means) keep a numpy generator per stream
+(``stream_generator``).  Every uniform becomes a Laplace variate in one
+array pass (``_laplace``).
 """
 
 from __future__ import annotations
@@ -90,29 +92,49 @@ def _check_scale(scale: float) -> None:
         raise ValueError(f"scale must be finite and non-negative, got {scale}")
 
 
-def _laplace(scale: float, u: float) -> float:
-    # math.log, not np.log: the two differ by an ulp on some inputs, and
-    # released values must not depend on which one ran
-    u -= 0.5
-    mag = 1.0 - 2.0 * abs(u)
-    if mag <= 0.0:
-        mag = 5e-324
-    return -scale * math.copysign(1.0, u) * math.log(mag)
+# math.log called once per element: an ndarray of floats in, an object array out
+_LOG = np.frompyfunc(math.log, 1, 1)
 
 
-def sample_laplace(scale: float, rng: np.random.Generator) -> float:
-    """One zero-mean Laplace variate via inverse CDF from a single uniform."""
-    _check_scale(scale)
-    return _laplace(scale, rng.random()) if scale else 0.0
+def _laplace(scale, u: np.ndarray) -> np.ndarray:
+    """Zero-mean Laplace(scale) variates by inverse CDF, one per uniform in
+    ``u``; ``scale`` is one number or an array shaped like ``u``.
+
+    Elementwise these are the float operations of the one-uniform transform
+    ``-scale * copysign(1, u') * log(1 - 2|u'|)`` with ``u' = u - 0.5`` and
+    a zero magnitude clamped to 5e-324.  Only the log runs per element, as
+    ``math.log`` rather than ``np.log``: the two differ by an ulp on some
+    inputs, and released values must not depend on which one ran.  A huge
+    finite scale overflows to inf, silently, as Python floats do."""
+    u = u - 0.5
+    mag = np.maximum(1.0 - 2.0 * np.abs(u), 5e-324)
+    with np.errstate(over="ignore"):
+        return (-scale * np.copysign(1.0, u)) * _LOG(mag).astype(float)
 
 
-def node_laplace(seed: int, indices, scales) -> list[float]:
-    """One Laplace(scale) variate from each node's own stream."""
-    scales = list(scales)
-    for scale in set(scales):
-        _check_scale(scale)
-    uniforms = philox_uniforms(seed, indices).tolist()
-    return [_laplace(s, u) if s else 0.0 for s, u in zip(scales, uniforms)]
+def node_laplace(seed: int, indices, scales) -> np.ndarray:
+    """One Laplace(scale) variate from each node's own stream; a node of
+    scale 0 gets +0.0."""
+    scales = np.asarray(scales, dtype=float)
+    bad = ~(np.isfinite(scales) & (scales >= 0))
+    if bad.any():
+        _check_scale(float(scales[np.argmax(bad)]))
+    uniforms = philox_uniforms(seed, indices)
+    return np.where(scales == 0, 0.0, _laplace(scales, uniforms))
+
+
+def stream_generator(seed: int, index: int) -> np.random.Generator:
+    """``Generator(Philox(seed).jumped(index))``, bit for bit, for ``index``
+    in [0, 2**64): the seeded state with counter word 2 set to ``index``.
+    ``jumped`` first builds a bit generator seeded from OS entropy, which
+    costs more than the seeded one itself."""
+    if not 0 <= index < 2**64:
+        raise ValueError("stream indices must be in [0, 2**64)")
+    bits = np.random.Philox(seed)
+    state = bits.state
+    state["state"]["counter"][2] = index
+    bits.state = state
+    return np.random.Generator(bits)
 
 
 def stream_laplace(seed: int, index: int, scale: float, n: int) -> np.ndarray:
@@ -120,8 +142,7 @@ def stream_laplace(seed: int, index: int, scale: float, n: int) -> np.ndarray:
     _check_scale(scale)
     if scale == 0:
         return np.zeros(n)
-    uniforms = np.random.Generator(np.random.Philox(seed).jumped(index)).random(n)
-    return np.array([_laplace(scale, u) for u in uniforms.tolist()])
+    return _laplace(scale, stream_generator(seed, index).random(n))
 
 
 def laplace_mechanism(truth, sensitivity: float, pp: PrivacyParams) -> np.ndarray:
@@ -211,7 +232,7 @@ def ordered_mechanism(
         raise ValueError("theta must be >= 1")
     scale = 0.0 if zero_noise else theta / pp.epsilon
     noisy = np.cumsum(counts).astype(float)
-    noisy += node_laplace(pp.seed, np.arange(2, 2 * counts.size + 1, 2), [scale] * counts.size)
+    noisy += node_laplace(pp.seed, np.arange(2, 2 * counts.size + 1, 2), np.full(counts.size, scale))
     inferred = isotonic_inference(noisy, lower_bound=0.0)
     return ReleasedCumulative(
         noisy=noisy, inferred=inferred, theta=theta, epsilon=pp.epsilon, seed=pp.seed
@@ -493,10 +514,7 @@ def build_oh_release(
         if eps_h == 0:
             raise ValueError("eps_h must be positive when the structure has H nodes")
         scale[past_block1] = 2.0 * h / eps_h
-    if zero_noise:
-        noise = np.zeros(scale.size)
-    else:
-        noise = np.array(node_laplace(seed, index, scale.tolist()))
+    noise = np.zeros(scale.size) if zero_noise else node_laplace(seed, index, scale)
     value = (prefix[hi] - prefix[lo - 1]) + noise
     columns = {
         "lo": lo, "hi": hi, "index": index, "scale": scale, "value": value,

@@ -558,6 +558,24 @@ def philox_first_uniform(seed: int, index: int) -> float:
     return philox_stream(seed, index).random()
 
 
+def laplace_by_inverse_cdf(scale: float, u: float) -> float:
+    """One Laplace(scale) variate from one uniform, in Python floats: the
+    scalar transform the library's array kernel must match bit for bit."""
+    u -= 0.5
+    mag = 1.0 - 2.0 * abs(u)
+    if mag <= 0.0:
+        mag = 5e-324
+    return -scale * math.copysign(1.0, u) * math.log(mag)
+
+
+def sample_laplace(scale: float, rng: np.random.Generator) -> float:
+    """One zero-mean Laplace variate from a single ``rng.random()`` draw;
+    exactly 0.0 at scale 0."""
+    if scale < 0 or not math.isfinite(scale):
+        raise ValueError(f"scale must be finite and non-negative, got {scale}")
+    return laplace_by_inverse_cdf(scale, rng.random()) if scale else 0.0
+
+
 def ingest_by_index(text: str, domain: DomainSpec) -> tuple[list[int], list[int]]:
     """(ids, ranks) of delimited rows, read one cell at a time: each label is
     found with ``tuple.index`` and each point ranked with ``DomainSpec.rank``.
@@ -605,6 +623,19 @@ def sq_distances_by_loop(pts: np.ndarray, cents: np.ndarray) -> np.ndarray:
     for c, cent in enumerate(cents):
         d2[:, c] = ((pts - cent) ** 2).sum(axis=1)
     return d2
+
+
+def assign_by_matrix(cols: np.ndarray, cents: np.ndarray) -> tuple[np.ndarray, float]:
+    """Nearest-centroid index and objective from the whole (k, n) matrix of
+    squared distances to the (d, n) columns, each entry added one coordinate
+    at a time: its argmin over axis 0 and the sum of its minima."""
+    d2 = (cols[0] - cents[:, :1]) ** 2
+    sq = np.empty_like(d2)
+    for j in range(1, len(cols)):
+        np.subtract(cols[j], cents[:, j : j + 1], out=sq)
+        sq *= sq
+        d2 += sq
+    return d2.argmin(axis=0), float(d2.min(axis=0).sum())
 
 
 def kmeans_objective_by_loop(points, centroids) -> float:

@@ -558,6 +558,15 @@ MALFORMED_FILES = {
     "experiment-kmeans-theta-list": ("experiment", {"experiment": "kmeans-ratio", "policies": [{"kind": "distance", "theta": [1]}]}),
     "experiment-data-n-list": ("experiment", {"experiment": "cdf-release", "data": {"n": [1]}}),
     "experiment-domain-size-zero": ("experiment", {"experiment": "cdf-release", "domain_size": 0}),
+    "experiment-domain-missing": ("experiment", {"experiment": "sensitivity-table", "entries": []}),
+    "experiment-entry-policy-missing": (
+        "experiment",
+        {"experiment": "sensitivity-table", "domain": DOMAIN_SPEC, "entries": [{"query": "histogram"}]},
+    ),
+    "experiment-kmeans-theta-nan": (
+        "experiment", {"experiment": "kmeans-ratio", "policies": [{"kind": "distance", "theta": float("nan")}]}
+    ),
+    "experiment-zipf-s-nan": ("experiment", {"experiment": "cdf-release", "data": {"zipf_s": float("nan")}}),
     "experiment-entries-unknown-query": (
         "experiment",
         {"experiment": "sensitivity-table", "domain": DOMAIN_SPEC, "entries": [{"query": "nope", "policy": {}}]},

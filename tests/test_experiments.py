@@ -131,6 +131,19 @@ def test_run_experiment_unknown_name():
              "entries": [{"query": "nope", "policy": {}}]},
             "unknown sensitivity-table query 'nope'; known: histogram, cumulative, cluster-size, cluster-sum",
         ),
+        (
+            {"experiment": "kmeans-ratio", "policies": [{"kind": "distance", "theta": float("nan")}]},
+            "kmeans-ratio policy 'theta' must be finite, got nan",
+        ),
+        ({"experiment": "cdf-release", "data": {"zipf_s": float("nan")}}, "'data' field 'zipf_s' must be finite"),
+        ({"experiment": "range-mse", "epsilons": [1.0, float("inf")]}, "'epsilons' must be finite"),
+        ({"experiment": "kmeans-ratio", "sigma": "-inf"}, "'sigma' must be finite"),
+        ({"experiment": "sensitivity-table", "entries": []}, "experiment 'domain' must be an object, got None"),
+        (
+            {"experiment": "sensitivity-table", "domain": {"attributes": [{"name": "a", "values": ["0"]}]},
+             "entries": [{"query": "histogram"}]},
+            "sensitivity-table entry 'policy' must be an object, got None",
+        ),
     ],
 )
 def test_config_errors_name_the_field(config, field):

@@ -15,7 +15,9 @@ from blowfish import (
     load_domain,
 )
 from blowfish.experiments import synth_clusters
+from blowfish.kmeans import _assign
 from oracles import (
+    assign_by_matrix,
     kmeans_nonprivate_by_loop,
     kmeans_objective_by_loop,
     kmeans_private_by_loop,
@@ -272,3 +274,55 @@ def test_centroid_dimension_mismatch_rejected():
         kmeans_nonprivate(pts, KmeansConfig(k=1, iterations=1, init=((0.5, 0.5, 0.5),)), seed=0)
     with pytest.raises(ValueError, match="different dimensions"):
         kmeans_nonprivate(pts, KmeansConfig(k=1, iterations=1, init=((0.5,),)), seed=0)
+
+
+def _assignment_cases(d: int, k: int):
+    """(points, centroids) pairs: uniform points; integer grids, whose
+    distances tie exactly; centroids mirrored about x0 = 1 with points on
+    that plane; duplicate centroids; +-inf points; a NaN point; a NaN
+    centroid after finite ones."""
+    rng = np.random.default_rng(100 * d + k)
+    pts = rng.random((400, d))
+    cents = rng.random((k, d))
+    grid = rng.integers(0, 4, size=(300, d)).astype(float)
+    gcents = rng.integers(0, 4, size=(k, d)).astype(float)
+    mirrored = np.floor(cents * 8) / 4
+    mirrored[1::2] = mirrored[: k // 2]
+    mirrored[1::2, 0] = 2.0 - mirrored[1::2, 0]
+    plane = pts.copy()
+    plane[:, 0] = 1.0
+    dup = np.repeat(cents[:2], [1, k - 1], axis=0) if k > 1 else cents
+    infs = pts.copy()
+    infs[::7, 0] = np.inf
+    infs[3::7, d - 1] = -np.inf
+    nan_pt = grid.copy()
+    nan_pt[5, d - 1] = np.nan
+    nan_cent = gcents.copy()
+    nan_cent[k - 1, 0] = np.nan
+    return [
+        (pts, cents), (grid, gcents), (plane, mirrored), (grid, dup),
+        (infs, cents), (nan_pt, gcents), (grid, nan_cent), (nan_pt, nan_cent),
+    ]
+
+
+@pytest.mark.parametrize("k", [1, 3, 8])
+@pytest.mark.parametrize("d", [1, 2, 4, 7, 8, 9, 12])
+def test_assign_matches_distance_matrix_argmin(d, k):
+    ties = 0
+    for pts, cents in _assignment_cases(d, k):
+        cols = np.ascontiguousarray(pts.T)
+        got, objective = _assign(cols, cents)
+        want, want_objective = assign_by_matrix(cols, cents)
+        assert np.array_equal(got, want)
+        if np.isnan(want_objective):
+            assert np.isnan(objective)
+        else:
+            assert np.float64(objective).view(np.uint64) == np.float64(want_objective).view(np.uint64)
+        d2 = np.stack([((pts - c) ** 2).sum(axis=1) for c in cents])
+        ties += int(((d2 == d2.min(axis=0)).sum(axis=0) > 1).sum())
+    assert ties > 0 if k > 1 else ties == 0
+
+
+def test_assign_needs_a_centroid():
+    with pytest.raises(ValueError, match="at least one centroid"):
+        kmeans_objective(np.zeros((3, 2)), np.zeros((0, 2)))

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from blowfish import (
     oh_range_query,
     optimal_budget_split,
     ordered_mechanism,
-    sample_laplace,
 )
 from blowfish import mechanisms
 from blowfish.experiments import random_range_workload, trial_seed
@@ -27,14 +27,17 @@ from blowfish.mechanisms import (
     node_laplace,
     oh_error_model,
     philox_uniforms,
+    stream_generator,
     stream_laplace,
 )
 
 from oracles import (
     isotonic_by_enumeration,
+    laplace_by_inverse_cdf,
     oh_cumulative_by_walk,
     philox_first_uniform,
     philox_stream,
+    sample_laplace,
 )
 
 
@@ -42,9 +45,8 @@ from oracles import (
 
 
 def test_sample_laplace_variance():
-    rng = np.random.default_rng(10)
     b = 1.7
-    draws = np.array([sample_laplace(b, rng) for _ in range(1_000_000)])
+    draws = stream_laplace(10, 0, b, 1_000_000)
     assert abs(draws.mean()) < 0.01
     assert abs(draws.var() / (2 * b * b) - 1) < 0.02
 
@@ -52,17 +54,63 @@ def test_sample_laplace_variance():
 def test_sample_laplace_edge_cases():
     rng = np.random.default_rng(0)
     assert sample_laplace(0.0, rng) == 0.0
-    with pytest.raises(ValueError):
-        sample_laplace(-1.0, rng)
-    with pytest.raises(ValueError):
-        sample_laplace(math.inf, rng)
+    assert stream_laplace(0, 0, 0.0, 2).tolist() == [0.0, 0.0]
+    for bad in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            sample_laplace(bad, rng)
+        with pytest.raises(ValueError):
+            stream_laplace(0, 0, bad, 2)
+        with pytest.raises(ValueError, match="scale must be finite and non-negative"):
+            node_laplace(0, [0, 1], [1.0, bad])
 
 
 def test_sample_laplace_deterministic_given_stream():
     a = sample_laplace(2.0, philox_stream(42, 5))
     b = sample_laplace(2.0, philox_stream(42, 5))
     assert a == b
-    assert node_laplace(42, [5], [2.0]) == [a]
+    assert node_laplace(42, [5], [2.0]).tolist() == [a]
+
+
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+LAPLACE_EDGE_UNIFORMS = [0.0, 2.0**-53, 0.5 - 2.0**-53, 0.5, 0.5 + 2.0**-53, 1.0 - 2.0**-53]
+
+
+def test_laplace_kernel_bit_identical_to_scalar_transform():
+    u = np.concatenate([np.random.default_rng(11).random(1_000_000), LAPLACE_EDGE_UNIFORMS])
+    scales = np.resize([1.7, 2.0**-30, 0.0, 3e5, 1.0], u.size)
+    want = [laplace_by_inverse_cdf(b, x) for b, x in zip(scales.tolist(), u.tolist())]
+    assert np.array_equal(_bits(mechanisms._laplace(scales, u)), _bits(want))
+    edges = np.array(LAPLACE_EDGE_UNIFORMS)
+    for scale in (1.0, 0.5, 3e5):
+        want = [laplace_by_inverse_cdf(scale, x) for x in edges.tolist()]
+        assert np.array_equal(_bits(mechanisms._laplace(scale, edges)), _bits(want))
+    # u = 0 is clamped to the smallest subnormal, not log(0)
+    assert mechanisms._laplace(1.0, np.zeros(1))[0] == math.log(5e-324)
+
+
+def test_node_laplace_mixed_scales_bit_identical_with_positive_zeros():
+    scales = [0.0, 1.5, 0.0, 2.0**-40, 7.0, 0.0, 1e6] * 3
+    indices = list(range(len(scales)))
+    got = node_laplace(4, indices, scales)
+    want = [sample_laplace(s, philox_stream(4, i)) for i, s in zip(indices, scales)]
+    assert np.array_equal(_bits(got), _bits(want))
+    zero = np.array(scales) == 0
+    assert not np.signbit(got[zero]).any() and (got[zero] == 0).all()
+    assert (got[~zero] != 0).all()
+
+
+def test_laplace_huge_scale_overflows_to_inf_silently():
+    u = np.array(LAPLACE_EDGE_UNIFORMS)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = mechanisms._laplace(1e308, u)
+        nodes = node_laplace(0, [0], [1e308])
+    assert np.array_equal(_bits(got), _bits([laplace_by_inverse_cdf(1e308, x) for x in u.tolist()]))
+    assert got[0] == -math.inf and got[-1] == math.inf and got[3] == 0.0
+    assert nodes.tolist() == [sample_laplace(1e308, philox_stream(0, 0))]
 
 
 # -- counter-based noise kernel ------------------------------------------------
@@ -81,14 +129,26 @@ def test_philox_kernel_matches_numpy_streams(seed):
     ]
 
 
+@pytest.mark.parametrize("seed", KERNEL_SEEDS)
+def test_stream_generator_matches_jumped_streams(seed):
+    for index in KERNEL_INDICES + [2**64 - 1]:
+        want = philox_stream(seed, index)
+        got = stream_generator(seed, index)
+        assert got.random(9).tolist() == want.random(9).tolist()
+        assert got.integers(0, 2**63, size=5).tolist() == want.integers(0, 2**63, size=5).tolist()
+    for bad in (-1, 2**64):
+        with pytest.raises(ValueError, match="stream indices"):
+            stream_generator(seed, bad)
+
+
 def test_node_and_stream_noise_match_per_stream_sampling():
     indices = list(range(40)) + [2**63]
     scales = [0.5 + (i % 3) for i in range(len(indices))]
     want = [sample_laplace(s, philox_stream(9, i)) for i, s in zip(indices, scales)]
-    assert node_laplace(9, indices, scales) == want
+    assert node_laplace(9, indices, scales).tolist() == want
     rng = philox_stream(9, 0)
     assert stream_laplace(9, 0, 1.5, 20).tolist() == [sample_laplace(1.5, rng) for _ in range(20)]
-    assert node_laplace(9, [1, 2], [0.0, 0.0]) == [0.0, 0.0]
+    assert node_laplace(9, [1, 2], [0.0, 0.0]).tolist() == [0.0, 0.0]
     assert stream_laplace(9, 0, 0.0, 3).tolist() == [0.0, 0.0, 0.0]
 
 
@@ -110,7 +170,7 @@ def test_zero_uniform_is_clamped_like_sample_laplace(monkeypatch):
     expected = sample_laplace(2.0, ZeroRng())
     assert math.isfinite(expected) and expected < 0
     monkeypatch.setattr(mechanisms, "philox_uniforms", lambda seed, idx: np.zeros(len(idx)))
-    assert node_laplace(3, [7], [2.0]) == [expected]
+    assert node_laplace(3, [7], [2.0]).tolist() == [expected]
 
 
 def test_laplace_mechanism_exact_cases():

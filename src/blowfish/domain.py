@@ -14,6 +14,8 @@ import io
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import itemgetter
 
 import numpy as np
 
@@ -186,17 +188,74 @@ def load_domain(source: str | dict) -> DomainSpec:
     return DomainSpec(attributes=tuple(parsed))
 
 
+def _is_blank(record: list[str]) -> bool:
+    """A record of no cells, or of one cell holding only whitespace."""
+    return not record or (len(record) == 1 and not record[0].strip())
+
+
+def _csv_records(text: str) -> tuple[list[str], list[list[str]]]:
+    """Header and body records of ``text`` read by ``csv.reader``; a csv
+    error becomes a ValueError naming its 0-based record after the header."""
+    records: list[list[str]] = []
+    try:
+        for record in csv.reader(io.StringIO(text)):
+            records.append(record)
+    except csv.Error as exc:
+        where = f"row {len(records) - 1}" if records else "header"
+        raise ValueError(f"{where}: {exc}") from None
+    if not records:
+        raise ValueError("empty input: missing header")
+    return records[0], records[1:]
+
+
+def _record_columns(records: list[list[str]], width: int) -> tuple[int, list | None]:
+    """Number of non-blank records and their cells column by column; None
+    for the cells when one of them is not ``width`` cells wide."""
+    rows = [r for r in records if not _is_blank(r)]
+    if any(len(r) != width for r in rows):
+        return len(rows), None
+    return len(rows), [list(map(itemgetter(c), rows)) for c in range(width)]
+
+
+def _split_columns(body: str, width: int) -> tuple[int, list | None]:
+    """``_record_columns`` of the lines of quote-free, CR-free text, without
+    a list per line.  A line with a comma has several cells, so it is blank
+    exactly when it holds no comma and strips to nothing."""
+    rows = list(filter(str.strip, body.split("\n")))
+    if width == 1:
+        return len(rows), (None if "," in body else [rows])
+    if not {width - 1}.issuperset(map(str.count, rows, repeat(","))):
+        return len(rows), None
+    # "".split(",") is one empty cell, not zero rows of cells
+    cells = ",".join(rows).split(",") if rows else []
+    return len(rows), [cells[c::width] for c in range(width)]
+
+
 def ingest_dataset(text: str, domain: DomainSpec) -> Dataset:
     """Read delimited rows (with header) into a Dataset.
 
     Header names must match the domain's attribute names; an optional ``id``
     column supplies row ids, otherwise ids are assigned 0..n-1 in file order.
+
+    Text holding no ``"``, no ``\\r`` and no NUL is split on newlines and
+    commas directly: there these give exactly the records ``csv.reader``
+    gives, with no list built per row.  Any other text is read by
+    ``csv.reader``, whose 131,072-character cell limit therefore applies only
+    to it; a record it cannot read is a ValueError naming that record (or the
+    header) before any other check.  Everything after that is shared: the
+    header check, skipping blank rows, the width check, the label lookup, the
+    ids, and on a fault a rescan of the records that names the first one.
     """
-    reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ValueError("empty input: missing header") from None
+    # csv.reader before Python 3.11 refuses a NUL, so such text goes to it too
+    split = '"' not in text and "\r" not in text and "\0" not in text
+    if split:
+        if not text:
+            raise ValueError("empty input: missing header")
+        line, _, body = text.partition("\n")
+        # csv.reader reads an empty line as no cells, not one empty cell
+        header = line.split(",") if line else []
+    else:
+        header, records = _csv_records(text)
     header = [h.strip() for h in header]
     has_id = "id" in header
     expected = (["id"] if has_id else []) + [a.name for a in domain.attributes]
@@ -208,21 +267,22 @@ def ingest_dataset(text: str, domain: DomainSpec) -> Dataset:
     id_col = header.index("id") if has_id else None
     # (column, attribute, place value) per attribute, in rank order
     cells = [(header.index(a.name), a, w) for a, w in zip(domain.attributes, domain._weights)]
-    records = list(reader)
-    rows = [r for r in records if len(r) > 1 or (r and r[0].strip())]
+    n, columns = _split_columns(body, width) if split else _record_columns(records, width)
     try:
-        if any(len(r) != width for r in rows):
+        if columns is None:
             raise ValueError
-        ranks = np.zeros(len(rows), dtype=np.int64)
+        ranks = np.zeros(n, dtype=np.int64)
         for c, attr, w in cells:
-            labels = [r[c].strip() for r in rows]
-            ranks += np.fromiter(map(attr._index.__getitem__, labels), dtype=np.int64, count=len(rows)) * w
-        ids = [int(r[id_col]) for r in rows] if has_id else np.arange(len(rows))
+            labels = map(str.strip, columns[c])
+            ranks += np.fromiter(map(attr._index.__getitem__, labels), dtype=np.int64, count=n) * w
+        ids = list(map(int, columns[id_col])) if has_id else np.arange(n)
     except (KeyError, ValueError):
         # the first fault in file order: row width, then labels in attribute
         # order, then the id
+        if split:
+            records = [line.split(",") for line in body.split("\n")]
         for lineno, raw in enumerate(records):
-            if not (len(raw) > 1 or (raw and raw[0].strip())):
+            if _is_blank(raw):
                 continue
             if len(raw) != width:
                 raise ValueError(f"row {lineno}: expected {width} columns, got {len(raw)}") from None

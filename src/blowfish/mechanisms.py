@@ -226,13 +226,17 @@ def ordered_mechanism(
     Under distance-threshold secrets with threshold theta, a protected change
     moves a tuple at most theta rank positions, so each prefix count moves by
     at most theta.
+
+    A zero-noise release draws no noise and so reads no seed; as in
+    ``build_oh_release``, its seed is not validated.
     """
     counts = np.asarray(hist, dtype=np.int64)
     if theta < 1:
         raise ValueError("theta must be >= 1")
-    scale = 0.0 if zero_noise else theta / pp.epsilon
     noisy = np.cumsum(counts).astype(float)
-    noisy += node_laplace(pp.seed, np.arange(2, 2 * counts.size + 1, 2), np.full(counts.size, scale))
+    if not zero_noise:
+        scale = np.full(counts.size, theta / pp.epsilon)
+        noisy += node_laplace(pp.seed, np.arange(2, 2 * counts.size + 1, 2), scale)
     inferred = isotonic_inference(noisy, lower_bound=0.0)
     return ReleasedCumulative(
         noisy=noisy, inferred=inferred, theta=theta, epsilon=pp.epsilon, seed=pp.seed

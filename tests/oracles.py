@@ -580,13 +580,21 @@ def ingest_by_index(text: str, domain: DomainSpec) -> tuple[list[int], list[int]
     """(ids, ranks) of delimited rows, read one cell at a time: each label is
     found with ``tuple.index`` and each point ranked with ``DomainSpec.rank``.
     Raises ``ValueError`` on the same inputs, with the same messages, as
-    ``ingest_dataset``."""
+    ``ingest_dataset``.  Every record is read by ``csv.reader``, and one it
+    cannot read fails before any other check."""
     reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ValueError("empty input: missing header") from None
-    header = [h.strip() for h in header]
+    records: list[list[str]] = []
+    while True:
+        try:
+            records.append(next(reader))
+        except StopIteration:
+            break
+        except csv.Error as exc:
+            where = f"row {len(records) - 1}" if records else "header"
+            raise ValueError(f"{where}: {exc}") from None
+    if not records:
+        raise ValueError("empty input: missing header")
+    header = [h.strip() for h in records[0]]
     has_id = "id" in header
     expected = (["id"] if has_id else []) + [a.name for a in domain.attributes]
     if sorted(header) != sorted(expected):
@@ -594,7 +602,7 @@ def ingest_by_index(text: str, domain: DomainSpec) -> tuple[list[int], list[int]
     col = {name: header.index(name) for name in header}
     ids: list[int] = []
     ranks: list[int] = []
-    for lineno, raw in enumerate(reader):
+    for lineno, raw in enumerate(records[1:]):
         if not raw or (len(raw) == 1 and not raw[0].strip()):
             continue
         if len(raw) != len(header):

@@ -122,6 +122,17 @@ def test_release_cdf_deterministic(tmp_path):
     assert payload["flags"]["seed"] == 7
 
 
+def test_release_unreadable_csv_fails_cleanly(tmp_path, capsys):
+    # a quoted cell beyond csv.reader's field limit is an error, not a traceback
+    data = tmp_path / "rows.csv"
+    data.write_text('A1,A2,A3\na1,b1,c1\n"' + "a" * 131_073 + '",b1,c1\n')
+    out = tmp_path / "out.json"
+    argv = ["release", "cdf", "--domain", DOMAIN, "--data", str(data), "--theta", "1", "--epsilon", "1.0"]
+    assert cli_main(argv + ["--seed", "7", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: row 1: field larger than field limit (131072)\n"
+    assert not out.exists()
+
+
 def test_release_histogram_and_require_exact(tmp_path, capsys):
     out = tmp_path / "hist.json"
     base = [

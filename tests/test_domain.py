@@ -9,6 +9,7 @@ from blowfish import (
     l1_distance,
     load_domain,
 )
+from blowfish import domain as domain_module
 
 from oracles import ingest_by_index
 
@@ -194,8 +195,57 @@ def _random_csv(rng, dom) -> str:
     return "\n".join(lines) + ("\n" if rng.random() < 0.7 else "")
 
 
-def test_ingest_matches_index_oracle():
-    outcomes = set()
+def _quote_cells(text: str) -> str:
+    """Every cell of every non-empty line in double quotes, inner quotes
+    doubled: the same records for ``csv.reader``."""
+    return "\n".join(
+        ",".join('"' + cell.replace('"', '""') + '"' for cell in line.split(",")) if line else ""
+        for line in text.split("\n")
+    )
+
+
+EDGE_SPECS = {
+    # a label with a comma: an unquoted "a,b" line is still two cells
+    "A": {"attributes": [{"name": "A", "values": ["a", "b", "a\0b", "a,b"]}]},
+    "AB": {"attributes": [{"name": "A", "values": ["a", "b", "a\0b"]}, {"name": "B", "values": ["x", "y"]}]},
+}
+
+EDGE_TEXTS = [
+    ("A", ""),
+    ("A", "\n"),
+    ("A", "\n\n"),
+    ("A", "A"),  # a header with no newline
+    ("AB", " B , A "),
+    ("A", "A\n"),
+    ("AB", "\nA,B\na,x\n"),  # a blank line before the header
+    ("A", " \nA\na\n"),
+    ("AB", "A,B\n,\n"),  # lines of only commas
+    ("AB", "A,B\na,x\n,,\n"),
+    ("A", "A\n,\n"),
+    ("A", "A\nb\na,b\n"),
+    ("A", "A\n\t\n\x0b\n\x0c\n\u3000\n \x1c\x1f\x85\u2028 \nb\n"),  # whitespace-only lines
+    ("AB", "A,B\n\t\n\x0b\x0c\u3000\n\ta\x0b,\u3000y\x0c\n"),
+    ("AB", "id,A,B\n\x0c\n 3 ,a,x\n\u30004\t,b,y\n"),
+    ("A", "A\na\0b\na\n"),  # a cell holding a NUL
+    ("A", "A\na\0\n"),
+    ("AB", "A,B\na,x\nb,y"),  # no final newline
+    ("AB", "A,B\na,x\nb,zz"),
+    ("AB", "id,B,A\n1,x,a\n2,y"),
+]
+
+
+def test_ingest_matches_index_oracle(monkeypatch):
+    """Random files and edge texts, each read as generated (split directly),
+    with every cell quoted and with CRLF line ends (read by csv.reader)."""
+    csv_reads = []
+    csv_records = domain_module._csv_records
+
+    def counted_csv_records(text):
+        csv_reads.append(text)
+        return csv_records(text)
+
+    monkeypatch.setattr(domain_module, "_csv_records", counted_csv_records)
+    cases = []
     for trial in range(400):
         rng = np.random.default_rng(trial)
         n_attr = int(rng.integers(1, 4))
@@ -209,9 +259,18 @@ def test_ingest_matches_index_oracle():
             ]
         }
         dom = load_domain(spec)
-        text = _random_csv(rng, dom)
+        cases.append((dom, _random_csv(rng, dom)))
+    cases += [(load_domain(EDGE_SPECS[name]), text) for name, text in EDGE_TEXTS]
+    outcomes = set()
+    for dom, text in cases:
         expected = _ingest_outcome(ingest_by_index, text, dom)
-        assert _ingest_outcome(_columnar, text, dom) == expected, text
+        for variant in (text, _quote_cells(text), text.replace("\n", "\r\n")):
+            csv_reads.clear()
+            got = _ingest_outcome(_columnar, variant, dom)
+            assert got == _ingest_outcome(ingest_by_index, variant, dom), variant
+            assert bool(csv_reads) == any(c in variant for c in '"\r\0'), variant
+            # quoting and CRLF change no record, only how it is read
+            assert got == expected, variant
         if expected[0] is ValueError:
             # the first word of the message after its "row N: " prefix
             message = expected[1].split(": ", 1)[1] if expected[1].startswith("row ") else expected[1]
@@ -219,7 +278,21 @@ def test_ingest_matches_index_oracle():
         else:
             outcomes.add("ok")
     # every fault and the clean path occur
-    assert {"ok", "unknown", "expected", "duplicate", "invalid"} <= outcomes, outcomes
+    assert {"ok", "unknown", "expected", "duplicate", "invalid", "header", "empty"} <= outcomes, outcomes
+
+
+def test_ingest_csv_errors_name_their_record():
+    dom = load_domain({"attributes": [{"name": "value", "values": ["a", "b"]}]})
+    with pytest.raises(ValueError, match=r"^row 0: new-line character seen in unquoted field"):
+        ingest_dataset("value\na\rb\n", dom)
+    long_cell = '"' + "a" * 131_073 + '"'
+    with pytest.raises(ValueError, match=r"^row 3: field larger than field limit \(131072\)$"):
+        ingest_dataset(f"value\na\n\nb\n{long_cell}\na\n", dom)
+    with pytest.raises(ValueError, match=r"^header: field larger than field limit \(131072\)$"):
+        ingest_dataset(f"{long_cell}\na\n", dom)
+    # the cell limit is csv.reader's: quote-free text is split with none
+    with pytest.raises(ValueError, match=r"^row 1: unknown value 'aaaa"):
+        ingest_dataset(f"value\nb\n{long_cell[1:-1]}\n", dom)
 
 
 TWO_FAULTS = {

@@ -227,6 +227,18 @@ def test_ordered_mechanism_zero_noise_exact():
     assert rel.range_query(2, 3) == 1
 
 
+def test_ordered_mechanism_zero_noise_draws_nothing(monkeypatch):
+    def no_draws(*args):
+        raise AssertionError("zero-noise release drew noise")
+
+    monkeypatch.setattr(mechanisms, "node_laplace", no_draws)
+    counts = np.random.default_rng(3).integers(0, 4, size=200)
+    # a zero-noise release reads no seed, so a negative one is not refused
+    rel = ordered_mechanism(counts, 3, PrivacyParams(0.5, -1), zero_noise=True)
+    assert rel.noisy.tolist() == np.cumsum(counts).astype(float).tolist()
+    assert rel.inferred.tolist() == isotonic_inference(np.cumsum(counts), lower_bound=0.0).tolist()
+
+
 def test_ordered_mechanism_monotone_output():
     rng = np.random.default_rng(12)
     for seed in range(10):

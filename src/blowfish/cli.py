@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -50,7 +51,9 @@ from .sensitivity import (
 )
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
+    """A file's text as stored: ``newline=""`` keeps every CR, so the command
+    line reads the same text as ``ingest_dataset`` given the file's bytes."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
         return fh.read()
 
 
@@ -369,9 +372,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on first use and not at import.
+
+    Parsing leaves a parser unchanged: each call gets a fresh namespace
+    filled from the actions' defaults, so calls share no state."""
+    return build_parser()
+
+
 def cli_main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError, KeyError, BlowfishError) as exc:

@@ -328,13 +328,20 @@ class CountQuery:
 
 
 def match_matrix(queries, domain: DomainSpec) -> np.ndarray:
-    """(len(queries), size) bool matrix: whether each rank matches each query."""
+    """(len(queries), size) bool matrix: whether each rank matches each query.
+
+    Each constrained attribute contributes a lookup table over its value
+    indices, read at every rank's coordinate; an allowed index outside
+    ``[0, attr.size)`` matches no rank.
+    """
     coords = domain.coords()
     out = np.ones((len(queries), domain.size), dtype=bool)
     for row, q in zip(out, queries):
-        for col, s in zip(coords.T, q.allowed):
+        for col, s, attr in zip(coords.T, q.allowed, domain.attributes):
             if s is not None:
-                row &= np.isin(col, list(s))
+                table = np.zeros(attr.size, dtype=bool)
+                table[np.array([v for v in s if 0 <= v < attr.size], dtype=np.intp)] = True
+                row &= table[col]
     return out
 
 

@@ -246,6 +246,19 @@ def random_rectangle(rng: np.random.Generator, domain: DomainSpec, answer: int |
     return CountQuery.rectangle(domain, bounds, answer)
 
 
+def match_matrix_by_isin(queries, domain: DomainSpec) -> np.ndarray:
+    """(len(queries), size) bool matrix of which ranks each query matches:
+    one ``np.isin`` of each rank's coordinate column against each allowed
+    set, so an allowed index that is no coordinate matches nothing."""
+    coords = domain.coords()
+    out = np.ones((len(queries), domain.size), dtype=bool)
+    for row, q in zip(out, queries):
+        for col, s in zip(coords.T, q.allowed):
+            if s is not None:
+                row &= np.isin(col, list(s))
+    return out
+
+
 def policy_graph_by_loop(constraints, g: SecretGraph) -> PolicyGraph:
     """The policy graph from one classification per secret-graph edge: every
     row of ``iter_graph_edges`` is run through ``lifts_lowers`` against every

@@ -1,14 +1,19 @@
 import csv
 import inspect
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from blowfish import errors
+import blowfish
+from blowfish import cli, errors
 from blowfish.cli import _format_payload, cli_main
+from blowfish.domain import ingest_dataset, load_domain
 from blowfish.mechanisms import build_oh_release
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -600,3 +605,90 @@ def test_malformed_file_fails_cleanly(case, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
     assert not (tmp_path / "out.csv").exists()
+
+
+def _call(argv, out, capsys):
+    """(exit status, stdout, stderr, bytes written to ``out`` or None)."""
+    if out.exists():
+        out.unlink()
+    rc = cli_main(argv)
+    printed = capsys.readouterr()
+    return rc, printed.out, printed.err, out.read_bytes() if out.exists() else None
+
+
+def test_calls_share_no_parser_state(tmp_path, monkeypatch, capsys):
+    # calls in one process, each after one with other flags, give what the
+    # same call gives through a freshly built parser
+    out = tmp_path / "out"
+    points = tmp_path / "pts.csv"
+    points.write_text("0.1,0.2\n0.15,0.1\n0.8,0.9\n0.85,0.95\n0.5,0.5\n")
+    hist = ["release", "histogram", "--domain", DOMAIN, "--policy", POLICY_MARGINAL, "--data", ROWS]
+    hist += ["--epsilon", "1.0", "--seed", "3", "--out", str(out)]
+    sens = ["sensitivity", "--domain", DOMAIN, "--policy", POLICY_MARGINAL]
+    km = ["kmeans", "--data", str(points), "--k", "2", "--epsilon", "1.0", "--seed", "5", "--out", str(out)]
+    sequence = [
+        hist + ["--format", "csv"],
+        hist,
+        sens + ["--require-exact"],
+        sens,
+        km + ["--iterations", "2"],
+        km,
+    ]
+    shared = [_call(argv, out, capsys) for argv in sequence]
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    fresh = [_call(argv, out, capsys) for argv in sequence]
+    assert shared == fresh
+    assert [rc for rc, *_ in shared] == [0, 0, 1, 0, 0, 0]
+    assert shared[0][3].startswith(b"key,value\n") and shared[1][3].startswith(b"{\n")
+    assert "upper bound" in shared[2][2] and shared[3][1] == "8 UpperBound SparseEngine\n"
+    assert json.loads(shared[4][3])["flags"]["iterations"] == 2
+    assert json.loads(shared[5][3])["flags"]["iterations"] == 10
+
+
+def test_parser_built_once_per_process_not_at_import():
+    script = f"""
+import argparse, contextlib, io
+made = []
+init = argparse.ArgumentParser.__init__
+def counting_init(self, *args, **kwargs):
+    made.append(kwargs.get("prog"))
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting_init
+import blowfish.cli as cli
+assert made == [], made
+builds = []
+build = cli.build_parser
+def counting_build():
+    builds.append(1)
+    return build()
+cli.build_parser = counting_build
+for _ in range(3):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.cli_main(["budget", "total", "--ledger", {LEDGER!r}]) == 0
+assert len(builds) == 1, builds
+assert isinstance(cli.build_parser(), argparse.ArgumentParser) and len(builds) == 2
+print("ok")
+"""
+    src = str(Path(blowfish.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "ok\n", "")
+
+
+def test_release_reads_file_bytes_as_stored(tmp_path):
+    # a quoted CR in a label stays a CR, as in ingest_dataset on the same
+    # bytes; CRLF ends give the records of plain newlines
+    def cdf(domain_labels, rows: bytes, name):
+        domain, data, out = tmp_path / f"{name}.json", tmp_path / f"{name}.csv", tmp_path / f"{name}.out.json"
+        domain.write_text(json.dumps({"attributes": [{"name": "v", "values": domain_labels}]}))
+        data.write_bytes(rows)
+        argv = ["release", "cdf", "--domain", str(domain), "--data", str(data), "--theta", "1"]
+        assert cli_main(argv + ["--epsilon", "1.0", "--seed", "7", "--out", str(out)]) == 0
+        return json.loads(out.read_text())["values"]
+
+    plain = cdf(["p", "x"], b"v\np\nx\nx\n", "plain")
+    assert cdf(["a\rb", "x"], b'v\n"a\rb"\nx\nx\n', "cr") == plain
+    assert cdf(["a\rb", "x"], b'v\r\n"a\rb"\r\nx\r\nx\r\n', "crlf") == plain
+    assert cdf(["p", "x"], b"v\r\np\r\nx\r\nx\r\n", "plain_crlf") == plain
+    domain = load_domain({"attributes": [{"name": "v", "values": ["a\rb", "x"]}]})
+    assert ingest_dataset((tmp_path / "cr.csv").read_bytes().decode(), domain).ranks.tolist() == [0, 1, 1]

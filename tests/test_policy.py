@@ -17,10 +17,11 @@ from blowfish import (
     load_policy,
 )
 
-from blowfish.policy import iter_graph_edges, neighbor_databases
+from blowfish.policy import iter_graph_edges, match_matrix, neighbor_databases
 from oracles import (
     critical_pairs_by_loop,
     is_edge,
+    match_matrix_by_isin,
     neighbors_by_definition,
     parallel_decomposition_by_loop,
     random_rectangle,
@@ -162,6 +163,38 @@ def test_count_query_matching():
     assert point.is_point_query(dom)
     with pytest.raises(ValueError):
         CountQuery.rectangle(dom, {"A1": (2, 5)})
+
+
+def test_match_matrix_matches_isin():
+    rng = np.random.default_rng(11)
+    for _ in range(60):
+        dom = grid_domain(*rng.integers(1, 6, int(rng.integers(1, 4))))
+        queries = []
+        for _ in range(int(rng.integers(0, 5))):
+            allowed = []
+            for attr in dom.attributes:
+                if rng.random() < 0.3:
+                    allowed.append(None)
+                    continue
+                # indices in range, past the end and negative (no wrap-around)
+                picks = rng.integers(-attr.size - 2, attr.size + 3, int(rng.integers(1, 5)))
+                allowed.append(frozenset(int(v) for v in picks))
+            queries.append(CountQuery(tuple(allowed)))
+        queries.append(random_rectangle(rng, dom))
+        got = match_matrix(queries, dom)
+        assert got.dtype == bool and got.shape == (len(queries), dom.size)
+        assert (got == match_matrix_by_isin(queries, dom)).all()
+    dom = grid_domain(3, 4)
+    for allowed, hits in [
+        ((frozenset({-1}), None), 0),
+        ((frozenset({-3, 3, 7}), None), 0),
+        ((frozenset({-1, 2}), frozenset({4, 0})), 1),
+        ((None, frozenset({-4, -1, 3})), 3),
+    ]:
+        row = match_matrix([CountQuery(allowed)], dom)[0]
+        assert row.sum() == hits
+        assert (row == match_matrix_by_isin([CountQuery(allowed)], dom)[0]).all()
+    assert match_matrix([], dom).shape == (0, dom.size)
 
 
 def test_load_policy_round_trip():

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import io
 import json
 import os
@@ -372,17 +371,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The process's one parser, built on first use and not at import.
-
-    Parsing leaves a parser unchanged: each call gets a fresh namespace
-    filled from the actions' defaults, so calls share no state."""
-    return build_parser()
-
-
 def cli_main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError, KeyError, BlowfishError) as exc:

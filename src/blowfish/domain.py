@@ -138,12 +138,9 @@ class Dataset:
         ranks = _int64_column("ranks", self.ranks)
         if ids.size != ranks.size:
             raise ValueError(f"{ids.size} row ids for {ranks.size} ranks")
-        # strictly increasing ids, as ingest assigns them, hold no duplicate;
-        # only other orders are sorted to look for one
-        if not (ids[1:] > ids[:-1]).all():
-            ordered = np.sort(ids)
-            if (ordered[1:] == ordered[:-1]).any():
-                raise ValueError("duplicate row ids")
+        ordered = np.sort(ids)
+        if (ordered[1:] == ordered[:-1]).any():
+            raise ValueError("duplicate row ids")
         if ranks.size and not (0 <= ranks.min() and ranks.max() < self.domain.size):
             raise ValueError(f"rank out of range for domain of size {self.domain.size}")
         object.__setattr__(self, "ids", ids)

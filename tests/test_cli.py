@@ -1,17 +1,13 @@
 import csv
 import inspect
 import json
-import os
 import random
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-import blowfish
-from blowfish import cli, errors
+from blowfish import errors
 from blowfish.cli import _format_payload, cli_main
 from blowfish.domain import ingest_dataset, load_domain
 from blowfish.mechanisms import build_oh_release
@@ -616,9 +612,9 @@ def _call(argv, out, capsys):
     return rc, printed.out, printed.err, out.read_bytes() if out.exists() else None
 
 
-def test_calls_share_no_parser_state(tmp_path, monkeypatch, capsys):
-    # calls in one process, each after one with other flags, give what the
-    # same call gives through a freshly built parser
+def test_calls_in_one_process_share_no_state(tmp_path, capsys):
+    # each call, made after one with other flags, gives what it gives when
+    # the sequence runs in reverse order
     out = tmp_path / "out"
     points = tmp_path / "pts.csv"
     points.write_text("0.1,0.2\n0.15,0.1\n0.8,0.9\n0.85,0.95\n0.5,0.5\n")
@@ -635,44 +631,12 @@ def test_calls_share_no_parser_state(tmp_path, monkeypatch, capsys):
         km,
     ]
     shared = [_call(argv, out, capsys) for argv in sequence]
-    monkeypatch.setattr(cli, "_parser", cli.build_parser)
-    fresh = [_call(argv, out, capsys) for argv in sequence]
-    assert shared == fresh
+    assert shared == [_call(argv, out, capsys) for argv in reversed(sequence)][::-1]
     assert [rc for rc, *_ in shared] == [0, 0, 1, 0, 0, 0]
     assert shared[0][3].startswith(b"key,value\n") and shared[1][3].startswith(b"{\n")
     assert "upper bound" in shared[2][2] and shared[3][1] == "8 UpperBound SparseEngine\n"
     assert json.loads(shared[4][3])["flags"]["iterations"] == 2
     assert json.loads(shared[5][3])["flags"]["iterations"] == 10
-
-
-def test_parser_built_once_per_process_not_at_import():
-    script = f"""
-import argparse, contextlib, io
-made = []
-init = argparse.ArgumentParser.__init__
-def counting_init(self, *args, **kwargs):
-    made.append(kwargs.get("prog"))
-    init(self, *args, **kwargs)
-argparse.ArgumentParser.__init__ = counting_init
-import blowfish.cli as cli
-assert made == [], made
-builds = []
-build = cli.build_parser
-def counting_build():
-    builds.append(1)
-    return build()
-cli.build_parser = counting_build
-for _ in range(3):
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert cli.cli_main(["budget", "total", "--ledger", {LEDGER!r}]) == 0
-assert len(builds) == 1, builds
-assert isinstance(cli.build_parser(), argparse.ArgumentParser) and len(builds) == 2
-print("ok")
-"""
-    src = str(Path(blowfish.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
-    assert (done.returncode, done.stdout, done.stderr) == (0, "ok\n", "")
 
 
 def test_release_reads_file_bytes_as_stored(tmp_path):

@@ -32,7 +32,6 @@ from .kmeans import (
     ClusteringResult,
     KmeansConfig,
     kmeans_nonprivate,
-    kmeans_objective,
     kmeans_private,
 )
 from .mechanisms import (
@@ -45,7 +44,6 @@ from .mechanisms import (
     hierarchical_release,
     isotonic_inference,
     laplace_mechanism,
-    oh_cumulative,
     oh_range_answers,
     oh_range_query,
     optimal_budget_split,
@@ -85,7 +83,6 @@ from .sensitivity import (
 from .experiments import (
     ExperimentReport,
     Workload,
-    mse,
     random_range_workload,
     run_experiment,
     synth_clusters,

@@ -81,18 +81,6 @@ class DomainSpec:
     def sizes(self) -> tuple[int, ...]:
         return tuple(a.size for a in self.attributes)
 
-    def validate_point(self, point: Point) -> Point:
-        if len(point) != len(self.attributes):
-            raise ValueError(f"point {point} has {len(point)} indices, expected {len(self.attributes)}")
-        for idx, attr in zip(point, self.attributes):
-            if not 0 <= idx < attr.size:
-                raise ValueError(f"index {idx} out of range for attribute {attr.name!r}")
-        return point
-
-    def rank(self, point: Point) -> int:
-        self.validate_point(point)
-        return sum(i * w for i, w in zip(point, self._weights))
-
     def unrank(self, r: int) -> Point:
         if not 0 <= r < self.size:
             raise ValueError(f"rank {r} out of range for domain of size {self.size}")
@@ -104,9 +92,6 @@ class DomainSpec:
     def coords(self) -> np.ndarray:
         """(size, n_attributes) int64 value indices of every rank, in rank order."""
         return np.stack(np.unravel_index(np.arange(self.size, dtype=np.int64), self.sizes), axis=1)
-
-    def point_from_labels(self, labels: dict[str, str]) -> Point:
-        return tuple(a.index_of(labels[a.name]) for a in self.attributes)
 
     def diameter(self) -> int:
         """Largest L1 distance between two domain points (in index units)."""

@@ -55,20 +55,6 @@ def random_range_workload(domain_size: int, count: int, seed: int) -> Workload:
     return Workload(domain_size=domain_size, queries=queries, seed=seed)
 
 
-def mse(truth, estimates) -> float:
-    """Mean over estimates of the summed per-component squared error."""
-    t = np.asarray(truth, dtype=float)
-    if len(estimates) == 0:
-        raise ValueError("need at least one estimate")
-    total = 0.0
-    for est in estimates:
-        e = np.asarray(est, dtype=float)
-        if e.shape != t.shape:
-            raise ValueError("estimate shape does not match truth")
-        total += float(((e - t) ** 2).sum())
-    return total / len(estimates)
-
-
 def synth_clusters(n: int, dims: int, k: int, sigma: float, seed: int) -> np.ndarray:
     """n points in (0,1)^dims around k uniform centers with per-coordinate
     Gaussian noise, clipped to [0, 1]."""

@@ -4,7 +4,7 @@ The private variant releases, per iteration, noisy cluster sizes (sensitivity
 2, like any histogram) and noisy per-cluster coordinate sums, whose
 sensitivity depends on the policy: twice the domain's L1 diameter under
 full-domain secrets, but only twice the threshold under distance-threshold
-secrets.  Each iteration spends an equal slice of the budget, split between
+secrets.  Each iteration spends an equal slice of the budget, halved between
 the two queries; the charges are recorded in a budget ledger that composes
 sequentially to the configured epsilon.
 
@@ -29,11 +29,14 @@ from .policy import Policy
 from .sensitivity import ClusterSumQuery, _cluster_sum_sensitivity, _l1_reach, closed_form_sensitivity
 
 
+# fraction of each iteration's budget spent on the size query
+_SIZE_SHARE = 0.5
+
+
 @dataclass(frozen=True)
 class KmeansConfig:
     k: int
     iterations: int = 10
-    split: float = 0.5  # budget fraction for the size query
     init: tuple[tuple[float, ...], ...] | None = None  # None: seeded uniform in bounds
 
     def __post_init__(self) -> None:
@@ -41,8 +44,6 @@ class KmeansConfig:
             raise ValueError("k must be >= 1")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
-        if not 0 < self.split < 1:
-            raise ValueError("split must be in (0, 1)")
         if self.init is not None and len(self.init) != self.k:
             raise ValueError("explicit init must provide k centroids")
 
@@ -94,12 +95,6 @@ class ClusteringResult:
         if self.ledger is not None:
             out["epsilon_spent"] = compose_budgets(self.ledger)
         return out
-
-
-def kmeans_objective(points, centroids) -> float:
-    """Sum of squared L2 distances to the nearest centroid (ties to the
-    lowest centroid index)."""
-    return _assign(np.ascontiguousarray(_as_points(points).T), np.asarray(centroids, dtype=float))[1]
 
 
 def _as_points(points) -> np.ndarray:
@@ -209,16 +204,10 @@ def _resolve_policy(policy, cfg: KmeansConfig) -> tuple[ClusteringPolicy, float]
     raise TypeError("policy must be a ClusteringPolicy or an unconstrained Policy")
 
 
-def kmeans_private(
-    points,
-    cfg: KmeansConfig,
-    policy,
-    pp: PrivacyParams,
-    zero_noise: bool = False,
-) -> ClusteringResult:
+def kmeans_private(points, cfg: KmeansConfig, policy, pp: PrivacyParams) -> ClusteringResult:
     """Private Lloyd iteration: noisy sizes and sums per round.
 
-    Per iteration, epsilon/iterations is split between the size query
+    Per iteration, epsilon/iterations is halved between the size query
     (sensitivity 2) and the sum query (policy-specific sensitivity).  Noisy
     centroids are noisy_sum / max(noisy_size, 1), clamped to the policy
     bounds.  Initialization is data-independent: seeded uniform points in
@@ -245,16 +234,15 @@ def kmeans_private(
         )
 
     eps_iter = pp.epsilon / cfg.iterations
-    eps_size = eps_iter * cfg.split
+    eps_size = eps_iter * _SIZE_SHARE
     eps_sum = eps_iter - eps_size
     size_scale = 2.0 / eps_size
     sum_scale = qsum_sens / eps_sum
     ledger = BudgetLedger()
 
     def update(t, cents, sizes, sums):
-        if not zero_noise:
-            sizes = sizes + stream_laplace(pp.seed, 2 + 2 * t, size_scale, cfg.k)
-            sums += stream_laplace(pp.seed, 3 + 2 * t, sum_scale, sums.size).reshape(sums.shape)
+        sizes = sizes + stream_laplace(pp.seed, 2 + 2 * t, size_scale, cfg.k)
+        sums += stream_laplace(pp.seed, 3 + 2 * t, sum_scale, sums.size).reshape(sums.shape)
         ledger.charge(f"iteration {t}: sizes", eps_size)
         ledger.charge(f"iteration {t}: sums", eps_sum)
         return np.clip(sums / np.maximum(sizes, 1.0)[:, None], lows, highs)

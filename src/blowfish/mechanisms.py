@@ -197,13 +197,6 @@ class ReleasedCumulative:
     epsilon: float
     seed: int
 
-    def range_query(self, i: int, j: int) -> float:
-        size = self.inferred.size
-        if not 1 <= i <= j <= size:
-            raise ValueError(f"invalid range [{i},{j}] for domain of size {size}")
-        lower = self.inferred[i - 2] if i >= 2 else 0.0
-        return float(self.inferred[j - 1] - lower)
-
     def to_dict(self) -> dict:
         return {
             "mechanism": "ordered",
@@ -214,29 +207,20 @@ class ReleasedCumulative:
         }
 
 
-def ordered_mechanism(
-    hist,
-    theta: int,
-    pp: PrivacyParams,
-    zero_noise: bool = False,
-) -> ReleasedCumulative:
+def ordered_mechanism(hist, theta: int, pp: PrivacyParams) -> ReleasedCumulative:
     """Release the cumulative histogram with Laplace(theta / epsilon) noise
     per prefix count, then isotonic inference.
 
     Under distance-threshold secrets with threshold theta, a protected change
     moves a tuple at most theta rank positions, so each prefix count moves by
     at most theta.
-
-    A zero-noise release draws no noise and so reads no seed; as in
-    ``build_oh_release``, its seed is not validated.
     """
     counts = np.asarray(hist, dtype=np.int64)
     if theta < 1:
         raise ValueError("theta must be >= 1")
     noisy = np.cumsum(counts).astype(float)
-    if not zero_noise:
-        scale = np.full(counts.size, theta / pp.epsilon)
-        noisy += node_laplace(pp.seed, np.arange(2, 2 * counts.size + 1, 2), scale)
+    scale = np.full(counts.size, theta / pp.epsilon)
+    noisy += node_laplace(pp.seed, np.arange(2, 2 * counts.size + 1, 2), scale)
     inferred = isotonic_inference(noisy, lower_bound=0.0)
     return ReleasedCumulative(
         noisy=noisy, inferred=inferred, theta=theta, epsilon=pp.epsilon, seed=pp.seed
@@ -359,7 +343,8 @@ class OHTree:
 
     @cached_property
     def cumulative(self) -> np.ndarray:
-        """``oh_cumulative(self, j)`` for every j in [0, size], read-only.
+        """Unbiased estimate of the prefix count up to every position j in
+        [0, size], read-only.
 
         Built on first use: a block-end position is its block's S node; any
         other j is the previous block's S node (0 in block 1) plus the H
@@ -473,7 +458,6 @@ def build_oh_release(
     eps_s: float,
     eps_h: float,
     seed: int,
-    zero_noise: bool = False,
 ) -> OHTree:
     """Build the noisy ordered-hierarchical structure over a histogram.
 
@@ -518,8 +502,7 @@ def build_oh_release(
         if eps_h == 0:
             raise ValueError("eps_h must be positive when the structure has H nodes")
         scale[past_block1] = 2.0 * h / eps_h
-    noise = np.zeros(scale.size) if zero_noise else node_laplace(seed, index, scale)
-    value = (prefix[hi] - prefix[lo - 1]) + noise
+    value = (prefix[hi] - prefix[lo - 1]) + node_laplace(seed, index, scale)
     columns = {
         "lo": lo, "hi": hi, "index": index, "scale": scale, "value": value,
         "depth": depth, "slot": slot, "parent_hi": parent_hi,
@@ -535,9 +518,7 @@ def build_oh_release(
     )
 
 
-def hierarchical_release(
-    hist, fanout: int, epsilon: float, seed: int, zero_noise: bool = False
-) -> OHTree:
+def hierarchical_release(hist, fanout: int, epsilon: float, seed: int) -> OHTree:
     """Classical f-ary interval tree baseline with uniform budget per level.
 
     This is the theta = |domain| ordered-hierarchical tree: one block spanning
@@ -547,19 +528,7 @@ def hierarchical_release(
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     size = int(np.asarray(hist).size)
-    return build_oh_release(hist, size, fanout, 0.0, epsilon, seed, zero_noise)
-
-
-def oh_cumulative(tree: OHTree, j: int) -> float:
-    """Unbiased estimate of the prefix count up to position j (1-based).
-
-    A position ending its block is served by that block's prefix node alone;
-    otherwise the previous prefix node plus the canonical decomposition of
-    the residual inside j's block.  j = 0 gives 0.
-    """
-    if not 0 <= j <= tree.domain_size:
-        raise ValueError(f"position {j} out of range [0, {tree.domain_size}]")
-    return float(tree.cumulative[j])
+    return build_oh_release(hist, size, fanout, 0.0, epsilon, seed)
 
 
 def oh_range_query(tree: OHTree, i: int, j: int) -> float:
@@ -634,14 +603,21 @@ class BudgetLedger:
             raise ValueError("ledger 'certified_groups' must be a list")
         ledger = cls()
         for e in entries:
-            label = str(e["label"])
+            label, epsilon, group = e.get("label"), e.get("epsilon"), e.get("group")
+            if not isinstance(label, str):
+                raise ValueError(f"ledger entry 'label' must be a string, got {label!r}")
+            if isinstance(epsilon, bool) or not isinstance(epsilon, (int, float)):
+                raise ValueError(f"ledger entry 'epsilon' must be a number, got {epsilon!r}")
+            if group is not None and not isinstance(group, str):
+                raise ValueError(f"ledger entry 'group' must be a string or null, got {group!r}")
             try:
-                epsilon = float(e["epsilon"])
-            except TypeError:
-                raise ValueError("ledger entry 'epsilon' must be a number") from None
-            ledger.charge(label, epsilon, e.get("group"))
+                ledger.charge(label, float(epsilon), group)
+            except OverflowError:
+                raise ValueError(f"ledger entry 'epsilon' must be finite, got {epsilon!r}") from None
         for g in groups:
-            ledger.certify_group(str(g))
+            if not isinstance(g, str):
+                raise ValueError(f"ledger 'certified_groups' entries must be strings, got {g!r}")
+            ledger.certify_group(g)
         return ledger
 
 

@@ -24,7 +24,7 @@ from enum import Enum
 
 import numpy as np
 
-from .domain import DomainSpec, Point
+from .domain import DomainSpec
 from .errors import BudgetExceededError, InfeasibleConstraintsError
 
 DEFAULT_ENUM_BUDGET = 100_000
@@ -302,17 +302,11 @@ class CountQuery:
                 allowed.append(None)
         return cls(tuple(allowed), answer)
 
-    def matches(self, point: Point) -> bool:
-        return all(s is None or v in s for v, s in zip(point, self.allowed))
-
     def support_size(self, domain: DomainSpec) -> int:
         out = 1
         for s, attr in zip(self.allowed, domain.attributes):
             out *= attr.size if s is None else len(s)
         return out
-
-    def is_point_query(self, domain: DomainSpec) -> bool:
-        return self.support_size(domain) == 1
 
     def is_rectangle(self) -> bool:
         for s in self.allowed:
@@ -322,9 +316,6 @@ class CountQuery:
             if vals[-1] - vals[0] + 1 != len(vals):
                 return False
         return True
-
-    def with_answer(self, answer: int) -> "CountQuery":
-        return CountQuery(self.allowed, answer)
 
 
 def match_matrix(queries, domain: DomainSpec) -> np.ndarray:
@@ -405,12 +396,15 @@ class Policy:
 
 
 def _integer(value, field: str) -> int:
-    """``int(value)`` for a JSON scalar; a list or an object is an error
-    naming the field."""
+    """``int(value)`` for a JSON scalar that is a whole number; a list, an
+    object, a boolean, a fraction, NaN or an infinity is an error naming the
+    field."""
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{field} must be an integer, got {value!r}")
     try:
         return int(value)
-    except TypeError:
-        raise ValueError(f"{field} must be an integer") from None
+    except (TypeError, ValueError):
+        raise ValueError(f"{field} must be an integer, got {value!r}") from None
 
 
 def load_policy(source: str | dict, domain: DomainSpec) -> Policy:

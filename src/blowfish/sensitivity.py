@@ -242,12 +242,6 @@ class PolicyGraph:
     def n_vertices(self) -> int:
         return self.n_queries + 2
 
-    def witness(self, edge: tuple[int, int]) -> tuple[int, int] | None:
-        for e, w in self.witnesses:
-            if e == edge:
-                return w
-        return None
-
 
 def build_policy_graph(constraints: ConstraintSet, g: SecretGraph) -> PolicyGraph:
     """Construct the policy graph of a sparse constraint set.

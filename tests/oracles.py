@@ -37,22 +37,46 @@ from blowfish.policy import GraphKind, iter_graph_edges
 from blowfish.sensitivity import MAX_POLICY_GRAPH_VERTICES, PolicyGraph, _path_states
 
 
+def validate_point(domain: DomainSpec, point) -> None:
+    """Raise ValueError unless ``point`` holds one in-range value index per
+    attribute."""
+    if len(point) != len(domain.attributes):
+        raise ValueError(f"point {point} has {len(point)} indices, expected {len(domain.attributes)}")
+    for idx, attr in zip(point, domain.attributes):
+        if not 0 <= idx < attr.size:
+            raise ValueError(f"index {idx} out of range for attribute {attr.name!r}")
+
+
+def rank(domain: DomainSpec, point) -> int:
+    """Mixed-radix rank of a point, the last attribute varying fastest."""
+    validate_point(domain, point)
+    out = 0
+    for idx, attr in zip(point, domain.attributes):
+        out = out * attr.size + idx
+    return out
+
+
+def matches(q: CountQuery, point) -> bool:
+    """Whether a point lies in the query's allowed value sets."""
+    return all(s is None or v in s for v, s in zip(point, q.allowed))
+
+
 def is_edge(g: SecretGraph, x, y) -> bool:
     """Whether (x, y) is a discriminative secret pair, from the points'
     coordinates.  False for x == y."""
     if x == y:
         return False
-    g.domain.validate_point(x)
-    g.domain.validate_point(y)
+    validate_point(g.domain, x)
+    validate_point(g.domain, y)
     if g.kind is GraphKind.FULL:
         return True
     if g.kind is GraphKind.ATTRIBUTE:
         return sum(1 for a, b in zip(x, y) if a != b) == 1
     if g.kind is GraphKind.PARTITION:
-        return g.cells[g.domain.rank(x)] == g.cells[g.domain.rank(y)]
+        return g.cells[rank(g.domain, x)] == g.cells[rank(g.domain, y)]
     if g.kind is GraphKind.DISTANCE:
         return l1_distance(x, y) <= g.theta
-    rx, ry = g.domain.rank(x), g.domain.rank(y)
+    rx, ry = rank(g.domain, x), rank(g.domain, y)
     return (min(rx, ry), max(rx, ry)) in g.edge_list
 
 
@@ -65,7 +89,7 @@ class Effect(str, Enum):
 def lifts_lowers(pair, q: CountQuery) -> Effect:
     """Effect of changing a tuple from pair[0] to pair[1] on the count query."""
     x, y = pair
-    mx, my = q.matches(x), q.matches(y)
+    mx, my = matches(q, x), matches(q, y)
     if not mx and my:
         return Effect.LIFTS
     if mx and not my:
@@ -103,7 +127,7 @@ def satisfying_databases(policy: Policy, n: int) -> list[tuple[int, ...]]:
     answered = [q for q in policy.constraints.queries if q.answer is not None]
     out = []
     for db in itertools.product(range(domain.size), repeat=n):
-        if all(sum(1 for r in db if q.matches(points[r])) == q.answer for q in answered):
+        if all(sum(1 for r in db if matches(q, points[r])) == q.answer for q in answered):
             out.append(db)
     return out
 
@@ -454,7 +478,7 @@ def specialized_by_loop(policy: Policy) -> SensitivityResult:
         # rectangles that cover the domain leave no tuple outside them, so
         # the source-to-sink path behind the "+1" cannot occur
         covered = sum(q.support_size(domain) for q in queries) == domain.size
-        exact = not covered and not any(q.is_point_query(domain) for q in queries)
+        exact = not covered and not any(q.support_size(domain) == 1 for q in queries)
         if exact:
             # the bound is attained along a path through a largest component,
             # which requires the component to be traceable
@@ -479,7 +503,7 @@ def critical_pairs_by_loop(policy: Policy, q: CountQuery, n: int) -> set[tuple[i
     cosupp = domain.size - supp
     out = set()
     for x_rank, y_rank in iter_graph_edges(policy.graph).tolist():
-        mx, my = q.matches(domain.unrank(x_rank)), q.matches(domain.unrank(y_rank))
+        mx, my = matches(q, domain.unrank(x_rank)), matches(q, domain.unrank(y_rank))
         if mx == my:
             continue
         need = q.answer - (1 if mx else 0)
@@ -591,7 +615,7 @@ def sample_laplace(scale: float, rng: np.random.Generator) -> float:
 
 def ingest_by_index(text: str, domain: DomainSpec) -> tuple[list[int], list[int]]:
     """(ids, ranks) of delimited rows, read one cell at a time: each label is
-    found with ``tuple.index`` and each point ranked with ``DomainSpec.rank``.
+    found with ``tuple.index`` and each point ranked with ``rank``.
     Raises ``ValueError`` on the same inputs, with the same messages, as
     ``ingest_dataset``.  Every record is read by ``csv.reader``, and one it
     cannot read fails before any other check."""
@@ -631,7 +655,7 @@ def ingest_by_index(text: str, domain: DomainSpec) -> tuple[list[int], list[int]
             ids.append(int(raw[col["id"]]) if has_id else len(ids))
         except ValueError as exc:
             raise ValueError(f"row {lineno}: {exc}") from None
-        ranks.append(domain.rank(tuple(point)))
+        ranks.append(rank(domain, tuple(point)))
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate row ids")
     return ids, ranks
@@ -685,36 +709,29 @@ def kmeans_nonprivate_by_loop(points, cfg: KmeansConfig, seed: int, bounds=None)
     return ClusteringResult(centroids=cents, objective=trace[-1], trace=tuple(trace))
 
 
-def kmeans_private_by_loop(
-    points, cfg: KmeansConfig, policy, pp: PrivacyParams, zero_noise: bool = False
-) -> ClusteringResult:
+def kmeans_private_by_loop(points, cfg: KmeansConfig, policy, pp: PrivacyParams) -> ClusteringResult:
     """Private Lloyd iteration with one boolean-mask gather per cluster: its
-    size and coordinate sum get that cluster's slice of the round's noise."""
+    size and coordinate sum get that cluster's slice of the round's noise.
+    Each round's budget is halved between sizes and sums."""
     pts = np.asarray(points, dtype=float)
     cpolicy, qsum_sens = _resolve_policy(policy, cfg)
     lows = np.array([lo for lo, _ in cpolicy.bounds])
     highs = np.array([hi for _, hi in cpolicy.bounds])
     cents = _init_centroids(cfg, cpolicy.bounds, pp.seed, len(pts))
-    eps_iter = pp.epsilon / cfg.iterations
-    eps_size = eps_iter * cfg.split
-    eps_sum = eps_iter - eps_size
+    eps_size = eps_sum = pp.epsilon / cfg.iterations / 2
     ledger = BudgetLedger()
     trace = []
     dims = pts.shape[1]
     d2 = sq_distances_by_loop(pts, cents)
     for t in range(cfg.iterations):
         assign = d2.argmin(axis=1)
-        if not zero_noise:
-            size_noise = stream_laplace(pp.seed, 2 + 2 * t, 2.0 / eps_size, cfg.k)
-            sum_noise = stream_laplace(pp.seed, 3 + 2 * t, qsum_sens / eps_sum, cfg.k * dims).reshape(cfg.k, dims)
+        size_noise = stream_laplace(pp.seed, 2 + 2 * t, 2.0 / eps_size, cfg.k)
+        sum_noise = stream_laplace(pp.seed, 3 + 2 * t, qsum_sens / eps_sum, cfg.k * dims).reshape(cfg.k, dims)
         new = np.empty_like(cents)
         for c in range(cfg.k):
             members = pts[assign == c]
-            size = float(len(members))
-            total = members.sum(axis=0) if len(members) else np.zeros(dims)
-            if not zero_noise:
-                size += size_noise[c]
-                total = total + sum_noise[c]
+            size = float(len(members)) + size_noise[c]
+            total = (members.sum(axis=0) if len(members) else np.zeros(dims)) + sum_noise[c]
             new[c] = total / max(size, 1.0)
         cents = np.clip(new, lows, highs)
         ledger.charge(f"iteration {t}: sizes", eps_size)

@@ -531,13 +531,31 @@ def test_csv_release_parses(command, tmp_path):
             assert cell == str(value), key
 
 
-# valid JSON of the wrong shape, one file at a time; each names its field
+# valid JSON of the wrong shape, one file at a time; each names its field.
+# A string is written as it stands, so a number such as 1e400 keeps its text
 DOMAIN_SPEC = json.loads(Path(DOMAIN).read_text())
+ENTRY = {"label": "a", "epsilon": 0.5}
 
 MALFORMED_FILES = {
     "ledger-list": ("ledger", [1]),
     "ledger-entry-int": ("ledger", {"entries": [1]}),
     "ledger-groups-int": ("ledger", {"certified_groups": 3}),
+    "ledger-group-list": ("ledger", {"entries": [{**ENTRY, "group": ["g"]}], "certified_groups": ["g"]}),
+    "ledger-group-dict": ("ledger", {"entries": [{**ENTRY, "group": {"g": 1}}]}),
+    "ledger-group-int": ("ledger", {"entries": [{**ENTRY, "group": 1}], "certified_groups": [1]}),
+    "ledger-certified-int": ("ledger", {"entries": [{**ENTRY, "group": "1"}], "certified_groups": [1]}),
+    "ledger-label-missing": ("ledger", {"entries": [{"epsilon": 0.5}]}),
+    "ledger-label-int": ("ledger", {"entries": [{"label": 3, "epsilon": 0.5}]}),
+    "ledger-epsilon-missing": ("ledger", {"entries": [{"label": "a"}]}),
+    "ledger-epsilon-str": ("ledger", {"entries": [{"label": "a", "epsilon": "0.5"}]}),
+    "ledger-epsilon-huge-int": ("ledger", {"entries": [{"label": "a", "epsilon": 10**400}]}),
+    "policy-theta-1e400": ("policy", '{"graph": {"kind": "distance", "theta": 1e400}}'),
+    "policy-theta-nan": ("policy", '{"graph": {"kind": "distance", "theta": NaN}}'),
+    "policy-theta-fraction": ("policy", {"graph": {"kind": "distance", "theta": 1.5}}),
+    "policy-answer-1e400": ("policy", '{"graph": {"kind": "full"}, "constraints": [{"where": {"A1": ["a1"]}, "answer": 1e400}]}'),
+    "policy-answer-fraction": ("policy", {"graph": {"kind": "full"}, "constraints": [{"where": {"A1": ["a1"]}, "answer": 1.9}]}),
+    "policy-range-1e400": ("policy", '{"graph": {"kind": "full"}, "constraints": [{"where": {"A1": {"range": [0, 1e400]}}}]}'),
+    "policy-range-fraction": ("policy", {"graph": {"kind": "full"}, "constraints": [{"where": {"A1": {"range": [0.5, 1]}}}]}),
     "policy-graph-int": ("policy", {"graph": 3}),
     "policy-partition-label": ("policy", {"graph": {"kind": "partition", "cells": [[0, "a"]]}}),
     "policy-constraints-str": ("policy", {"graph": {"kind": "full"}, "constraints": "x"}),
@@ -590,7 +608,7 @@ MALFORMED_FILES = {
 def test_malformed_file_fails_cleanly(case, tmp_path, capsys):
     kind, content = MALFORMED_FILES[case]
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(content))
+    bad.write_text(content if isinstance(content, str) else json.dumps(content))
     argv = {
         "ledger": ["budget", "total", "--ledger", str(bad)],
         "policy": ["policy", "validate", "--domain", DOMAIN, "--policy", str(bad)],

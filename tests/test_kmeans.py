@@ -10,7 +10,6 @@ from blowfish import (
     SecretGraph,
     compose_budgets,
     kmeans_nonprivate,
-    kmeans_objective,
     kmeans_private,
     load_domain,
 )
@@ -29,12 +28,18 @@ def unit_bounds(dims):
     return tuple((0.0, 1.0) for _ in range(dims))
 
 
+def objective(points, centroids) -> float:
+    """Sum of squared L2 distances to the nearest centroid, as the Lloyd
+    kernel computes it."""
+    return _assign(np.ascontiguousarray(np.asarray(points, dtype=float).T), np.asarray(centroids, dtype=float))[1]
+
+
 def test_objective_examples():
-    assert kmeans_objective([[1.0, 2.0]], [[1.0, 2.0]]) == 0.0
-    assert kmeans_objective([[0.0], [2.0]], [[1.0]]) == 2.0
+    assert objective([[1.0, 2.0]], [[1.0, 2.0]]) == 0.0
+    assert objective([[0.0], [2.0]], [[1.0]]) == 2.0
     pts = np.random.default_rng(0).random((30, 3))
     cents = np.random.default_rng(1).random((4, 3))
-    assert kmeans_objective(pts, cents) == pytest.approx(kmeans_objective(pts, cents[::-1]))
+    assert objective(pts, cents) == pytest.approx(objective(pts, cents[::-1]))
 
 
 def test_nonprivate_two_blobs():
@@ -77,20 +82,20 @@ def test_discrete_policy_accepted():
     assert (res.centroids >= 0).all() and (res.centroids[:, 0] <= 2).all()
 
 
-def test_private_zero_noise_matches_nonprivate():
+def test_private_zero_noise_matches_nonprivate(no_noise):
     pts = synth_clusters(300, 2, 3, 0.1, seed=9)
     cfg = KmeansConfig(k=3, iterations=6)
     bounds = unit_bounds(2)
     policy = ClusteringPolicy(bounds, "full")
     base = kmeans_nonprivate(pts, cfg, seed=9, bounds=bounds)
-    priv = kmeans_private(pts, cfg, policy, PrivacyParams(1.0, 9), zero_noise=True)
+    priv = kmeans_private(pts, cfg, policy, PrivacyParams(1.0, 9))
     assert np.allclose(priv.centroids, base.centroids)
     assert priv.trace == base.trace
 
 
 def test_private_budget_ledger():
     pts = synth_clusters(100, 2, 2, 0.2, seed=3)
-    cfg = KmeansConfig(k=2, iterations=10, split=0.5)
+    cfg = KmeansConfig(k=2, iterations=10)
     policy = ClusteringPolicy(unit_bounds(2), "distance", theta=0.25)
     pp = PrivacyParams(0.2, 3)
     res = kmeans_private(pts, cfg, policy, pp)
@@ -98,10 +103,9 @@ def test_private_budget_ledger():
     assert compose_budgets(res.ledger) == pytest.approx(pp.epsilon, rel=1e-9)
     charges = res.ledger.charges
     assert len(charges) == 2 * cfg.iterations
-    eps_size = pp.epsilon * cfg.split / cfg.iterations
-    assert all(c.epsilon == pytest.approx(eps_size) for c in charges[0::2])
-    # size noise scale implied by the per-iteration charge
-    assert 2.0 / eps_size == pytest.approx(2 * cfg.iterations / (cfg.split * pp.epsilon))
+    # each iteration's budget is halved between the size and the sum query
+    eps_half = pp.epsilon / cfg.iterations / 2
+    assert all(c.epsilon == pytest.approx(eps_half) for c in charges)
 
 
 def test_private_huge_epsilon_tracks_nonprivate():
@@ -128,8 +132,6 @@ def test_config_validation():
         KmeansConfig(k=0)
     with pytest.raises(ValueError):
         KmeansConfig(k=2, iterations=0)
-    with pytest.raises(ValueError):
-        KmeansConfig(k=2, split=1.0)
     with pytest.raises(ValueError):
         kmeans_nonprivate(np.zeros((1, 2)), KmeansConfig(k=2), seed=0, bounds=unit_bounds(2))
 
@@ -189,7 +191,7 @@ def _kernel_cases(dims: int):
         (pts, KmeansConfig(k=1, iterations=3), box),
         (pts, KmeansConfig(k=5, iterations=4, init=far), box),
         (pts[:4], KmeansConfig(k=4, iterations=3), box),
-        (pts[:7], KmeansConfig(k=7, iterations=2, split=0.3), box),
+        (pts[:7], KmeansConfig(k=7, iterations=2), box),
     ]
     for kind in ("full", "distance", "attribute"):
         policy = ClusteringPolicy(unit_bounds(dims), kind, theta=0.3)
@@ -200,17 +202,14 @@ def _kernel_cases(dims: int):
 
 
 @pytest.mark.parametrize("dims", [2, 3, 4, 7])
-def test_kernel_bit_identical_to_loop(dims):
+def test_kernel_bit_identical_to_loop(dims, request):
     # for 2 <= d <= 7 the column kernel adds every distance and every cluster
     # sum in the loop's order, so each released float is the same
-    for i, (pts, cfg, policy) in enumerate(_kernel_cases(dims)):
+    cases = list(enumerate(_kernel_cases(dims)))
+    for i, (pts, cfg, policy) in cases:
         seed = 100 * dims + i
-        for zero_noise in (False, True):
-            pp = PrivacyParams(3.0, seed)
-            _assert_same_release(
-                kmeans_private(pts, cfg, policy, pp, zero_noise=zero_noise),
-                kmeans_private_by_loop(pts, cfg, policy, pp, zero_noise=zero_noise),
-            )
+        pp = PrivacyParams(3.0, seed)
+        _assert_same_release(kmeans_private(pts, cfg, policy, pp), kmeans_private_by_loop(pts, cfg, policy, pp))
         bounds = policy.bounds if isinstance(policy, ClusteringPolicy) else None
         for b in (bounds, None):
             _assert_same_release(
@@ -218,7 +217,12 @@ def test_kernel_bit_identical_to_loop(dims):
                 kmeans_nonprivate_by_loop(pts, cfg, seed=seed, bounds=b),
             )
         cents = np.random.default_rng(seed).random((cfg.k, dims))
-        assert kmeans_objective(pts, cents) == kmeans_objective_by_loop(pts, cents)
+        assert objective(pts, cents) == kmeans_objective_by_loop(pts, cents)
+    # the same releases without noise, on both sides
+    request.getfixturevalue("no_noise")
+    for i, (pts, cfg, policy) in cases:
+        pp = PrivacyParams(3.0, 100 * dims + i)
+        _assert_same_release(kmeans_private(pts, cfg, policy, pp), kmeans_private_by_loop(pts, cfg, policy, pp))
 
 
 def test_kernel_keeps_empty_clusters_in_place():
@@ -262,14 +266,12 @@ def test_empty_or_misshapen_points_rejected(points):
         kmeans_private(points, cfg, policy, PrivacyParams(1.0, 1))
     with pytest.raises(ValueError, match=message):
         kmeans_nonprivate(points, cfg, seed=1, bounds=unit_bounds(2))
-    with pytest.raises(ValueError, match=message):
-        kmeans_objective(points, [[0.0, 0.0]])
 
 
 def test_centroid_dimension_mismatch_rejected():
     pts = np.full((4, 2), 0.5)
     with pytest.raises(ValueError, match="different dimensions"):
-        kmeans_objective(pts, [[0.5, 0.5, 0.5]])
+        objective(pts, [[0.5, 0.5, 0.5]])
     with pytest.raises(ValueError, match="different dimensions"):
         kmeans_nonprivate(pts, KmeansConfig(k=1, iterations=1, init=((0.5, 0.5, 0.5),)), seed=0)
     with pytest.raises(ValueError, match="different dimensions"):
@@ -325,4 +327,4 @@ def test_assign_matches_distance_matrix_argmin(d, k):
 
 def test_assign_needs_a_centroid():
     with pytest.raises(ValueError, match="at least one centroid"):
-        kmeans_objective(np.zeros((3, 2)), np.zeros((0, 2)))
+        objective(np.zeros((3, 2)), np.zeros((0, 2)))

@@ -14,7 +14,6 @@ from blowfish import (
     hierarchical_release,
     isotonic_inference,
     laplace_mechanism,
-    oh_cumulative,
     oh_range_answers,
     oh_range_query,
     optimal_budget_split,
@@ -220,23 +219,10 @@ def test_isotonic_lower_bound_clamp():
 # -- ordered mechanism -------------------------------------------------------------
 
 
-def test_ordered_mechanism_zero_noise_exact():
+def test_ordered_mechanism_zero_noise_exact(no_noise):
     counts = np.array([2, 0, 1, 5])
-    rel = ordered_mechanism(counts, 1, PrivacyParams(1.0, 7), zero_noise=True)
-    assert rel.inferred.tolist() == [2, 2, 3, 8]
-    assert rel.range_query(2, 3) == 1
-
-
-def test_ordered_mechanism_zero_noise_draws_nothing(monkeypatch):
-    def no_draws(*args):
-        raise AssertionError("zero-noise release drew noise")
-
-    monkeypatch.setattr(mechanisms, "node_laplace", no_draws)
-    counts = np.random.default_rng(3).integers(0, 4, size=200)
-    # a zero-noise release reads no seed, so a negative one is not refused
-    rel = ordered_mechanism(counts, 3, PrivacyParams(0.5, -1), zero_noise=True)
-    assert rel.noisy.tolist() == np.cumsum(counts).astype(float).tolist()
-    assert rel.inferred.tolist() == isotonic_inference(np.cumsum(counts), lower_bound=0.0).tolist()
+    rel = ordered_mechanism(counts, 1, PrivacyParams(1.0, 7))
+    assert rel.noisy.tolist() == rel.inferred.tolist() == [2, 2, 3, 8]
 
 
 def test_ordered_mechanism_monotone_output():
@@ -323,16 +309,13 @@ def test_oh_noise_scales():
             assert node.scale == pytest.approx(expected)
 
 
-def test_oh_zero_noise_cumulative_exact():
+def test_oh_zero_noise_cumulative_exact(no_noise):
     rng = np.random.default_rng(13)
     counts = rng.integers(0, 6, size=21)  # last block is partial
     prefix = np.cumsum(counts)
-    tree = build_oh_release(counts, theta=4, fanout=3, eps_s=0.5, eps_h=0.5, seed=2, zero_noise=True)
-    for j in range(1, 22):
-        assert oh_cumulative(tree, j) == pytest.approx(prefix[j - 1])
+    tree = build_oh_release(counts, theta=4, fanout=3, eps_s=0.5, eps_h=0.5, seed=2)
+    assert tree.cumulative.tolist() == [0, *prefix.tolist()]
     assert oh_range_query(tree, 1, 21) == pytest.approx(counts.sum())
-    with pytest.raises(ValueError):
-        oh_cumulative(tree, 22)
     with pytest.raises(ValueError):
         oh_range_query(tree, 5, 4)
     with pytest.raises(ValueError, match=r"invalid range \[5,4\]"):
@@ -354,11 +337,13 @@ OH_SHAPES = [
 
 @pytest.mark.parametrize("zero_noise", [False, True])
 @pytest.mark.parametrize("size,theta,fanout", OH_SHAPES)
-def test_oh_prefixes_bit_identical_to_walk(size, theta, fanout, zero_noise):
+def test_oh_prefixes_bit_identical_to_walk(size, theta, fanout, zero_noise, request):
+    if zero_noise:
+        request.getfixturevalue("no_noise")
     rng = np.random.default_rng(size + theta + fanout)
     counts = rng.integers(0, 9, size=size)
     split = optimal_budget_split(size, theta, fanout, 1.0)
-    tree = build_oh_release(counts, theta, fanout, split.eps_s, split.eps_h, seed=31, zero_noise=zero_noise)
+    tree = build_oh_release(counts, theta, fanout, split.eps_s, split.eps_h, seed=31)
     values = {(n.lo, n.hi): n.value for n in tree.nodes()}
     if size <= 5000:
         js = np.arange(size + 1)
@@ -368,7 +353,6 @@ def test_oh_prefixes_bit_identical_to_walk(size, theta, fanout, zero_noise):
         js = np.unique(np.concatenate([[0, 1], ends, ends - 1, rng.integers(0, size + 1, 1000)]))
     want = np.array([oh_cumulative_by_walk(values, size, theta, fanout, int(j)) for j in js])
     assert np.array_equal(tree.cumulative[js], want)
-    assert np.array_equal([oh_cumulative(tree, int(j)) for j in js[:200]], want[:200])
 
     queries = random_range_workload(size, 500, seed=size).queries
     walk = {j: oh_cumulative_by_walk(values, size, theta, fanout, j) for q in queries for j in (q[0] - 1, q[1])}
@@ -390,7 +374,7 @@ def test_oh_boundary_uses_s_node_alone():
     counts = np.arange(12)
     tree = build_oh_release(counts, theta=3, fanout=2, eps_s=0.7, eps_h=0.3, seed=5)
     for i, node in enumerate(tree.nodes()[: tree.k], start=1):
-        assert oh_cumulative(tree, min(i * 3, 12)) == pytest.approx(node.value)
+        assert tree.cumulative[min(i * 3, 12)] == pytest.approx(node.value)
 
 
 def test_oh_cumulative_unbiased():
@@ -401,7 +385,7 @@ def test_oh_cumulative_unbiased():
     vals = []
     for seed in range(runs):
         tree = build_oh_release(counts, theta=4, fanout=2, eps_s=1.0, eps_h=1.0, seed=seed)
-        vals.append(oh_cumulative(tree, j))
+        vals.append(tree.cumulative[j])
     vals = np.array(vals)
     se = vals.std(ddof=1) / math.sqrt(runs)
     assert abs(vals.mean() - prefix[j - 1]) < 3 * se
@@ -511,3 +495,27 @@ def test_ledger_round_trip():
     ledger.certify_group("g")
     other = BudgetLedger.from_dict(ledger.to_dict())
     assert compose_budgets(other) == pytest.approx(0.7)
+
+
+@pytest.mark.parametrize(
+    "entry,groups,message",
+    [
+        ({"epsilon": 0.5}, [], "'label' must be a string, got None"),
+        ({"label": 3, "epsilon": 0.5}, [], "'label' must be a string, got 3"),
+        ({"label": "a"}, [], "'epsilon' must be a number, got None"),
+        ({"label": "a", "epsilon": "0.5"}, [], "'epsilon' must be a number, got '0.5'"),
+        ({"label": "a", "epsilon": True}, [], "'epsilon' must be a number, got True"),
+        ({"label": "a", "epsilon": 10**400}, [], "'epsilon' must be finite"),
+        ({"label": "a", "epsilon": 0.5, "group": ["g"]}, ["g"], "'group' must be a string or null, got \\['g'\\]"),
+        ({"label": "a", "epsilon": 0.5, "group": {}}, [], "'group' must be a string or null, got \\{\\}"),
+        ({"label": "a", "epsilon": 0.5, "group": 1}, [1], "'group' must be a string or null, got 1"),
+        ({"label": "a", "epsilon": 0.5, "group": "1"}, [1], "'certified_groups' entries must be strings, got 1"),
+    ],
+    ids=[
+        "label-missing", "label-int", "epsilon-missing", "epsilon-str", "epsilon-bool", "epsilon-huge-int",
+        "group-list", "group-dict", "group-int", "certified-int",
+    ],
+)
+def test_ledger_from_dict_names_the_field(entry, groups, message):
+    with pytest.raises(ValueError, match=message):
+        BudgetLedger.from_dict({"entries": [entry], "certified_groups": groups})

@@ -22,10 +22,12 @@ from oracles import (
     critical_pairs_by_loop,
     is_edge,
     match_matrix_by_isin,
+    matches,
     neighbors_by_definition,
     parallel_decomposition_by_loop,
     random_rectangle,
     random_secret_graph,
+    rank,
 )
 
 GRAPH_KINDS = ("full", "attribute", "partition", "distance", "explicit")
@@ -144,8 +146,9 @@ def test_iter_graph_edges_distance_at_diameter_128():
     dom = grid_domain(128, 2)
     corners = [CountQuery.rectangle(dom, {"A0": (v, v), "A1": (w, w)}, answer=0) for v, w in ((0, 0), (127, 1))]
     pg = build_policy_graph(ConstraintSet.of(corners), SecretGraph.distance(dom, 128))
-    far = dom.rank((127, 1))
-    assert pg.witness((0, 1)) == (0, far) and pg.witness((1, 0)) == (far, 0)
+    far = rank(dom, (127, 1))
+    witness = dict(pg.witnesses)
+    assert witness[0, 1] == (0, far) and witness[1, 0] == (far, 0)
 
 
 # -- constraints and policy files ---------------------------------------------
@@ -154,13 +157,13 @@ def test_iter_graph_edges_distance_at_diameter_128():
 def test_count_query_matching():
     dom = grid_domain(2, 3)
     q = CountQuery.from_labels(dom, {"A0": ["v1"]}, answer=2)
-    assert q.matches((1, 0)) and q.matches((1, 2))
-    assert not q.matches((0, 0))
+    assert matches(q, (1, 0)) and matches(q, (1, 2))
+    assert not matches(q, (0, 0))
     assert q.support_size(dom) == 3
     rect = CountQuery.rectangle(dom, {"A1": (0, 1)})
-    assert rect.is_rectangle() and not rect.is_point_query(dom)
+    assert rect.is_rectangle() and rect.support_size(dom) == 4
     point = CountQuery.rectangle(dom, {"A0": (1, 1), "A1": (2, 2)})
-    assert point.is_point_query(dom)
+    assert point.support_size(dom) == 1
     with pytest.raises(ValueError):
         CountQuery.rectangle(dom, {"A1": (2, 5)})
 
@@ -225,6 +228,23 @@ def test_load_policy_round_trip():
         load_policy({"graph": {"kind": "banana"}}, dom)
     with pytest.raises(ValueError):
         load_policy("{bad json", dom)
+
+
+@pytest.mark.parametrize("value", ["1e400", "-1e400", "NaN", "1.9", "0.5", "true"])
+def test_policy_integers_are_whole_numbers(value):
+    # a JSON number that is no whole number would truncate or overflow in
+    # int(), and int(true) is 1; each field refuses these by name
+    dom = grid_domain(2, 3)
+    specs = {
+        "distance graph 'theta'": '{"graph": {"kind": "distance", "theta": %s}}',
+        "constraint 'answer'": '{"graph": {"kind": "full"}, "constraints": [{"where": {"A0": ["v0"]}, "answer": %s}]}',
+        "range of 'A1'": '{"graph": {"kind": "full"}, "constraints": [{"where": {"A1": {"range": [0, %s]}}}]}',
+    }
+    for field, spec in specs.items():
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+            load_policy(spec % value, dom)
+    whole = load_policy('{"graph": {"kind": "distance", "theta": 2.0}}', dom)
+    assert whole.graph.theta == 2 and isinstance(whole.graph.theta, int)
 
 
 # -- neighbor enumeration -----------------------------------------------------
@@ -320,7 +340,7 @@ def test_neighbors_match_definition_on_random_policies():
         queries = []
         for _ in range(int(rng.integers(0, 4))):
             q = random_rectangle(rng, dom)
-            queries.append(q.with_answer(sum(q.matches(x) for x in db)))
+            queries.append(CountQuery(q.allowed, sum(matches(q, x) for x in db)))
         pol = Policy(dom, g, ConstraintSet.of(queries))
         pairs = neighbor_pairs(pol, n)
         assert pairs == neighbors_by_definition(pol, n), (sizes, g, queries, n)

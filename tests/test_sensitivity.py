@@ -37,6 +37,7 @@ from oracles import (
     alpha_xi_by_backtracking,
     hamiltonian_path_by_permutation,
     lifts_lowers,
+    matches,
     policy_graph_by_loop,
     random_rectangle,
     random_secret_graph,
@@ -146,12 +147,11 @@ def test_lifts_lowers_worked_example():
     dom = abc_domain()
     q1 = CountQuery.from_labels(dom, {"A1": ["a1"], "A2": ["b1"]})
     q4 = CountQuery.from_labels(dom, {"A1": ["a2"], "A2": ["b2"]})
-    x = dom.point_from_labels({"A1": "a1", "A2": "b1", "A3": "c1"})
-    y = dom.point_from_labels({"A1": "a2", "A2": "b2", "A3": "c2"})
+    # value index 0 is a1 / b1 / c1 and index 1 is a2 / b2 / c2
+    x, y = (0, 0, 0), (1, 1, 1)
     assert lifts_lowers((x, y), q4) is Effect.LIFTS
     assert lifts_lowers((x, y), q1) is Effect.LOWERS
-    u = dom.point_from_labels({"A1": "a1", "A2": "b2", "A3": "c1"})
-    v = dom.point_from_labels({"A1": "a1", "A2": "b2", "A3": "c2"})
+    u, v = (0, 1, 0), (0, 1, 1)
     for q in (q1, q4):
         assert lifts_lowers((u, v), q) is Effect.NEITHER
     always_true = CountQuery(tuple([None] * 3))
@@ -183,9 +183,7 @@ def test_policy_graph_worked_example():
     assert pg.edges == frozenset(expected_q_edges | {(pg.source, pg.sink)})
     assert alpha_xi(pg) == (4, 1)
     # every query edge carries a witnessing secret pair
-    for e in sorted(expected_q_edges):
-        w = pg.witness(e)
-        assert w is not None
+    assert expected_q_edges <= dict(pg.witnesses).keys()
 
 
 def test_policy_graph_empty_and_inert_query():
@@ -305,7 +303,7 @@ def test_sparse_engine_random_policies_cap_and_soundness():
         queries = []
         for _ in range(int(rng.integers(1, 4))):
             q = random_rectangle(rng, dom)
-            queries.append(q.with_answer(sum(q.matches(x) for x in db)))
+            queries.append(CountQuery(q.allowed, sum(matches(q, x) for x in db)))
         if _check_sparse_engine_against_oracles(Policy(dom, g, ConstraintSet.of(queries)), n):
             sparse += 1
         else:

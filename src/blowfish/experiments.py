@@ -11,13 +11,13 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
 from .domain import load_domain
+from .errors import read_field
 from .kmeans import ClusteringPolicy, KmeansConfig, kmeans_nonprivate, kmeans_private
 from .mechanisms import (
     PrivacyParams,
@@ -156,55 +156,17 @@ def _range_truth(counts: np.ndarray, queries: np.ndarray) -> np.ndarray:
     return (prefix[queries[:, 1]] - prefix[queries[:, 0] - 1]).astype(float)
 
 
-def _theta(value):
-    return value if value == "full" else int(value)
-
-
-# what each field reader accepts, for one value and for a list of them
-_SHAPES = {
-    int: ("an integer", "integers"),
-    float: ("a number", "numbers"),
-    str: ("a string", "strings"),
-    dict: ("an object", "objects"),
-    _theta: ('an integer or "full"', 'integers or "full"'),
-}
-
-
-def _field(config: dict, key: str, default, kind, least=None, where: str = "experiment"):
-    """``config[key]``, or ``default`` when the key is absent, read as a
-    ``kind`` of ``_SHAPES`` or, for ``[kind]``, as a list of them.  Numbers
-    convert as ``int()`` and ``float()`` do.  A value of another shape, a
-    float that is NaN or infinite, or a number below ``least``, is a
-    ValueError that names the field."""
-    value = config.get(key, default)
-    many = isinstance(kind, list)
-    item = kind[0] if many else kind
-    values = value if many else [value]
-    try:
-        if not isinstance(values, list) or any(item in (str, dict) and not isinstance(v, item) for v in values):
-            raise TypeError
-        out = [item(v) for v in values]
-    except (TypeError, ValueError, OverflowError):
-        shape = "a list of " + _SHAPES[item][1] if many else _SHAPES[item][0]
-        raise ValueError(f"{where} {key!r} must be {shape}, got {value!r}") from None
-    if item is float and not all(map(math.isfinite, out)):
-        raise ValueError(f"{where} {key!r} must be finite, got {value!r}")
-    if least is not None and any(v < least for v in out):
-        raise ValueError(f"{where} {key!r} must be at least {least}, got {value!r}")
-    return out if many else out[0]
-
-
 def _config_histogram(config: dict, size: int, seed: int) -> np.ndarray:
     """The synthetic histogram described by a config's ``data`` object."""
-    data_cfg = _field(config, "data", {"kind": "zipf", "n": 10_000}, dict)
+    data_cfg = read_field(config, "data", {"kind": "zipf", "n": 10_000}, dict)
     where = "experiment 'data' field"
     return synth_histogram(
-        kind=_field(data_cfg, "kind", "zipf", str, where=where),
+        kind=read_field(data_cfg, "kind", "zipf", str, where=where),
         size=size,
-        n=_field(data_cfg, "n", 10_000, int, where=where),
+        n=read_field(data_cfg, "n", 10_000, int, where=where),
         seed=seed,
-        zipf_s=_field(data_cfg, "zipf_s", 1.1, float, where=where),
-        zero_frac=_field(data_cfg, "zero_frac", 0.9, float, where=where),
+        zipf_s=read_field(data_cfg, "zipf_s", 1.1, float, where=where),
+        zero_frac=read_field(data_cfg, "zero_frac", 0.9, float, where=where),
     )
 
 
@@ -216,12 +178,12 @@ def _sweep(name: str, seed: int, trials: int, cells, measure):
 
 
 def _run_range_mse(config: dict, seed: int) -> list[ReportRow]:
-    size = _field(config, "domain_size", 400, int, least=1)
-    trials = _field(config, "trials", 20, int, least=1)
-    n_queries = _field(config, "queries", 2000, int, least=1)
-    fanout = _field(config, "fanout", 16, int)
-    thetas = [size if t == "full" else t for t in _field(config, "thetas", [1, "full"], [_theta])]
-    epsilons = _field(config, "epsilons", [0.5, 1.0], [float])
+    size = read_field(config, "domain_size", 400, int, least=1)
+    trials = read_field(config, "trials", 20, int, least=1)
+    n_queries = read_field(config, "queries", 2000, int, least=1)
+    fanout = read_field(config, "fanout", 16, int)
+    thetas = [size if t == "full" else t for t in read_field(config, "thetas", [1, "full"], [(int, "full")])]
+    epsilons = read_field(config, "epsilons", [0.5, 1.0], [float])
 
     counts = _config_histogram(config, size, seed)
     queries = np.asarray(random_range_workload(size, n_queries, seed).queries, dtype=np.int64).reshape(-1, 2)
@@ -230,7 +192,7 @@ def _run_range_mse(config: dict, seed: int) -> list[ReportRow]:
     # (mechanism, policy, theta) per row group; the hierarchical baseline is
     # the theta = |T| tree, whose budget split puts all of epsilon on H nodes
     specs = [("ordered-hierarchical", f"distance(theta={theta})", theta) for theta in thetas]
-    if config.get("baseline", True):
+    if read_field(config, "baseline", True, bool):
         specs.append(("hierarchical", "full", size))
 
     def measure(cell, ts):
@@ -247,10 +209,10 @@ def _run_range_mse(config: dict, seed: int) -> list[ReportRow]:
 
 
 def _run_cdf_release(config: dict, seed: int) -> list[ReportRow]:
-    size = _field(config, "domain_size", 400, int, least=1)
-    trials = _field(config, "trials", 20, int, least=1)
-    thetas = _field(config, "thetas", [1], [int])
-    epsilons = _field(config, "epsilons", [0.5, 1.0], [float])
+    size = read_field(config, "domain_size", 400, int, least=1)
+    trials = read_field(config, "trials", 20, int, least=1)
+    thetas = read_field(config, "thetas", [1], [int])
+    epsilons = read_field(config, "epsilons", [0.5, 1.0], [float])
 
     counts = _config_histogram(config, size, seed)
     truth = np.cumsum(counts).astype(float)
@@ -268,20 +230,22 @@ def _run_cdf_release(config: dict, seed: int) -> list[ReportRow]:
 
 
 def _run_kmeans_ratio(config: dict, seed: int) -> list[ReportRow]:
-    n = _field(config, "n", 1000, int)
-    dims = _field(config, "dims", 4, int)
-    k = _field(config, "k", 4, int)
-    sigma = _field(config, "sigma", 0.2, float)
-    trials = _field(config, "trials", 50, int, least=1)
-    iterations = _field(config, "iterations", 10, int)
-    epsilons = _field(config, "epsilons", [0.2], [float])
-    policies_cfg = _field(config, "policies", [{"kind": "full"}, {"kind": "distance", "theta": 0.25}], [dict])
+    n = read_field(config, "n", 1000, int)
+    dims = read_field(config, "dims", 4, int)
+    k = read_field(config, "k", 4, int)
+    sigma = read_field(config, "sigma", 0.2, float)
+    trials = read_field(config, "trials", 50, int, least=1)
+    iterations = read_field(config, "iterations", 10, int)
+    epsilons = read_field(config, "epsilons", [0.2], [float])
+    policies_cfg = read_field(config, "policies", [{"kind": "full"}, {"kind": "distance", "theta": 0.25}], [dict])
     bounds = tuple((0.0, 1.0) for _ in range(dims))
 
     cfg = KmeansConfig(k=k, iterations=iterations)
     where = "kmeans-ratio policy"
     policies = [
-        ClusteringPolicy(bounds, _field(p, "kind", "full", str, where=where), _field(p, "theta", 0.0, float, where=where))
+        ClusteringPolicy(
+            bounds, read_field(p, "kind", "full", str, where=where), read_field(p, "theta", 0.0, float, where=where)
+        )
         for p in policies_cfg
     ]
 
@@ -306,15 +270,15 @@ def _run_kmeans_ratio(config: dict, seed: int) -> list[ReportRow]:
 
 
 def _run_sensitivity_table(config: dict, seed: int) -> list[ReportRow]:
-    domain = load_domain(_field(config, "domain", None, dict))
-    k = _field(config, "k", 2, int)
+    domain = load_domain(read_field(config, "domain", None, dict))
+    k = read_field(config, "k", 2, int)
     rows = []
-    for entry in _field(config, "entries", [], [dict]):
-        name = _field(entry, "query", None, str, where="sensitivity-table entry")
+    for entry in read_field(config, "entries", [], [dict]):
+        name = read_field(entry, "query", None, str, where="sensitivity-table entry")
         if name not in QUERY_KINDS:
             raise ValueError(f"unknown sensitivity-table query {name!r}; known: {', '.join(QUERY_KINDS)}")
         query = QUERY_KINDS[name](k)
-        policy = load_policy(_field(entry, "policy", None, dict, where="sensitivity-table entry"), domain)
+        policy = load_policy(read_field(entry, "policy", None, dict, where="sensitivity-table entry"), domain)
         res = policy_sensitivity(query, policy)
         rows.append(
             ReportRow(
@@ -344,5 +308,5 @@ def run_experiment(config: str | dict) -> ExperimentReport:
     runner = _RUNNERS.get(name) if isinstance(name, str) else None
     if runner is None:
         raise ValueError(f"unknown experiment {name!r}; known: {', '.join(EXPERIMENTS)}")
-    seed = _field(config, "seed", 0, int)
+    seed = read_field(config, "seed", 0, int)
     return ExperimentReport(seed=seed, rows=tuple(runner(config, seed)))

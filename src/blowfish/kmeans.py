@@ -25,8 +25,7 @@ import numpy as np
 
 from .errors import InfiniteSensitivityError
 from .mechanisms import BudgetLedger, PrivacyParams, compose_budgets, stream_generator, stream_laplace
-from .policy import Policy
-from .sensitivity import ClusterSumQuery, _cluster_sum_sensitivity, _l1_reach, closed_form_sensitivity
+from .sensitivity import _cluster_sum_sensitivity, _l1_reach
 
 
 # fraction of each iteration's budget spent on the size query
@@ -66,8 +65,8 @@ class ClusteringPolicy:
         for lo, hi in self.bounds:
             if not lo <= hi:
                 raise ValueError("bounds must satisfy lo <= hi")
-        if self.kind == "distance" and self.theta < 0:
-            raise ValueError("theta must be non-negative")
+        if self.kind == "distance" and not self.theta >= 0:
+            raise ValueError(f"theta must be non-negative, got {self.theta}")
 
     def qsum_sensitivity(self, k: int) -> float:
         spans = [hi - lo for lo, hi in self.bounds]
@@ -192,19 +191,7 @@ def kmeans_nonprivate(points, cfg: KmeansConfig, seed: int, bounds=None) -> Clus
     return _lloyd(pts, _init_centroids(cfg, bounds, seed, len(pts)), cfg.iterations, update)
 
 
-def _resolve_policy(policy, cfg: KmeansConfig) -> tuple[ClusteringPolicy, float]:
-    if isinstance(policy, ClusteringPolicy):
-        return policy, policy.qsum_sensitivity(cfg.k)
-    if isinstance(policy, Policy):
-        if not policy.constraints.unconstrained:
-            raise ValueError("private k-means requires an unconstrained policy")
-        bounds = tuple((0.0, float(a.size - 1)) for a in policy.domain.attributes)
-        sens = closed_form_sensitivity(ClusterSumQuery(cfg.k), policy).value
-        return ClusteringPolicy(bounds=bounds), sens
-    raise TypeError("policy must be a ClusteringPolicy or an unconstrained Policy")
-
-
-def kmeans_private(points, cfg: KmeansConfig, policy, pp: PrivacyParams) -> ClusteringResult:
+def kmeans_private(points, cfg: KmeansConfig, policy: ClusteringPolicy, pp: PrivacyParams) -> ClusteringResult:
     """Private Lloyd iteration: noisy sizes and sums per round.
 
     Per iteration, epsilon/iterations is halved between the size query
@@ -216,13 +203,13 @@ def kmeans_private(points, cfg: KmeansConfig, policy, pp: PrivacyParams) -> Clus
     ``ValueError`` names the first offending row (1-based).
     """
     pts = _as_points(points)
-    cpolicy, qsum_sens = _resolve_policy(policy, cfg)
+    qsum_sens = policy.qsum_sensitivity(cfg.k)
     if not math.isfinite(qsum_sens):
         raise InfiniteSensitivityError("sum query has infinite sensitivity under this policy")
-    if pts.shape[1] != len(cpolicy.bounds):
+    if pts.shape[1] != len(policy.bounds):
         raise ValueError("data dimension does not match policy bounds")
-    lows = np.array([lo for lo, _ in cpolicy.bounds])
-    highs = np.array([hi for _, hi in cpolicy.bounds])
+    lows = np.array([lo for lo, _ in policy.bounds])
+    highs = np.array([hi for _, hi in policy.bounds])
     # the sum query's sensitivity is calibrated to the bounds box: a point
     # outside it would move the sums further than the noise covers
     bad = ~(np.isfinite(pts) & (pts >= lows) & (pts <= highs)).all(axis=1)
@@ -230,7 +217,7 @@ def kmeans_private(points, cfg: KmeansConfig, policy, pp: PrivacyParams) -> Clus
         row = int(np.argmax(bad))
         raise ValueError(
             f"point on row {row + 1} {pts[row].tolist()} is not finite or lies "
-            f"outside the bounds {[list(b) for b in cpolicy.bounds]}"
+            f"outside the bounds {[list(b) for b in policy.bounds]}"
         )
 
     eps_iter = pp.epsilon / cfg.iterations
@@ -247,5 +234,5 @@ def kmeans_private(points, cfg: KmeansConfig, policy, pp: PrivacyParams) -> Clus
         ledger.charge(f"iteration {t}: sums", eps_sum)
         return np.clip(sums / np.maximum(sizes, 1.0)[:, None], lows, highs)
 
-    cents = _init_centroids(cfg, cpolicy.bounds, pp.seed, len(pts))
+    cents = _init_centroids(cfg, policy.bounds, pp.seed, len(pts))
     return replace(_lloyd(pts, cents, cfg.iterations, update), ledger=ledger)

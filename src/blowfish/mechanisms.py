@@ -33,7 +33,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InfiniteSensitivityError
+from .errors import InfiniteSensitivityError, read_field
 
 
 @dataclass(frozen=True)
@@ -596,27 +596,14 @@ class BudgetLedger:
     def from_dict(cls, data: dict) -> "BudgetLedger":
         if not isinstance(data, dict):
             raise ValueError("ledger must be a JSON object")
-        entries, groups = data.get("entries", []), data.get("certified_groups", [])
-        if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
-            raise ValueError("ledger 'entries' must be a list of objects")
-        if not isinstance(groups, list):
-            raise ValueError("ledger 'certified_groups' must be a list")
         ledger = cls()
-        for e in entries:
-            label, epsilon, group = e.get("label"), e.get("epsilon"), e.get("group")
-            if not isinstance(label, str):
-                raise ValueError(f"ledger entry 'label' must be a string, got {label!r}")
-            if isinstance(epsilon, bool) or not isinstance(epsilon, (int, float)):
-                raise ValueError(f"ledger entry 'epsilon' must be a number, got {epsilon!r}")
-            if group is not None and not isinstance(group, str):
-                raise ValueError(f"ledger entry 'group' must be a string or null, got {group!r}")
-            try:
-                ledger.charge(label, float(epsilon), group)
-            except OverflowError:
-                raise ValueError(f"ledger entry 'epsilon' must be finite, got {epsilon!r}") from None
-        for g in groups:
-            if not isinstance(g, str):
-                raise ValueError(f"ledger 'certified_groups' entries must be strings, got {g!r}")
+        for e in read_field(data, "entries", [], [dict], where="ledger"):
+            ledger.charge(
+                read_field(e, "label", None, str, where="ledger entry"),
+                read_field(e, "epsilon", None, float, where="ledger entry"),
+                read_field(e, "group", None, (str, None), where="ledger entry"),
+            )
+        for g in read_field(data, "certified_groups", [], [str], where="ledger"):
             ledger.certify_group(g)
         return ledger
 

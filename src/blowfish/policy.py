@@ -25,7 +25,7 @@ from enum import Enum
 import numpy as np
 
 from .domain import DomainSpec
-from .errors import BudgetExceededError, InfeasibleConstraintsError
+from .errors import BudgetExceededError, InfeasibleConstraintsError, read_field
 
 DEFAULT_ENUM_BUDGET = 100_000
 DEFAULT_EDGE_BUDGET = 20_000_000
@@ -395,18 +395,6 @@ class Policy:
         return f"{gdesc}|{cdesc}"
 
 
-def _integer(value, field: str) -> int:
-    """``int(value)`` for a JSON scalar that is a whole number; a list, an
-    object, a boolean, a fraction, NaN or an infinity is an error naming the
-    field."""
-    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"{field} must be an integer, got {value!r}")
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{field} must be an integer, got {value!r}") from None
-
-
 def load_policy(source: str | dict, domain: DomainSpec) -> Policy:
     """Parse a policy file: ``{"graph": {...}, "constraints": {...}}``."""
     if isinstance(source, str):
@@ -425,22 +413,13 @@ def load_policy(source: str | dict, domain: DomainSpec) -> Policy:
     elif kind == "attribute":
         graph = SecretGraph.attribute(domain)
     elif kind == "distance":
-        if "theta" not in gspec:
-            raise ValueError("distance graph needs 'theta'")
-        graph = SecretGraph.distance(domain, _integer(gspec["theta"], "distance graph 'theta'"))
+        graph = SecretGraph.distance(domain, read_field(gspec, "theta", None, int, where="distance graph"))
     elif kind == "partition":
-        cells = gspec.get("cells")
-        if not isinstance(cells, list) or not all(
-            isinstance(group, list) and all(isinstance(r, int) for r in group) for group in cells
-        ):
-            raise ValueError("partition graph needs 'cells' (lists of ranks)")
-        graph = SecretGraph.partition(domain, cells)
+        graph = SecretGraph.partition(domain, read_field(gspec, "cells", None, [[int]], where="partition graph"))
     elif kind == "explicit":
-        edges = gspec.get("edges")
-        if not isinstance(edges, list) or not all(
-            isinstance(e, list) and len(e) == 2 and all(isinstance(r, int) for r in e) for e in edges
-        ):
-            raise ValueError("explicit graph needs 'edges' (pairs of ranks)")
+        edges = read_field(gspec, "edges", None, [[int]], where="explicit graph")
+        if any(len(e) != 2 for e in edges):
+            raise ValueError("explicit graph 'edges' must be a list of pairs of ranks")
         graph = SecretGraph.explicit(domain, edges)
     else:
         raise ValueError(f"unknown graph kind {gspec.get('kind')!r}")
@@ -470,14 +449,12 @@ def load_policy(source: str | dict, domain: DomainSpec) -> Policy:
                 if isinstance(sel, list):
                     labels[attr] = sel
                 elif isinstance(sel, dict) and isinstance(sel.get("range"), list) and len(sel["range"]) == 2:
-                    lo, hi = sel["range"]
-                    ranges[attr] = (_integer(lo, f"range of {attr!r}"), _integer(hi, f"range of {attr!r}"))
+                    ranges[attr] = tuple(read_field(sel, "range", None, [int], where=f"selection of {attr!r}"))
                 else:
                     raise ValueError(f"selection of {attr!r} must be a list of labels or {{\"range\": [lo, hi]}}")
             if ranges and labels:
                 raise ValueError("mix of label and range selections in one query")
-            answer = q.get("answer")
-            answer = None if answer is None else _integer(answer, "constraint 'answer'")
+            answer = read_field(q, "answer", None, (int, None), where="constraint")
             if ranges:
                 queries.append(CountQuery.rectangle(domain, ranges, answer))
             else:

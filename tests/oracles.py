@@ -31,7 +31,7 @@ from blowfish import (
     l1_distance,
 )
 from blowfish.experiments import _tag
-from blowfish.kmeans import ClusteringResult, KmeansConfig, _init_centroids, _resolve_policy
+from blowfish.kmeans import ClusteringResult, KmeansConfig, _init_centroids
 from blowfish.mechanisms import BudgetLedger, PrivacyParams, stream_laplace
 from blowfish.policy import GraphKind, iter_graph_edges
 from blowfish.sensitivity import MAX_POLICY_GRAPH_VERTICES, PolicyGraph, _path_states
@@ -714,10 +714,10 @@ def kmeans_private_by_loop(points, cfg: KmeansConfig, policy, pp: PrivacyParams)
     size and coordinate sum get that cluster's slice of the round's noise.
     Each round's budget is halved between sizes and sums."""
     pts = np.asarray(points, dtype=float)
-    cpolicy, qsum_sens = _resolve_policy(policy, cfg)
-    lows = np.array([lo for lo, _ in cpolicy.bounds])
-    highs = np.array([hi for _, hi in cpolicy.bounds])
-    cents = _init_centroids(cfg, cpolicy.bounds, pp.seed, len(pts))
+    qsum_sens = policy.qsum_sensitivity(cfg.k)
+    lows = np.array([lo for lo, _ in policy.bounds])
+    highs = np.array([hi for _, hi in policy.bounds])
+    cents = _init_centroids(cfg, policy.bounds, pp.seed, len(pts))
     eps_size = eps_sum = pp.epsilon / cfg.iterations / 2
     ledger = BudgetLedger()
     trace = []

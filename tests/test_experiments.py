@@ -125,13 +125,27 @@ def test_run_experiment_unknown_name():
         ),
         ({"experiment": "cdf-release", "data": {"zipf_s": float("nan")}}, "'data' field 'zipf_s' must be finite"),
         ({"experiment": "range-mse", "epsilons": [1.0, float("inf")]}, "'epsilons' must be finite"),
-        ({"experiment": "kmeans-ratio", "sigma": "-inf"}, "'sigma' must be finite"),
+        ({"experiment": "kmeans-ratio", "sigma": "-inf"}, "'sigma' must be a number, got '-inf'"),
         ({"experiment": "sensitivity-table", "entries": []}, "experiment 'domain' must be an object, got None"),
         (
             {"experiment": "sensitivity-table", "domain": {"attributes": [{"name": "a", "values": ["0"]}]},
              "entries": [{"query": "histogram"}]},
             "sensitivity-table entry 'policy' must be an object, got None",
         ),
+        ({"experiment": "cdf-release", "trials": 1.9}, "experiment 'trials' must be an integer, got 1.9"),
+        ({"experiment": "cdf-release", "trials": True}, "experiment 'trials' must be an integer, got True"),
+        ({"experiment": "cdf-release", "trials": "2"}, "experiment 'trials' must be an integer, got '2'"),
+        (
+            {"experiment": "range-mse", "thetas": [1, 1.7]},
+            "experiment 'thetas' must be a list of integers or \"full\", got 1.7 at index 1",
+        ),
+        ({"experiment": "cdf-release", "seed": 2.5}, "experiment 'seed' must be an integer, got 2.5"),
+        (
+            {"experiment": "cdf-release", "epsilons": ["0.5"]},
+            "experiment 'epsilons' must be a list of numbers, got '0.5' at index 0",
+        ),
+        ({"experiment": "cdf-release", "data": {"n": 100.9}}, "'data' field 'n' must be an integer, got 100.9"),
+        ({"experiment": "range-mse", "baseline": "no"}, "experiment 'baseline' must be a boolean, got 'no'"),
     ],
 )
 def test_config_errors_name_the_field(config, field):

@@ -3,15 +3,11 @@ import pytest
 
 from blowfish import (
     ClusteringPolicy,
-    ConstraintSet,
     KmeansConfig,
-    Policy,
     PrivacyParams,
-    SecretGraph,
     compose_budgets,
     kmeans_nonprivate,
     kmeans_private,
-    load_domain,
 )
 from blowfish.experiments import synth_clusters
 from blowfish.kmeans import _assign
@@ -70,18 +66,6 @@ def test_clustering_policy_sensitivities():
     assert ClusteringPolicy(bounds, "attribute").qsum_sensitivity(4) == pytest.approx(2.0)
 
 
-def test_discrete_policy_accepted():
-    dom = load_domain(
-        {"attributes": [{"name": "a", "values": ["0", "1", "2"]}, {"name": "b", "values": ["0", "1"]}]}
-    )
-    pol = Policy(dom, SecretGraph.distance(dom, 1), ConstraintSet.none())
-    pts = np.array([[0.0, 0.0], [2.0, 1.0], [1.0, 1.0]])
-    cfg = KmeansConfig(k=2, iterations=2)
-    res = kmeans_private(pts, cfg, pol, PrivacyParams(1.0, 4))
-    assert res.centroids.shape == (2, 2)
-    assert (res.centroids >= 0).all() and (res.centroids[:, 0] <= 2).all()
-
-
 def test_private_zero_noise_matches_nonprivate(no_noise):
     pts = synth_clusters(300, 2, 3, 0.1, seed=9)
     cfg = KmeansConfig(k=3, iterations=6)
@@ -134,6 +118,9 @@ def test_config_validation():
         KmeansConfig(k=2, iterations=0)
     with pytest.raises(ValueError):
         kmeans_nonprivate(np.zeros((1, 2)), KmeansConfig(k=2), seed=0, bounds=unit_bounds(2))
+    for theta in (-0.5, float("nan")):
+        with pytest.raises(ValueError, match=f"theta must be non-negative, got {theta}"):
+            ClusteringPolicy(unit_bounds(2), "distance", theta=theta)
 
 
 @pytest.mark.parametrize(
@@ -159,14 +146,6 @@ def test_private_rejects_points_outside_bounds(bad, row):
             kmeans_private(pts, cfg, unbounded, pp)
 
 
-def test_private_rejects_points_outside_discrete_domain():
-    dom = load_domain({"attributes": [{"name": "a", "values": ["0", "1", "2"]}]})
-    pol = Policy(dom, SecretGraph.distance(dom, 1), ConstraintSet.none())
-    pts = np.array([[0.0], [2.0], [3.0], [-1.0]])
-    with pytest.raises(ValueError, match="point on row 3 "):
-        kmeans_private(pts, KmeansConfig(k=2, iterations=2), pol, PrivacyParams(1.0, 4))
-
-
 def _assert_same_release(got, want):
     assert np.array_equal(got.centroids, want.centroids)
     assert got.objective == want.objective
@@ -176,14 +155,9 @@ def _assert_same_release(got, want):
         assert got.ledger.charges == want.ledger.charges
 
 
-def _discrete_policy(dims: int) -> Policy:
-    dom = load_domain({"attributes": [{"name": f"a{j}", "values": ["0", "1", "2"]} for j in range(dims)]})
-    return Policy(dom, SecretGraph.full(dom), ConstraintSet.none())
-
-
 def _kernel_cases(dims: int):
     """(points, config, policy) triples covering k = 1, empty clusters, n == k,
-    every clustering policy kind and an unconstrained discrete policy."""
+    every clustering policy kind and integer grid points in a wider box."""
     box = ClusteringPolicy(unit_bounds(dims), "full")
     pts = synth_clusters(400, dims, 3, 0.15, seed=dims)
     far = tuple((0.25,) * dims if c == 0 else (0.75,) * dims if c == 1 else (50.0 + c,) * dims for c in range(5))
@@ -197,7 +171,8 @@ def _kernel_cases(dims: int):
         policy = ClusteringPolicy(unit_bounds(dims), kind, theta=0.3)
         cases.append((pts, KmeansConfig(k=4, iterations=5), policy))
     grid = np.random.default_rng(dims).integers(0, 3, size=(300, dims)).astype(float)
-    cases.append((grid, KmeansConfig(k=3, iterations=4), _discrete_policy(dims)))
+    grid_box = ClusteringPolicy(tuple((0.0, 2.0) for _ in range(dims)))
+    cases.append((grid, KmeansConfig(k=3, iterations=4), grid_box))
     return cases
 
 
@@ -210,8 +185,7 @@ def test_kernel_bit_identical_to_loop(dims, request):
         seed = 100 * dims + i
         pp = PrivacyParams(3.0, seed)
         _assert_same_release(kmeans_private(pts, cfg, policy, pp), kmeans_private_by_loop(pts, cfg, policy, pp))
-        bounds = policy.bounds if isinstance(policy, ClusteringPolicy) else None
-        for b in (bounds, None):
+        for b in (policy.bounds, None):
             _assert_same_release(
                 kmeans_nonprivate(pts, cfg, seed=seed, bounds=b),
                 kmeans_nonprivate_by_loop(pts, cfg, seed=seed, bounds=b),

@@ -509,7 +509,7 @@ def test_ledger_round_trip():
         ({"label": "a", "epsilon": 0.5, "group": ["g"]}, ["g"], "'group' must be a string or null, got \\['g'\\]"),
         ({"label": "a", "epsilon": 0.5, "group": {}}, [], "'group' must be a string or null, got \\{\\}"),
         ({"label": "a", "epsilon": 0.5, "group": 1}, [1], "'group' must be a string or null, got 1"),
-        ({"label": "a", "epsilon": 0.5, "group": "1"}, [1], "'certified_groups' entries must be strings, got 1"),
+        ({"label": "a", "epsilon": 0.5, "group": "1"}, [1], "'certified_groups' must be a list of strings, got 1 at"),
     ],
     ids=[
         "label-missing", "label-int", "epsilon-missing", "epsilon-str", "epsilon-bool", "epsilon-huge-int",

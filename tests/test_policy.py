@@ -236,12 +236,18 @@ def test_policy_integers_are_whole_numbers(value):
     # int(), and int(true) is 1; each field refuses these by name
     dom = grid_domain(2, 3)
     specs = {
-        "distance graph 'theta'": '{"graph": {"kind": "distance", "theta": %s}}',
-        "constraint 'answer'": '{"graph": {"kind": "full"}, "constraints": [{"where": {"A0": ["v0"]}, "answer": %s}]}',
-        "range of 'A1'": '{"graph": {"kind": "full"}, "constraints": [{"where": {"A1": {"range": [0, %s]}}}]}',
+        "distance graph 'theta' must be an integer": '{"graph": {"kind": "distance", "theta": %s}}',
+        "constraint 'answer' must be an integer or null":
+            '{"graph": {"kind": "full"}, "constraints": [{"where": {"A0": ["v0"]}, "answer": %s}]}',
+        "selection of 'A1' 'range' must be a list of integers":
+            '{"graph": {"kind": "full"}, "constraints": [{"where": {"A1": {"range": [0, %s]}}}]}',
+        "partition graph 'cells' must be a list of lists of integers":
+            '{"graph": {"kind": "partition", "cells": [[0, 1, 2, 3, 4], [5, %s]]}}',
+        "explicit graph 'edges' must be a list of lists of integers":
+            '{"graph": {"kind": "explicit", "edges": [[0, 1], [%s, 2]]}}',
     }
-    for field, spec in specs.items():
-        with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+    for message, spec in specs.items():
+        with pytest.raises(ValueError, match=f"^{message}, got "):
             load_policy(spec % value, dom)
     whole = load_policy('{"graph": {"kind": "distance", "theta": 2.0}}', dom)
     assert whole.graph.theta == 2 and isinstance(whole.graph.theta, int)

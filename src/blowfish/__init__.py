@@ -16,7 +16,6 @@ from .domain import (
     DomainSpec,
     histogram,
     ingest_dataset,
-    l1_distance,
     load_domain,
 )
 from .errors import (

@@ -19,7 +19,7 @@ from operator import itemgetter
 
 import numpy as np
 
-Point = tuple[int, ...]
+from .errors import read_field
 
 
 @dataclass(frozen=True)
@@ -81,14 +81,6 @@ class DomainSpec:
     def sizes(self) -> tuple[int, ...]:
         return tuple(a.size for a in self.attributes)
 
-    def unrank(self, r: int) -> Point:
-        if not 0 <= r < self.size:
-            raise ValueError(f"rank {r} out of range for domain of size {self.size}")
-        out = []
-        for attr, w in zip(self.attributes, self._weights):
-            out.append((r // w) % attr.size)
-        return tuple(out)
-
     def coords(self) -> np.ndarray:
         """(size, n_attributes) int64 value indices of every rank, in rank order."""
         return np.stack(np.unravel_index(np.arange(self.size, dtype=np.int64), self.sizes), axis=1)
@@ -140,8 +132,9 @@ def load_domain(source: str | dict) -> DomainSpec:
     """Parse a domain description from JSON text or an equivalent dict.
 
     Expected shape: ``{"attributes": [{"name": ..., "values": [...]},
-    ...]}``.  A bare list of attribute objects is also accepted.  Other keys
-    are ignored.  Values are ordered as listed.
+    ...]}``, a name being a JSON string and the values a list of them.  A
+    bare list of attribute objects is also accepted.  Other keys are
+    ignored.  Values are ordered as listed.
     """
     if isinstance(source, str):
         try:
@@ -159,17 +152,12 @@ def load_domain(source: str | dict) -> DomainSpec:
     if not isinstance(attrs, list) or not attrs:
         raise ValueError("domain needs at least one attribute")
     parsed = []
-    for a in attrs:
+    for i, a in enumerate(attrs):
         if not isinstance(a, dict) or "name" not in a or "values" not in a:
             raise ValueError("each attribute needs 'name' and 'values'")
-        if not isinstance(a["values"], list):
-            raise ValueError(f"attribute {a['name']!r}: 'values' must be a list")
-        parsed.append(
-            Attribute(
-                name=str(a["name"]),
-                values=tuple(str(v) for v in a["values"]),
-            )
-        )
+        name = read_field(a, "name", None, str, where=f"domain attribute {i}")
+        values = read_field(a, "values", None, [str], where=f"attribute {name!r}")
+        parsed.append(Attribute(name=name, values=tuple(values)))
     return DomainSpec(attributes=tuple(parsed))
 
 
@@ -285,9 +273,3 @@ def ingest_dataset(text: str, domain: DomainSpec) -> Dataset:
 def histogram(data: Dataset) -> np.ndarray:
     """Complete histogram: counts[rank(x)] = multiplicity of x in the data."""
     return np.bincount(data.ranks, minlength=data.domain.size).astype(np.int64, copy=False)
-
-
-def l1_distance(x: Point, y: Point) -> int:
-    if len(x) != len(y):
-        raise ValueError("points come from different domains")
-    return sum(abs(a - b) for a, b in zip(x, y))

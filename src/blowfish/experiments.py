@@ -45,8 +45,8 @@ def random_range_workload(domain_size: int, count: int, seed: int) -> Workload:
     rng = np.random.default_rng(np.random.SeedSequence([seed, _tag("workload")]))
     total = domain_size * (domain_size + 1) // 2
     picks = rng.integers(0, total, size=count)
-    # unrank a uniform draw over {(i, j): 1 <= i <= j <= size}: row i of the
-    # pair triangle starts at flat offset (i-1)*size - (i-1)(i-2)/2
+    # map a uniform flat draw to its pair in {(i, j): 1 <= i <= j <= size}:
+    # row i of the pair triangle starts at flat offset (i-1)*size - (i-1)(i-2)/2
     m = np.arange(domain_size, dtype=np.int64)
     starts = m * domain_size - m * (m - 1) // 2
     rows = np.searchsorted(starts, picks, side="right")

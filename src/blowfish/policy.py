@@ -11,13 +11,12 @@ part of the changes gives a satisfying database.
 
 Neighbor enumeration is exact, a rank-array search over every database of n
 tuples, and therefore confined to tiny instances by a fixed budget
-(``DEFAULT_ENUM_BUDGET`` databases); it is the ground truth the sensitivity
-engines are checked against.
+(``DEFAULT_ENUM_BUDGET`` databases, and as many tuples per database); it is
+the ground truth the sensitivity engines are checked against.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 from enum import Enum
@@ -468,31 +467,48 @@ def load_policy(source: str | dict, domain: DomainSpec) -> Policy:
 # -- neighbor enumeration ----------------------------------------------------
 
 
-def enumerate_databases(policy: Policy, n: int) -> list[tuple[int, ...]]:
-    """All databases of n tuples (as rank vectors) satisfying the constraints."""
+def _database_table(policy: Policy, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every database of n tuples as a (size**n, n) int64 array of ranks in
+    lexicographic order, the place value of each tuple in a row's flat
+    index, and whether each row satisfies the constraints."""
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
     size = policy.domain.size
+    # a row holds n ranks, so n is bounded as well: over a one-value domain
+    # the one database grows with n
+    if n > DEFAULT_ENUM_BUDGET or size**n > DEFAULT_ENUM_BUDGET:
+        raise BudgetExceededError(
+            f"{size}**{n} databases of {n} tuples exceed enumeration budget {DEFAULT_ENUM_BUDGET}"
+        )
     total = size**n
-    if total > DEFAULT_ENUM_BUDGET:
-        raise BudgetExceededError(f"{total} databases exceed enumeration budget {DEFAULT_ENUM_BUDGET}")
+    place = size ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    rows = np.arange(total, dtype=np.int64)[:, None] // place % size
     answered = [q for q in policy.constraints.queries if q.answer is not None]
     answers = np.array([q.answer for q in answered], dtype=np.int64)
-    dbs = np.array(list(itertools.product(range(size), repeat=n)), dtype=np.int64).reshape(total, n)
-    counts = match_matrix(answered, policy.domain)[:, dbs].sum(axis=2)
-    out = [tuple(db) for db in dbs[(counts == answers[:, None]).all(axis=0)].tolist()]
-    if not out:
+    counts = match_matrix(answered, policy.domain)[:, rows].sum(axis=2)
+    satisfies = (counts == answers[:, None]).all(axis=0)
+    if not satisfies.any():
         raise InfeasibleConstraintsError("constraint answers admit no database")
-    return out
+    return rows, place, satisfies
 
 
-def neighbor_databases(policy: Policy, n: int, d1_filter=None):
-    """Yield (d1, [d2 databases that are neighbors of d1]) lazily per d1.
+def enumerate_databases(policy: Policy, n: int) -> np.ndarray:
+    """All databases of n tuples satisfying the constraints: an (m, n) int64
+    array of ranks, one database per row, in lexicographic order."""
+    rows, _, satisfies = _database_table(policy, n)
+    return rows[satisfies]
+
+
+def neighbor_databases(policy: Policy, n: int, sorted_d1: bool = False):
+    """Yield (d1, d2s) lazily per database d1: its (n,) row of ranks and a
+    (k, n) int64 array of its neighbors, one per row.
 
     d2 is a neighbor of d1 when it satisfies the constraints, differs from
     d1, changes tuples only along secret-graph edges, and no proper non-empty
     part of its changes, applied to d1 alone, gives a satisfying database.
-    Both sides come in ``enumerate_databases`` order.  The d1 side can be
-    restricted (e.g. to canonical representatives under id permutation) with
-    ``d1_filter``.
+    Both sides come in ``enumerate_databases`` order.  With ``sorted_d1``
+    only the non-decreasing d1 rows are visited: the representatives of
+    databases under id permutation.
 
     Minimality in the realized secret pairs alone is the whole rule: every
     change of a candidate realizes a secret pair, so two candidates with the
@@ -503,32 +519,26 @@ def neighbor_databases(policy: Policy, n: int, d1_filter=None):
     reachable database; both are filled in order of the number of changes,
     O(n * |T|^n) per d1.
     """
-    size = policy.domain.size
-    dbs = enumerate_databases(policy, n)
-    total = size**n
-    # row i holds tuple i of every database, in enumerate_databases order
-    table = np.indices((size,) * n).reshape(n, total)
-    place = size ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    satisfies = np.zeros(total, dtype=bool)
-    satisfies[np.array(dbs, dtype=np.int64).reshape(len(dbs), n) @ place] = True
+    rows, place, satisfies = _database_table(policy, n)
+    total = len(rows)
     edge = policy.graph.edge_matrix()
-    for d1 in dbs:
-        if d1_filter is not None and not d1_filter(d1):
-            continue
-        base = np.array(d1, dtype=np.int64).reshape(n, 1)
-        changed = table != base
-        n_changed = changed.sum(axis=0)
-        along_edges = (edge[base, table] | ~changed).all(axis=0)
-        # entry (i, x): the database x with tuple i set back to d1's value
-        back = np.arange(total) - (table - base) * place[:, None]
+    d1s = rows[satisfies]
+    if sorted_d1:
+        d1s = d1s[(d1s[:, 1:] >= d1s[:, :-1]).all(axis=1)]
+    for d1 in d1s:
+        changed = rows != d1
+        n_changed = changed.sum(axis=1)
+        along_edges = (edge[d1, rows] | ~changed).all(axis=1)
+        # entry (x, i): the database x with tuple i set back to d1's value
+        back = np.arange(total)[:, None] - (rows - d1) * place
         reach = np.zeros(total, dtype=bool)
         dominated = np.zeros(total, dtype=bool)
-        for k in range(1, n + 1):
+        # no level past the most changes along edges holds a candidate
+        for k in range(1, n_changed[along_edges].max() + 1):
             at = np.flatnonzero(along_edges & (n_changed == k))
-            dominated[at] = (changed[:, at] & reach[back[:, at]]).any(axis=0)
+            dominated[at] = (changed[at] & reach[back[at]]).any(axis=1)
             reach[at] = satisfies[at] | dominated[at]
-        hits = np.flatnonzero(satisfies & along_edges & ~dominated & (n_changed > 0))
-        yield d1, [tuple(db) for db in table[:, hits].T.tolist()]
+        yield d1, rows[satisfies & along_edges & ~dominated & (n_changed > 0)]
 
 
 # -- parallel decomposition --------------------------------------------------

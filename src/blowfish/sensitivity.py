@@ -28,7 +28,7 @@ from enum import Enum
 
 import numpy as np
 
-from .domain import DomainSpec, l1_distance
+from .domain import DomainSpec
 from .errors import (
     BudgetExceededError,
     NonSparseConstraintsError,
@@ -511,52 +511,52 @@ def _query_is_id_symmetric(query: QueryKind) -> bool:
     return True
 
 
-def _delta_eval(query: QueryKind, domain: DomainSpec, d1, d2) -> float:
-    """L1 difference of the query between two databases, from changed tuples."""
-    diffs = [(i, a, b) for i, (a, b) in enumerate(zip(d1, d2)) if a != b]
-    if isinstance(query, (HistogramQuery, ClusterSizeQuery)):
-        if isinstance(query, ClusterSizeQuery) and query.k == 1:
-            return 0.0
-        # worst case over cluster assignments separates the gained values
-        # from the lost ones, which recovers the histogram L1 difference
-        acc: dict[int, int] = {}
-        for _, a, b in diffs:
-            acc[a] = acc.get(a, 0) - 1
-            acc[b] = acc.get(b, 0) + 1
-        return float(sum(abs(v) for v in acc.values()))
-    if isinstance(query, PartitionHistogramQuery):
-        acc2: dict[int, int] = {}
-        for _, a, b in diffs:
-            acc2[query.cells[a]] = acc2.get(query.cells[a], 0) - 1
-            acc2[query.cells[b]] = acc2.get(query.cells[b], 0) + 1
-        return float(sum(abs(v) for v in acc2.values()))
-    if isinstance(query, CumulativeQuery):
-        shift = [0] * domain.size
-        for _, a, b in diffs:
-            lo, hi = min(a, b), max(a, b)
-            sign = 1 if b < a else -1
-            for p in range(lo, hi):
-                shift[p] += sign
-        return float(sum(abs(v) for v in shift))
+def _query_deltas(query: QueryKind, domain: DomainSpec, d1: np.ndarray, d2s: np.ndarray) -> np.ndarray:
+    """L1 difference of the query between database d1 and each row of the
+    (k, n) array d2s: a (k,) float64 array.  A pair costs O(n log n): only
+    the 2n values of its two databases are read."""
+    k, n = d2s.shape
     if isinstance(query, LinearSumQuery):
         step = query.value_step(domain)
-        total = 0.0
-        for i, a, b in diffs:
-            total += query.weights[i] * step * (b - a)
-        return abs(total)
+        total = np.zeros(k)
+        # one changed id at a time, in id order, so each sum rounds, and
+        # overflows to inf or NaN, as a per-pair loop over the changed ids does
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i, w in enumerate(query.weights[:n]):
+                moved = d2s[:, i] != d1[i]
+                total[moved] += w * step * (d2s[moved, i] - d1[i])
+        return np.abs(total)
     if isinstance(query, ClusterSumQuery):
+        x = np.stack(np.unravel_index(d1, domain.sizes), axis=-1)
+        y = np.stack(np.unravel_index(d2s, domain.sizes), axis=-1)
         if query.k == 1:
-            dims = domain.n_attributes
-            net = [0] * dims
-            for _, a, b in diffs:
-                x, y = domain.unrank(a), domain.unrank(b)
-                for j in range(dims):
-                    net[j] += y[j] - x[j]
-            return float(sum(abs(v) for v in net))
-        return float(
-            sum(2 * l1_distance(domain.unrank(a), domain.unrank(b)) for _, a, b in diffs)
-        )
-    raise TypeError(f"unknown query kind {type(query).__name__}")
+            return np.abs(y.sum(axis=1) - x.sum(axis=0)).sum(axis=1).astype(float)
+        # a changed tuple can leave one cluster for another, moving two sums
+        return 2.0 * np.abs(y - x).sum(axis=(1, 2))
+    if not isinstance(query, (HistogramQuery, ClusterSizeQuery, PartitionHistogramQuery, CumulativeQuery)):
+        raise TypeError(f"unknown query kind {type(query).__name__}")
+    if isinstance(query, ClusterSizeQuery) and query.k == 1:
+        return np.zeros(k)
+    # row j: the n values d1 loses, then the n values d2s[j] gains, sorted;
+    # net[j, t] is gained minus lost among the first t + 1, so where a run
+    # of equal values ends it is the cumulative histogram difference there
+    values = np.concatenate([np.broadcast_to(d1, (k, n)), d2s], axis=1)
+    if isinstance(query, PartitionHistogramQuery):
+        values = np.asarray(query.cells)[values]
+    order = np.argsort(values, axis=1)
+    values = np.take_along_axis(values, order, axis=1)
+    net = np.where(order < n, -1, 1).cumsum(axis=1)
+    if isinstance(query, CumulativeQuery):
+        # the difference holds from one value up to the next
+        return (np.abs(net[:, :-1]) * np.diff(values, axis=1)).sum(axis=1).astype(float)
+    # worst case over cluster assignments separates the gained values from
+    # the lost ones, which recovers the histogram L1 difference: the sum
+    # over runs of |the run's net change|.  A row's last run leaves net at
+    # 0, so the changes can be read off the run ends of all rows at once.
+    ends = np.ones(values.shape, dtype=bool)
+    ends[:, :-1] = values[:, 1:] != values[:, :-1]
+    change = np.diff(net[ends], prepend=0)
+    return np.bincount(np.nonzero(ends)[0], weights=np.abs(change), minlength=k).astype(float)
 
 
 def brute_force_sensitivity(query: QueryKind, policy: Policy, n: int) -> SensitivityResult:
@@ -566,13 +566,16 @@ def brute_force_sensitivity(query: QueryKind, policy: Policy, n: int) -> Sensiti
     restricted to sorted representatives: relabeling ids maps neighbors to
     neighbors and leaves the query difference unchanged.
     """
-    d1_filter = None
-    if _query_is_id_symmetric(query):
-        d1_filter = lambda db: tuple(sorted(db)) == db
+    if isinstance(query, (ClusterSizeQuery, ClusterSumQuery)) and query.k < 1:
+        raise ValueError("k must be >= 1")
+    if isinstance(query, PartitionHistogramQuery) and len(query.cells) != policy.domain.size:
+        raise ValueError("partition query needs one cell id per rank")
+    if isinstance(query, LinearSumQuery) and len(query.weights) < n:
+        raise ValueError(f"linear-sum 'weights' needs one weight per tuple: {len(query.weights)} for n = {n}")
     best = 0.0
-    for d1, neighbors in neighbor_databases(policy, n, d1_filter):
-        for d2 in neighbors:
-            best = max(best, _delta_eval(query, policy.domain, d1, d2))
+    for d1, d2s in neighbor_databases(policy, n, sorted_d1=_query_is_id_symmetric(query)):
+        # fmax passes over a NaN (inf - inf in a linear sum), as max() does
+        best = float(np.fmax.reduce(_query_deltas(query, policy.domain, d1, d2s), initial=best))
     return SensitivityResult(value=best, exactness=Exactness.EXACT, method=Method.BRUTE_FORCE)
 
 

@@ -18,23 +18,30 @@ from functools import cache
 import numpy as np
 
 from blowfish import (
+    ClusterSizeQuery,
+    ClusterSumQuery,
     CountQuery,
+    CumulativeQuery,
     DomainSpec,
     Exactness,
+    HistogramQuery,
+    LinearSumQuery,
     Method,
     NonSparseConstraintsError,
+    PartitionHistogramQuery,
     Policy,
     SecretGraph,
     SensitivityResult,
     ShapeNotRecognizedError,
     Workload,
-    l1_distance,
 )
 from blowfish.experiments import _tag
 from blowfish.kmeans import ClusteringResult, KmeansConfig, _init_centroids
 from blowfish.mechanisms import BudgetLedger, PrivacyParams, stream_laplace
 from blowfish.policy import GraphKind, iter_graph_edges
 from blowfish.sensitivity import MAX_POLICY_GRAPH_VERTICES, PolicyGraph, _path_states
+
+Point = tuple[int, ...]
 
 
 def validate_point(domain: DomainSpec, point) -> None:
@@ -54,6 +61,22 @@ def rank(domain: DomainSpec, point) -> int:
     for idx, attr in zip(point, domain.attributes):
         out = out * attr.size + idx
     return out
+
+
+def unrank(domain: DomainSpec, r: int) -> Point:
+    """The point of a mixed-radix rank: one value index per attribute."""
+    if not 0 <= r < domain.size:
+        raise ValueError(f"rank {r} out of range for domain of size {domain.size}")
+    out = []
+    for attr, w in zip(domain.attributes, domain._weights):
+        out.append((r // w) % attr.size)
+    return tuple(out)
+
+
+def l1_distance(x: Point, y: Point) -> int:
+    if len(x) != len(y):
+        raise ValueError("points come from different domains")
+    return sum(abs(a - b) for a, b in zip(x, y))
 
 
 def matches(q: CountQuery, point) -> bool:
@@ -123,7 +146,7 @@ def isotonic_by_enumeration(y) -> np.ndarray:
 
 def satisfying_databases(policy: Policy, n: int) -> list[tuple[int, ...]]:
     domain = policy.domain
-    points = [domain.unrank(r) for r in range(domain.size)]
+    points = [unrank(domain, r) for r in range(domain.size)]
     answered = [q for q in policy.constraints.queries if q.answer is not None]
     out = []
     for db in itertools.product(range(domain.size), repeat=n):
@@ -143,7 +166,7 @@ def is_neighbor_by_definition(policy: Policy, d1, d2, dbs=None) -> bool:
     """
     domain = policy.domain
     n = len(d1)
-    points = [domain.unrank(r) for r in range(domain.size)]
+    points = [unrank(domain, r) for r in range(domain.size)]
     if dbs is None:
         dbs = satisfying_databases(policy, n)
     if tuple(d1) not in dbs or tuple(d2) not in dbs:
@@ -190,6 +213,54 @@ def neighbors_by_definition(policy: Policy, n: int) -> set[tuple[tuple[int, ...]
             if d1 != d2 and is_neighbor_by_definition(policy, d1, d2, dbs):
                 out.add((d1, d2))
     return out
+
+
+def delta_by_loop(query, domain: DomainSpec, d1, d2) -> float:
+    """L1 difference of the query between two databases, from changed tuples."""
+    diffs = [(i, a, b) for i, (a, b) in enumerate(zip(d1, d2)) if a != b]
+    if isinstance(query, (HistogramQuery, ClusterSizeQuery)):
+        if isinstance(query, ClusterSizeQuery) and query.k == 1:
+            return 0.0
+        # worst case over cluster assignments separates the gained values
+        # from the lost ones, which recovers the histogram L1 difference
+        acc: dict[int, int] = {}
+        for _, a, b in diffs:
+            acc[a] = acc.get(a, 0) - 1
+            acc[b] = acc.get(b, 0) + 1
+        return float(sum(abs(v) for v in acc.values()))
+    if isinstance(query, PartitionHistogramQuery):
+        acc2: dict[int, int] = {}
+        for _, a, b in diffs:
+            acc2[query.cells[a]] = acc2.get(query.cells[a], 0) - 1
+            acc2[query.cells[b]] = acc2.get(query.cells[b], 0) + 1
+        return float(sum(abs(v) for v in acc2.values()))
+    if isinstance(query, CumulativeQuery):
+        shift = [0] * domain.size
+        for _, a, b in diffs:
+            lo, hi = min(a, b), max(a, b)
+            sign = 1 if b < a else -1
+            for p in range(lo, hi):
+                shift[p] += sign
+        return float(sum(abs(v) for v in shift))
+    if isinstance(query, LinearSumQuery):
+        step = query.value_step(domain)
+        total = 0.0
+        for i, a, b in diffs:
+            total += query.weights[i] * step * (b - a)
+        return abs(total)
+    if isinstance(query, ClusterSumQuery):
+        if query.k == 1:
+            dims = domain.n_attributes
+            net = [0] * dims
+            for _, a, b in diffs:
+                x, y = unrank(domain, a), unrank(domain, b)
+                for j in range(dims):
+                    net[j] += y[j] - x[j]
+            return float(sum(abs(v) for v in net))
+        return float(
+            sum(2 * l1_distance(unrank(domain, a), unrank(domain, b)) for _, a, b in diffs)
+        )
+    raise TypeError(f"unknown query kind {type(query).__name__}")
 
 
 def alpha_xi_by_backtracking(pg: PolicyGraph) -> tuple[int, int]:
@@ -289,7 +360,7 @@ def policy_graph_by_loop(constraints, g: SecretGraph) -> PolicyGraph:
     query, and each policy edge keeps the first pair that produced it."""
     queries = constraints.queries
     nq = len(queries)
-    points = [g.domain.unrank(r) for r in range(g.domain.size)]
+    points = [unrank(g.domain, r) for r in range(g.domain.size)]
     source, sink = nq, nq + 1
     witnesses: dict[tuple[int, int], tuple[int, int]] = {}
     for x_rank, y_rank in iter_graph_edges(g).tolist():
@@ -503,7 +574,7 @@ def critical_pairs_by_loop(policy: Policy, q: CountQuery, n: int) -> set[tuple[i
     cosupp = domain.size - supp
     out = set()
     for x_rank, y_rank in iter_graph_edges(policy.graph).tolist():
-        mx, my = matches(q, domain.unrank(x_rank)), matches(q, domain.unrank(y_rank))
+        mx, my = matches(q, unrank(domain, x_rank)), matches(q, unrank(domain, y_rank))
         if mx == my:
             continue
         need = q.answer - (1 if mx else 0)

@@ -53,9 +53,10 @@ from blowfish import (
 from blowfish.experiments import synth_clusters, synth_histogram
 from blowfish.mechanisms import oh_error_model
 from blowfish.policy import load_policy, neighbor_databases
-from blowfish.sensitivity import _delta_eval
+from blowfish.sensitivity import _query_deltas
 
 from oracles import (
+    delta_by_loop,
     is_neighbor_by_definition,
     isotonic_by_enumeration,
     random_secret_graph,
@@ -157,19 +158,19 @@ def test_c02_marginal_worked_example():
 
     # exhibit one neighbor pair attaining the bound (id relabeling maps
     # neighbors to neighbors, so sorted first databases suffice) and
-    # re-check it against the independent set-based validator
+    # re-check it against the per-pair loop and the independent set-based
+    # validator
     hist = HistogramQuery()
     witness = None
-    for d1, companions in neighbor_databases(policy, 4, d1_filter=lambda db: tuple(sorted(db)) == db):
-        for d2 in companions:
-            if _delta_eval(hist, dom, d1, d2) == 8:
-                witness = (d1, d2)
-                break
-        if witness:
+    for d1, d2s in neighbor_databases(policy, 4, sorted_d1=True):
+        hits = d2s[_query_deltas(hist, dom, d1, d2s) == 8]
+        if len(hits):
+            witness = (tuple(d1.tolist()), tuple(hits[0].tolist()))
             break
     assert witness is not None
+    assert delta_by_loop(hist, dom, *witness) == 8
     assert sum(1 for a, b in zip(*witness) if a != b) == 4
-    assert is_neighbor_by_definition(policy, witness[0], witness[1], dbs)
+    assert is_neighbor_by_definition(policy, witness[0], witness[1], list(map(tuple, dbs.tolist())))
     elapsed = time.monotonic() - started
     assert elapsed < 120
     _report(2, f"policy graph, alpha=4 xi=1, S=8 attained over {len(dbs)} databases ({elapsed:.1f}s)")

@@ -98,6 +98,21 @@ def test_oracle_at_zero_tuples(capsys):
     assert capsys.readouterr().err == "error: constraint answers admit no database\n"
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        pytest.param(["--n", "-1"], "n must be >= 0, got -1", id="n-negative"),
+        pytest.param(["--n", "4", "--query", "cluster-size", "--k", "0"], "k must be >= 1", id="cluster-size-k-zero"),
+        pytest.param(["--n", "4", "--query", "cluster-sum", "--k", "-2"], "k must be >= 1", id="cluster-sum-k-negative"),
+    ],
+)
+def test_oracle_refuses_bad_arguments(flags, message, capsys):
+    argv = ["sensitivity", "--domain", DOMAIN, "--policy", POLICY_MARGINAL, "--method", "oracle", *flags]
+    assert cli_main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
+
+
 def test_release_cdf_deterministic(tmp_path):
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
     args = [
@@ -564,6 +579,11 @@ MALFORMED_FILES = {
     "policy-where-list": ("policy", {"graph": {"kind": "full"}, "constraints": [{"where": ["A1"]}]}),
     "domain-attribute-int": ("domain", {"attributes": [1]}),
     "domain-values-int": ("domain", {"attributes": [{"name": "x", "values": 3}]}),
+    # the marginal policy reads A1 and A2 only, so a bad A3 is the one fault
+    "domain-labels-json-values": ("domain", {"attributes": [*DOMAIN_SPEC["attributes"][:2], {"name": "A3", "values": [None, True, 1e2, [1]]}]}),
+    "domain-label-number": ("domain", {"attributes": [*DOMAIN_SPEC["attributes"][:2], {"name": "A3", "values": ["c1", 2]}]}),
+    "domain-label-bool": ("domain", {"attributes": [*DOMAIN_SPEC["attributes"][:2], {"name": "A3", "values": ["c1", True]}]}),
+    "domain-name-int": ("domain", {"attributes": [*DOMAIN_SPEC["attributes"][:2], {"name": 3, "values": ["c1"]}]}),
     "experiment-list": ("experiment", [1]),
     "policy-selection-str": ("policy", {"graph": {"kind": "full"}, "constraints": [{"where": {"A1": "a1"}, "answer": 1}]}),
     "policy-selection-int": ("policy", {"graph": {"kind": "full"}, "constraints": [{"where": {"A1": 3}, "answer": 1}]}),

@@ -6,12 +6,11 @@ from blowfish import (
     Dataset,
     histogram,
     ingest_dataset,
-    l1_distance,
     load_domain,
 )
 from blowfish import domain as domain_module
 
-from oracles import ingest_by_index, rank
+from oracles import ingest_by_index, l1_distance, rank, unrank
 
 ABC_SPEC = {
     "attributes": [
@@ -44,18 +43,30 @@ def test_load_domain_rejects_empty_and_duplicates():
         load_domain("{not json")
 
 
+def test_load_domain_reads_names_and_labels_as_strings():
+    # a label is a JSON string, never the text of another JSON value
+    for values, bad in (([None, True, 1e2, [1]], "None at index 0"), (["a", True], "True at index 1"),
+                        (["a", 1e2], "100.0 at index 1"), (["a", [1]], r"\[1\] at index 1")):
+        with pytest.raises(ValueError, match=f"^attribute 'x' 'values' must be a list of strings, got {bad}$"):
+            load_domain({"attributes": [{"name": "x", "values": values}]})
+    with pytest.raises(ValueError, match="^domain attribute 1 'name' must be a string, got 3$"):
+        load_domain({"attributes": [{"name": "x", "values": ["a"]}, {"name": 3, "values": ["a"]}]})
+    dom = load_domain({"attributes": [{"name": "x", "values": ["None", "True", "100.0", "[1]"]}]})
+    assert dom.attributes[0].values == ("None", "True", "100.0", "[1]")
+
+
 def test_rank_unrank_bijection():
     dom = load_domain(ABC_SPEC)
     seen = set()
     for r in range(dom.size):
-        p = dom.unrank(r)
+        p = unrank(dom, r)
         assert rank(dom, p) == r
         seen.add(p)
     assert len(seen) == dom.size
     # last attribute varies fastest
-    assert dom.unrank(0) == (0, 0, 0)
-    assert dom.unrank(1) == (0, 0, 1)
-    assert dom.unrank(3) == (0, 1, 0)
+    assert unrank(dom, 0) == (0, 0, 0)
+    assert unrank(dom, 1) == (0, 0, 1)
+    assert unrank(dom, 3) == (0, 1, 0)
 
 
 def test_ingest_dataset_basic():

@@ -30,11 +30,13 @@ from blowfish import (
     sparse_constraint_sensitivity,
     specialized_constraint_sensitivity,
 )
-from blowfish.sensitivity import PolicyGraph, _has_hamiltonian_path
+from blowfish.policy import DEFAULT_ENUM_BUDGET, neighbor_databases
+from blowfish.sensitivity import PolicyGraph, _has_hamiltonian_path, _query_deltas
 
 from oracles import (
     Effect,
     alpha_xi_by_backtracking,
+    delta_by_loop,
     hamiltonian_path_by_permutation,
     lifts_lowers,
     matches,
@@ -42,6 +44,7 @@ from oracles import (
     random_rectangle,
     random_secret_graph,
     specialized_by_loop,
+    unrank,
 )
 
 
@@ -299,7 +302,7 @@ def test_sparse_engine_random_policies_cap_and_soundness():
         g = random_secret_graph(rng, dom, kinds[trial % 5])
         n = int(rng.integers(1, 3))
         # answers read off one database keep the constraints satisfiable
-        db = [dom.unrank(int(r)) for r in rng.integers(0, dom.size, size=n)]
+        db = [unrank(dom, int(r)) for r in rng.integers(0, dom.size, size=n)]
         queries = []
         for _ in range(int(rng.integers(1, 4))):
             q = random_rectangle(rng, dom)
@@ -598,6 +601,114 @@ def test_brute_force_partition_aligned_zero():
     pol = Policy(dom, g, ConstraintSet.none())
     query = PartitionHistogramQuery((0, 0, 1, 1))
     assert brute_force_sensitivity(query, pol, 2).value == 0
+
+
+def test_query_deltas_match_loop():
+    # every neighbor pair of random tiny policies, for all six query kinds:
+    # the array function gives the per-pair loop's floats bit for bit
+    rng = np.random.default_rng(29)
+    kinds = ("full", "attribute", "partition", "distance", "explicit")
+    covered, pairs = set(), 0
+    for trial in range(120):
+        sizes = [int(rng.integers(1, 4)) for _ in range(int(rng.integers(1, 3)))]
+        n = int(rng.integers(1, 4))
+        public = trial % 6 == 3
+        if public:
+            # a public count per point: every neighbor permutes the tuples,
+            # and a 3-cycle changes three ids, where the order of a sum shows
+            sizes, n = [int(rng.integers(3, 5))], 3
+        dom = grid_domain(*sizes)
+        if dom.size**n > 81:
+            continue
+        g = random_secret_graph(rng, dom, kinds[trial % 5])
+        constraints = ConstraintSet.none()
+        if trial % 2:
+            # answers read off one database keep the constraints satisfiable
+            db = [unrank(dom, int(r)) for r in rng.integers(0, dom.size, size=n)]
+            rects = [random_rectangle(rng, dom) for _ in range(int(rng.integers(1, 4)))]
+            if public:
+                rects = [CountQuery(tuple(frozenset({v}) for v in unrank(dom, r))) for r in range(dom.size)]
+            constraints = ConstraintSet.of([CountQuery(q.allowed, sum(matches(q, x) for x in db)) for q in rects])
+        pol = Policy(dom, g, constraints)
+        ncells = int(rng.integers(1, dom.size + 1))
+        # weights of unlike magnitudes, so that sums in another order round
+        # differently
+        weights = rng.uniform(-3, 3, size=n) * 10.0 ** rng.integers(-6, 7, size=n)
+        queries = [
+            HistogramQuery(),
+            PartitionHistogramQuery(tuple(int(c) for c in rng.integers(-1, ncells, size=dom.size))),
+            CumulativeQuery(),
+            LinearSumQuery(tuple(float(w) for w in weights), lo=-1.0, hi=float(rng.uniform(0, 5))),
+            ClusterSizeQuery(1),
+            ClusterSizeQuery(2),
+            ClusterSumQuery(1),
+            ClusterSumQuery(3),
+        ]
+        for d1, d2s in neighbor_databases(pol, n):
+            for query in queries:
+                got = _query_deltas(query, dom, d1, d2s)
+                loop = [delta_by_loop(query, dom, tuple(d1.tolist()), d2) for d2 in map(tuple, d2s.tolist())]
+                expected = np.array(loop, dtype=np.float64)
+                assert got.dtype == np.float64 and got.shape == expected.shape
+                assert (got.view(np.uint64) == expected.view(np.uint64)).all(), (sizes, g.kind, n, query)
+            pairs += len(d2s)
+        covered.add((g.kind.value, constraints.unconstrained))
+        covered.add(("size-1", dom.size == 1))
+    assert len(covered) == 2 * len(kinds) + 2 and pairs > 1000, (covered, pairs)
+
+
+def test_brute_force_refuses_bad_arguments():
+    dom = line_domain(3)
+    pol = Policy(dom, SecretGraph.full(dom), ConstraintSet.none())
+    with pytest.raises(ValueError, match="^n must be >= 0, got -1$"):
+        brute_force_sensitivity(HistogramQuery(), pol, -1)
+    for query in (ClusterSizeQuery(0), ClusterSumQuery(-1)):
+        with pytest.raises(ValueError, match="^k must be >= 1$"):
+            brute_force_sensitivity(query, pol, 2)
+    with pytest.raises(ValueError, match="^linear-sum 'weights' needs one weight per tuple: 1 for n = 2$"):
+        brute_force_sensitivity(LinearSumQuery((1.0,)), pol, 2)
+    with pytest.raises(ValueError, match="^partition query needs one cell id per rank$"):
+        brute_force_sensitivity(PartitionHistogramQuery((0, 1)), pol, 2)
+    # a weight past the n-th is never read: moving tuple 1 from 0 to 2 is the
+    # largest change
+    assert brute_force_sensitivity(LinearSumQuery((1.0, -2.0, 9.0)), pol, 2).value == 2.0
+    # a database holds n tuples, so n is under the enumeration budget even
+    # where one value makes one database; such a domain has no neighbor
+    one = line_domain(1)
+    lone = Policy(one, SecretGraph.full(one), ConstraintSet.none())
+    with pytest.raises(BudgetExceededError):
+        brute_force_sensitivity(HistogramQuery(), lone, DEFAULT_ENUM_BUDGET + 1)
+    assert brute_force_sensitivity(HistogramQuery(), lone, DEFAULT_ENUM_BUDGET).value == 0.0
+
+
+def test_brute_force_linear_sums_past_float_range():
+    # terms that overflow to inf or meet as inf - inf: an unchanged id adds
+    # nothing (not inf * 0), and a NaN pair is passed over as max() does,
+    # so the result is the per-pair loop's maximum
+    dom = line_domain(3)
+    infinite = nans_seen = 0
+    for labels in (None, ["0"], ["1", "2"]):
+        constraints = ConstraintSet.none()
+        if labels:
+            constraints = ConstraintSet.of([CountQuery.from_labels(dom, {"x": labels}, answer=1)])
+        pol = Policy(dom, SecretGraph.full(dom), constraints)
+        for query in (
+            LinearSumQuery((math.inf, 1.0)),
+            LinearSumQuery((1e308, 1e308), hi=2.0),
+            LinearSumQuery((1e308, -1e308), hi=4.0),
+            # under x in {1, 2} = 1 each database has one neighbor that
+            # moves one id and two that move both ids opposite ways, inf - inf
+            LinearSumQuery((math.inf, math.inf), hi=2.0),
+        ):
+            expected, nans = 0.0, 0
+            for d1, d2s in neighbor_databases(pol, 2):
+                for d2 in map(tuple, d2s.tolist()):
+                    delta = delta_by_loop(query, dom, tuple(d1.tolist()), d2)
+                    expected, nans = max(expected, delta), nans + math.isnan(delta)
+            assert brute_force_sensitivity(query, pol, 2).value == expected
+            infinite += expected == math.inf
+            nans_seen += nans
+    assert infinite >= 4 and nans_seen, (infinite, nans_seen)
 
 
 def test_oracle_agreement_sample():

@@ -63,7 +63,10 @@ def read_field(source: dict, key: str, default, kind, least=None, where: str = "
 
     def read(v, kind):
         # v as kind: TypeError for another shape, ValueError or
-        # OverflowError for a number that is not finite
+        # OverflowError for a number that is not finite; v of type kind, if
+        # not float, passes every check below
+        if type(v) is kind and kind is not float:
+            return v
         if isinstance(kind, list):
             if not isinstance(v, list):
                 raise TypeError

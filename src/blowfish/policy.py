@@ -17,13 +17,15 @@ the ground truth the sensitivity engines are checked against.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
-from .domain import DomainSpec
+from .domain import DomainSpec, _int64_column
 from .errors import BudgetExceededError, InfeasibleConstraintsError, read_field
 
 DEFAULT_ENUM_BUDGET = 100_000
@@ -38,20 +40,21 @@ class GraphKind(str, Enum):
     EXPLICIT = "explicit"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SecretGraph:
-    """Implicit edge predicate over the points of a domain.
+    """Edge predicate over the ranks of a domain, ``adjacent``.
 
-    The edge set is symmetric and irreflexive.  PARTITION carries a cell id
-    per rank; DISTANCE uses the L1 metric over value indices with threshold
-    ``theta``; EXPLICIT stores unordered rank pairs.
+    The edge set is symmetric and irreflexive.  PARTITION carries an int64
+    cell id per rank; DISTANCE uses the L1 metric over value indices with
+    threshold ``theta``; EXPLICIT stores its rank pairs a < b as sorted,
+    unique int64 rows.  Both arrays are read-only.
     """
 
     domain: DomainSpec
     kind: GraphKind
     theta: int = 0
-    cells: tuple[int, ...] | None = None
-    edge_list: frozenset[tuple[int, int]] | None = None
+    cells: np.ndarray | None = None
+    edges: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if self.kind is GraphKind.DISTANCE and self.theta < 0:
@@ -59,14 +62,19 @@ class SecretGraph:
         if self.kind is GraphKind.PARTITION:
             if self.cells is None or len(self.cells) != self.domain.size:
                 raise ValueError("partition graph needs one cell id per domain rank")
+            object.__setattr__(self, "cells", _int64_column("cells", self.cells))
         if self.kind is GraphKind.EXPLICIT:
-            if self.edge_list is None:
+            if self.edges is None:
                 raise ValueError("explicit graph needs an edge set")
-            for a, b in self.edge_list:
+            pairs = [(min(a, b), max(a, b)) for a, b in self.edges]
+            for a, b in pairs:
                 if not (0 <= a < self.domain.size and 0 <= b < self.domain.size):
                     raise ValueError(f"edge ({a},{b}) references an invalid rank")
                 if a == b:
                     raise ValueError("self-loops are not allowed")
+            edges = np.unique(np.array(pairs, dtype=np.int64).reshape(-1, 2), axis=0)
+            edges.flags.writeable = False
+            object.__setattr__(self, "edges", edges)
 
     # -- constructors --------------------------------------------------
 
@@ -89,9 +97,9 @@ class SecretGraph:
                 if cells[r] != -1:
                     raise ValueError(f"rank {r} assigned to two cells")
                 cells[r] = cid
-        if any(c == -1 for c in cells):
+        if -1 in cells:
             raise ValueError("partition must cover every domain point")
-        return cls(domain, GraphKind.PARTITION, cells=tuple(cells))
+        return cls(domain, GraphKind.PARTITION, cells=cells)
 
     @classmethod
     def distance(cls, domain: DomainSpec, theta: int) -> "SecretGraph":
@@ -99,10 +107,32 @@ class SecretGraph:
 
     @classmethod
     def explicit(cls, domain: DomainSpec, edges) -> "SecretGraph":
-        normalized = frozenset((min(a, b), max(a, b)) for a, b in edges)
-        return cls(domain, GraphKind.EXPLICIT, edge_list=normalized)
+        return cls(domain, GraphKind.EXPLICIT, edges=edges)
 
     # -- predicates ----------------------------------------------------
+
+    def adjacent(self, x, y) -> np.ndarray:
+        """Whether ranks x and y are joined by an edge, elementwise over the
+        broadcast int64 rank arrays x and y: each kind's one edge rule."""
+        x, y = np.asarray(x), np.asarray(y)
+        if self.kind is GraphKind.FULL:
+            return x != y
+        if self.kind is GraphKind.PARTITION:
+            return (self.cells[x] == self.cells[y]) & (x != y)
+        if self.kind is GraphKind.EXPLICIT:
+            size = self.domain.size
+            return np.isin(np.minimum(x, y) * size + np.maximum(x, y), self.edges @ np.array([size, 1]))
+        coords = self._coords.T
+        if self.kind is GraphKind.ATTRIBUTE:
+            return sum(col[x] != col[y] for col in coords) == 1
+        dist = sum(np.abs(col[x] - col[y]) for col in coords)
+        return (dist >= 1) & (dist <= self.theta)
+
+    @cached_property
+    def _coords(self) -> np.ndarray:
+        # L1 distances never exceed the diameter, so the narrowest signed
+        # type holding +diameter keeps adjacent's (x, y) arrays small
+        return self.domain.coords().astype(np.min_scalar_type(-self.domain.diameter() - 1))
 
     def has_any_edge(self) -> bool:
         return self.max_rank_gap() > 0
@@ -115,11 +145,7 @@ class SecretGraph:
         if self.kind is GraphKind.ATTRIBUTE:
             return max((a.size - 1) * w for a, w in zip(domain.attributes, domain._weights))
         if self.kind is GraphKind.PARTITION:
-            # each cell's first rank, and its last one from the reversed cells
-            cells = np.asarray(self.cells)
-            _, first = np.unique(cells, return_index=True)
-            _, from_end = np.unique(cells[::-1], return_index=True)
-            return int((len(cells) - 1 - from_end - first).max())
+            return _cell_spread(self.cells, np.arange(domain.size))
         if self.kind is GraphKind.DISTANCE:
             # maximize sum of d_i * weight_i subject to sum d_i <= theta,
             # 0 <= d_i <= |A_i| - 1: greedy on the largest place values
@@ -128,16 +154,40 @@ class SecretGraph:
                 take = min(budget, span)
                 budget, gap = budget - take, gap + take * w
             return gap
-        return max((b - a for a, b in self.edge_list), default=0)
+        return int((self.edges[:, 1] - self.edges[:, 0]).max(initial=0))
 
-    def edge_matrix(self) -> np.ndarray:
-        """Dense boolean rank-by-rank adjacency (tiny domains only)."""
-        size = self.domain.size
-        if size * size > DEFAULT_EDGE_BUDGET:
-            raise BudgetExceededError(f"edge matrix over {size} ranks exceeds budget")
-        mat = np.zeros((size, size), dtype=bool)
-        mat[tuple(iter_graph_edges(self).T)] = True
-        return mat
+
+def _cell_spread(cells: np.ndarray, values: np.ndarray) -> int:
+    """The largest max - min within one cell of ``cells`` of a column of
+    ``values``, an (|T|,) or (|T|, k) array with one row per rank."""
+    order = np.argsort(cells, kind="stable")
+    _, starts = np.unique(cells[order], return_index=True)
+    values = values[order]
+    return int((np.maximum.reduceat(values, starts) - np.minimum.reduceat(values, starts)).max())
+
+
+def _longest_edge_l1(g: SecretGraph) -> int:
+    """The longest L1 edge of a partition or explicit graph; 0 if none.
+
+    In a cell it is the widest spread of the coordinates along some sign
+    vector s, as |u - v| in L1 is the largest s.(u - v), and s and -s spread
+    alike.  For d attributes of more than one value the spreads cost
+    2^(d-1) * |T|, and a cell's pairs cost k^2 for k ranks: the cheaper runs."""
+    domain = g.domain
+    pairs = g.edges
+    if g.kind is GraphKind.PARTITION:
+        varying = [i for i, a in enumerate(domain.attributes) if a.size > 1]
+        spread_cost = 2 ** max(len(varying) - 1, 0) * domain.size
+        if spread_cost < int((np.unique(g.cells, return_counts=True)[1] ** 2).sum()):
+            if spread_cost > DEFAULT_EDGE_BUDGET:
+                raise BudgetExceededError(
+                    f"cell spreads would visit ~{spread_cost} values, budget is {DEFAULT_EDGE_BUDGET}"
+                )
+            signs = np.array(list(itertools.product((1,), *[(1, -1)] * (len(varying) - 1))))
+            return _cell_spread(g.cells, domain.coords()[:, varying] @ signs.T)
+        pairs = iter_graph_edges(g)
+    ends = np.unravel_index(pairs, domain.sizes)
+    return int(sum(np.abs(c[:, 0] - c[:, 1]) for c in ends).max(initial=0))
 
 
 def iter_graph_edges(g: SecretGraph) -> np.ndarray:
@@ -150,7 +200,8 @@ def iter_graph_edges(g: SecretGraph) -> np.ndarray:
     """
     domain = g.domain
     size = domain.size
-    if g.kind is GraphKind.FULL or (g.kind is GraphKind.DISTANCE and domain.n_attributes > 1):
+    dense = g.kind is GraphKind.FULL or (g.kind is GraphKind.DISTANCE and domain.n_attributes > 1)
+    if dense:
         candidates = size * size
     elif g.kind is GraphKind.ATTRIBUTE:
         candidates = size * sum(a.size for a in domain.attributes)
@@ -159,15 +210,15 @@ def iter_graph_edges(g: SecretGraph) -> np.ndarray:
     elif g.kind is GraphKind.DISTANCE:
         candidates = size * min(size, 2 * g.theta + 1)
     else:
-        candidates = 2 * len(g.edge_list)
+        candidates = 2 * len(g.edges)
     if candidates > DEFAULT_EDGE_BUDGET:
         raise BudgetExceededError(
             f"edge iteration would visit ~{candidates} pairs, budget is {DEFAULT_EDGE_BUDGET}"
         )
 
     ranks = np.arange(size, dtype=np.int64)
-    if g.kind is GraphKind.FULL:
-        return _distinct_pairs(ranks)
+    if dense:
+        return np.argwhere(g.adjacent(ranks[:, None], ranks))
     if g.kind is GraphKind.ATTRIBUTE:
         # rank offsets to every value of every attribute, sorted per rank;
         # the zero offsets (a rank to itself) are dropped
@@ -177,40 +228,23 @@ def iter_graph_edges(g: SecretGraph) -> np.ndarray:
         x, j = np.nonzero(offsets)
         return np.stack([x, x + offsets[x, j]], axis=1)
     if g.kind is GraphKind.PARTITION:
-        cells = np.asarray(g.cells)
-        order = np.argsort(cells, kind="stable")
-        ordered = cells[order]
+        order = np.argsort(g.cells, kind="stable")
+        ordered = g.cells[order]
         # per rank: where its cell starts in cell order, and the cell's size;
         # a stable sort lists every cell's ranks in ascending order
-        start = np.searchsorted(ordered, cells)
-        k = np.searchsorted(ordered, cells, side="right") - start
+        start = np.searchsorted(ordered, g.cells)
+        k = np.searchsorted(ordered, g.cells, side="right") - start
         x = np.repeat(ranks, k)
         y = order[np.arange(k.sum()) + np.repeat(start - np.cumsum(k) + k, k)]
         return np.stack([x[x != y], y[x != y]], axis=1)
     if g.kind is GraphKind.DISTANCE:
-        if g.theta < 1:
-            return np.empty((0, 2), dtype=np.int64)
-        if domain.n_attributes == 1:
-            reach = min(g.theta, size - 1)
-            offsets = np.concatenate([np.arange(-reach, 0), np.arange(1, reach + 1)])
-            y = ranks[:, None] + offsets
-            x, j = np.nonzero((y >= 0) & (y < size))
-            return np.stack([x, y[x, j]], axis=1)
-        # L1 distances never exceed the diameter, so the narrowest signed
-        # type holding +diameter keeps the size-by-size matrix small
-        coords = domain.coords().astype(np.min_scalar_type(-domain.diameter() - 1))
-        dist = sum(np.abs(col[:, None] - col[None, :]) for col in coords.T)
-        return np.stack(np.nonzero((dist >= 1) & (dist <= g.theta)), axis=1)
-    e = np.array(sorted(g.edge_list), dtype=np.int64).reshape(-1, 2)
-    both = np.concatenate([e, e[:, ::-1]])
+        reach = min(g.theta, size - 1)
+        offsets = np.concatenate([np.arange(-reach, 0), np.arange(1, reach + 1)])
+        y = ranks[:, None] + offsets
+        x, j = np.nonzero((y >= 0) & (y < size))
+        return np.stack([x, y[x, j]], axis=1)
+    both = np.concatenate([g.edges, g.edges[:, ::-1]])
     return both[np.lexsort((both[:, 1], both[:, 0]))]
-
-
-def _distinct_pairs(ranks: np.ndarray) -> np.ndarray:
-    """Every ordered pair of distinct entries of an ascending rank array, in
-    (x, y) order."""
-    x, y = np.nonzero(~np.eye(len(ranks), dtype=bool))
-    return np.stack([ranks[x], ranks[y]], axis=1)
 
 
 def signature_edges(g: SecretGraph, match: np.ndarray) -> np.ndarray:
@@ -231,7 +265,8 @@ def signature_edges(g: SecretGraph, match: np.ndarray) -> np.ndarray:
             raise BudgetExceededError(
                 f"{n_sig} signatures would visit ~{n_sig * n_sig} pairs, budget is {DEFAULT_EDGE_BUDGET}"
             )
-        return _distinct_pairs(np.sort(first))
+        first = np.sort(first)
+        return first[np.argwhere(g.adjacent(first[:, None], first))]
     pairs = iter_graph_edges(g)
     code = sig[pairs[:, 0]] * n_sig + sig[pairs[:, 1]]
     _, idx = np.unique(code, return_index=True)
@@ -245,14 +280,15 @@ def _partition_query_crossed(g: SecretGraph, cells) -> bool:
     given as a cell id (or a match flag) per rank."""
     if not g.has_any_edge():
         return False
+    cells = np.asarray(cells)
     if g.kind is GraphKind.PARTITION:
         # some secret cell holds ranks of two query cells
-        return len(set(zip(g.cells, cells))) > len(set(g.cells))
+        return len(np.unique(np.stack([g.cells, cells], axis=1), axis=0)) > len(np.unique(g.cells))
     if g.kind is GraphKind.EXPLICIT:
-        return any(cells[a] != cells[b] for a, b in g.edge_list)
+        return bool((cells[g.edges[:, 0]] != cells[g.edges[:, 1]]).any())
     # unit steps connect the domain and are edges of full, attribute and
     # distance graphs alike (distance needs theta >= 1, given by has_any_edge)
-    return len(set(cells)) >= 2
+    return bool((cells != cells[0]).any())
 
 
 # -- constraints -----------------------------------------------------------
@@ -384,9 +420,9 @@ class Policy:
         if g.kind is GraphKind.DISTANCE:
             gdesc = f"distance(theta={g.theta})"
         elif g.kind is GraphKind.PARTITION:
-            gdesc = f"partition(cells={len(set(g.cells))})"
+            gdesc = f"partition(cells={len(np.unique(g.cells))})"
         elif g.kind is GraphKind.EXPLICIT:
-            gdesc = f"explicit(edges={len(g.edge_list)})"
+            gdesc = f"explicit(edges={len(g.edges)})"
         else:
             gdesc = g.kind.value
         c = self.constraints
@@ -521,14 +557,17 @@ def neighbor_databases(policy: Policy, n: int, sorted_d1: bool = False):
     """
     rows, place, satisfies = _database_table(policy, n)
     total = len(rows)
-    edge = policy.graph.edge_matrix()
+    ranks = np.arange(policy.domain.size)
+    ids = np.arange(n)
     d1s = rows[satisfies]
     if sorted_d1:
         d1s = d1s[(d1s[:, 1:] >= d1s[:, :-1]).all(axis=1)]
     for d1 in d1s:
         changed = rows != d1
         n_changed = changed.sum(axis=1)
-        along_edges = (edge[d1, rows] | ~changed).all(axis=1)
+        # entry (i, r): whether tuple i may change from d1's value to rank r
+        edge = policy.graph.adjacent(d1[:, None], ranks)
+        along_edges = (edge[ids, rows] | ~changed).all(axis=1)
         # entry (x, i): the database x with tuple i set back to d1's value
         back = np.arange(total)[:, None] - (rows - d1) * place
         reach = np.zeros(total, dtype=bool)

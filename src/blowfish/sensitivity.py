@@ -39,8 +39,8 @@ from .policy import (
     GraphKind,
     Policy,
     SecretGraph,
+    _longest_edge_l1,
     _partition_query_crossed,
-    iter_graph_edges,
     match_matrix,
     neighbor_databases,
     signature_edges,
@@ -174,14 +174,7 @@ def _max_edge_l1(g: SecretGraph) -> int:
     domain = g.domain
     if g.kind in (GraphKind.FULL, GraphKind.ATTRIBUTE, GraphKind.DISTANCE):
         return _l1_reach(g.kind, [a.size - 1 for a in domain.attributes], g.theta)
-    if not g.has_any_edge():
-        return 0
-    if g.kind is GraphKind.PARTITION:
-        pairs = iter_graph_edges(g)
-    else:
-        pairs = np.array(list(g.edge_list), dtype=np.int64)
-    diff = np.subtract(np.unravel_index(pairs[:, 0], domain.sizes), np.unravel_index(pairs[:, 1], domain.sizes))
-    return int(np.abs(diff).sum(axis=0).max())
+    return _longest_edge_l1(g)
 
 
 def closed_form_sensitivity(query: QueryKind, policy: Policy) -> SensitivityResult:

@@ -100,7 +100,7 @@ def is_edge(g: SecretGraph, x, y) -> bool:
     if g.kind is GraphKind.DISTANCE:
         return l1_distance(x, y) <= g.theta
     rx, ry = rank(g.domain, x), rank(g.domain, y)
-    return (min(rx, ry), max(rx, ry)) in g.edge_list
+    return [min(rx, ry), max(rx, ry)] in g.edges.tolist()
 
 
 class Effect(str, Enum):

@@ -1,7 +1,9 @@
 import csv
 import inspect
 import json
+import math
 import random
+from collections import OrderedDict
 from pathlib import Path
 
 import numpy as np
@@ -409,6 +411,40 @@ def test_edge_budget_fails_cleanly(tmp_path, capsys):
     rc = cli_main(["policy", "validate", "--domain", str(domain), "--policy", str(policy)])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_closed_form_past_edge_budget(tmp_path, capsys):
+    # the cell of test_edge_budget_fails_cleanly, unconstrained: the closed
+    # form reads the cell's coordinates, not its 25M candidate pairs
+    domain = tmp_path / "wide.json"
+    domain.write_text(json.dumps({"attributes": [{"name": "x", "values": [str(i) for i in range(5000)]}]}))
+    policy = tmp_path / "partition.json"
+    policy.write_text(json.dumps({"graph": {"kind": "partition", "cells": [list(range(5000))]}}))
+    argv = ["sensitivity", "--domain", str(domain), "--policy", str(policy), "--query", "cluster-sum"]
+    assert cli_main(argv + ["--method", "closed"]) == 0
+    assert capsys.readouterr().out == "9998 Exact ClosedForm\n"
+
+
+def test_read_field_kinds():
+    accepted = [
+        (1, int, 1), (2.0, int, 2), (np.float64(2.0), int, 2), (10**400, int, 10**400), (None, (int, None), None),
+        (1, float, 1.0), (np.float64(2.5), float, 2.5), (True, bool, True), ("s", str, "s"),
+        (OrderedDict(a=1), dict, OrderedDict(a=1)), (["a", "b"], [str], ["a", "b"]),
+    ]
+    for value, kind, want in accepted:
+        got = errors.read_field({"k": value}, "k", None, kind, where="w")
+        assert got == want and type(got) is type(want), (value, kind)
+    refused = [
+        (True, int, "an integer, got True"), (2.5, int, "an integer, got 2.5"),
+        (np.int64(3), int, "an integer, got np.int64(3)"), (math.inf, float, "finite, got inf"),
+        (np.float64(math.nan), float, "finite, got np.float64(nan)"), (1, bool, "a boolean, got 1"),
+        (1, str, "a string, got 1"), ([1], [str], "a list of strings, got 1 at index 0"),
+        (["a", 1], [str], "a list of strings, got 1 at index 1"),
+    ]
+    for value, kind, problem in refused:
+        with pytest.raises(ValueError) as exc:
+            errors.read_field({"k": value}, "k", None, kind, where="w")
+        assert str(exc.value) == f"w 'k' must be {problem}", (value, kind)
 
 
 def test_every_error_is_a_blowfish_error():

@@ -108,6 +108,42 @@ def test_iter_graph_edges_matches_is_edge():
             assert got.tolist() == expected, (sizes, g.kind, g.theta)
 
 
+def test_adjacent_matches_is_edge():
+    rng = np.random.default_rng(29)
+    domains = [grid_domain(1), grid_domain(1, 1, 1)]
+    while len(domains) < 60:
+        dom = grid_domain(*[int(rng.integers(1, 5)) for _ in range(int(rng.integers(1, 5)))])
+        if dom.size <= 32:
+            domains.append(dom)
+    for dom in domains:
+        points = [unrank(dom, r) for r in range(dom.size)]
+        ranks = np.arange(dom.size)
+        graphs = [random_secret_graph(rng, dom, kind) for kind in GRAPH_KINDS]
+        graphs += [SecretGraph.distance(dom, theta) for theta in range(dom.diameter() + 2)]
+        graphs.append(SecretGraph.explicit(dom, []))
+        for g in graphs:
+            expected = [[is_edge(g, points[x], points[y]) for y in ranks] for x in ranks]
+            got = g.adjacent(ranks[:, None], ranks)
+            assert got.shape == (dom.size, dom.size) and got.tolist() == expected, (dom.sizes, g.kind, g.theta)
+            x, y = (int(r) for r in rng.integers(dom.size, size=2))
+            assert g.adjacent(x, y) == expected[x][y]
+
+
+def test_cells_and_edges_are_read_only_int64_arrays():
+    dom = grid_domain(2, 3)
+    part = SecretGraph.partition(dom, [[5, 0], [1, 2, 3, 4]])
+    assert part.cells.dtype == np.int64 and part.cells.tolist() == [0, 1, 1, 1, 1, 0]
+    g = SecretGraph.explicit(dom, [(4, 1), (0, 3), (1, 4), (0, 2)])
+    assert g.edges.dtype == np.int64 and g.edges.tolist() == [[0, 2], [0, 3], [1, 4]]
+    for arr in (part.cells, g.edges):
+        with pytest.raises(ValueError):
+            arr[0] = 1
+    # an edge is a pair: a triple or a one-rank row is refused, not reshaped
+    for bad in ([(0, 1, 2), (3, 4, 5)], [(0, 1), (2,)]):
+        with pytest.raises(ValueError):
+            SecretGraph.explicit(dom, bad)
+
+
 def test_max_rank_gap_matches_edges():
     rng = np.random.default_rng(23)
     kinds = set()
@@ -143,6 +179,7 @@ def test_iter_graph_edges_distance_at_diameter_128():
                 if is_edge(g, points[x], points[y])
             ]
             assert iter_graph_edges(g).tolist() == expected, (sizes, theta)
+            assert np.argwhere(g.adjacent(np.arange(dom.size)[:, None], np.arange(dom.size))).tolist() == expected
     # the corner-to-corner pair is the only edge joining the two point queries
     dom = grid_domain(128, 2)
     corners = [CountQuery.rectangle(dom, {"A0": (v, v), "A1": (w, w)}, answer=0) for v, w in ((0, 0), (127, 1))]
@@ -305,12 +342,12 @@ def test_unconstrained_neighbors_equal_direct_construction():
         pol = Policy(dom, g, ConstraintSet.none())
         n = int(rng.integers(1, 3))
         got = neighbor_pairs(pol, n)
-        mat = g.edge_matrix()
+        points = [unrank(dom, r) for r in range(dom.size)]
         expected = set()
         for db in itertools.product(range(dom.size), repeat=n):
             for i in range(n):
                 for v in range(dom.size):
-                    if mat[db[i]][v]:
+                    if is_edge(g, points[db[i]], points[v]):
                         other = list(db)
                         other[i] = v
                         expected.add((db, tuple(other)))
@@ -416,6 +453,15 @@ def test_parallel_decomposition_past_edge_budget():
     pol = Policy(dom, g, ConstraintSet.of([q]))
     assert not check_parallel_decomposition(pol, [{0}, {1}], n=2)
     assert check_parallel_decomposition(pol, [{0, 1}], n=2)
+
+
+def test_neighbors_past_dense_edge_matrix():
+    # 5000**2 rank pairs are over the edge budget; one d1's rows of the
+    # edge rule are not
+    dom = line_domain(5000)
+    pol = Policy(dom, SecretGraph.full(dom), ConstraintSet.none())
+    d1, d2s = next(neighbor_databases(pol, 1))
+    assert d1.tolist() == [0] and d2s.tolist() == [[r] for r in range(1, 5000)]
 
 
 def test_parallel_decomposition_matches_critical_pair_loop():

@@ -30,7 +30,7 @@ from blowfish import (
     sparse_constraint_sensitivity,
     specialized_constraint_sensitivity,
 )
-from blowfish.policy import DEFAULT_ENUM_BUDGET, neighbor_databases
+from blowfish.policy import DEFAULT_ENUM_BUDGET, iter_graph_edges, neighbor_databases
 from blowfish.sensitivity import PolicyGraph, _has_hamiltonian_path, _query_deltas
 
 from oracles import (
@@ -135,6 +135,42 @@ def test_closed_form_cluster_queries():
     assert closed_form_sensitivity(ClusterSumQuery(4), attr).value == 2 * 3
     part = Policy(dom, SecretGraph.partition(dom, [[0, 1, 2, 3], list(range(4, 12))]), ConstraintSet.none())
     assert closed_form_sensitivity(ClusterSumQuery(4), part).value > 0
+
+
+def test_cluster_sum_closed_form_matches_longest_edge():
+    # twice the longest edge in L1, read from the cells or the stored edges
+    # and checked against every enumerated edge
+    rng = np.random.default_rng(41)
+    for _ in range(200):
+        dom = grid_domain(*[int(rng.integers(1, 5)) for _ in range(int(rng.integers(1, 5)))])
+        for g in (random_secret_graph(rng, dom, "partition"), random_secret_graph(rng, dom, "explicit")):
+            pairs = iter_graph_edges(g)
+            coords = np.stack(np.unravel_index(np.arange(dom.size), dom.sizes), axis=1)
+            longest = int(np.abs(coords[pairs[:, 0]] - coords[pairs[:, 1]]).sum(axis=1).max(initial=0))
+            pol = Policy(dom, g, ConstraintSet.none())
+            assert closed_form_sensitivity(ClusterSumQuery(2), pol).value == 2 * longest, (dom.sizes, g.cells)
+    # one 5000-rank cell has 25M candidate pairs, over the 20M edge budget
+    dom = line_domain(5000)
+    g = SecretGraph.partition(dom, [range(5000)])
+    with pytest.raises(BudgetExceededError):
+        iter_graph_edges(g)
+    assert closed_form_sensitivity(ClusterSumQuery(2), Policy(dom, g, ConstraintSet.none())).value == 9998
+
+
+def test_cluster_sum_closed_form_cost_follows_the_input():
+    # 16 two-value attributes in two-rank cells: 2^15 sign vectors over 65,536
+    # ranks, against 131,072 pairs, so the pairs are read
+    dom = grid_domain(*[2] * 16)
+    pairs = SecretGraph.partition(dom, [[r, dom.size - 1 - r] for r in range(dom.size // 2)])
+    assert closed_form_sensitivity(ClusterSumQuery(2), Policy(dom, pairs, ConstraintSet.none())).value == 32
+    # one cell: both 2^31 sign-vector values and 2^32 pairs are over budget
+    one_cell = SecretGraph.partition(dom, [range(dom.size)])
+    with pytest.raises(BudgetExceededError):
+        closed_form_sensitivity(ClusterSumQuery(2), Policy(dom, one_cell, ConstraintSet.none()))
+    # an explicit graph reads its own endpoints, never the 10^9-rank domain
+    dom = grid_domain(1000, 1000, 1000)
+    g = SecretGraph.explicit(dom, [(0, dom.size - 1), (1, 2)])
+    assert closed_form_sensitivity(ClusterSumQuery(2), Policy(dom, g, ConstraintSet.none())).value == 2 * 2997
 
 
 def test_closed_form_rejects_constraints():

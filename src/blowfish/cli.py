@@ -41,12 +41,8 @@ from .sensitivity import (
     Exactness,
     HistogramQuery,
     SensitivityResult,
-    brute_force_sensitivity,
-    closed_form_sensitivity,
     is_sparse,
     policy_sensitivity,
-    sparse_constraint_sensitivity,
-    specialized_constraint_sensitivity,
 )
 
 def _read(path: str) -> str:
@@ -75,21 +71,7 @@ def _load_policy_args(args) -> Policy:
 
 
 def _resolve_sensitivity(query, policy: Policy, args) -> SensitivityResult:
-    method = getattr(args, "method", "auto")
-    if method == "auto":
-        res = policy_sensitivity(query, policy)
-    elif method == "closed":
-        res = closed_form_sensitivity(query, policy)
-    elif method in ("sparse", "specialized"):
-        # both engines bound the complete histogram only
-        if not isinstance(query, HistogramQuery):
-            raise ValueError("constrained sensitivity supports the histogram query only")
-        engine = sparse_constraint_sensitivity if method == "sparse" else specialized_constraint_sensitivity
-        res = engine(policy)
-    elif method == "oracle":
-        res = brute_force_sensitivity(query, policy, n=args.n)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    res = policy_sensitivity(query, policy, getattr(args, "method", "auto"), getattr(args, "n", 2))
     if getattr(args, "require_exact", False) and res.exactness is not Exactness.EXACT:
         raise ValueError(
             f"sensitivity is an upper bound ({res.value} via {res.method.value}); "
@@ -154,9 +136,10 @@ def _release_cdf(args, policy: Policy, counts, res: SensitivityResult) -> dict:
 
 
 def _release_range(args, policy: Policy, counts, res: SensitivityResult) -> dict:
+    pp = PrivacyParams(args.epsilon, args.seed)
     theta = max(args.theta, int(res.value))
-    split = optimal_budget_split(policy.domain.size, theta, args.fanout, args.epsilon)
-    tree = build_oh_release(counts, theta, args.fanout, split.eps_s, split.eps_h, args.seed)
+    split = optimal_budget_split(policy.domain.size, theta, args.fanout, pp.epsilon)
+    tree = build_oh_release(counts, theta, args.fanout, split.eps_s, split.eps_h, pp.seed)
     return {**tree.to_dict(), "epsilon": args.epsilon, "policy": policy.describe()}
 
 
@@ -376,7 +359,7 @@ def cli_main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, KeyError, BlowfishError) as exc:
+    except (ValueError, OverflowError, OSError, KeyError, BlowfishError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

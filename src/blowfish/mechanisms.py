@@ -42,8 +42,12 @@ class PrivacyParams:
     seed: int
 
     def __post_init__(self) -> None:
-        if not (self.epsilon > 0 and math.isfinite(self.epsilon)):
-            raise ValueError("epsilon must be positive and finite")
+        _check_epsilon(self.epsilon)
+
+
+def _check_epsilon(epsilon: float) -> None:
+    if not (epsilon > 0 and math.isfinite(epsilon)):
+        raise ValueError("epsilon must be positive and finite")
 
 
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
@@ -235,18 +239,19 @@ class BudgetSplit:
     eps_s: float
     eps_h: float
     predicted_mse: float
-    c1: float
-    c2: float
 
 
 def oh_error_model(domain_size: int, theta: int, fanout: int, eps_s: float, eps_h: float) -> float:
-    """Predicted mean squared error of a random range query: c1/eps_s^2 + c2/eps_h^2."""
+    """Predicted mean squared error of a random range query: c1/eps_s^2 + c2/eps_h^2.
+
+    Each term divides by its budget twice, so an extreme budget gives inf or
+    0 where ``eps**2`` would raise."""
     c1, c2 = _error_coefficients(domain_size, theta, fanout)
     out = 0.0
     if c1:
-        out += c1 / eps_s**2
+        out += c1 / eps_s / eps_s
     if c2:
-        out += c2 / eps_h**2
+        out += c2 / eps_h / eps_h
     return out
 
 
@@ -268,21 +273,14 @@ def optimal_budget_split(domain_size: int, theta: int, fanout: int, epsilon: flo
     the whole budget on S nodes (pure ordered mechanism); theta = |domain|
     puts it on H nodes (pure hierarchical).
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    _check_epsilon(epsilon)
     c1, c2 = _error_coefficients(domain_size, theta, fanout)
     a, b = c1 ** (1 / 3), c2 ** (1 / 3)
     if a + b == 0:
         # single-point domain with theta 1: no error either way
-        return BudgetSplit(eps_s=epsilon, eps_h=0.0, predicted_mse=0.0, c1=c1, c2=c2)
+        return BudgetSplit(eps_s=epsilon, eps_h=0.0, predicted_mse=0.0)
     eps_s = epsilon * a / (a + b)
-    return BudgetSplit(
-        eps_s=eps_s,
-        eps_h=epsilon - eps_s,
-        predicted_mse=(a + b) ** 3 / epsilon**2,
-        c1=c1,
-        c2=c2,
-    )
+    return BudgetSplit(eps_s=eps_s, eps_h=epsilon - eps_s, predicted_mse=(a + b) ** 3 / epsilon / epsilon)
 
 
 @dataclass(frozen=True)
@@ -336,10 +334,6 @@ class OHTree:
     @property
     def k(self) -> int:
         return -(-self.domain_size // self.theta)
-
-    @property
-    def height(self) -> int:
-        return _subtree_height(self.theta, self.fanout)
 
     @cached_property
     def cumulative(self) -> np.ndarray:
@@ -479,8 +473,9 @@ def build_oh_release(
         raise ValueError(f"theta must be in [1, {size}]")
     if fanout < 2:
         raise ValueError("fanout must be >= 2")
-    if eps_s < 0 or eps_h < 0 or eps_s + eps_h <= 0:
-        raise ValueError("budgets must be non-negative with a positive total")
+    # an infinite total would give block 1 scale 0, releasing its exact counts
+    if not (eps_s >= 0 and eps_h >= 0 and 0 < eps_s + eps_h < math.inf):
+        raise ValueError("budgets must be non-negative with a positive and finite total")
     prefix = np.concatenate([[0], np.cumsum(counts)]).astype(float)
     k = math.ceil(size / theta)
     h = _subtree_height(theta, fanout)
@@ -525,8 +520,7 @@ def hierarchical_release(hist, fanout: int, epsilon: float, seed: int) -> OHTree
     the domain, every node holding a noisy interval count at scale
     2h/epsilon, with the whole budget on H nodes.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    _check_epsilon(epsilon)
     size = int(np.asarray(hist).size)
     return build_oh_release(hist, size, fanout, 0.0, epsilon, seed)
 

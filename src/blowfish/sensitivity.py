@@ -16,6 +16,7 @@ Four routes are provided and kept deliberately independent of each other:
 * a brute-force oracle that enumerates neighbors and maximizes the actual
   query difference, used to certify the other routes at tiny scale.
 
+``policy_sensitivity`` is the one dispatch from a method name to a route.
 Sensitivities are in L1, measured across the policy's neighbor relation.
 Every enumeration is capped by the fixed budgets of ``blowfish.policy``.
 """
@@ -88,23 +89,30 @@ class LinearSumQuery:
 
 
 @dataclass(frozen=True)
-class ClusterSizeQuery:
-    """Per-cluster point counts, worst case over assignments of domain values
-    to k clusters."""
+class _ClusterQuery:
+    """A query over k >= 1 clusters."""
 
     k: int
 
+    def __post_init__(self) -> None:
+        if self.k < 1:
+            raise ValueError("k must be >= 1")
+
 
 @dataclass(frozen=True)
-class ClusterSumQuery:
+class ClusterSizeQuery(_ClusterQuery):
+    """Per-cluster point counts, worst case over assignments of domain values
+    to k clusters."""
+
+
+@dataclass(frozen=True)
+class ClusterSumQuery(_ClusterQuery):
     """Per-cluster coordinate sums for k clusters.
 
     The calibration quantity is twice the L1 displacement of a changed tuple:
     a change can move mass out of one cluster and into another, each side by
     up to the displacement when sums are accounted from the cluster boundary.
     """
-
-    k: int
 
 
 QueryKind = (
@@ -194,12 +202,8 @@ def closed_form_sensitivity(query: QueryKind, policy: Policy) -> SensitivityResu
         wmax = max((abs(w) for w in query.weights), default=0.0)
         value = g.max_rank_gap() * query.value_step(policy.domain) * wmax
     elif isinstance(query, ClusterSizeQuery):
-        if query.k < 1:
-            raise ValueError("k must be >= 1")
         value = 2.0 if query.k >= 2 and g.has_any_edge() else 0.0
     elif isinstance(query, ClusterSumQuery):
-        if query.k < 1:
-            raise ValueError("k must be >= 1")
         value = float(_cluster_sum_sensitivity(query.k, _max_edge_l1(g)))
     else:
         raise TypeError(f"unknown query kind {type(query).__name__}")
@@ -559,8 +563,6 @@ def brute_force_sensitivity(query: QueryKind, policy: Policy, n: int) -> Sensiti
     restricted to sorted representatives: relabeling ids maps neighbors to
     neighbors and leaves the query difference unchanged.
     """
-    if isinstance(query, (ClusterSizeQuery, ClusterSumQuery)) and query.k < 1:
-        raise ValueError("k must be >= 1")
     if isinstance(query, PartitionHistogramQuery) and len(query.cells) != policy.domain.size:
         raise ValueError("partition query needs one cell id per rank")
     if isinstance(query, LinearSumQuery) and len(query.weights) < n:
@@ -572,17 +574,29 @@ def brute_force_sensitivity(query: QueryKind, policy: Policy, n: int) -> Sensiti
     return SensitivityResult(value=best, exactness=Exactness.EXACT, method=Method.BRUTE_FORCE)
 
 
-def policy_sensitivity(query: QueryKind, policy: Policy) -> SensitivityResult:
-    """Default dispatch: closed forms when unconstrained, else the sparse
-    engine (histogram query only).
+def policy_sensitivity(query: QueryKind, policy: Policy, method: str = "auto", n: int = 2) -> SensitivityResult:
+    """The sensitivity of ``query`` by the route that ``method`` names.
+
+    ``closed``, ``sparse``, ``specialized`` and ``oracle`` name one route
+    each, and ``n`` is the oracle's database size.  ``auto`` takes the closed
+    forms when the policy is unconstrained, else the sparse engine.  The two
+    constraint engines bound the complete histogram only.
 
     A non-sparse constraint set raises NonSparseConstraintsError from the
     edge scan that builds the policy graph.
     """
-    if policy.constraints.unconstrained:
+    if method == "auto":
+        method = "closed" if policy.constraints.unconstrained else "sparse"
+    if method == "closed":
         return closed_form_sensitivity(query, policy)
+    if method == "oracle":
+        return brute_force_sensitivity(query, policy, n)
+    if method not in ("sparse", "specialized"):
+        raise ValueError(f"unknown method {method!r}")
     if not isinstance(query, HistogramQuery):
         raise ValueError(
             "constrained sensitivity is only supported for the complete histogram"
         )
-    return sparse_constraint_sensitivity(policy)
+    if method == "sparse":
+        return sparse_constraint_sensitivity(policy)
+    return specialized_constraint_sensitivity(policy)

@@ -548,6 +548,58 @@ def _random_json(rng: random.Random, depth: int = 0):
     return {k: _random_json(rng, depth + 1) for k in rng.sample(keys, rng.randrange(0, 4))}
 
 
+@pytest.mark.parametrize("epsilon", ["inf", "nan", "1e-320"])
+def test_range_epsilon_refused_like_other_releases(epsilon, tmp_path, capsys):
+    # release range reads epsilon as the histogram release does: the same
+    # refusal for a non-finite budget, and the same scale error, not a
+    # ZeroDivisionError, for one so small that its noise scale is infinite
+    seen = []
+    for command in ("histogram", "range"):
+        out = tmp_path / f"{command}.json"
+        rc = cli_main(SEEDED_RELEASES[command] + ["--epsilon", epsilon, "--seed", "1", "--out", str(out)])
+        seen.append((rc, capsys.readouterr(), out.exists()))
+    assert seen[0] == seen[1] and seen[0][0] == 1 and seen[0][1].err.startswith("error:"), seen
+
+
+def test_range_epsilon_near_float_max_releases(tmp_path):
+    out = tmp_path / "range.json"
+    assert cli_main(SEEDED_RELEASES["range"] + ["--epsilon", "1e308", "--seed", "1", "--out", str(out)]) == 0
+    assert all(0 < node["scale"] < 1e-300 for node in json.loads(out.read_text())["nodes"])
+
+
+def test_range_experiment_at_extreme_epsilon(tmp_path, capsys):
+    path, out = tmp_path / "cfg.json", tmp_path / "out.csv"
+    argv = ["experiment", "run", "--config", str(path), "--out", str(out)]
+    config = {"experiment": "range-mse", "domain_size": 20, "trials": 1, "queries": 5, "thetas": [2]}
+    path.write_text(json.dumps({**config, "epsilons": [1e308]}))
+    assert cli_main(argv) == 0 and out.exists()
+    out.unlink()
+    path.write_text(json.dumps({**config, "epsilons": [1e-320]}))
+    assert cli_main(argv) == 1
+    assert capsys.readouterr().err == "error: scale must be finite and non-negative, got inf\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        pytest.param(SEEDED_RELEASES["range"] + ["--fanout", str(10**20), "--seed", "1"], None, id="range-fanout"),
+        pytest.param(None, {"fanout": 10**20}, id="experiment-fanout"),
+        pytest.param(None, {"data": {"kind": "zipf", "n": 10**20}}, id="experiment-zipf-n"),
+    ],
+)
+def test_integers_past_int64_fail_cleanly(argv, config, tmp_path, capsys):
+    out = tmp_path / "out"
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"experiment": "range-mse", "domain_size": 20, "trials": 1, **config}))
+        argv = ["experiment", "run", "--config", str(path)]
+    assert cli_main(argv + ["--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.out == ""
+    assert not out.exists()
+
+
 def test_json_writer_matches_json_dumps(tmp_path):
     rng = random.Random(20131105)
     payloads = [{k: _random_json(rng) for k in rng.sample(["flags", "nodes", "%x", "\u00e9", "v"], 3)}

@@ -260,6 +260,36 @@ def test_optimal_split_matches_grid_search():
     assert split.predicted_mse == pytest.approx(min(vals), rel=1e-6)
 
 
+def test_tree_budgets_refuse_non_finite():
+    # as PrivacyParams does: an infinite budget would release exact counts
+    h = np.arange(8)
+    for bad in (math.inf, math.nan):
+        for call in (
+            lambda: hierarchical_release(h, 2, bad, 1),
+            lambda: optimal_budget_split(8, 2, 2, bad),
+            lambda: PrivacyParams(bad, 1),
+        ):
+            with pytest.raises(ValueError, match="^epsilon must be positive and finite$"):
+                call()
+        with pytest.raises(ValueError, match="^budgets must be non-negative with a positive and finite total$"):
+            build_oh_release(h, 2, 2, bad, 1.0, 1)
+    # two finite budgets whose total overflows would give block 1 scale 0
+    with pytest.raises(ValueError, match="finite total"):
+        build_oh_release(h, 2, 2, 1e308, 1e308, 1)
+
+
+def test_tree_budget_split_at_extreme_epsilon():
+    # dividing by epsilon twice gives inf or 0 where epsilon**2 would raise
+    tiny = optimal_budget_split(8, 2, 2, 1e-320)
+    assert tiny.predicted_mse == math.inf and 0 < tiny.eps_s and 0 < tiny.eps_h
+    huge = optimal_budget_split(8, 2, 2, 1e308)
+    assert huge.predicted_mse == 0.0 and math.isfinite(huge.eps_s + huge.eps_h)
+    assert oh_error_model(100, 4, 2, 1e-200, 1e-200) == math.inf
+    assert oh_error_model(100, 4, 2, 1e200, 1e200) == 0.0
+    tree = build_oh_release(np.arange(8), 2, 2, huge.eps_s, huge.eps_h, 1)
+    assert (tree.scale > 0).all() and np.isfinite(tree.value).all()
+
+
 # -- ordered hierarchical structure -----------------------------------------------
 
 
@@ -278,7 +308,7 @@ def test_oh_structure_blocks_and_heights():
     counts = np.ones(16, dtype=int)
     tree = build_oh_release(counts, theta=4, fanout=2, eps_s=0.5, eps_h=0.5, seed=1)
     assert tree.k == 4
-    assert tree.height == 2
+    assert mechanisms._subtree_height(tree.theta, tree.fanout) == 2
     blocks = _blocks(tree)
     # the block-1 root doubles as s_1; other blocks carry no root interval
     assert (tree.nodes()[0].lo, tree.nodes()[0].hi) == (1, 4)
@@ -297,7 +327,7 @@ def test_oh_noise_scales():
     counts = np.ones(16, dtype=int)
     eps_s, eps_h = 0.4, 0.6
     tree = build_oh_release(counts, theta=4, fanout=2, eps_s=eps_s, eps_h=eps_h, seed=1)
-    h = tree.height
+    h = mechanisms._subtree_height(tree.theta, tree.fanout)
     for i, node in enumerate(tree.nodes()[: tree.k], start=1):
         if i == 1:
             assert node.scale == pytest.approx(2 * h / (eps_s + eps_h))
@@ -398,7 +428,7 @@ def test_oh_edge_change_perturbs_few_nodes():
     counts = np.zeros(64, dtype=int)
     theta, fanout = 8, 2
     tree = build_oh_release(counts, theta, fanout, 0.5, 0.5, seed=3)
-    h = tree.height
+    h = mechanisms._subtree_height(tree.theta, tree.fanout)
     for _ in range(200):
         p = int(rng.integers(1, 65))
         q = int(rng.integers(max(1, p - theta), min(64, p + theta) + 1))

@@ -1,5 +1,6 @@
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from blowfish import (
     sparse_constraint_sensitivity,
     specialized_constraint_sensitivity,
 )
-from blowfish.policy import DEFAULT_ENUM_BUDGET, iter_graph_edges, neighbor_databases
+from blowfish.policy import DEFAULT_ENUM_BUDGET, iter_graph_edges, load_policy, neighbor_databases
 from blowfish.sensitivity import PolicyGraph, _has_hamiltonian_path, _query_deltas
 
 from oracles import (
@@ -552,9 +553,11 @@ def _random_rectangles(rng, dom):
     return [queries[i] for i in rng.permutation(len(queries))]
 
 
-def _outcome(engine, policy):
+def _outcome(engine, *args):
+    """A route's value, exactness and method, or the type and message of what
+    it raised."""
     try:
-        res = engine(policy)
+        res = engine(*args)
     except Exception as exc:
         return type(exc), str(exc)
     return res.value, res.exactness, res.method
@@ -698,9 +701,10 @@ def test_brute_force_refuses_bad_arguments():
     pol = Policy(dom, SecretGraph.full(dom), ConstraintSet.none())
     with pytest.raises(ValueError, match="^n must be >= 0, got -1$"):
         brute_force_sensitivity(HistogramQuery(), pol, -1)
-    for query in (ClusterSizeQuery(0), ClusterSumQuery(-1)):
+    # the query kinds refuse k < 1 when constructed, before any route runs
+    for kind, k in ((ClusterSizeQuery, 0), (ClusterSumQuery, -1)):
         with pytest.raises(ValueError, match="^k must be >= 1$"):
-            brute_force_sensitivity(query, pol, 2)
+            kind(k)
     with pytest.raises(ValueError, match="^linear-sum 'weights' needs one weight per tuple: 1 for n = 2$"):
         brute_force_sensitivity(LinearSumQuery((1.0,)), pol, 2)
     with pytest.raises(ValueError, match="^partition query needs one cell id per rank$"):
@@ -778,3 +782,57 @@ def test_oracle_agreement_sample():
             cf = closed_form_sensitivity(query, pol).value
             bf = brute_force_sensitivity(query, pol, n).value
             assert math.isclose(cf, bf, rel_tol=1e-9, abs_tol=1e-12), (kind, query, sizes, n)
+
+
+def test_policy_sensitivity_dispatch_matches_engines():
+    # every method name gives the direct engine call's result or error, on
+    # the data/ policies and on random tiny policies of all five graph kinds
+    data = Path(__file__).resolve().parent.parent / "data"
+    abc = load_domain((data / "domain_abc.json").read_text())
+    cases = [
+        (load_policy((data / name).read_text(), abc), 2)
+        for name in ("policy_marginal.json", "policy_distance.json")
+    ]
+    rng = np.random.default_rng(41)
+    kinds = ("full", "attribute", "partition", "distance", "explicit")
+    for trial in range(40):
+        dom = grid_domain(*(int(rng.integers(1, 4)) for _ in range(int(rng.integers(1, 3)))))
+        n = int(rng.integers(1, 3))
+        constraints = ConstraintSet.none()
+        if trial % 2:
+            db = rng.integers(0, dom.size, size=n)
+            rects = [random_rectangle(rng, dom) for _ in range(int(rng.integers(1, 3)))]
+            answers = [sum(matches(q, unrank(dom, int(r))) for r in db) for q in rects]
+            constraints = ConstraintSet.of([CountQuery(q.allowed, a) for q, a in zip(rects, answers)])
+        cases.append((Policy(dom, random_secret_graph(rng, dom, kinds[trial % 5]), constraints), n))
+    refusal = (ValueError, "constrained sensitivity is only supported for the complete histogram")
+    answered = set()
+    for pol, n in cases:
+        size = pol.domain.size
+        queries = [
+            HistogramQuery(),
+            PartitionHistogramQuery(tuple(int(c) for c in rng.integers(0, 2, size=size))),
+            CumulativeQuery(),
+            LinearSumQuery(tuple(float(w) for w in rng.uniform(-2, 2, size=n))),
+            ClusterSizeQuery(int(rng.integers(1, 3))),
+            ClusterSumQuery(int(rng.integers(1, 3))),
+        ]
+        for query in queries:
+            direct = {
+                "closed": _outcome(closed_form_sensitivity, query, pol),
+                "sparse": _outcome(sparse_constraint_sensitivity, pol),
+                "specialized": _outcome(specialized_constraint_sensitivity, pol),
+                "oracle": _outcome(brute_force_sensitivity, query, pol, n),
+            }
+            if not isinstance(query, HistogramQuery):
+                direct["sparse"] = direct["specialized"] = refusal
+            direct["auto"] = direct["closed" if pol.constraints.unconstrained else "sparse"]
+            for method, want in direct.items():
+                got = _outcome(policy_sensitivity, query, pol, method, n)
+                assert got == want, (method, query, pol.describe(), n)
+                if not isinstance(got[0], type):
+                    answered.add(method)
+            assert _outcome(policy_sensitivity, query, pol) == direct["auto"]
+        with pytest.raises(ValueError, match="^unknown method 'exact'$"):
+            policy_sensitivity(HistogramQuery(), pol, "exact")
+    assert answered == {"auto", "closed", "sparse", "specialized", "oracle"}, answered

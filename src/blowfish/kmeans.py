@@ -228,8 +228,8 @@ def kmeans_private(points, cfg: KmeansConfig, policy: ClusteringPolicy, pp: Priv
     ledger = BudgetLedger()
 
     def update(t, cents, sizes, sums):
-        sizes = sizes + stream_laplace(pp.seed, 2 + 2 * t, size_scale, cfg.k)
-        sums += stream_laplace(pp.seed, 3 + 2 * t, sum_scale, sums.size).reshape(sums.shape)
+        sizes = sizes + stream_laplace(pp.seed, 2 + 2 * t, np.full(cfg.k, size_scale))
+        sums += stream_laplace(pp.seed, 3 + 2 * t, np.full(sums.shape, sum_scale))
         ledger.charge(f"iteration {t}: sizes", eps_size)
         ledger.charge(f"iteration {t}: sums", eps_sum)
         return np.clip(sums / np.maximum(sizes, 1.0)[:, None], lows, highs)

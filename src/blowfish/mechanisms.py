@@ -11,18 +11,23 @@ Four release strategies share the primitives here:
 * the hierarchical baseline, an f-ary interval tree over the whole domain,
   which the ordered-hierarchical structure degenerates to at theta = |domain|.
 
-Every noisy value is drawn from a counter-based stream keyed by (seed, node
-index), so construction order and internal parallelism cannot change results.
-Stream ``index`` is numpy's ``Philox(seed).jumped(index)``: Philox4x64-10
-(Salmon et al., "Parallel Random Numbers: As Easy as 1, 2, 3", SC 2011)
-under the key numpy derives from the seed, with counter word 2 set to the
-index.  A node's single draw is output word 0 of block 0, the block at counter
-``(1, 0, index, 0)``; ``philox_uniforms`` evaluates it for every node of a
-release in one numpy pass.  Prefix (S) nodes use even indices ``2i`` and
-interval (H) nodes odd ones.  Streams that draw several values in a row
-(the Laplace histogram, k-means) keep a numpy generator per stream
-(``stream_generator``).  Every uniform becomes a Laplace variate in one
-array pass (``_laplace``).
+Every noisy value comes from one kernel, ``stream_laplace(seed, index,
+scales)``: Laplace variates drawn in a row from one stream of the seed, draw i
+perturbing value i in release order.  Stream ``index`` is numpy's
+``Generator(Philox(seed).jumped(index))``, Philox4x64-10 (Salmon et al.,
+"Parallel Random Numbers: As Easy as 1, 2, 3", SC 2011); ``stream_generator``
+builds it.  Each mechanism draws from its own fixed index, so that releases
+of different mechanisms under one seed use different uniforms:
+
+* the Laplace histogram: 0;
+* k-means: 1 for the initial centroids, then 2 + 2t for the cluster sizes
+  and 3 + 2t for the coordinate sums of iteration t;
+* the ordered mechanism and every ordered-hierarchical or hierarchical tree:
+  ``TREE_STREAM`` = 2**63, which k-means cannot reach.  Sharing it makes a
+  theta = 1 tree draw exactly the ordered mechanism's noise.
+
+A seed is spent by one release: two releases that share a seed and a stream
+share uniforms.
 """
 
 from __future__ import annotations
@@ -50,52 +55,6 @@ def _check_epsilon(epsilon: float) -> None:
         raise ValueError("epsilon must be positive and finite")
 
 
-_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
-_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
-_MASK32 = np.uint64(0xFFFFFFFF)
-_SHIFT32 = np.uint64(32)
-
-
-def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """High and low words of the 128-bit products m * x, from 32-bit halves."""
-    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
-    x_lo, x_hi = x & _MASK32, x >> _SHIFT32
-    lh = m_lo * x_hi
-    hl = m_hi * x_lo
-    mid = ((m_lo * x_lo) >> _SHIFT32) + (lh & _MASK32) + (hl & _MASK32)
-    hi = m_hi * x_hi + (lh >> _SHIFT32) + (hl >> _SHIFT32) + (mid >> _SHIFT32)
-    return hi, np.uint64(m) * x
-
-
-def philox_uniforms(seed: int, indices) -> np.ndarray:
-    """First uniform of each stream: ``Generator(Philox(seed).jumped(i)).random()``
-    for every i in ``indices``, bit for bit, in one vectorized pass."""
-    idx = np.asarray(indices)
-    if idx.dtype.kind not in "iu":
-        # numpy turns a list mixing small ints and ints past 2**63 into floats:
-        # keep the Python ints exact until they are range-checked
-        idx = np.array(indices, dtype=object)
-    if idx.size and (idx.min() < 0 or idx.max() >= 2**64):
-        raise ValueError("stream indices must be in [0, 2**64)")
-    key = [int(k) for k in np.random.Philox(seed).state["state"]["key"]]
-    c0 = np.ones(idx.shape, dtype=np.uint64)
-    c1 = np.zeros(idx.shape, dtype=np.uint64)
-    c2 = idx.astype(np.uint64)
-    c3 = np.zeros(idx.shape, dtype=np.uint64)
-    for r in range(10):
-        k0 = np.uint64((key[0] + r * _PHILOX_W[0]) % 2**64)
-        k1 = np.uint64((key[1] + r * _PHILOX_W[1]) % 2**64)
-        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
-        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
-    return (c0 >> np.uint64(11)) * 2.0**-53
-
-
-def _check_scale(scale: float) -> None:
-    if scale < 0 or not math.isfinite(scale):
-        raise ValueError(f"scale must be finite and non-negative, got {scale}")
-
-
 # math.log called once per element: an ndarray of floats in, an object array out
 _LOG = np.frompyfunc(math.log, 1, 1)
 
@@ -116,17 +75,6 @@ def _laplace(scale, u: np.ndarray) -> np.ndarray:
         return (-scale * np.copysign(1.0, u)) * _LOG(mag).astype(float)
 
 
-def node_laplace(seed: int, indices, scales) -> np.ndarray:
-    """One Laplace(scale) variate from each node's own stream; a node of
-    scale 0 gets +0.0."""
-    scales = np.asarray(scales, dtype=float)
-    bad = ~(np.isfinite(scales) & (scales >= 0))
-    if bad.any():
-        _check_scale(float(scales[np.argmax(bad)]))
-    uniforms = philox_uniforms(seed, indices)
-    return np.where(scales == 0, 0.0, _laplace(scales, uniforms))
-
-
 def stream_generator(seed: int, index: int) -> np.random.Generator:
     """``Generator(Philox(seed).jumped(index))``, bit for bit, for ``index``
     in [0, 2**64): the seeded state with counter word 2 set to ``index``.
@@ -141,12 +89,21 @@ def stream_generator(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(bits)
 
 
-def stream_laplace(seed: int, index: int, scale: float, n: int) -> np.ndarray:
-    """n Laplace(scale) variates drawn in a row from stream ``index``."""
-    _check_scale(scale)
-    if scale == 0:
-        return np.zeros(n)
-    return _laplace(scale, stream_generator(seed, index).random(n))
+# the stream of the ordered mechanism and of every tree; see the module docstring
+TREE_STREAM = 2**63
+
+
+def stream_laplace(seed: int, index: int, scales) -> np.ndarray:
+    """Laplace(scale) variates shaped like ``scales``, drawn in a row from
+    stream ``index``, one per scale in C order; a scale of 0 gets +0.0."""
+    scales = np.asarray(scales, dtype=float)
+    ok = (scales >= 0) & (scales < math.inf)  # False for NaN too
+    if not ok.all():
+        raise ValueError(f"scale must be finite and non-negative, got {float(scales[~ok][0])}")
+    noise = _laplace(scales, stream_generator(seed, index).random(scales.shape))
+    # -0.0 + 0.0 is +0.0 and x + 0.0 is x otherwise: a scale of 0 gives +0.0
+    noise += 0.0
+    return noise
 
 
 def laplace_mechanism(truth, sensitivity: float, pp: PrivacyParams) -> np.ndarray:
@@ -160,8 +117,7 @@ def laplace_mechanism(truth, sensitivity: float, pp: PrivacyParams) -> np.ndarra
     values = np.asarray(truth, dtype=float)
     if sensitivity == 0:
         return values.copy()
-    noise = stream_laplace(pp.seed, 0, sensitivity / pp.epsilon, values.size)
-    return values + noise.reshape(values.shape)
+    return values + stream_laplace(pp.seed, 0, np.full(values.shape, sensitivity / pp.epsilon))
 
 
 def isotonic_inference(noisy, lower_bound: float | None = None) -> np.ndarray:
@@ -223,8 +179,7 @@ def ordered_mechanism(hist, theta: int, pp: PrivacyParams) -> ReleasedCumulative
     if theta < 1:
         raise ValueError("theta must be >= 1")
     noisy = np.cumsum(counts).astype(float)
-    scale = np.full(counts.size, theta / pp.epsilon)
-    noisy += node_laplace(pp.seed, np.arange(2, 2 * counts.size + 1, 2), scale)
+    noisy += stream_laplace(pp.seed, TREE_STREAM, np.full(counts.size, theta / pp.epsilon))
     inferred = isotonic_inference(noisy, lower_bound=0.0)
     return ReleasedCumulative(
         noisy=noisy, inferred=inferred, theta=theta, epsilon=pp.epsilon, seed=pp.seed
@@ -279,13 +234,13 @@ def optimal_budget_split(domain_size: int, theta: int, fanout: int, epsilon: flo
     if a + b == 0:
         # single-point domain with theta 1: no error either way
         return BudgetSplit(eps_s=epsilon, eps_h=0.0, predicted_mse=0.0)
-    eps_s = epsilon * a / (a + b)
+    # the share first: epsilon * a overflows for a finite epsilon near the float max
+    eps_s = epsilon * (a / (a + b))
     return BudgetSplit(eps_s=eps_s, eps_h=epsilon - eps_s, predicted_mse=(a + b) ** 3 / epsilon / epsilon)
 
 
 @dataclass(frozen=True)
 class OHNode:
-    index: int
     lo: int
     hi: int
     value: float
@@ -304,7 +259,7 @@ class OHTree:
     Nodes come in release order: the prefix (S) nodes s_1..s_k first, s_i
     covering [1, min(i*theta, size)], then the interval (H) nodes sorted by
     (lo, hi).  For theta >= 2 the block-1 root doubles as s_1.  Positions are
-    1-based.  Per node: ``lo``, ``hi``, stream ``index``, noise ``scale``,
+    1-based.  Per node: ``lo``, ``hi``, noise ``scale``,
     released ``value``, ``depth`` below its block root (0 for S nodes),
     child ``slot`` within its parent and the parent's ``parent_hi``.
 
@@ -324,7 +279,6 @@ class OHTree:
     seed: int
     lo: np.ndarray = field(repr=False)
     hi: np.ndarray = field(repr=False)
-    index: np.ndarray = field(repr=False)
     scale: np.ndarray = field(repr=False)
     value: np.ndarray = field(repr=False)
     depth: np.ndarray = field(repr=False)
@@ -368,11 +322,8 @@ class OHTree:
     def nodes(self) -> list[OHNode]:
         """Every node in release order; the first ``k`` are s_1..s_k."""
         return [
-            OHNode(index=i, lo=lo, hi=hi, value=v, scale=s)
-            for i, lo, hi, v, s in zip(
-                self.index.tolist(), self.lo.tolist(), self.hi.tolist(),
-                self.value.tolist(), self.scale.tolist(),
-            )
+            OHNode(lo=lo, hi=hi, value=v, scale=s)
+            for lo, hi, v, s in zip(self.lo.tolist(), self.hi.tolist(), self.value.tolist(), self.scale.tolist())
         ]
 
     def to_dict(self) -> dict:
@@ -410,11 +361,6 @@ def _within(counts: np.ndarray) -> np.ndarray:
     """0, 1, .., c-1 for each c in ``counts``, concatenated."""
     total = int(counts.sum())
     return np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
-
-
-def _h_index(lo, hi, size: int):
-    # odd stream indices for H nodes, even (2i) for S nodes
-    return (lo * (size + 2) + hi) * 2 + 1
 
 
 def _h_layout(size: int, theta: int, fanout: int) -> np.ndarray:
@@ -485,7 +431,6 @@ def build_oh_release(
     s_hi = np.minimum(np.arange(1, k + 1, dtype=np.int64) * theta, size)
     s_layout = np.stack([np.ones(k, dtype=np.int64), s_hi, np.zeros_like(s_hi), np.zeros_like(s_hi), s_hi])
     lo, hi, depth, slot, parent_hi = np.concatenate([s_layout, h_layout], axis=1)
-    index = np.concatenate([2 * np.arange(1, k + 1, dtype=np.int64), _h_index(lo[k:], hi[k:], size)])
 
     scale = np.full(lo.size, block1_scale)
     if k >= 2:
@@ -497,9 +442,9 @@ def build_oh_release(
         if eps_h == 0:
             raise ValueError("eps_h must be positive when the structure has H nodes")
         scale[past_block1] = 2.0 * h / eps_h
-    value = (prefix[hi] - prefix[lo - 1]) + node_laplace(seed, index, scale)
+    value = (prefix[hi] - prefix[lo - 1]) + stream_laplace(seed, TREE_STREAM, scale)
     columns = {
-        "lo": lo, "hi": hi, "index": index, "scale": scale, "value": value,
+        "lo": lo, "hi": hi, "scale": scale, "value": value,
         "depth": depth, "slot": slot, "parent_hi": parent_hi,
     }
     return OHTree(

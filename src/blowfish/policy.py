@@ -442,7 +442,7 @@ def load_policy(source: str | dict, domain: DomainSpec) -> Policy:
     gspec = source["graph"]
     if not isinstance(gspec, dict):
         raise ValueError("policy 'graph' must be an object")
-    kind = str(gspec.get("kind", "")).lower()
+    kind = read_field(gspec, "kind", None, str, where="policy graph").lower()
     if kind == "full":
         graph = SecretGraph.full(domain)
     elif kind == "attribute":
@@ -464,7 +464,9 @@ def load_policy(source: str | dict, domain: DomainSpec) -> Policy:
         cspec = {"kind": "general", "queries": cspec}
     if not isinstance(cspec, dict):
         raise ValueError("policy 'constraints' must be an object or a list of queries")
-    ckind = str(cspec.get("kind", "general")).lower()
+    ckind = read_field(cspec, "kind", "general", str, where="policy constraints").lower()
+    if ckind in ("none", "cardinality") and "queries" in cspec:
+        raise ValueError(f"policy constraints of kind {ckind!r} take no 'queries' field")
     if ckind == "none":
         constraints = ConstraintSet.none()
     elif ckind == "cardinality":

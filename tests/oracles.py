@@ -662,10 +662,6 @@ def philox_stream(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed).jumped(index))
 
 
-def philox_first_uniform(seed: int, index: int) -> float:
-    return philox_stream(seed, index).random()
-
-
 def laplace_by_inverse_cdf(scale: float, u: float) -> float:
     """One Laplace(scale) variate from one uniform, in Python floats: the
     scalar transform the library's array kernel must match bit for bit."""
@@ -677,11 +673,12 @@ def laplace_by_inverse_cdf(scale: float, u: float) -> float:
 
 
 def sample_laplace(scale: float, rng: np.random.Generator) -> float:
-    """One zero-mean Laplace variate from a single ``rng.random()`` draw;
-    exactly 0.0 at scale 0."""
+    """One zero-mean Laplace variate from a single ``rng.random()`` draw,
+    which scale 0 spends too; exactly 0.0 at scale 0."""
     if scale < 0 or not math.isfinite(scale):
         raise ValueError(f"scale must be finite and non-negative, got {scale}")
-    return laplace_by_inverse_cdf(scale, rng.random()) if scale else 0.0
+    u = rng.random()
+    return laplace_by_inverse_cdf(scale, u) if scale else 0.0
 
 
 def ingest_by_index(text: str, domain: DomainSpec) -> tuple[list[int], list[int]]:
@@ -796,8 +793,8 @@ def kmeans_private_by_loop(points, cfg: KmeansConfig, policy, pp: PrivacyParams)
     d2 = sq_distances_by_loop(pts, cents)
     for t in range(cfg.iterations):
         assign = d2.argmin(axis=1)
-        size_noise = stream_laplace(pp.seed, 2 + 2 * t, 2.0 / eps_size, cfg.k)
-        sum_noise = stream_laplace(pp.seed, 3 + 2 * t, qsum_sens / eps_sum, cfg.k * dims).reshape(cfg.k, dims)
+        size_noise = stream_laplace(pp.seed, 2 + 2 * t, np.full(cfg.k, 2.0 / eps_size))
+        sum_noise = stream_laplace(pp.seed, 3 + 2 * t, np.full((cfg.k, dims), qsum_sens / eps_sum))
         new = np.empty_like(cents)
         for c in range(cfg.k):
             members = pts[assign == c]

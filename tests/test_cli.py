@@ -665,6 +665,13 @@ MALFORMED_FILES = {
     "policy-queries-int": ("policy", {"graph": {"kind": "full"}, "constraints": {"kind": "general", "queries": 3}}),
     "policy-query-int": ("policy", {"graph": {"kind": "full"}, "constraints": [1]}),
     "policy-where-list": ("policy", {"graph": {"kind": "full"}, "constraints": [{"where": ["A1"]}]}),
+    # a kind that is no string, or a kind without queries, would drop them silently
+    "policy-constraints-kind-null": (
+        "policy", {"graph": {"kind": "full"}, "constraints": {"kind": None, "queries": [{"where": {"A1": ["a1"]}}]}}
+    ),
+    "policy-cardinality-queries": (
+        "policy", {"graph": {"kind": "full"}, "constraints": {"kind": "cardinality", "queries": [{"where": {"A1": ["a1"]}}]}}
+    ),
     "domain-attribute-int": ("domain", {"attributes": [1]}),
     "domain-values-int": ("domain", {"attributes": [{"name": "x", "values": 3}]}),
     # the marginal policy reads A1 and A2 only, so a bad A3 is the one fault

@@ -104,12 +104,12 @@ CASES = {
     "release-cdf": (
         ["release", "cdf", "--domain", "domain_abc.json", "--data", "rows_abc.csv",
          "--theta", "2", "--epsilon", "0.5", "--seed", "7", "--out", "out.json"],
-        "7418f53573ea1695e4cbf74d7b4e404dd160b1e109740473b01cd8a00f380ff6",
+        "2adede7354def4299fe2fece017b4a5234e01b2b3c60962267abc66a5d48c992",
     ),
     "release-range": (
         ["release", "range", "--domain", "domain_abc.json", "--data", "rows_abc.csv",
          "--theta", "4", "--fanout", "2", "--epsilon", "0.5", "--seed", "11", "--out", "out.json"],
-        "5835ebd1965bdd32ee721912fc0091b0b7f5ab56df79b22deebca8f520f59c73",
+        "ff82169e4627590d27ed10ff81569695a6715ffbd26a7d9725317e42319e5b03",
     ),
     "wide-histogram": (
         ["release", "histogram", "--domain", "wide_domain.json", "--policy", "policy_distance.json",
@@ -119,20 +119,20 @@ CASES = {
     "wide-cdf": (
         ["release", "cdf", "--domain", "wide_domain.json", "--data", "wide_rows.csv",
          "--theta", "3", "--epsilon", "0.5", "--seed", "32", "--out", "out.json"],
-        "07b17cb2f8a067c9c162896a4c12319a95988c875f1f2199b2f5c8cd1fbbc031",
+        "f49a25f600529985434ed0372fad556f726f01bd08c26cba2eef36670dcc2371",
     ),
     "wide-range": (
         ["release", "range", "--domain", "wide_domain.json", "--data", "wide_rows.csv",
          "--theta", "16", "--fanout", "4", "--epsilon", "1.0", "--seed", "33", "--out", "out.json"],
-        "9083fe50ac068426d8b528cb927117f8d6ef0bc2baea234f98f4a902cc2b41eb",
+        "616dd6fdada299ce67b5eb761ca9b3c6a4b3bc23a903e5c998ac528e688b6859",
     ),
     "experiment-range-mse": (
         ["experiment", "run", "--config", "range_mse.json", "--out", "out.csv"],
-        "fa508159c91d6eb39af68f37fe5fc1c9fc7f18a0047793deeeb300685a6adb9e",
+        "4fd4a0e8fa38260811811c06ab34e75d20adf32c54bf80a557bd141fe5d6e5db",
     ),
     "experiment-cdf-release": (
         ["experiment", "run", "--config", "cdf_release.json", "--out", "out.csv"],
-        "bd1b66d0783c6f20b4c7ac3d6924db25d0be78833fd0b19abea0efebefb372f8",
+        "02d3a076fda87a59ddfa9d190a7ef48f473bc2aa3e1a1a0c6806e6cd89bd3381",
     ),
     "experiment-kmeans-ratio": (
         ["experiment", "run", "--config", "kmeans_ratio.json", "--out", "out.csv"],
@@ -153,12 +153,12 @@ CASES = {
     "release-cdf-csv": (
         ["release", "cdf", "--domain", "domain_abc.json", "--data", "rows_abc.csv",
          "--theta", "2", "--epsilon", "0.5", "--seed", "7", "--format", "csv", "--out", "out.csv"],
-        "8bc5c898e1668c1a9157840fed4dab34670f1b5b8913a044602791440c78178b",
+        "680752a31b1d9892dc4c2138a6ca88288cf74b7bfe4c96b392821c61423fbcaa",
     ),
     "release-range-csv": (
         ["release", "range", "--domain", "domain_abc.json", "--data", "rows_abc.csv",
          "--theta", "4", "--fanout", "2", "--epsilon", "0.5", "--seed", "11", "--format", "csv", "--out", "out.csv"],
-        "f7a9f54e39cef6cd7400024b247c23e374ebcc7f0e6ef2efe2d0e214a23f6a14",
+        "3906bb37887c70d7b3598b9c5a0f66ec9dbb4b0e9659fc8e4170223a9545af60",
     ),
     "kmeans-csv": (
         ["kmeans", "--data", "points.csv", "--k", "3", "--iterations", "4", "--epsilon", "2.0",
@@ -193,10 +193,10 @@ def _sha(obj) -> str:
 COUNTS_1000 = [(i * 7919) % 23 if i % 5 else 0 for i in range(1000)]
 
 OH_PINS = {
-    (1, 2): "ecea25b46cf84bc16978c40b70f9b7bb2cb42d3d09d796aaf14f2622a835be78",
-    (7, 3): "0ae59f82dbd9f54e8a02699da4ba1a50ec24869723ad129d2cfa4244b81b5c7f",
-    (16, 4): "a1e4e22429f2d664e8c814ee7bea3b3bb2a33650d9420e627e1d161ebaa5cfc8",
-    (1000, 16): "460a9966538d2925735a8da18635ccb6a5c8b5943efe70fd1f6343a95aa10cc4",
+    (1, 2): "c0ae38f62e4d1e4f552c6a529233fb3e325cea4b0715a8de9eff37787e93e588",
+    (7, 3): "16af91530ac8b85aa883f256db2b01336bf990d014a0a04ff22d57d6291049e5",
+    (16, 4): "8d514ee2ceec1624452a8756e62a47477a5e56ce8d9de48fc360684f260eb6d7",
+    (1000, 16): "8eef47fbd065b9211656177b53cbf0d0d659d129bff4823a7a02bda73ba67a83",
 }
 
 
@@ -210,7 +210,7 @@ def test_golden_oh_tree(theta, fanout):
 def test_golden_ordered():
     released = ordered_mechanism(COUNTS_1000, 3, PrivacyParams(0.8, 22))
     pinned = {"release": released.to_dict(), "noisy": released.noisy.tolist()}
-    assert _sha(pinned) == "3ac7ebba854744bcb4630f177a57afc8cfc4eef5f37311cd768ff57ed6d8df09"
+    assert _sha(pinned) == "a30759fb9c8d89ab8cb6587d35b076670cbed490e65039d935c7c50def3da2fc"
 
 
 def test_golden_laplace_2d():

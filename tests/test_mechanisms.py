@@ -19,22 +19,14 @@ from blowfish import (
     optimal_budget_split,
     ordered_mechanism,
 )
-from blowfish import mechanisms
+from blowfish import ClusteringPolicy, KmeansConfig, kmeans, kmeans_private, mechanisms
 from blowfish.experiments import random_range_workload, trial_seed
-from blowfish.mechanisms import (
-    _h_index,
-    node_laplace,
-    oh_error_model,
-    philox_uniforms,
-    stream_generator,
-    stream_laplace,
-)
+from blowfish.mechanisms import TREE_STREAM, oh_error_model, stream_generator, stream_laplace
 
 from oracles import (
     isotonic_by_enumeration,
     laplace_by_inverse_cdf,
     oh_cumulative_by_walk,
-    philox_first_uniform,
     philox_stream,
     sample_laplace,
 )
@@ -45,7 +37,7 @@ from oracles import (
 
 def test_sample_laplace_variance():
     b = 1.7
-    draws = stream_laplace(10, 0, b, 1_000_000)
+    draws = stream_laplace(10, 0, np.full(1_000_000, b))
     assert abs(draws.mean()) < 0.01
     assert abs(draws.var() / (2 * b * b) - 1) < 0.02
 
@@ -53,28 +45,34 @@ def test_sample_laplace_variance():
 def test_sample_laplace_edge_cases():
     rng = np.random.default_rng(0)
     assert sample_laplace(0.0, rng) == 0.0
-    assert stream_laplace(0, 0, 0.0, 2).tolist() == [0.0, 0.0]
+    assert stream_laplace(0, 0, [0.0, 0.0]).tolist() == [0.0, 0.0]
     for bad in (-1.0, math.inf, math.nan):
         with pytest.raises(ValueError):
             sample_laplace(bad, rng)
-        with pytest.raises(ValueError):
-            stream_laplace(0, 0, bad, 2)
         with pytest.raises(ValueError, match="scale must be finite and non-negative"):
-            node_laplace(0, [0, 1], [1.0, bad])
+            stream_laplace(0, 0, [1.0, bad])
 
 
 def test_sample_laplace_deterministic_given_stream():
     a = sample_laplace(2.0, philox_stream(42, 5))
     b = sample_laplace(2.0, philox_stream(42, 5))
     assert a == b
-    assert node_laplace(42, [5], [2.0]).tolist() == [a]
+    assert stream_laplace(42, 5, [2.0]).tolist() == [a]
 
 
 def _bits(values) -> np.ndarray:
     return np.asarray(values, dtype=float).view(np.uint64)
 
 
+def _in_a_row(seed: int, index: int, scales) -> list[float]:
+    """The oracle's draws for ``scales``: draw i of stream ``index`` to scale i."""
+    rng = philox_stream(seed, index)
+    return [sample_laplace(s, rng) for s in scales]
+
+
 LAPLACE_EDGE_UNIFORMS = [0.0, 2.0**-53, 0.5 - 2.0**-53, 0.5, 0.5 + 2.0**-53, 1.0 - 2.0**-53]
+KERNEL_SEEDS = [0, 1, 2**63 - 1, 2**64 + 1, trial_seed(5, "range-mse", 3, 1)]
+KERNEL_INDICES = [0, 1, TREE_STREAM, 2**64 - 1]
 
 
 def test_laplace_kernel_bit_identical_to_scalar_transform():
@@ -90,15 +88,17 @@ def test_laplace_kernel_bit_identical_to_scalar_transform():
     assert mechanisms._laplace(1.0, np.zeros(1))[0] == math.log(5e-324)
 
 
-def test_node_laplace_mixed_scales_bit_identical_with_positive_zeros():
+def test_stream_laplace_mixed_scales_bit_identical_with_positive_zeros():
     scales = [0.0, 1.5, 0.0, 2.0**-40, 7.0, 0.0, 1e6] * 3
-    indices = list(range(len(scales)))
-    got = node_laplace(4, indices, scales)
-    want = [sample_laplace(s, philox_stream(4, i)) for i, s in zip(indices, scales)]
-    assert np.array_equal(_bits(got), _bits(want))
-    zero = np.array(scales) == 0
-    assert not np.signbit(got[zero]).any() and (got[zero] == 0).all()
-    assert (got[~zero] != 0).all()
+    for index in KERNEL_INDICES:
+        got = stream_laplace(4, index, scales)
+        assert np.array_equal(_bits(got), _bits(_in_a_row(4, index, scales)))
+        zero = np.array(scales) == 0
+        assert not np.signbit(got[zero]).any() and (got[zero] == 0).all()
+        assert (got[~zero] != 0).all()
+        # noise comes shaped like the scales, drawn in C order
+        shaped = stream_laplace(4, index, np.reshape(scales, (3, 7)))
+        assert shaped.shape == (3, 7) and np.array_equal(_bits(shaped.ravel()), _bits(got))
 
 
 def test_laplace_huge_scale_overflows_to_inf_silently():
@@ -106,31 +106,26 @@ def test_laplace_huge_scale_overflows_to_inf_silently():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = mechanisms._laplace(1e308, u)
-        nodes = node_laplace(0, [0], [1e308])
+        nodes = stream_laplace(0, 0, [1e308])
     assert np.array_equal(_bits(got), _bits([laplace_by_inverse_cdf(1e308, x) for x in u.tolist()]))
     assert got[0] == -math.inf and got[-1] == math.inf and got[3] == 0.0
-    assert nodes.tolist() == [sample_laplace(1e308, philox_stream(0, 0))]
+    assert nodes.tolist() == _in_a_row(0, 0, [1e308])
 
 
-# -- counter-based noise kernel ------------------------------------------------
-
-KERNEL_SEEDS = [0, 1, 2**63 - 1, 2**64 + 1, trial_seed(5, "range-mse", 3, 1)]
-KERNEL_INDICES = [0, 1, 2, 2 * 4096 + 1, _h_index(10**5, 10**5, 10**5), 2**63]
+# -- the one noise kernel ------------------------------------------------------
 
 
 @pytest.mark.parametrize("seed", KERNEL_SEEDS)
 def test_philox_kernel_matches_numpy_streams(seed):
-    got = philox_uniforms(seed, np.array(KERNEL_INDICES, dtype=np.uint64))
-    want = [philox_first_uniform(seed, i) for i in KERNEL_INDICES]
-    assert got.tolist() == want
-    assert philox_uniforms(seed, np.arange(300)).tolist() == [
-        philox_first_uniform(seed, i) for i in range(300)
-    ]
+    scales = np.resize([1.0, 0.0, 2.5, 1e308, 2.0**-40, 7.0, 0.0], 300)
+    for index in KERNEL_INDICES:
+        got = stream_laplace(seed, index, scales)
+        assert np.array_equal(_bits(got), _bits(_in_a_row(seed, index, scales.tolist())))
 
 
 @pytest.mark.parametrize("seed", KERNEL_SEEDS)
 def test_stream_generator_matches_jumped_streams(seed):
-    for index in KERNEL_INDICES + [2**64 - 1]:
+    for index in KERNEL_INDICES + [2, 3, 2 * 4096 + 1]:
         want = philox_stream(seed, index)
         got = stream_generator(seed, index)
         assert got.random(9).tolist() == want.random(9).tolist()
@@ -141,35 +136,70 @@ def test_stream_generator_matches_jumped_streams(seed):
 
 
 def test_node_and_stream_noise_match_per_stream_sampling():
-    indices = list(range(40)) + [2**63]
-    scales = [0.5 + (i % 3) for i in range(len(indices))]
-    want = [sample_laplace(s, philox_stream(9, i)) for i, s in zip(indices, scales)]
-    assert node_laplace(9, indices, scales).tolist() == want
-    rng = philox_stream(9, 0)
-    assert stream_laplace(9, 0, 1.5, 20).tolist() == [sample_laplace(1.5, rng) for _ in range(20)]
-    assert node_laplace(9, [1, 2], [0.0, 0.0]).tolist() == [0.0, 0.0]
-    assert stream_laplace(9, 0, 0.0, 3).tolist() == [0.0, 0.0, 0.0]
+    # every value of a release takes the next draw of its mechanism's stream
+    zeros = np.zeros(40, dtype=int)
+    released = ordered_mechanism(zeros, 2, PrivacyParams(0.5, 9))
+    assert released.noisy.tolist() == _in_a_row(9, TREE_STREAM, [4.0] * 40)
+    tree = build_oh_release(zeros, 4, 2, 0.3, 0.7, seed=9)
+    assert tree.value.tolist() == _in_a_row(9, TREE_STREAM, tree.scale.tolist())
+    noisy = laplace_mechanism(np.zeros((4, 5)), 1.5, PrivacyParams(1.0, 9))
+    assert noisy.ravel().tolist() == _in_a_row(9, 0, [1.5] * 20)
+
+
+def test_mechanisms_draw_from_separate_streams(monkeypatch):
+    """Under one seed the histogram, k-means and prefix/tree releases read
+    disjoint streams, whose uniforms differ."""
+    seed, used, streams = 5, [], {}
+
+    def recording(seed, index):
+        used.append(index)
+        return stream_generator(seed, index)
+
+    monkeypatch.setattr(mechanisms, "stream_generator", recording)
+    monkeypatch.setattr(kmeans, "stream_generator", recording)
+    zeros = np.zeros(8, dtype=int)
+    releases = {
+        "histogram": lambda: laplace_mechanism(zeros, 1.0, PrivacyParams(1.0, seed)),
+        "ordered": lambda: ordered_mechanism(zeros, 1, PrivacyParams(1.0, seed)),
+        "tree": lambda: build_oh_release(zeros, 4, 2, 0.5, 0.5, seed),
+        "kmeans": lambda: kmeans_private(
+            [(0.25, 0.5), (0.75, 0.5)], KmeansConfig(k=2, iterations=3),
+            ClusteringPolicy(bounds=((0.0, 1.0), (0.0, 1.0))), PrivacyParams(1.0, seed),
+        ),
+    }
+    for name, release in releases.items():
+        used.clear()
+        release()
+        streams[name] = set(used)
+    assert streams == {
+        "histogram": {0}, "ordered": {TREE_STREAM}, "tree": {TREE_STREAM}, "kmeans": set(range(1, 8)),
+    }
+    uniforms = {tuple(stream_generator(seed, i).random(8).tolist()) for i in set().union(*streams.values())}
+    assert len(uniforms) == 9
+    # at one scale, the histogram's noise and the ordered mechanism's differ everywhere
+    noise = releases["histogram"]() - releases["ordered"]().noisy
+    assert (noise != 0).all()
 
 
 def test_philox_kernel_rejects_bad_indices_and_seeds():
+    for bad in (-1, 2**64):
+        with pytest.raises(ValueError, match="stream indices"):
+            stream_laplace(0, bad, [1.0])
     with pytest.raises(ValueError):
-        philox_uniforms(0, [2**64])
-    with pytest.raises(ValueError):
-        philox_uniforms(0, [-1])
-    with pytest.raises(ValueError):
-        philox_uniforms(-1, [0])
-    assert philox_uniforms(0, []).size == 0
+        stream_laplace(-1, 0, [1.0])
+    assert stream_laplace(0, 0, []).size == 0
+    assert stream_laplace(0, 0, np.zeros((0, 3))).shape == (0, 3)
 
 
 def test_zero_uniform_is_clamped_like_sample_laplace(monkeypatch):
     class ZeroRng:
-        def random(self):
-            return 0.0
+        def random(self, size=None):
+            return 0.0 if size is None else np.zeros(size)
 
     expected = sample_laplace(2.0, ZeroRng())
     assert math.isfinite(expected) and expected < 0
-    monkeypatch.setattr(mechanisms, "philox_uniforms", lambda seed, idx: np.zeros(len(idx)))
-    assert node_laplace(3, [7], [2.0]).tolist() == [expected]
+    monkeypatch.setattr(mechanisms, "stream_generator", lambda seed, index: ZeroRng())
+    assert stream_laplace(3, 7, [2.0]).tolist() == [expected]
 
 
 def test_laplace_mechanism_exact_cases():
@@ -287,6 +317,12 @@ def test_tree_budget_split_at_extreme_epsilon():
     assert oh_error_model(100, 4, 2, 1e-200, 1e-200) == math.inf
     assert oh_error_model(100, 4, 2, 1e200, 1e200) == 0.0
     tree = build_oh_release(np.arange(8), 2, 2, huge.eps_s, huge.eps_h, 1)
+    assert (tree.scale > 0).all() and np.isfinite(tree.value).all()
+    # epsilon * share, not (epsilon * c1^(1/3)) / total, which overflows to inf
+    top = optimal_budget_split(12, 4, 2, 1.7e308)
+    assert 0 < top.eps_s < 1.7e308 and 0 < top.eps_h < 1.7e308
+    assert top.eps_s + top.eps_h == pytest.approx(1.7e308)
+    tree = build_oh_release(np.arange(12), 4, 2, top.eps_s, top.eps_h, 1)
     assert (tree.scale > 0).all() and np.isfinite(tree.value).all()
 
 
@@ -455,8 +491,7 @@ def test_hierarchical_matches_oh_at_full_theta():
     base = hierarchical_release(counts, fanout=3, epsilon=split_eps, seed=11)
     oh = build_oh_release(counts, theta=27, fanout=3, eps_s=0.0, eps_h=split_eps, seed=11)
     assert len(base.nodes()) == len(oh.nodes())
-    for a, b in zip(sorted(base.nodes(), key=lambda n: n.index), sorted(oh.nodes(), key=lambda n: n.index)):
-        assert a == b
+    assert base.nodes() == oh.nodes()
 
 
 def test_oh_serialization_round_readable():

@@ -291,6 +291,25 @@ def test_policy_integers_are_whole_numbers(value):
     assert whole.graph.theta == 2 and isinstance(whole.graph.theta, int)
 
 
+def test_policy_kinds_are_strings_and_keep_their_queries():
+    dom = grid_domain(2, 3)
+    query = [{"where": {"A0": ["v0"]}, "answer": 1}]
+    refusals = {
+        "^policy constraints 'kind' must be a string, got None$": {"kind": None, "queries": query},
+        "^policy constraints 'kind' must be a string, got 3$": {"kind": 3},
+        "^policy constraints of kind 'none' take no 'queries' field$": {"kind": "none", "queries": query},
+        "^policy constraints of kind 'cardinality' take no 'queries' field$": {"kind": "Cardinality", "queries": []},
+    }
+    for message, constraints in refusals.items():
+        with pytest.raises(ValueError, match=message):
+            load_policy({"graph": {"kind": "full"}, "constraints": constraints}, dom)
+    for graph in ({"kind": None}, {"kind": ["full"]}, {}):
+        with pytest.raises(ValueError, match="^policy graph 'kind' must be a string, got "):
+            load_policy({"graph": graph}, dom)
+    general = load_policy({"graph": {"kind": "Full"}, "constraints": {"queries": query}}, dom)
+    assert general.describe() == "full|general(q=1)"
+
+
 # -- neighbor enumeration -----------------------------------------------------
 
 

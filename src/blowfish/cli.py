@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .domain import histogram, ingest_dataset, load_domain
-from .errors import BlowfishError
+from .errors import BlowfishError, read_json
 from .experiments import run_experiment
 from .kmeans import ClusteringPolicy, KmeansConfig, kmeans_private
 from .mechanisms import (
@@ -194,7 +194,7 @@ def _cmd_experiment_run(args) -> int:
 
 
 def _cmd_budget_total(args) -> int:
-    ledger = BudgetLedger.from_dict(json.loads(_read(args.ledger)))
+    ledger = BudgetLedger.from_dict(read_json(_read(args.ledger), "ledger"))
     print(format(compose_budgets(ledger), ".12g"))
     return 0
 
@@ -273,69 +273,62 @@ def _format_payload(payload: dict, fmt: str) -> str:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # flags several subcommands share, each declared once in a parent parser
+    domain = argparse.ArgumentParser(add_help=False)
+    domain.add_argument("--domain", required=True)
+    policy = argparse.ArgumentParser(add_help=False, parents=[domain])
+    policy.add_argument("--policy", required=True)
+    exact = argparse.ArgumentParser(add_help=False)
+    exact.add_argument("--require-exact", action="store_true")
+    rows = argparse.ArgumentParser(add_help=False)
+    rows.add_argument("--data", required=True)
+    # a seeded release written to --out
+    noise = argparse.ArgumentParser(add_help=False)
+    noise.add_argument("--epsilon", type=float, required=True)
+    noise.add_argument("--seed", type=int, required=True)
+    noise.add_argument("--out", required=True)
+    noise.add_argument("--format", choices=["json", "csv"], default="json")
+
     parser = argparse.ArgumentParser(prog="blowfish", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_policy = sub.add_parser("policy", help="policy file tools")
     policy_sub = p_policy.add_subparsers(dest="subcommand", required=True)
-    p_validate = policy_sub.add_parser("validate", help="check a policy file")
-    p_validate.add_argument("--domain", required=True)
-    p_validate.add_argument("--policy", required=True)
+    p_validate = policy_sub.add_parser("validate", help="check a policy file", parents=[policy])
     p_validate.set_defaults(func=_cmd_policy_validate)
 
-    p_sens = sub.add_parser("sensitivity", help="policy-specific sensitivity")
+    p_sens = sub.add_parser("sensitivity", help="policy-specific sensitivity", parents=[policy, exact])
     p_sens.add_argument("--query", choices=sorted(QUERY_KINDS), default="histogram")
-    p_sens.add_argument("--domain", required=True)
-    p_sens.add_argument("--policy", required=True)
     p_sens.add_argument("--method", choices=["auto", "closed", "sparse", "specialized", "oracle"], default="auto")
     p_sens.add_argument("--k", type=int, default=2, help="cluster count for cluster queries")
     p_sens.add_argument("--n", type=int, default=2, help="database size for the oracle method")
-    p_sens.add_argument("--require-exact", action="store_true")
     p_sens.set_defaults(func=_cmd_sensitivity)
 
     p_release = sub.add_parser("release", help="noisy releases")
     release_sub = p_release.add_subparsers(dest="subcommand", required=True)
 
-    def _common_release(p, with_policy: bool) -> None:
-        p.add_argument("--domain", required=True)
-        if with_policy:
-            p.add_argument("--policy", required=True)
-        p.add_argument("--data", required=True)
-        p.add_argument("--epsilon", type=float, required=True)
-        p.add_argument("--seed", type=int, required=True)
-        p.add_argument("--out", required=True)
-        p.add_argument("--format", choices=["json", "csv"], default="json")
-
-    p_hist = release_sub.add_parser("histogram", help="Laplace histogram release")
-    _common_release(p_hist, with_policy=True)
+    p_hist = release_sub.add_parser("histogram", help="Laplace histogram release", parents=[policy, rows, noise, exact])
     p_hist.add_argument("--method", choices=["auto", "closed", "sparse", "specialized"], default="auto")
-    p_hist.add_argument("--require-exact", action="store_true")
     p_hist.set_defaults(func=_cmd_release, release=_release_histogram)
 
-    p_cdf = release_sub.add_parser("cdf", help="ordered-mechanism cumulative release")
-    _common_release(p_cdf, with_policy=False)
+    p_cdf = release_sub.add_parser("cdf", help="ordered-mechanism cumulative release", parents=[domain, rows, noise])
     p_cdf.add_argument("--theta", type=int, default=1)
     p_cdf.set_defaults(func=_cmd_release, release=_release_cdf)
 
-    p_range = release_sub.add_parser("range", help="ordered-hierarchical tree release")
-    _common_release(p_range, with_policy=False)
+    p_range = release_sub.add_parser("range", help="ordered-hierarchical tree release", parents=[domain, rows, noise])
     p_range.add_argument("--theta", type=int, required=True)
     p_range.add_argument("--fanout", type=int, default=16)
     p_range.set_defaults(func=_cmd_release, release=_release_range)
 
-    p_km = sub.add_parser("kmeans", help="private k-means over numeric CSV data")
+    p_km = sub.add_parser("kmeans", help="private k-means over numeric CSV data", parents=[noise])
     p_km.add_argument("--data", required=True, help="headerless numeric CSV")
     p_km.add_argument("--k", type=int, required=True)
     p_km.add_argument("--iterations", type=int, default=10)
-    p_km.add_argument("--epsilon", type=float, required=True)
-    p_km.add_argument("--seed", type=int, required=True)
     p_km.add_argument("--graph", choices=["full", "distance", "attribute"], default="full")
     p_km.add_argument("--theta", type=float, default=0.0)
     p_km.add_argument("--low", type=float, default=0.0)
     p_km.add_argument("--high", type=float, default=1.0)
-    p_km.add_argument("--out", required=True)
-    p_km.add_argument("--format", choices=["json", "csv"], default="json")
     p_km.set_defaults(func=_cmd_kmeans)
 
     p_exp = sub.add_parser("experiment", help="seeded evaluation harness")

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -19,7 +18,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .errors import read_field
+from .errors import read_field, read_json
 
 
 @dataclass(frozen=True)
@@ -128,8 +127,8 @@ class Dataset:
         return int(self.ranks.size)
 
 
-def load_domain(source: str | dict) -> DomainSpec:
-    """Parse a domain description from JSON text or an equivalent dict.
+def load_domain(source: str | dict | list) -> DomainSpec:
+    """Parse a domain description from JSON text or an equivalent value.
 
     Expected shape: ``{"attributes": [{"name": ..., "values": [...]},
     ...]}``, a name being a JSON string and the values a list of them.  A
@@ -137,24 +136,13 @@ def load_domain(source: str | dict) -> DomainSpec:
     ignored.  Values are ordered as listed.
     """
     if isinstance(source, str):
-        try:
-            source = json.loads(source)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"malformed domain spec: {exc}") from exc
-    if isinstance(source, dict):
-        attrs = source.get("attributes")
-        if attrs is None:
-            raise ValueError("domain spec missing 'attributes'")
-    elif isinstance(source, list):
-        attrs = source
-    else:
-        raise ValueError("domain spec must be a JSON object or list")
-    if not isinstance(attrs, list) or not attrs:
-        raise ValueError("domain needs at least one attribute")
+        source = read_json(source, "domain")
+    if isinstance(source, list):
+        source = {"attributes": source}
+    if not isinstance(source, dict):
+        raise ValueError("domain must be a JSON object or list")
     parsed = []
-    for i, a in enumerate(attrs):
-        if not isinstance(a, dict) or "name" not in a or "values" not in a:
-            raise ValueError("each attribute needs 'name' and 'values'")
+    for i, a in enumerate(read_field(source, "attributes", None, [dict], where="domain")):
         name = read_field(a, "name", None, str, where=f"domain attribute {i}")
         values = read_field(a, "values", None, [str], where=f"attribute {name!r}")
         parsed.append(Attribute(name=name, values=tuple(values)))

@@ -1,4 +1,5 @@
-"""Shared exception types, and the one reader of typed JSON fields.
+"""Shared exception types, the one JSON parser and the one reader of typed
+JSON fields.
 
 Every class derives from ``BlowfishError`` and keeps its builtin base, so
 callers may catch either.
@@ -32,9 +33,23 @@ class InfiniteSensitivityError(BlowfishError, ValueError):
     """The query cannot be released with finite noise under this policy."""
 
 
+def read_json(text: str, what: str):
+    """The JSON value of ``text``; text that is no JSON, or too deeply
+    nested to parse, is a ValueError naming the document, ``what``."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise ValueError(f"malformed {what}: {exc}") from None
+
+
+# the read_field kind of an integer that numpy's int64 holds
+INT64 = range(-(2**63), 2**63)
+
+
 # what each kind of field accepts, and how it names one value and a list
 _SHAPES = {
     int: ((int, float), "an integer", "integers"),
+    INT64: ((int, float), "an integer", "integers"),
     float: ((int, float), "a number", "numbers"),
     bool: (bool, "a boolean", "booleans"),
     str: (str, "a string", "strings"),
@@ -54,17 +69,18 @@ def read_field(source: dict, key: str, default, kind, least=None, where: str = "
     """``source[key]``, or ``default`` when the key is absent, read as
     ``kind``: a key of ``_SHAPES``, ``(kind, literal)`` for that kind or the
     one JSON literal (``(int, "full")``, ``(str, None)``), or ``[kind]`` for
-    a list of them.  An ``int`` is a JSON integer or a whole float, a
-    ``float`` a finite JSON number; neither is a boolean or a string.  A
-    value of another shape, or a number below ``least``, is a ValueError
-    naming ``where`` and the field, and for a list the index of the first
-    entry at fault.
+    a list of them.  An ``int`` is a JSON integer or a whole float, an
+    ``INT64`` such an integer in numpy's int64 range, a ``float`` a finite
+    JSON number; none is a boolean or a string.  A value of another shape,
+    or a number out of range or below ``least``, is a ValueError naming
+    ``where`` and the field, and for a list the index of the first entry at
+    fault.
     """
 
     def read(v, kind):
-        # v as kind: TypeError for another shape, ValueError or
-        # OverflowError for a number that is not finite; v of type kind, if
-        # not float, passes every check below
+        # v as kind: TypeError for another shape, ValueError naming the
+        # range, or OverflowError, for a number out of the kind's range; v
+        # of type kind, if not float, passes every check below
         if type(v) is kind and kind is not float:
             return v
         if isinstance(kind, list):
@@ -75,12 +91,14 @@ def read_field(source: dict, key: str, default, kind, least=None, where: str = "
             return v if type(v) is type(kind[1]) and v == kind[1] else read(v, kind[0])
         if isinstance(v, bool) != (kind is bool) or not isinstance(v, _SHAPES[kind][0]):
             raise TypeError
-        if kind is int and isinstance(v, float):
+        if kind in (int, INT64) and isinstance(v, float):
             if not v.is_integer():
                 raise TypeError
-            return int(v)
+            v = int(v)
+        if kind is INT64 and v not in INT64:
+            raise ValueError("below 2**63" if v > 0 else "at least -2**63")
         if kind is float and not math.isfinite(v := float(v)):
-            raise ValueError
+            raise ValueError("finite")
         return v
 
     value = source.get(key, default)
@@ -93,7 +111,9 @@ def read_field(source: dict, key: str, default, kind, least=None, where: str = "
             out.append(read(v, kind[0] if many else kind))
         except TypeError:
             problem = _shape(kind)
-        except (ValueError, OverflowError):
+        except ValueError as exc:
+            problem = str(exc)
+        except OverflowError:  # float() of an integer past the float range
             problem = "finite"
         else:
             if least is None or out[-1] >= least:

@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import zlib
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
 from .domain import load_domain
-from .errors import read_field
+from .errors import INT64, read_field, read_json
 from .kmeans import ClusteringPolicy, KmeansConfig, kmeans_nonprivate, kmeans_private
 from .mechanisms import (
     PrivacyParams,
@@ -107,24 +106,8 @@ class ExperimentReport:
     def to_csv_string(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(
-            ["experiment", "mechanism", "policy", "epsilon", "theta", "fanout", "metric", "mean", "q1", "q3"]
-        )
-        for r in self.rows:
-            writer.writerow(
-                [
-                    r.experiment,
-                    r.mechanism,
-                    r.policy,
-                    _num(r.epsilon),
-                    _num(r.theta),
-                    _num(r.fanout),
-                    r.metric,
-                    _num(r.mean),
-                    _num(r.q1),
-                    _num(r.q3),
-                ]
-            )
+        writer.writerow(f.name for f in fields(ReportRow))
+        writer.writerows([v if isinstance(v, str) else _num(v) for v in astuple(r)] for r in self.rows)
         return buf.getvalue()
 
 
@@ -163,7 +146,7 @@ def _config_histogram(config: dict, size: int, seed: int) -> np.ndarray:
     return synth_histogram(
         kind=read_field(data_cfg, "kind", "zipf", str, where=where),
         size=size,
-        n=read_field(data_cfg, "n", 10_000, int, where=where),
+        n=read_field(data_cfg, "n", 10_000, INT64, where=where),
         seed=seed,
         zipf_s=read_field(data_cfg, "zipf_s", 1.1, float, where=where),
         zero_frac=read_field(data_cfg, "zero_frac", 0.9, float, where=where),
@@ -178,11 +161,11 @@ def _sweep(name: str, seed: int, trials: int, cells, measure):
 
 
 def _run_range_mse(config: dict, seed: int) -> list[ReportRow]:
-    size = read_field(config, "domain_size", 400, int, least=1)
-    trials = read_field(config, "trials", 20, int, least=1)
-    n_queries = read_field(config, "queries", 2000, int, least=1)
-    fanout = read_field(config, "fanout", 16, int)
-    thetas = [size if t == "full" else t for t in read_field(config, "thetas", [1, "full"], [(int, "full")])]
+    size = read_field(config, "domain_size", 400, INT64, least=1)
+    trials = read_field(config, "trials", 20, INT64, least=1)
+    n_queries = read_field(config, "queries", 2000, INT64, least=1)
+    fanout = read_field(config, "fanout", 16, INT64)
+    thetas = [size if t == "full" else t for t in read_field(config, "thetas", [1, "full"], [(INT64, "full")])]
     epsilons = read_field(config, "epsilons", [0.5, 1.0], [float])
 
     counts = _config_histogram(config, size, seed)
@@ -209,9 +192,9 @@ def _run_range_mse(config: dict, seed: int) -> list[ReportRow]:
 
 
 def _run_cdf_release(config: dict, seed: int) -> list[ReportRow]:
-    size = read_field(config, "domain_size", 400, int, least=1)
-    trials = read_field(config, "trials", 20, int, least=1)
-    thetas = read_field(config, "thetas", [1], [int])
+    size = read_field(config, "domain_size", 400, INT64, least=1)
+    trials = read_field(config, "trials", 20, INT64, least=1)
+    thetas = read_field(config, "thetas", [1], [INT64])
     epsilons = read_field(config, "epsilons", [0.5, 1.0], [float])
 
     counts = _config_histogram(config, size, seed)
@@ -230,15 +213,15 @@ def _run_cdf_release(config: dict, seed: int) -> list[ReportRow]:
 
 
 def _run_kmeans_ratio(config: dict, seed: int) -> list[ReportRow]:
-    n = read_field(config, "n", 1000, int)
-    dims = read_field(config, "dims", 4, int)
-    k = read_field(config, "k", 4, int)
+    n = read_field(config, "n", 1000, INT64)
+    dims = read_field(config, "dims", 4, INT64)
+    k = read_field(config, "k", 4, INT64)
     sigma = read_field(config, "sigma", 0.2, float)
-    trials = read_field(config, "trials", 50, int, least=1)
-    iterations = read_field(config, "iterations", 10, int)
+    trials = read_field(config, "trials", 50, INT64, least=1)
+    iterations = read_field(config, "iterations", 10, INT64)
     epsilons = read_field(config, "epsilons", [0.2], [float])
     policies_cfg = read_field(config, "policies", [{"kind": "full"}, {"kind": "distance", "theta": 0.25}], [dict])
-    bounds = tuple((0.0, 1.0) for _ in range(dims))
+    bounds = ((0.0, 1.0),) * dims
 
     cfg = KmeansConfig(k=k, iterations=iterations)
     where = "kmeans-ratio policy"
@@ -271,7 +254,7 @@ def _run_kmeans_ratio(config: dict, seed: int) -> list[ReportRow]:
 
 def _run_sensitivity_table(config: dict, seed: int) -> list[ReportRow]:
     domain = load_domain(read_field(config, "domain", None, dict))
-    k = read_field(config, "k", 2, int)
+    k = read_field(config, "k", 2, INT64)
     rows = []
     for entry in read_field(config, "entries", [], [dict]):
         name = read_field(entry, "query", None, str, where="sensitivity-table entry")
@@ -301,12 +284,11 @@ EXPERIMENTS = tuple(_RUNNERS)
 def run_experiment(config: str | dict) -> ExperimentReport:
     """Execute a registered experiment described by a config object."""
     if isinstance(config, str):
-        config = json.loads(config)
+        config = read_json(config, "experiment config")
     if not isinstance(config, dict):
         raise ValueError("experiment config must be a JSON object")
-    name = config.get("experiment")
-    runner = _RUNNERS.get(name) if isinstance(name, str) else None
-    if runner is None:
+    name = read_field(config, "experiment", None, str)
+    if name not in _RUNNERS:
         raise ValueError(f"unknown experiment {name!r}; known: {', '.join(EXPERIMENTS)}")
-    seed = read_field(config, "seed", 0, int)
-    return ExperimentReport(seed=seed, rows=tuple(runner(config, seed)))
+    seed = read_field(config, "seed", 0, int, least=0)
+    return ExperimentReport(seed=seed, rows=tuple(_RUNNERS[name](config, seed)))

@@ -15,9 +15,12 @@ Every noisy value comes from one kernel, ``stream_laplace(seed, index,
 scales)``: Laplace variates drawn in a row from one stream of the seed, draw i
 perturbing value i in release order.  Stream ``index`` is numpy's
 ``Generator(Philox(seed).jumped(index))``, Philox4x64-10 (Salmon et al.,
-"Parallel Random Numbers: As Easy as 1, 2, 3", SC 2011); ``stream_generator``
-builds it.  Each mechanism draws from its own fixed index, so that releases
-of different mechanisms under one seed use different uniforms:
+"Parallel Random Numbers: As Easy as 1, 2, 3", SC 2011).
+``stream_generator`` builds it as ``Generator(Philox(seed, counter=index <<
+128))``: the seeded generator whose 256-bit counter starts with ``index`` in
+word 2, where ``jumped(index)`` puts it.  Each mechanism draws from its own
+fixed index, so that releases of different mechanisms under one seed use
+different uniforms:
 
 * the Laplace histogram: 0;
 * k-means: 1 for the initial centroids, then 2 + 2t for the cluster sizes
@@ -55,6 +58,11 @@ def _check_epsilon(epsilon: float) -> None:
         raise ValueError("epsilon must be positive and finite")
 
 
+def _check_fanout(fanout: int) -> None:
+    if not 2 <= fanout < 2**63:
+        raise ValueError(f"fanout must be in [2, 2**63), got {fanout}")
+
+
 # math.log called once per element: an ndarray of floats in, an object array out
 _LOG = np.frompyfunc(math.log, 1, 1)
 
@@ -76,17 +84,14 @@ def _laplace(scale, u: np.ndarray) -> np.ndarray:
 
 
 def stream_generator(seed: int, index: int) -> np.random.Generator:
-    """``Generator(Philox(seed).jumped(index))``, bit for bit, for ``index``
-    in [0, 2**64): the seeded state with counter word 2 set to ``index``.
-    ``jumped`` first builds a bit generator seeded from OS entropy, which
-    costs more than the seeded one itself."""
+    """``Generator(Philox(seed).jumped(index))``, bit for bit, for a seed
+    of at least 0 and ``index`` in [0, 2**64): Philox seeded with ``seed``,
+    its counter starting at ``index << 128``, so ``index`` in word 2."""
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     if not 0 <= index < 2**64:
         raise ValueError("stream indices must be in [0, 2**64)")
-    bits = np.random.Philox(seed)
-    state = bits.state
-    state["state"]["counter"][2] = index
-    bits.state = state
-    return np.random.Generator(bits)
+    return np.random.Generator(np.random.Philox(seed, counter=index << 128))
 
 
 # the stream of the ordered mechanism and of every tree; see the module docstring
@@ -213,8 +218,7 @@ def oh_error_model(domain_size: int, theta: int, fanout: int, eps_s: float, eps_
 def _error_coefficients(domain_size: int, theta: int, fanout: int) -> tuple[float, float]:
     if not 1 <= theta <= domain_size:
         raise ValueError(f"theta must be in [1, {domain_size}]")
-    if fanout < 2:
-        raise ValueError("fanout must be >= 2")
+    _check_fanout(fanout)
     c1 = 4.0 * (domain_size - theta) / (domain_size + 1)
     c2 = 8.0 * (fanout - 1) * math.log(theta, fanout) ** 3 * domain_size / (domain_size + 1)
     return c1, c2
@@ -417,8 +421,7 @@ def build_oh_release(
         raise ValueError("histogram must be non-empty")
     if not 1 <= theta <= size:
         raise ValueError(f"theta must be in [1, {size}]")
-    if fanout < 2:
-        raise ValueError("fanout must be >= 2")
+    _check_fanout(fanout)
     # an infinite total would give block 1 scale 0, releasing its exact counts
     if not (eps_s >= 0 and eps_h >= 0 and 0 < eps_s + eps_h < math.inf):
         raise ValueError("budgets must be non-negative with a positive and finite total")

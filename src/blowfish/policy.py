@@ -18,7 +18,6 @@ the ground truth the sensitivity engines are checked against.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -26,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .domain import DomainSpec, _int64_column
-from .errors import BudgetExceededError, InfeasibleConstraintsError, read_field
+from .errors import BudgetExceededError, InfeasibleConstraintsError, read_field, read_json
 
 DEFAULT_ENUM_BUDGET = 100_000
 DEFAULT_EDGE_BUDGET = 20_000_000
@@ -433,15 +432,10 @@ class Policy:
 def load_policy(source: str | dict, domain: DomainSpec) -> Policy:
     """Parse a policy file: ``{"graph": {...}, "constraints": {...}}``."""
     if isinstance(source, str):
-        try:
-            source = json.loads(source)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"malformed policy file: {exc}") from exc
-    if not isinstance(source, dict) or "graph" not in source:
-        raise ValueError("policy file needs a 'graph' object")
-    gspec = source["graph"]
-    if not isinstance(gspec, dict):
-        raise ValueError("policy 'graph' must be an object")
+        source = read_json(source, "policy")
+    if not isinstance(source, dict):
+        raise ValueError("policy must be a JSON object")
+    gspec = read_field(source, "graph", None, dict, where="policy")
     kind = read_field(gspec, "kind", None, str, where="policy graph").lower()
     if kind == "full":
         graph = SecretGraph.full(domain)
@@ -473,16 +467,10 @@ def load_policy(source: str | dict, domain: DomainSpec) -> Policy:
         constraints = ConstraintSet.cardinality_only()
     elif ckind == "general":
         queries = []
-        queries_raw = cspec.get("queries", [])
-        if not isinstance(queries_raw, list):
-            raise ValueError("constraint 'queries' must be a list")
-        for q in queries_raw:
-            where_raw = q.get("where", {}) if isinstance(q, dict) else None
-            if not isinstance(where_raw, dict):
-                raise ValueError("each constraint query needs a 'where' object")
+        for q in read_field(cspec, "queries", [], [dict], where="policy constraints"):
             labels: dict[str, list[str]] = {}
             ranges: dict[str, tuple[int, int]] = {}
-            for attr, sel in where_raw.items():
+            for attr, sel in read_field(q, "where", {}, dict, where="constraint").items():
                 if isinstance(sel, list):
                     labels[attr] = sel
                 elif isinstance(sel, dict) and isinstance(sel.get("range"), list) and len(sel["range"]) == 2:

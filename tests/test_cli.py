@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from blowfish import errors
+from blowfish import cli, errors
 from blowfish.cli import _format_payload, cli_main
 from blowfish.domain import ingest_dataset, load_domain
 from blowfish.mechanisms import build_oh_release
@@ -430,6 +430,7 @@ def test_read_field_kinds():
         (1, int, 1), (2.0, int, 2), (np.float64(2.0), int, 2), (10**400, int, 10**400), (None, (int, None), None),
         (1, float, 1.0), (np.float64(2.5), float, 2.5), (True, bool, True), ("s", str, "s"),
         (OrderedDict(a=1), dict, OrderedDict(a=1)), (["a", "b"], [str], ["a", "b"]),
+        (2**63 - 1, errors.INT64, 2**63 - 1), (-(2**63), errors.INT64, -(2**63)), (3.0, errors.INT64, 3),
     ]
     for value, kind, want in accepted:
         got = errors.read_field({"k": value}, "k", None, kind, where="w")
@@ -440,6 +441,10 @@ def test_read_field_kinds():
         (np.float64(math.nan), float, "finite, got np.float64(nan)"), (1, bool, "a boolean, got 1"),
         (1, str, "a string, got 1"), ([1], [str], "a list of strings, got 1 at index 0"),
         (["a", 1], [str], "a list of strings, got 1 at index 1"),
+        (2**63, errors.INT64, "below 2**63, got 9223372036854775808"),
+        (-(2**63) - 1, errors.INT64, "at least -2**63, got -9223372036854775809"),
+        (1e19, errors.INT64, "below 2**63, got 1e+19"), (0.5, errors.INT64, "an integer, got 0.5"),
+        ([1, 2**64], [errors.INT64], "below 2**63, got 18446744073709551616 at index 1"),
     ]
     for value, kind, problem in refused:
         with pytest.raises(ValueError) as exc:
@@ -455,6 +460,57 @@ def test_every_error_is_a_blowfish_error():
     # each keeps its builtin base, so `except ValueError` callers still catch it
     assert issubclass(errors.BudgetExceededError, RuntimeError)
     assert issubclass(errors.InfiniteSensitivityError, ValueError)
+
+
+FILES = {"domain": "d.json", "policy": "p.json"}
+NOISE = {"epsilon": 0.5, "seed": 3, "out": "o", "format": "json"}
+NAMESPACES = {
+    "policy-validate": (
+        "policy validate --domain d.json --policy p.json",
+        {"command": "policy", "subcommand": "validate", **FILES, "func": cli._cmd_policy_validate},
+    ),
+    "sensitivity": (
+        "sensitivity --domain d.json --policy p.json --query cumulative --k 3 --n 4 --method oracle --require-exact",
+        {"command": "sensitivity", **FILES, "query": "cumulative", "method": "oracle", "k": 3, "n": 4,
+         "require_exact": True, "func": cli._cmd_sensitivity},
+    ),
+    "release-histogram": (
+        "release histogram --domain d.json --policy p.json --data r.csv --epsilon 0.5 --seed 3 --out o",
+        {"command": "release", "subcommand": "histogram", **FILES, "data": "r.csv", **NOISE, "method": "auto",
+         "require_exact": False, "func": cli._cmd_release, "release": cli._release_histogram},
+    ),
+    "release-cdf": (
+        "release cdf --domain d.json --data r.csv --epsilon 0.5 --seed 3 --out o --format csv",
+        {"command": "release", "subcommand": "cdf", "domain": "d.json", "data": "r.csv", **NOISE, "format": "csv",
+         "theta": 1, "func": cli._cmd_release, "release": cli._release_cdf},
+    ),
+    "release-range": (
+        "release range --domain d.json --data r.csv --theta 4 --epsilon 0.5 --seed 3 --out o",
+        {"command": "release", "subcommand": "range", "domain": "d.json", "data": "r.csv", **NOISE, "theta": 4,
+         "fanout": 16, "func": cli._cmd_release, "release": cli._release_range},
+    ),
+    "kmeans": (
+        "kmeans --data x.csv --k 2 --epsilon 0.5 --seed 3 --out o --theta 0.25",
+        {"command": "kmeans", "data": "x.csv", "k": 2, "iterations": 10, **NOISE, "graph": "full", "theta": 0.25,
+         "low": 0.0, "high": 1.0, "func": cli._cmd_kmeans},
+    ),
+    "experiment-run": (
+        "experiment run --config c.json --out o",
+        {"command": "experiment", "subcommand": "run", "config": "c.json", "out": "o", "func": cli._cmd_experiment_run},
+    ),
+    "budget-total": (
+        "budget total --ledger l.json",
+        {"command": "budget", "subcommand": "total", "ledger": "l.json", "func": cli._cmd_budget_total},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NAMESPACES))
+def test_subcommand_namespaces(case):
+    # every subcommand parses its flags, and their defaults, into the same
+    # names and values however the parser declares them
+    argv, want = NAMESPACES[case]
+    assert vars(cli.build_parser().parse_args(argv.split())) == want
 
 
 def test_validate_wide_full_graph_answers(tmp_path, capsys):
@@ -485,17 +541,23 @@ SEEDED_RELEASES = {
 }
 
 
-@pytest.mark.parametrize("command", sorted(SEEDED_RELEASES))
+@pytest.mark.parametrize("command", sorted(SEEDED_RELEASES) + ["experiment"])
 def test_negative_seed_fails_cleanly(command, tmp_path, capsys):
-    argv = list(SEEDED_RELEASES[command])
+    out = tmp_path / "out.json"
+    if command == "experiment":
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"experiment": "cdf-release", "domain_size": 4, "trials": 1, "seed": -1}))
+        argv = ["experiment", "run", "--config", str(config), "--out", str(out)]
+        want = "error: experiment 'seed' must be at least 0, got -1\n"
+    else:
+        argv = list(SEEDED_RELEASES[command]) + ["--seed", "-1", "--out", str(out)]
+        want = "error: seed must be non-negative, got -1\n"
     if command == "kmeans":
         data = tmp_path / "pts.csv"
         data.write_text("0.1,0.2\n0.15,0.1\n0.8,0.9\n0.85,0.95\n")
         argv += ["--data", str(data)]
-    out = tmp_path / "out.json"
-    rc = cli_main(argv + ["--seed", "-1", "--out", str(out)])
-    assert rc == 1
-    assert capsys.readouterr().err.startswith("error:")
+    assert cli_main(argv) == 1
+    assert capsys.readouterr().err == want
     assert not out.exists()
 
 
@@ -581,14 +643,24 @@ def test_range_experiment_at_extreme_epsilon(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv, config",
+    "argv, config, name",
     [
-        pytest.param(SEEDED_RELEASES["range"] + ["--fanout", str(10**20), "--seed", "1"], None, id="range-fanout"),
-        pytest.param(None, {"fanout": 10**20}, id="experiment-fanout"),
-        pytest.param(None, {"data": {"kind": "zipf", "n": 10**20}}, id="experiment-zipf-n"),
+        pytest.param(
+            SEEDED_RELEASES["range"] + ["--fanout", str(10**20), "--seed", "1"], None, "fanout", id="range-fanout"
+        ),
+        pytest.param(None, {"fanout": 10**20}, "experiment 'fanout'", id="experiment-fanout"),
+        pytest.param(
+            None, {"data": {"kind": "zipf", "n": 10**20}}, "experiment 'data' field 'n'", id="experiment-zipf-n"
+        ),
+        pytest.param(None, {"queries": 10**20}, "experiment 'queries'", id="experiment-queries"),
+        pytest.param(None, {"experiment": "kmeans-ratio", "k": 10**20}, "experiment 'k'", id="experiment-kmeans-k"),
+        # read before a bounds tuple of that length is built
+        pytest.param(
+            None, {"experiment": "kmeans-ratio", "dims": 10**20}, "experiment 'dims'", id="experiment-kmeans-dims"
+        ),
     ],
 )
-def test_integers_past_int64_fail_cleanly(argv, config, tmp_path, capsys):
+def test_integers_past_int64_fail_cleanly(argv, config, name, tmp_path, capsys):
     out = tmp_path / "out"
     if config is not None:
         path = tmp_path / "cfg.json"
@@ -596,7 +668,8 @@ def test_integers_past_int64_fail_cleanly(argv, config, tmp_path, capsys):
         argv = ["experiment", "run", "--config", str(path)]
     assert cli_main(argv + ["--out", str(out)]) == 1
     captured = capsys.readouterr()
-    assert captured.err.startswith("error:") and captured.out == ""
+    assert captured.err.startswith(f"error: {name} must be ") and captured.out == ""
+    assert str(10**20) in captured.err
     assert not out.exists()
 
 
@@ -640,88 +713,168 @@ DOMAIN_SPEC = json.loads(Path(DOMAIN).read_text())
 ENTRY = {"label": "a", "epsilon": 0.5}
 
 MALFORMED_FILES = {
-    "ledger-list": ("ledger", [1]),
-    "ledger-entry-int": ("ledger", {"entries": [1]}),
-    "ledger-groups-int": ("ledger", {"certified_groups": 3}),
-    "ledger-group-list": ("ledger", {"entries": [{**ENTRY, "group": ["g"]}], "certified_groups": ["g"]}),
-    "ledger-group-dict": ("ledger", {"entries": [{**ENTRY, "group": {"g": 1}}]}),
-    "ledger-group-int": ("ledger", {"entries": [{**ENTRY, "group": 1}], "certified_groups": [1]}),
-    "ledger-certified-int": ("ledger", {"entries": [{**ENTRY, "group": "1"}], "certified_groups": [1]}),
-    "ledger-label-missing": ("ledger", {"entries": [{"epsilon": 0.5}]}),
-    "ledger-label-int": ("ledger", {"entries": [{"label": 3, "epsilon": 0.5}]}),
-    "ledger-epsilon-missing": ("ledger", {"entries": [{"label": "a"}]}),
-    "ledger-epsilon-str": ("ledger", {"entries": [{"label": "a", "epsilon": "0.5"}]}),
-    "ledger-epsilon-huge-int": ("ledger", {"entries": [{"label": "a", "epsilon": 10**400}]}),
-    "policy-theta-1e400": ("policy", '{"graph": {"kind": "distance", "theta": 1e400}}'),
-    "policy-theta-nan": ("policy", '{"graph": {"kind": "distance", "theta": NaN}}'),
-    "policy-theta-fraction": ("policy", {"graph": {"kind": "distance", "theta": 1.5}}),
-    "policy-answer-1e400": ("policy", '{"graph": {"kind": "full"}, "constraints": [{"where": {"A1": ["a1"]}, "answer": 1e400}]}'),
-    "policy-answer-fraction": ("policy", {"graph": {"kind": "full"}, "constraints": [{"where": {"A1": ["a1"]}, "answer": 1.9}]}),
-    "policy-range-1e400": ("policy", '{"graph": {"kind": "full"}, "constraints": [{"where": {"A1": {"range": [0, 1e400]}}}]}'),
-    "policy-range-fraction": ("policy", {"graph": {"kind": "full"}, "constraints": [{"where": {"A1": {"range": [0.5, 1]}}}]}),
-    "policy-graph-int": ("policy", {"graph": 3}),
-    "policy-partition-label": ("policy", {"graph": {"kind": "partition", "cells": [[0, "a"]]}}),
-    "policy-constraints-str": ("policy", {"graph": {"kind": "full"}, "constraints": "x"}),
-    "policy-queries-int": ("policy", {"graph": {"kind": "full"}, "constraints": {"kind": "general", "queries": 3}}),
-    "policy-query-int": ("policy", {"graph": {"kind": "full"}, "constraints": [1]}),
-    "policy-where-list": ("policy", {"graph": {"kind": "full"}, "constraints": [{"where": ["A1"]}]}),
+    "ledger-list": ("ledger", [1], "ledger must be a JSON object"),
+    "ledger-entry-int": ("ledger", {"entries": [1]}, "ledger 'entries' must be a list of objects"),
+    "ledger-groups-int": ("ledger", {"certified_groups": 3}, "ledger 'certified_groups' must be a list of strings"),
+    "ledger-group-list": ("ledger", {"entries": [{**ENTRY, "group": ["g"]}], "certified_groups": ["g"]},
+                          "ledger entry 'group' must be a string or null"),
+    "ledger-group-dict": ("ledger", {"entries": [{**ENTRY, "group": {"g": 1}}]},
+                          "ledger entry 'group' must be a string or null"),
+    "ledger-group-int": ("ledger", {"entries": [{**ENTRY, "group": 1}], "certified_groups": [1]},
+                         "ledger entry 'group' must be a string or null"),
+    "ledger-certified-int": ("ledger", {"entries": [{**ENTRY, "group": "1"}], "certified_groups": [1]},
+                             "ledger 'certified_groups' must be a list of strings"),
+    "ledger-label-missing": ("ledger", {"entries": [{"epsilon": 0.5}]}, "ledger entry 'label' must be a string"),
+    "ledger-label-int": ("ledger", {"entries": [{"label": 3, "epsilon": 0.5}]},
+                         "ledger entry 'label' must be a string"),
+    "ledger-epsilon-missing": ("ledger", {"entries": [{"label": "a"}]}, "ledger entry 'epsilon' must be a number"),
+    "ledger-epsilon-str": ("ledger", {"entries": [{"label": "a", "epsilon": "0.5"}]},
+                           "ledger entry 'epsilon' must be a number"),
+    "ledger-epsilon-huge-int": ("ledger", {"entries": [{"label": "a", "epsilon": 10**400}]},
+                                "ledger entry 'epsilon' must be finite"),
+    "policy-theta-1e400": ("policy", '{"graph": {"kind": "distance", "theta": 1e400}}',
+                           "distance graph 'theta' must be an integer"),
+    "policy-theta-nan": ("policy", '{"graph": {"kind": "distance", "theta": NaN}}',
+                         "distance graph 'theta' must be an integer"),
+    "policy-theta-fraction": ("policy", {"graph": {"kind": "distance", "theta": 1.5}},
+                              "distance graph 'theta' must be an integer"),
+    "policy-answer-1e400": (
+        "policy", '{"graph": {"kind": "full"}, "constraints": [{"where": {"A1": ["a1"]}, "answer": 1e400}]}',
+        "constraint 'answer' must be an integer or null",
+    ),
+    "policy-answer-fraction": (
+        "policy", {"graph": {"kind": "full"}, "constraints": [{"where": {"A1": ["a1"]}, "answer": 1.9}]},
+        "constraint 'answer' must be an integer or null",
+    ),
+    "policy-range-1e400": (
+        "policy", '{"graph": {"kind": "full"}, "constraints": [{"where": {"A1": {"range": [0, 1e400]}}}]}',
+        "selection of 'A1' 'range' must be a list of integers",
+    ),
+    "policy-range-fraction": (
+        "policy", {"graph": {"kind": "full"}, "constraints": [{"where": {"A1": {"range": [0.5, 1]}}}]},
+        "selection of 'A1' 'range' must be a list of integers",
+    ),
+    "policy-graph-int": ("policy", {"graph": 3}, "policy 'graph' must be an object"),
+    "policy-partition-label": ("policy", {"graph": {"kind": "partition", "cells": [[0, "a"]]}},
+                               "partition graph 'cells' must be a list of lists of integers"),
+    "policy-constraints-str": ("policy", {"graph": {"kind": "full"}, "constraints": "x"},
+                               "policy 'constraints' must be an object or a list of queries"),
+    "policy-queries-int": ("policy", {"graph": {"kind": "full"}, "constraints": {"kind": "general", "queries": 3}},
+                           "policy constraints 'queries' must be a list of objects"),
+    "policy-query-int": ("policy", {"graph": {"kind": "full"}, "constraints": [1]},
+                         "policy constraints 'queries' must be a list of objects"),
+    "policy-where-list": ("policy", {"graph": {"kind": "full"}, "constraints": [{"where": ["A1"]}]},
+                          "constraint 'where' must be an object"),
     # a kind that is no string, or a kind without queries, would drop them silently
     "policy-constraints-kind-null": (
-        "policy", {"graph": {"kind": "full"}, "constraints": {"kind": None, "queries": [{"where": {"A1": ["a1"]}}]}}
+        "policy", {"graph": {"kind": "full"}, "constraints": {"kind": None, "queries": [{"where": {"A1": ["a1"]}}]}},
+        "policy constraints 'kind' must be a string",
     ),
     "policy-cardinality-queries": (
-        "policy", {"graph": {"kind": "full"}, "constraints": {"kind": "cardinality", "queries": [{"where": {"A1": ["a1"]}}]}}
+        "policy", {"graph": {"kind": "full"}, "constraints": {"kind": "cardinality", "queries": [{"where": {"A1": ["a1"]}}]}},
+        "policy constraints of kind 'cardinality' take no 'queries' field",
     ),
-    "domain-attribute-int": ("domain", {"attributes": [1]}),
-    "domain-values-int": ("domain", {"attributes": [{"name": "x", "values": 3}]}),
+    "domain-attribute-int": ("domain", {"attributes": [1]}, "domain 'attributes' must be a list of objects"),
+    "domain-values-int": ("domain", {"attributes": [{"name": "x", "values": 3}]},
+                          "attribute 'x' 'values' must be a list of strings"),
     # the marginal policy reads A1 and A2 only, so a bad A3 is the one fault
-    "domain-labels-json-values": ("domain", {"attributes": [*DOMAIN_SPEC["attributes"][:2], {"name": "A3", "values": [None, True, 1e2, [1]]}]}),
-    "domain-label-number": ("domain", {"attributes": [*DOMAIN_SPEC["attributes"][:2], {"name": "A3", "values": ["c1", 2]}]}),
-    "domain-label-bool": ("domain", {"attributes": [*DOMAIN_SPEC["attributes"][:2], {"name": "A3", "values": ["c1", True]}]}),
-    "domain-name-int": ("domain", {"attributes": [*DOMAIN_SPEC["attributes"][:2], {"name": 3, "values": ["c1"]}]}),
-    "experiment-list": ("experiment", [1]),
-    "policy-selection-str": ("policy", {"graph": {"kind": "full"}, "constraints": [{"where": {"A1": "a1"}, "answer": 1}]}),
-    "policy-selection-int": ("policy", {"graph": {"kind": "full"}, "constraints": [{"where": {"A1": 3}, "answer": 1}]}),
-    "policy-range-int": ("policy", {"graph": {"kind": "full"}, "constraints": [{"where": {"A1": {"range": 3}}}]}),
-    "policy-answer-list": ("policy", {"graph": {"kind": "full"}, "constraints": [{"where": {"A1": ["a1"]}, "answer": [1]}]}),
-    "policy-edges-int": ("policy", {"graph": {"kind": "explicit", "edges": [1]}}),
-    "policy-theta-list": ("policy", {"graph": {"kind": "distance", "theta": [1]}}),
-    "ledger-epsilon-list": ("ledger", {"entries": [{"label": "a", "epsilon": [1]}]}),
-    "experiment-policies-int": ("experiment", {"experiment": "kmeans-ratio", "policies": [1]}),
-    "experiment-data-int": ("experiment", {"experiment": "cdf-release", "data": 3}),
-    "experiment-entries-int": ("experiment", {"experiment": "sensitivity-table", "domain": DOMAIN_SPEC, "entries": [1]}),
-    "experiment-trials-zero": ("experiment", {"experiment": "cdf-release", "trials": 0}),
-    "experiment-trials-negative": ("experiment", {"experiment": "range-mse", "trials": -1}),
-    "experiment-queries-zero": ("experiment", {"experiment": "range-mse", "queries": 0}),
-    "experiment-range-epsilons-int": ("experiment", {"experiment": "range-mse", "epsilons": 3}),
-    "experiment-range-thetas-int": ("experiment", {"experiment": "range-mse", "thetas": 3}),
-    "experiment-cdf-epsilons-int": ("experiment", {"experiment": "cdf-release", "epsilons": 3}),
-    "experiment-cdf-thetas-int": ("experiment", {"experiment": "cdf-release", "thetas": 3}),
-    "experiment-epsilons-nested": ("experiment", {"experiment": "cdf-release", "epsilons": [[1]]}),
-    "experiment-fanout-list": ("experiment", {"experiment": "range-mse", "fanout": [2]}),
-    "experiment-seed-list": ("experiment", {"experiment": "cdf-release", "seed": [1]}),
-    "experiment-kmeans-theta-list": ("experiment", {"experiment": "kmeans-ratio", "policies": [{"kind": "distance", "theta": [1]}]}),
-    "experiment-data-n-list": ("experiment", {"experiment": "cdf-release", "data": {"n": [1]}}),
-    "experiment-domain-size-zero": ("experiment", {"experiment": "cdf-release", "domain_size": 0}),
-    "experiment-domain-missing": ("experiment", {"experiment": "sensitivity-table", "entries": []}),
+    "domain-labels-json-values": (
+        "domain", {"attributes": [*DOMAIN_SPEC["attributes"][:2], {"name": "A3", "values": [None, True, 1e2, [1]]}]},
+        "attribute 'A3' 'values' must be a list of strings",
+    ),
+    "domain-label-number": (
+        "domain", {"attributes": [*DOMAIN_SPEC["attributes"][:2], {"name": "A3", "values": ["c1", 2]}]},
+        "attribute 'A3' 'values' must be a list of strings",
+    ),
+    "domain-label-bool": (
+        "domain", {"attributes": [*DOMAIN_SPEC["attributes"][:2], {"name": "A3", "values": ["c1", True]}]},
+        "attribute 'A3' 'values' must be a list of strings",
+    ),
+    "domain-name-int": ("domain", {"attributes": [*DOMAIN_SPEC["attributes"][:2], {"name": 3, "values": ["c1"]}]},
+                        "domain attribute 2 'name' must be a string"),
+    "experiment-list": ("experiment", [1], "experiment config must be a JSON object"),
+    "policy-selection-str": (
+        "policy", {"graph": {"kind": "full"}, "constraints": [{"where": {"A1": "a1"}, "answer": 1}]},
+        "selection of 'A1' must be a list of labels or {\"range\": [lo, hi]}",
+    ),
+    "policy-selection-int": ("policy", {"graph": {"kind": "full"}, "constraints": [{"where": {"A1": 3}, "answer": 1}]},
+                             "selection of 'A1' must be a list of labels or {\"range\": [lo, hi]}"),
+    "policy-range-int": ("policy", {"graph": {"kind": "full"}, "constraints": [{"where": {"A1": {"range": 3}}}]},
+                         "selection of 'A1' must be a list of labels or {\"range\": [lo, hi]}"),
+    "policy-answer-list": (
+        "policy", {"graph": {"kind": "full"}, "constraints": [{"where": {"A1": ["a1"]}, "answer": [1]}]},
+        "constraint 'answer' must be an integer or null",
+    ),
+    "policy-edges-int": ("policy", {"graph": {"kind": "explicit", "edges": [1]}},
+                         "explicit graph 'edges' must be a list of lists of integers"),
+    "policy-theta-list": ("policy", {"graph": {"kind": "distance", "theta": [1]}},
+                          "distance graph 'theta' must be an integer"),
+    "ledger-epsilon-list": ("ledger", {"entries": [{"label": "a", "epsilon": [1]}]},
+                            "ledger entry 'epsilon' must be a number"),
+    "experiment-policies-int": ("experiment", {"experiment": "kmeans-ratio", "policies": [1]},
+                                "experiment 'policies' must be a list of objects"),
+    "experiment-data-int": ("experiment", {"experiment": "cdf-release", "data": 3},
+                            "experiment 'data' must be an object"),
+    "experiment-entries-int": ("experiment", {"experiment": "sensitivity-table", "domain": DOMAIN_SPEC, "entries": [1]},
+                               "experiment 'entries' must be a list of objects"),
+    "experiment-trials-zero": ("experiment", {"experiment": "cdf-release", "trials": 0},
+                               "experiment 'trials' must be at least 1"),
+    "experiment-trials-negative": ("experiment", {"experiment": "range-mse", "trials": -1},
+                                   "experiment 'trials' must be at least 1"),
+    "experiment-queries-zero": ("experiment", {"experiment": "range-mse", "queries": 0},
+                                "experiment 'queries' must be at least 1"),
+    "experiment-range-epsilons-int": ("experiment", {"experiment": "range-mse", "epsilons": 3},
+                                      "experiment 'epsilons' must be a list of numbers"),
+    "experiment-range-thetas-int": ("experiment", {"experiment": "range-mse", "thetas": 3},
+                                    "experiment 'thetas' must be a list of integers or \"full\""),
+    "experiment-cdf-epsilons-int": ("experiment", {"experiment": "cdf-release", "epsilons": 3},
+                                    "experiment 'epsilons' must be a list of numbers"),
+    "experiment-cdf-thetas-int": ("experiment", {"experiment": "cdf-release", "thetas": 3},
+                                  "experiment 'thetas' must be a list of integers"),
+    "experiment-epsilons-nested": ("experiment", {"experiment": "cdf-release", "epsilons": [[1]]},
+                                   "experiment 'epsilons' must be a list of numbers"),
+    "experiment-fanout-list": ("experiment", {"experiment": "range-mse", "fanout": [2]},
+                               "experiment 'fanout' must be an integer"),
+    "experiment-seed-list": ("experiment", {"experiment": "cdf-release", "seed": [1]},
+                             "experiment 'seed' must be an integer"),
+    "experiment-kmeans-theta-list": (
+        "experiment", {"experiment": "kmeans-ratio", "policies": [{"kind": "distance", "theta": [1]}]},
+        "kmeans-ratio policy 'theta' must be a number",
+    ),
+    "experiment-data-n-list": ("experiment", {"experiment": "cdf-release", "data": {"n": [1]}},
+                               "experiment 'data' field 'n' must be an integer"),
+    "experiment-domain-size-zero": ("experiment", {"experiment": "cdf-release", "domain_size": 0},
+                                    "experiment 'domain_size' must be at least 1"),
+    "experiment-domain-missing": ("experiment", {"experiment": "sensitivity-table", "entries": []},
+                                  "experiment 'domain' must be an object"),
     "experiment-entry-policy-missing": (
-        "experiment",
-        {"experiment": "sensitivity-table", "domain": DOMAIN_SPEC, "entries": [{"query": "histogram"}]},
+        "experiment", {"experiment": "sensitivity-table", "domain": DOMAIN_SPEC, "entries": [{"query": "histogram"}]},
+        "sensitivity-table entry 'policy' must be an object",
     ),
     "experiment-kmeans-theta-nan": (
-        "experiment", {"experiment": "kmeans-ratio", "policies": [{"kind": "distance", "theta": float("nan")}]}
+        "experiment", {"experiment": "kmeans-ratio", "policies": [{"kind": "distance", "theta": float("nan")}]},
+        "kmeans-ratio policy 'theta' must be finite",
     ),
-    "experiment-zipf-s-nan": ("experiment", {"experiment": "cdf-release", "data": {"zipf_s": float("nan")}}),
+    "experiment-zipf-s-nan": ("experiment", {"experiment": "cdf-release", "data": {"zipf_s": float("nan")}},
+                              "experiment 'data' field 'zipf_s' must be finite"),
     "experiment-entries-unknown-query": (
-        "experiment",
-        {"experiment": "sensitivity-table", "domain": DOMAIN_SPEC, "entries": [{"query": "nope", "policy": {}}]},
+        "experiment", {"experiment": "sensitivity-table", "domain": DOMAIN_SPEC, "entries": [{"query": "nope", "policy": {}}]},
+        "unknown sensitivity-table query 'nope'",
     ),
+    "domain-attributes-str": ("domain", {"attributes": "abc"}, "domain 'attributes' must be a list of objects"),
+    "domain-truncated": ("domain", '{"attributes": [', "malformed domain: "),
+    "policy-truncated": ("policy", '{"graph": ', "malformed policy: "),
+    "policy-graph-missing": ("policy", {}, "policy 'graph' must be an object"),
+    "ledger-truncated": ("ledger", '{"entries": [', "malformed ledger: "),
+    "ledger-nested-too-deep": ("ledger", "[" * 100_000, "malformed ledger: "),
+    "experiment-truncated": ("experiment", '{"experiment": ', "malformed experiment config: "),
+    "experiment-name-int": ("experiment", {"experiment": 3}, "experiment 'experiment' must be a string"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_FILES))
 def test_malformed_file_fails_cleanly(case, tmp_path, capsys):
-    kind, content = MALFORMED_FILES[case]
+    kind, content, fragment = MALFORMED_FILES[case]
     bad = tmp_path / "bad.json"
     bad.write_text(content if isinstance(content, str) else json.dumps(content))
     argv = {
@@ -732,7 +885,7 @@ def test_malformed_file_fails_cleanly(case, tmp_path, capsys):
     }[kind]
     assert cli_main(argv) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "Traceback" not in err
+    assert err.startswith("error:") and fragment in err and "Traceback" not in err
     assert not (tmp_path / "out.csv").exists()
 
 

@@ -185,7 +185,7 @@ def test_philox_kernel_rejects_bad_indices_and_seeds():
     for bad in (-1, 2**64):
         with pytest.raises(ValueError, match="stream indices"):
             stream_laplace(0, bad, [1.0])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
         stream_laplace(-1, 0, [1.0])
     assert stream_laplace(0, 0, []).size == 0
     assert stream_laplace(0, 0, np.zeros((0, 3))).shape == (0, 3)

@@ -28,11 +28,13 @@ from .kmeans import ClusteringPolicy, KmeansConfig, kmeans_private
 from .mechanisms import (
     BudgetLedger,
     PrivacyParams,
+    Table,
     build_oh_release,
     compose_budgets,
     laplace_mechanism,
     optimal_budget_split,
     ordered_mechanism,
+    plain,
 )
 from .policy import ConstraintKind, ConstraintSet, Policy, SecretGraph, load_policy
 from .sensitivity import (
@@ -126,13 +128,13 @@ def _release_histogram(args, policy: Policy, counts, res: SensitivityResult) -> 
         "seed": args.seed,
         "sensitivity": res.value,
         "exactness": res.exactness.value,
-        "values": [float(v) for v in values],
+        "values": values,
     }
 
 
 def _release_cdf(args, policy: Policy, counts, res: SensitivityResult) -> dict:
     released = ordered_mechanism(counts, max(args.theta, int(res.value)), PrivacyParams(args.epsilon, args.seed))
-    return {**released.to_dict(), "policy": policy.describe()}
+    return {**released.payload(), "policy": policy.describe()}
 
 
 def _release_range(args, policy: Policy, counts, res: SensitivityResult) -> dict:
@@ -140,7 +142,7 @@ def _release_range(args, policy: Policy, counts, res: SensitivityResult) -> dict
     theta = max(args.theta, int(res.value))
     split = optimal_budget_split(policy.domain.size, theta, args.fanout, pp.epsilon)
     tree = build_oh_release(counts, theta, args.fanout, split.eps_s, split.eps_h, pp.seed)
-    return {**tree.to_dict(), "epsilon": args.epsilon, "policy": policy.describe()}
+    return {**tree.payload(), "epsilon": args.epsilon, "policy": policy.describe()}
 
 
 def _write_release(args, body: dict) -> int:
@@ -199,65 +201,67 @@ def _cmd_budget_total(args) -> int:
     return 0
 
 
-def _columns(items: list, pad: str):
-    """``(template, columns)`` with ``items[i]`` encoded as ``template % row i``
-    of the columns, or None when the items are not one shape.
-
-    The items share one type: float, int, str, lists of one length or dicts
-    with the same str keys, whose fields become sub-columns.  ``pad`` is the
-    indentation of the line each item starts on.
-    """
-    kind = type(items[0])
-    if any(type(x) is not kind for x in items):
+def _column(col) -> list | None:
+    """Each entry of a str list or a 1-D int64 or float64 array as JSON text,
+    or None for a column that ``json.dumps`` must write: another dtype, or a
+    nan or an infinity.  A float is formatted once per distinct bit pattern,
+    which keeps -0.0 apart from 0.0."""
+    if type(col) is list:
+        return list(map(encode_basestring_ascii, col))
+    if col.dtype == np.int64:
+        return list(map(int.__repr__, col.tolist()))
+    if col.dtype != np.float64 or not np.isfinite(col).all():
         return None
-    if kind is float:
-        col = list(map(float.__repr__, items))
-        return None if "n" in "".join(col) else ("%s", [col])  # nan, inf
-    if kind is int:
-        return "%s", [list(map(int.__repr__, items))]
-    if kind is str:
-        return "%s", [list(map(encode_basestring_ascii, items))]
-    if kind is list:
-        width = len(items[0])
-        if any(len(x) != width for x in items):
+    bits, inverse = np.unique(np.ascontiguousarray(col).view(np.uint64), return_inverse=True)
+    text = list(map(float.__repr__, bits.view(np.float64).tolist()))
+    return list(map(text.__getitem__, inverse.tolist()))
+
+
+def _rows(value, pad: str):
+    """``(template, columns)`` with row i of ``value`` encoded as ``template %
+    row i`` of the columns, or None when it has no rows or a column that
+    ``_column`` refuses; ``pad`` indents the line a row starts on.
+
+    A 1-D array or a str list is one column, a 2-D array's rows are lists of
+    its columns, and a ``Table``'s rows are objects of its fields, keys sorted.
+    """
+    inner = pad + "  "
+    if isinstance(value, Table):
+        keys = sorted(value)
+        parts = [_rows(value[k], inner) for k in keys]
+        if not keys or None in parts:
             return None
-        fields, labels, brackets = range(width), [""] * width, "[]"
-    elif kind is dict:
-        keys = items[0].keys()
-        if any(type(k) is not str for k in keys) or any(x.keys() != keys for x in items):
-            return None
-        fields = sorted(keys)
-        labels = [encode_basestring_ascii(k).replace("%", "%%") + ": " for k in fields]
-        brackets = "{}"
+        labels = [encode_basestring_ascii(k).replace("%", "%%") + ": " for k in keys]
+        body = ",\n".join(inner + label + template for label, (template, _) in zip(labels, parts))
+        return f"{{\n{body}\n{pad}}}", [col for _, cols in parts for col in cols]
+    if isinstance(value, np.ndarray) and value.ndim == 2 and value.shape[1]:
+        cols = [_column(value[:, j]) for j in range(value.shape[1])]
+        template = "[\n" + ",\n".join([inner + "%s"] * len(cols)) + f"\n{pad}]"
+    elif type(value) is list or isinstance(value, np.ndarray) and value.ndim == 1:
+        template, cols = "%s", [_column(value)]
     else:
         return None
-    if not fields:
-        return None
-    inner = pad + "  "
-    parts = [_columns([x[f] for x in items], inner) for f in fields]
-    if any(part is None for part in parts):
-        return None
-    body = ",\n".join(inner + label + template for label, (template, _) in zip(labels, parts))
-    return f"{brackets[0]}\n{body}\n{pad}{brackets[1]}", [col for _, cols in parts for col in cols]
+    return None if None in cols or not cols[0] else (template, cols)
 
 
 def _to_json(value, pad: str = "") -> str:
-    """``json.dumps(value, indent=2, sort_keys=True)`` for a value that starts
-    on a line indented by ``pad``, encoding each column of a uniform list once."""
+    """``json.dumps(plain(value), indent=2, sort_keys=True)`` for a value that
+    starts on a line indented by ``pad``.  Arrays and ``Table``s are written a
+    column at a time; other lists, and columns holding nan or inf, go through
+    ``json.dumps``."""
     inner = pad + "  "
     if type(value) is dict and value and all(type(k) is str for k in value):
         items = [f"{inner}{encode_basestring_ascii(k)}: {_to_json(value[k], inner)}" for k in sorted(value)]
         return "{\n" + ",\n".join(items) + f"\n{pad}}}"
-    if type(value) is list and value:
-        shape = _columns(value, inner)
-        if shape is None:
-            rows = [_to_json(x, inner) for x in value]
-        else:
+    if isinstance(value, (np.ndarray, Table)):
+        shape = _rows(value, inner)
+        if shape is not None:
             template, cols = shape
             rows = cols[0] if template == "%s" else [template % row for row in zip(*cols)]
-        return f"[\n{inner}" + f",\n{inner}".join(rows) + f"\n{pad}]"
-    # scalars, empty containers and anything irregular; a JSON text holds no
-    # raw newline inside a string, so re-indenting its lines is exact
+            return f"[\n{inner}" + f",\n{inner}".join(rows) + f"\n{pad}]"
+        value = plain(value)
+    # scalars, lists, empty containers and non-finite columns; a JSON text
+    # holds no raw newline inside a string, so re-indenting its lines is exact
     return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + pad)
 
 
@@ -266,7 +270,7 @@ def _format_payload(payload: dict, fmt: str) -> str:
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["key", "value"])
-        for k, v in payload.items():
+        for k, v in plain(payload).items():
             writer.writerow([k, json.dumps(v) if isinstance(v, (list, dict)) else v])
         return out.getvalue()
     return _to_json(payload) + "\n"
@@ -354,6 +358,9 @@ def cli_main(argv=None) -> int:
         return args.func(args)
     except (ValueError, OverflowError, OSError, KeyError, BlowfishError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # numpy's allocation failures included
+        print(f"error: out of memory{': ' if str(exc) else ''}{exc}", file=sys.stderr)
         return 1
 
 

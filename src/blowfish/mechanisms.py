@@ -125,6 +125,25 @@ def laplace_mechanism(truth, sensitivity: float, pp: PrivacyParams) -> np.ndarra
     return values + stream_laplace(pp.seed, 0, np.full(values.shape, sensitivity / pp.epsilon))
 
 
+class Table(dict):
+    """Columns of one length under their field names, published as one JSON
+    object per row.  A column is a list of str or an int64 or float64 array;
+    a 2-D array gives each row a list of its row's entries."""
+
+
+def plain(value):
+    """A payload in plain Python, as ``json.dumps`` takes it: arrays become
+    lists and a ``Table`` a list of dicts, keys in column order."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, Table):
+        keys = list(value)
+        return [dict(zip(keys, row)) for row in zip(*(plain(value[k]) for k in keys))]
+    if isinstance(value, dict):
+        return {k: plain(v) for k, v in value.items()}
+    return value
+
+
 def isotonic_inference(noisy, lower_bound: float | None = None) -> np.ndarray:
     """L2-nearest non-decreasing vector (pool adjacent violators).
 
@@ -162,14 +181,18 @@ class ReleasedCumulative:
     epsilon: float
     seed: int
 
-    def to_dict(self) -> dict:
+    def payload(self) -> dict:
+        """The published fields in order, the values as an array."""
         return {
             "mechanism": "ordered",
             "theta": self.theta,
             "epsilon": self.epsilon,
             "seed": self.seed,
-            "values": [float(v) for v in self.inferred],
+            "values": self.inferred,
         }
+
+    def to_dict(self) -> dict:
+        return plain(self.payload())
 
 
 def ordered_mechanism(hist, theta: int, pp: PrivacyParams) -> ReleasedCumulative:
@@ -330,19 +353,15 @@ class OHTree:
             for lo, hi, v, s in zip(self.lo.tolist(), self.hi.tolist(), self.value.tolist(), self.scale.tolist())
         ]
 
-    def to_dict(self) -> dict:
-        k, theta = self.k, self.theta
-        items = [
-            {
-                "id": f"S{n + 1}" if n < k else f"H{(lo - 1) // theta + 1}:{lo}-{hi}",
-                "interval": [lo, hi],
-                "value": v,
-                "scale": s,
-            }
-            for n, (lo, hi, v, s) in enumerate(
-                zip(self.lo.tolist(), self.hi.tolist(), self.value.tolist(), self.scale.tolist())
-            )
-        ]
+    def payload(self) -> dict:
+        """The published fields in order; ``nodes`` is a ``Table`` of one row
+        per node in release order, with ids ``S<i>`` for s_i and
+        ``H<block>:<lo>-<hi>`` for interval nodes."""
+        k = self.k
+        blocks = (self.lo[k:] - 1) // self.theta + 1
+        ids = [f"S{i}" for i in range(1, k + 1)]
+        ids += map("H%d:%d-%d".__mod__, zip(blocks.tolist(), self.lo[k:].tolist(), self.hi[k:].tolist()))
+        nodes = Table(id=ids, interval=np.stack([self.lo, self.hi], axis=1), value=self.value, scale=self.scale)
         return {
             "mechanism": "ordered-hierarchical",
             "domain_size": self.domain_size,
@@ -351,8 +370,11 @@ class OHTree:
             "eps_s": self.eps_s,
             "eps_h": self.eps_h,
             "seed": self.seed,
-            "nodes": items,
+            "nodes": nodes,
         }
+
+    def to_dict(self) -> dict:
+        return plain(self.payload())
 
 
 def _subtree_height(theta: int, fanout: int) -> int:

@@ -12,7 +12,7 @@ import pytest
 from blowfish import cli, errors
 from blowfish.cli import _format_payload, cli_main
 from blowfish.domain import ingest_dataset, load_domain
-from blowfish.mechanisms import build_oh_release
+from blowfish.mechanisms import Table, build_oh_release, optimal_budget_split, plain
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -571,8 +571,8 @@ def test_seed_above_64_bits_releases(tmp_path):
 
 
 def _random_json(rng: random.Random, depth: int = 0):
-    """A payload-like value: uniform columns of every kind the JSON writer
-    encodes at once, and the irregular values it must hand to ``json.dumps``."""
+    """A plain payload-like value: lists of one kind, rows and records,
+    sometimes irregular, which the JSON writer hands to ``json.dumps``."""
     scalars = [
         lambda: rng.random() * 10 ** rng.randint(-8, 8),
         lambda: rng.choice([float("nan"), float("inf"), -float("inf"), -0.0, 1e300, 5e-324]),
@@ -673,17 +673,80 @@ def test_integers_past_int64_fail_cleanly(argv, config, name, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("message", ["", "Unable to allocate 64.0 EiB for an array"])
+def test_out_of_memory_fails_cleanly(message, tmp_path, capsys, monkeypatch):
+    # an experiment size inside int64 but past memory; numpy's allocation
+    # error subclasses MemoryError, whose message may be empty
+    def run_experiment(text):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "run_experiment", run_experiment)
+    config, out = tmp_path / "cfg.json", tmp_path / "out.csv"
+    config.write_text(json.dumps({"experiment": "range-mse", "domain_size": 20}))
+    assert cli_main(["experiment", "run", "--config", str(config), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: out of memory{': ' if message else ''}{message}\n" and captured.out == ""
+    assert not out.exists()
+
+
+I64 = np.iinfo(np.int64)
+
+# columns the writer encodes from arrays, and the ones it hands to json.dumps
+COLUMNS = {
+    "signed-zeros": np.array([-0.0, 0.0, 1.5, -0.0, 1.5, 0.0, -0.0]),
+    "subnormal": np.array([5e-324, -5e-324, 1.0, 5e-324]),
+    "nan": np.array([1.0, float("nan"), 1.0]),
+    "infinities": np.array([float("inf"), -0.0, -float("inf"), 2.0]),
+    "int64-bounds": np.array([I64.min, I64.max, 0, -1, I64.min]),
+    "one-float": np.array([2.5]),
+    "one-int": np.array([7]),
+    "no-floats": np.array([]),
+    "no-ints": np.array([], dtype=np.int64),
+    "pairs": np.array([[I64.min, 3], [-0, I64.max]]),
+    "float-rows": np.array([[0.0, -0.0, 1e300], [5e-324, 0.0, -2.5]]),
+    "no-rows": np.zeros((0, 2), dtype=np.int64),
+    "no-width": np.zeros((3, 0)),
+    "bools": np.array([True, False]),
+    "table": Table(
+        id=["a", "%s", "caf\u00e9", 'tab\tquote"'],
+        interval=np.array([[1, 2], [3, 4], [5, 6], [I64.min, I64.max]]),
+        value=np.array([-0.0, 0.0, 0.0, 5e-324]),
+    ),
+    "table-one-row": Table(**{"100%": np.array([1]), "\u2603": ["x"], "b": np.array([[0.5, -0.0]])}),
+    "table-no-rows": Table(id=[], value=np.array([])),
+    "table-inf": Table(id=["x", "y"], scale=np.array([1.0, float("inf")])),
+}
+
+
 def test_json_writer_matches_json_dumps(tmp_path):
     rng = random.Random(20131105)
     payloads = [{k: _random_json(rng) for k in rng.sample(["flags", "nodes", "%x", "\u00e9", "v"], 3)}
                 for _ in range(2000)]
+    payloads += [{"v": column, "flags": {"x": [1, 2]}} for column in COLUMNS.values()]
+    payloads.append({"%x": dict(COLUMNS), "nodes": COLUMNS["table"]})
     counts = np.random.default_rng(0).integers(0, 50, size=300)
     payloads.append(build_oh_release(counts, 16, 4, 0.5, 0.5, 7).to_dict())
     out = tmp_path / "tree.json"
     assert cli_main(SEEDED_RELEASES["range"] + ["--seed", "3", "--out", str(out)]) == 0
     payloads.append(json.loads(out.read_text()))
     for payload in payloads:
-        assert _format_payload(payload, "json") == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        expected = json.dumps(plain(payload), indent=2, sort_keys=True) + "\n"
+        assert _format_payload(payload, "json") == expected
+
+
+def test_json_writer_tree_payloads():
+    rng = np.random.default_rng(20131105)
+    for _ in range(30):
+        size = int(rng.integers(1, 400))
+        counts = rng.integers(0, 30, size=size)
+        fanout = int(rng.integers(2, 17))
+        for theta in sorted({1, max(1, size // 2), size}):
+            split = optimal_budget_split(size, theta, fanout, 1.0)
+            tree = build_oh_release(counts, theta, fanout, split.eps_s, split.eps_h, int(rng.integers(2**31)))
+            payload = {**tree.payload(), "epsilon": 1.0}
+            written = _format_payload(payload, "json")
+            assert written == json.dumps(plain(payload), indent=2, sort_keys=True) + "\n"
+            assert json.loads(written)["nodes"] == tree.to_dict()["nodes"]
 
 
 @pytest.mark.parametrize("command", ["histogram", "cdf", "range"])

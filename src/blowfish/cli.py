@@ -145,8 +145,23 @@ def _release_range(args, policy: Policy, counts, res: SensitivityResult) -> dict
     return {**tree.payload(), "epsilon": args.epsilon, "policy": policy.describe()}
 
 
+def _finite(value) -> bool:
+    """Whether no float in a payload value, its arrays, ``Table`` columns and
+    nested lists included, is nan or infinite."""
+    if isinstance(value, dict):
+        return all(map(_finite, value.values()))
+    if isinstance(value, list):
+        # a column of labels, such as a tree's node ids, holds no number
+        return {str}.issuperset(map(type, value)) or all(map(_finite, value))
+    return not isinstance(value, (float, np.ndarray)) or bool(np.isfinite(value).all())
+
+
 def _write_release(args, body: dict) -> int:
-    """Write the tool version, the flags and then ``body`` to ``--out``."""
+    """Write the tool version, the flags and then ``body`` to ``--out``;
+    JSON has no nan or infinity, so a body holding one writes nothing."""
+    for key, value in body.items():
+        if not _finite(value):
+            raise ValueError(f"release field {key!r} holds nan or an infinity; nothing written")
     flags = {k: v for k, v in sorted(vars(args).items()) if k not in ("func", "release") and v is not None}
     payload = {"tool": f"blowfish {__version__}", "flags": flags, **body}
     _write_atomic(args.out, _format_payload(payload, args.format))

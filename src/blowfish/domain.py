@@ -89,6 +89,14 @@ class DomainSpec:
         return sum(a.size - 1 for a in self.attributes)
 
 
+def runs(starts, lengths: np.ndarray) -> np.ndarray:
+    """starts[i], starts[i] + 1, .., starts[i] + lengths[i] - 1 for each i,
+    concatenated; ``starts`` may be one number for every run."""
+    out = np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
+    out += np.arange(len(out))
+    return out
+
+
 def _int64_column(name: str, values) -> np.ndarray:
     """A read-only int64 copy of a 1-D integer sequence."""
     arr = np.asarray(values)

@@ -41,6 +41,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .domain import runs
 from .errors import InfiniteSensitivityError, read_field
 
 
@@ -331,7 +332,7 @@ class OHTree:
         order = np.argsort(-key, kind="stable")
         key, start = key[order], self.hi[h][order]
         length = self.parent_hi[h][order] - start
-        position = np.repeat(start, length) + _within(length)
+        position = runs(start, length)
         contribution = np.repeat(self.value[h][order], length)
         # one fancy-indexed add per (depth, slot) group: the group's nodes have
         # disjoint parents, so no position repeats within it
@@ -383,12 +384,6 @@ def _subtree_height(theta: int, fanout: int) -> int:
     return math.ceil(math.log(theta, fanout) - 1e-12)
 
 
-def _within(counts: np.ndarray) -> np.ndarray:
-    """0, 1, .., c-1 for each c in ``counts``, concatenated."""
-    total = int(counts.sum())
-    return np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
-
-
 def _h_layout(size: int, theta: int, fanout: int) -> np.ndarray:
     """Rows lo, hi, depth, slot, parent_hi of every H node but the block
     roots, one column per node, sorted by (lo, hi).
@@ -406,7 +401,7 @@ def _h_layout(size: int, theta: int, fanout: int) -> np.ndarray:
         width = hi - lo + 1
         delta = -(-width // fanout)
         count = -(-width // delta)
-        slot = _within(count)
+        slot = runs(0, count)
         parent_hi = np.repeat(hi, count)
         delta = np.repeat(delta, count)
         lo = np.repeat(lo, count) + slot * delta

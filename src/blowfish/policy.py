@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .domain import DomainSpec, _int64_column
+from .domain import DomainSpec, _int64_column, runs
 from .errors import BudgetExceededError, InfeasibleConstraintsError, read_field, read_json
 
 DEFAULT_ENUM_BUDGET = 100_000
@@ -129,9 +129,7 @@ class SecretGraph:
 
     @cached_property
     def _coords(self) -> np.ndarray:
-        # L1 distances never exceed the diameter, so the narrowest signed
-        # type holding +diameter keeps adjacent's (x, y) arrays small
-        return self.domain.coords().astype(np.min_scalar_type(-self.domain.diameter() - 1))
+        return self.domain.coords()
 
     def has_any_edge(self) -> bool:
         return self.max_rank_gap() > 0
@@ -178,10 +176,7 @@ def _longest_edge_l1(g: SecretGraph) -> int:
         varying = [i for i, a in enumerate(domain.attributes) if a.size > 1]
         spread_cost = 2 ** max(len(varying) - 1, 0) * domain.size
         if spread_cost < int((np.unique(g.cells, return_counts=True)[1] ** 2).sum()):
-            if spread_cost > DEFAULT_EDGE_BUDGET:
-                raise BudgetExceededError(
-                    f"cell spreads would visit ~{spread_cost} values, budget is {DEFAULT_EDGE_BUDGET}"
-                )
+            _check_edge_budget(spread_cost, "cell spreads", "values")
             signs = np.array(list(itertools.product((1,), *[(1, -1)] * (len(varying) - 1))))
             return _cell_spread(g.cells, domain.coords()[:, varying] @ signs.T)
         pairs = iter_graph_edges(g)
@@ -189,36 +184,27 @@ def _longest_edge_l1(g: SecretGraph) -> int:
     return int(sum(np.abs(c[:, 0] - c[:, 1]) for c in ends).max(initial=0))
 
 
+def _check_edge_budget(count: int, what: str = "edge iteration", unit: str = "pairs") -> None:
+    if count > DEFAULT_EDGE_BUDGET:
+        raise BudgetExceededError(f"{what} would visit ~{count} {unit}, budget is {DEFAULT_EDGE_BUDGET}")
+
+
 def iter_graph_edges(g: SecretGraph) -> np.ndarray:
     """Ordered rank pairs (x, y), x != y, that are edges of g.
 
     One (m, 2) int64 array holding both directions of every edge, its rows
     sorted by (x, y); it costs 16 bytes per pair.  Raises
-    BudgetExceededError if the enumeration would visit more than
-    ``DEFAULT_EDGE_BUDGET`` candidate pairs.
+    BudgetExceededError, before building any pair, if the enumeration would
+    visit more than ``DEFAULT_EDGE_BUDGET`` candidate pairs.
     """
     domain = g.domain
-    size = domain.size
-    dense = g.kind is GraphKind.FULL or (g.kind is GraphKind.DISTANCE and domain.n_attributes > 1)
-    if dense:
-        candidates = size * size
-    elif g.kind is GraphKind.ATTRIBUTE:
-        candidates = size * sum(a.size for a in domain.attributes)
-    elif g.kind is GraphKind.PARTITION:
-        candidates = int((np.unique(g.cells, return_counts=True)[1] ** 2).sum())
-    elif g.kind is GraphKind.DISTANCE:
-        candidates = size * min(size, 2 * g.theta + 1)
-    else:
-        candidates = 2 * len(g.edges)
-    if candidates > DEFAULT_EDGE_BUDGET:
-        raise BudgetExceededError(
-            f"edge iteration would visit ~{candidates} pairs, budget is {DEFAULT_EDGE_BUDGET}"
-        )
-
-    ranks = np.arange(size, dtype=np.int64)
-    if dense:
-        return np.argwhere(g.adjacent(ranks[:, None], ranks))
+    if g.kind is GraphKind.FULL:
+        # a full graph is the distance graph at the diameter
+        return _ball_edges(domain, domain.diameter())
+    if g.kind is GraphKind.DISTANCE:
+        return _ball_edges(domain, min(g.theta, domain.diameter()))
     if g.kind is GraphKind.ATTRIBUTE:
+        _check_edge_budget(domain.size * sum(domain.sizes))
         # rank offsets to every value of every attribute, sorted per rank;
         # the zero offsets (a rank to itself) are dropped
         attrs = zip(domain.coords().T, domain.attributes, domain._weights)
@@ -233,17 +219,56 @@ def iter_graph_edges(g: SecretGraph) -> np.ndarray:
         # a stable sort lists every cell's ranks in ascending order
         start = np.searchsorted(ordered, g.cells)
         k = np.searchsorted(ordered, g.cells, side="right") - start
-        x = np.repeat(ranks, k)
-        y = order[np.arange(k.sum()) + np.repeat(start - np.cumsum(k) + k, k)]
+        _check_edge_budget(int(k.sum()))
+        x = np.repeat(np.arange(domain.size, dtype=np.int64), k)
+        y = order[runs(start, k)]
         return np.stack([x[x != y], y[x != y]], axis=1)
-    if g.kind is GraphKind.DISTANCE:
-        reach = min(g.theta, size - 1)
-        offsets = np.concatenate([np.arange(-reach, 0), np.arange(1, reach + 1)])
-        y = ranks[:, None] + offsets
-        x, j = np.nonzero((y >= 0) & (y < size))
-        return np.stack([x, y[x, j]], axis=1)
+    _check_edge_budget(2 * len(g.edges))
     both = np.concatenate([g.edges, g.edges[:, ::-1]])
     return both[np.lexsort((both[:, 1], both[:, 0]))]
+
+
+def _ball_size(domain: DomainSpec, radius: int) -> int:
+    """Ordered pairs (x, y), x = y included, at L1 distance at most radius:
+    the sum up to radius of the convolution over attributes of their pair
+    counts by distance, (s, 2(s - 1), 2(s - 2), ..) for s values.  float64
+    is exact below 2**53, far past the budget."""
+    ball = np.ones(1)
+    for s in domain.sizes:
+        pairs = 2.0 * (s - np.arange(min(s, radius + 1)))
+        pairs[0] = s
+        ball = np.convolve(ball, pairs)[: radius + 1]
+    # a sum past the float range is inf; no ball holds more than size**2 pairs
+    return int(min(float(ball.sum()), domain.size**2))
+
+
+def _ball_edges(domain: DomainSpec, radius: int) -> np.ndarray:
+    """``iter_graph_edges`` of the pairs at L1 distance 1 to ``radius``.
+
+    Rows (x, y so far, distance left) grow one attribute at a time, the most
+    significant first, each into the one interval of values its distance
+    left reaches: the rows stay in (x, y) order and no pair outside the ball
+    is built.  At the first attribute of place value 1 a row is one run."""
+    _check_edge_budget(_ball_size(domain, radius))
+    x = y = np.arange(domain.size, dtype=np.int64)
+    left = np.full_like(x, radius)
+    for s, w in zip(domain.sizes, domain._weights):
+        c = x // w % s
+        lo = -np.minimum(c, left)
+        n = np.minimum(s - 1 - c, left) - lo + 1
+        if w == 1:
+            break
+        offset = runs(lo, n)
+        x, y, left = np.repeat(x, n), np.repeat(y, n) + offset * w, np.repeat(left, n) - np.abs(offset)
+    # the run [start, stop) holding x becomes [start, x) and (x, stop); any
+    # other run lies wholly on one side of x
+    start, stop = y + lo, y + lo + n
+    cut, resume = np.clip(x, start, stop), np.clip(x + 1, start, stop)
+    lengths = np.stack([cut - start, stop - resume], axis=1)
+    out = np.empty((int(lengths.sum()), 2), dtype=np.int64)
+    out[:, 0] = np.repeat(x, lengths.sum(axis=1))
+    out[:, 1] = runs(np.stack([start, resume], axis=1).ravel(), lengths.ravel())
+    return out
 
 
 def signature_edges(g: SecretGraph, match: np.ndarray) -> np.ndarray:
@@ -260,10 +285,7 @@ def signature_edges(g: SecretGraph, match: np.ndarray) -> np.ndarray:
     if g.kind is GraphKind.FULL:
         # every pair of distinct ranks is an edge, so the first edge joining
         # two signatures joins their first ranks
-        if n_sig * n_sig > DEFAULT_EDGE_BUDGET:
-            raise BudgetExceededError(
-                f"{n_sig} signatures would visit ~{n_sig * n_sig} pairs, budget is {DEFAULT_EDGE_BUDGET}"
-            )
+        _check_edge_budget(n_sig * n_sig, f"{n_sig} signatures")
         first = np.sort(first)
         return first[np.argwhere(g.adjacent(first[:, None], first))]
     pairs = iter_graph_edges(g)

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from blowfish import cli, errors
+from blowfish import cli, errors, kmeans
 from blowfish.cli import _format_payload, cli_main
 from blowfish.domain import ingest_dataset, load_domain
 from blowfish.mechanisms import Table, build_oh_release, optimal_budget_split, plain
@@ -531,6 +531,25 @@ def test_validate_wide_full_graph_answers(tmp_path, capsys):
     assert capsys.readouterr().out.strip().endswith(", sparse")
 
 
+def test_distance_graph_on_a_grid_answers(tmp_path, capsys):
+    # 100 x 100 points at theta = 2: 118,004 edges, where all 1e8 rank pairs
+    # would be over the edge budget
+    domain, policy = tmp_path / "grid.json", tmp_path / "distance.json"
+    domain.write_text(json.dumps({"attributes": [{"name": n, "values": [str(i) for i in range(100)]} for n in "xy"]}))
+    rects = [
+        {"where": {"x": {"range": [0, 9]}, "y": {"range": [0, 9]}}, "answer": 5},
+        {"where": {"x": {"range": [50, 59]}, "y": {"range": [20, 39]}}, "answer": 3},
+    ]
+    policy.write_text(json.dumps({"graph": {"kind": "distance", "theta": 2}, "constraints": rects}))
+    files = ["--domain", str(domain), "--policy", str(policy)]
+    assert cli_main(["policy", "validate", *files]) == 0
+    assert capsys.readouterr().out == "ok: domain size 10000, distance(theta=2)|general(q=2), 2 queries, sparse\n"
+    assert cli_main(["sensitivity", *files, "--method", "sparse"]) == 0
+    assert capsys.readouterr().out == "4 UpperBound SparseEngine\n"
+    assert cli_main(["sensitivity", *files, "--method", "specialized"]) == 0
+    assert capsys.readouterr().out == "4 Exact Specialized\n"
+
+
 SEEDED_RELEASES = {
     "histogram": ["release", "histogram", "--domain", DOMAIN, "--policy", POLICY_MARGINAL,
                   "--data", ROWS, "--epsilon", "1.0"],
@@ -627,6 +646,37 @@ def test_range_epsilon_near_float_max_releases(tmp_path):
     out = tmp_path / "range.json"
     assert cli_main(SEEDED_RELEASES["range"] + ["--epsilon", "1e308", "--seed", "1", "--out", str(out)]) == 0
     assert all(0 < node["scale"] < 1e-300 for node in json.loads(out.read_text())["nodes"])
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("command", ["histogram", "cdf"])
+def test_release_with_nonfinite_values_refused(command, fmt, tmp_path, capsys):
+    # at this budget the noise overflows: -inf in 4 of the 12 histogram
+    # values, and isotonic inference pools infinities into nan in the cdf;
+    # JSON has no number for either, so nothing is written
+    out = tmp_path / f"out.{fmt}"
+    argv = {
+        "histogram": ["release", "histogram", "--domain", DOMAIN, "--policy", POLICY_MARGINAL],
+        "cdf": ["release", "cdf", "--domain", DOMAIN, "--theta", "1"],
+    }[command]
+    argv += ["--data", ROWS, "--epsilon", "5e-308", "--seed", "1", "--format", fmt, "--out", str(out)]
+    assert cli_main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: release field 'values' holds nan or an infinity; nothing written\n"
+    assert captured.out == "" and not out.exists()
+
+
+def test_kmeans_release_with_nonfinite_centroid_refused(tmp_path, capsys, monkeypatch):
+    # k-means clips its centroids to the bounds, so the nan is put in by hand:
+    # a plain nested list is checked like an array
+    result = kmeans.ClusteringResult(centroids=np.array([[0.5, 0.5], [0.5, np.nan]]), objective=1.0, trace=(1.0,))
+    monkeypatch.setattr(cli, "kmeans_private", lambda *args: result)
+    data, out = tmp_path / "pts.csv", tmp_path / "out.json"
+    data.write_text("0.1,0.2\n0.8,0.9\n")
+    argv = list(SEEDED_RELEASES["kmeans"]) + ["--seed", "1", "--data", str(data), "--out", str(out)]
+    assert cli_main(argv) == 1
+    assert capsys.readouterr().err == "error: release field 'centroids' holds nan or an infinity; nothing written\n"
+    assert not out.exists()
 
 
 def test_range_experiment_at_extreme_epsilon(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from blowfish import (
     load_policy,
 )
 
-from blowfish.policy import iter_graph_edges, match_matrix, neighbor_databases
+from blowfish.policy import _ball_size, iter_graph_edges, match_matrix, neighbor_databases
 from oracles import (
     critical_pairs_by_loop,
     is_edge,
@@ -165,8 +166,44 @@ def test_max_rank_gap_matches_edges():
     assert len(kinds) == 2 * len(GRAPH_KINDS)
 
 
+def test_ball_edges_match_adjacent_and_count():
+    # full and distance graphs are one walk over the L1 ball; its budget
+    # count holds the pairs x = y too, and is never more than the |T|**2 or
+    # size * min(size, 2 theta + 1) counted before the walk
+    rng = np.random.default_rng(31)
+    domains = [grid_domain(1), grid_domain(5, 1), grid_domain(1, 3, 1, 4)]
+    while len(domains) < 30:
+        dom = grid_domain(*[int(rng.integers(1, 9)) for _ in range(int(rng.integers(1, 5)))])
+        if dom.size <= 400:
+            domains.append(dom)
+    for dom in domains:
+        ranks = np.arange(dom.size)
+        for theta in [*range(dom.diameter() + 2), 10**30, None]:
+            g = SecretGraph.full(dom) if theta is None else SecretGraph.distance(dom, theta)
+            got = iter_graph_edges(g)
+            assert got.dtype == np.int64 and np.array_equal(got, np.argwhere(g.adjacent(ranks[:, None], ranks)))
+            count = _ball_size(dom, dom.diameter() if theta is None else min(theta, dom.diameter()))
+            assert count == len(got) + dom.size, (dom.sizes, theta)
+            one_band = theta is not None and dom.n_attributes == 1
+            assert count <= (dom.size * min(dom.size, 2 * theta + 1) if one_band else dom.size**2)
+
+
+def test_ball_edges_refused_before_allocating():
+    # 4,473**2 pairs are just over the budget; the count comes from the
+    # attribute sizes, so the refusal builds nothing near the ball's 320 MB
+    g = SecretGraph.full(line_domain(4473))
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError, match=r"^edge iteration would visit ~20007729 pairs, budget is 20000000$"):
+            iter_graph_edges(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_iter_graph_edges_distance_at_diameter_128():
-    # a diameter of 128 overflows int8, while 127 still fits it
+    # theta at the diameter and one below it, for diameters 128 and 127
     for sizes in ((128, 2), (127, 2)):
         dom = grid_domain(*sizes)
         points = [unrank(dom, r) for r in range(dom.size)]

@@ -168,14 +168,43 @@ def _write_release(args, body: dict) -> int:
     return 0
 
 
-def _read_points(path: str) -> np.ndarray:
-    """(n, d) floats of a headerless numeric CSV, parsed in one numpy pass.
+# ASCII spaces numpy's reader strips around a cell where str.splitlines
+# breaks the line (\v, \f, \x1c-\x1e) or float() refuses the cell (\x1f);
+# non-ASCII text is kept from the reader for the same reason (\x85, \u2028)
+_SPACES_ONLY_NUMPY_STRIPS = "\x0b\x0c\x1c\x1d\x1e\x1f"
 
-    Blank lines are skipped and cells may carry spaces; a ragged row or a
-    non-numeric cell is an error naming its 1-based row (blank lines not
-    counted, as in ``kmeans_private``'s bounds check).
+
+def _read_points(path: str) -> np.ndarray:
+    """(n, d) floats of a headerless numeric CSV.
+
+    Each cell is read as ``float()`` reads it, lines are split as
+    ``str.splitlines`` splits them, and blank or whitespace-only lines are
+    skipped.  Plain ASCII text goes through numpy's C reader in one pass,
+    which gives the same floats; text it refuses goes to ``_parse_cells``,
+    which alone words every error.
     """
-    lines = [line for line in _read(path).splitlines() if line.strip()]
+    text = _read(path)
+    if (
+        text.isascii()
+        and text
+        and not text.isspace()  # numpy warns on text that holds no data
+        and not any(c in text for c in _SPACES_ONLY_NUMPY_STRIPS)
+    ):
+        try:
+            # no comment character: a '#' row is an error, not skipped
+            return np.loadtxt(io.StringIO(text), delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            pass
+    return _parse_cells(path, text)
+
+
+def _parse_cells(path: str, text: str) -> np.ndarray:
+    """``_read_points``' parse of ``text`` line by line and cell by cell.
+
+    A ragged row or a non-numeric cell is an error naming its 1-based row
+    (blank lines not counted, as in ``kmeans_private``'s bounds check).
+    """
+    lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         raise ValueError(f"{path}: no data points")
     widths = [line.count(",") + 1 for line in lines]

@@ -105,6 +105,10 @@ def read_field(source: dict, key: str, default, kind, least=None, where: str = "
     many = isinstance(kind, list)
     if many and not isinstance(value, list):
         raise ValueError(f"{where} {key!r} must be {_shape(kind)}, got {value!r}")
+    # read() returns an entry of exactly these kinds as it is: a list of them
+    # passes in one check, and any other list is read entry by entry
+    if many and least is None and kind[0] in (str, dict, bool, int) and {kind[0]}.issuperset(map(type, value)):
+        return list(value)
     out = []
     for i, v in enumerate(value if many else [value]):
         try:

@@ -3,6 +3,7 @@ import inspect
 import json
 import math
 import random
+import re
 from collections import OrderedDict
 from pathlib import Path
 
@@ -289,12 +290,21 @@ def test_kmeans_cli_point_outside_bounds_fails_cleanly(tmp_path, capsys):
         ("0.1,0.2\n\n0.3,0.4\n0.5,0.5,0.5\n", "row 3 has 3 cells, expected 2"),
         ("0.1,0.2\n0.3,0.4\n0.5, abc\n", "row 3: 'abc' is not a number"),
         ("0.1,0.2\n0.3,\n", "row 2: '' is not a number"),
+        # numpy's reader refuses these too, in its own words, or would skip
+        # the '#' row as a comment
+        ("0.1,0.2,\n0.3,0.4,\n", "row 1: '' is not a number"),
+        ("0.1,0.2\n#0.1,0.2\n", "row 2: '#0.1' is not a number"),
+        ('0.1,0.2\n0.3,"0.4"\n', "row 2: '\"0.4\"' is not a number"),
+        ("0.1,0.2\n0x1p-3,0.4\n", "row 2: '0x1p-3' is not a number"),
+        ("\ufeff0.1,0.2\n0.3,0.4\n", "row 1: '\\ufeff0.1' is not a number"),
+        ("0.1,0.2\n0.3,0.4\x00\n", "row 2: '0.4\\x00' is not a number"),
     ],
-    ids=["empty", "blank-lines", "short-row", "long-row", "word", "empty-cell"],
+    ids=["empty", "blank-lines", "short-row", "long-row", "word", "empty-cell", "trailing-comma", "comment",
+         "quoted", "hex", "bom", "nul"],
 )
 def test_kmeans_cli_bad_points_file_fails_cleanly(tmp_path, capsys, text, message):
     data = tmp_path / "pts.csv"
-    data.write_text(text)
+    data.write_bytes(text.encode())
     out = tmp_path / "clusters.json"
     argv = ["kmeans", "--data", str(data), "--k", "2", "--epsilon", "1.0", "--seed", "5", "--out", str(out)]
     assert cli_main(argv) == 1
@@ -304,23 +314,124 @@ def test_kmeans_cli_bad_points_file_fails_cleanly(tmp_path, capsys, text, messag
 
 
 def test_kmeans_cli_points_parse_like_float(tmp_path):
-    # blank and whitespace-only lines are skipped and cells may carry spaces;
-    # every value is the float that float() gives for its cell
-    cells = [["0.1", " 0.2 "], ["\t1e-1", "0.30000000000000004"], ["1", "0"], ["0.5", "4.9406564584124654e-324"]]
-    padded = tmp_path / "padded.csv"
+    # blank and whitespace-only lines are skipped, cells may carry spaces, and
+    # every value is the float that float() gives for its cell, in syntax
+    # only the per-cell parse accepts too: underscores, non-ASCII digits and
+    # lines ended by a bare CR
+    cells = [["0.1", " 0.2 "], ["\t1e-1", "0.30000000000000004"], ["1", "0"], ["0.5", "4.9406564584124654e-324"],
+             ["0.15", "1"]]
     lines = [",".join(row) for row in cells]
-    padded.write_text("\n".join(lines[:2]) + "\n   \n\n" + "\n".join(lines[2:]))
-    plain = tmp_path / "plain.csv"
-    plain.write_text("".join(",".join(repr(float(v)) for v in row) + "\n" for row in cells))
-    outs = []
-    for data in (padded, plain):
-        out = tmp_path / f"{data.stem}.json"
+    variants = {
+        "plain": "".join(",".join(repr(float(v)) for v in row) + "\n" for row in cells),
+        "padded": "\n".join(lines[:2]) + "\n   \n\n" + "\n".join(lines[2:]),
+        "underscore": "\n".join(lines).replace("0.15", "0.1_5"),
+        "digits": "\n".join(lines).replace("1,0\n", "\u0661,\u0660\n"),
+        "cr": "\r".join(lines) + "\r",
+    }
+    outs = {}
+    for name, text in variants.items():
+        data, out = tmp_path / f"{name}.csv", tmp_path / f"{name}.json"
+        data.write_bytes(text.encode())
         argv = ["kmeans", "--data", str(data), "--k", "2", "--epsilon", "1.0", "--seed", "5", "--out", str(out)]
         assert cli_main(argv) == 0
         payload = json.loads(out.read_text())
         del payload["flags"]["data"], payload["flags"]["out"]
-        outs.append(payload)
-    assert outs[0] == outs[1]
+        outs[name] = payload
+    assert all(payload == outs["plain"] for payload in outs.values())
+
+
+# texts on which numpy's reader and the per-cell parse could part: odd
+# syntax, line breaks str.splitlines knows and spaces numpy strips
+POINT_TEXTS = [
+    "0.1,0.2\n0.3,0.4\n", "0.1,0.2\r\n0.3,0.4\r\n", "0.1,0.2\r0.3,0.4\r", "0.1,0.2\n\n0.3,0.4", "0.1,0.2\n \n0.3,0.4",
+    "\t\n0.1,0.2\n", "0.1,0.2\r\n \r\n0.3,0.4\r\n", " 1 , 2 \n\t3,4\t\n", "nan,inf\n-nan,-inf\n",
+    "Infinity,-infinity\nNAN,+INF\n", "1e400,-1e400\n1e-400,-0\n", "1" * 400 + ",1\n", "1_000,2\n", "\u0661,2\n",
+    "\uff11,2\n", "0x1p-3,1\n", "#0.1,0.2\n", "'1',2\n", '"1",2\n', "\ufeff1,2\n", "1,2\x00\n", "1,\n", "1,2,\n",
+    "1\n2\n", "5", "  1\n", "\n\n1,2", "1,2\n3\n", "1 2,3\n", "1;2\n", "1.0d0,2\n", "nan(1),1\n", ".5,5.\n",
+    "+1,-0\n", "1e5,1E-5\n", "", " \n\t\n", "\r\n", ",\n", "1,2\n3,4\n  ",
+] + [
+    template.format(c=c)
+    for c in "\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u2000\u2028\u2029\u3000\r\x00"
+    for template in ("1,{c}2\n3,4\n", "1,2{c}\n3,4\n", "{c}1,2\n3,4\n", "1,2\n{c}\n3,4\n", "1,2{c}3,4\n", "1{c},2\n3,4")
+]
+
+
+def _float_per_cell(text: str) -> np.ndarray:
+    rows = [[float(c) for c in line.split(",")] for line in text.splitlines() if line.strip()]
+    if not rows:
+        raise ValueError("no rows")
+    return np.array(rows, dtype=float)  # a ragged list is a ValueError
+
+
+def _fuzzed_points(seed: int, rows: int) -> str:
+    """``rows`` lines of 4 cells: mantissas of 1 to 40 digits with a point or
+    none, exponents from -330 to 310 or none, signs and space padding."""
+    rng = np.random.default_rng(seed)
+    n = rows * 4
+    digits = (rng.integers(0, 10, (n, 40), dtype=np.uint8) + ord("0")).tobytes().decode()
+    draws = [rng.integers(1, 41, n), rng.integers(0, 41, n), rng.integers(-330, 311, n), rng.integers(0, 2, n),
+             rng.integers(0, 3, n), rng.integers(0, 6, n), rng.integers(0, 6, n)]
+    pads, signs, cells = ["", "", "", " ", "\t", "  "], ["", "-", "+"], []
+    for i, (width, point, exponent, scaled, sign, left, right) in enumerate(zip(*(d.tolist() for d in draws))):
+        mantissa = digits[40 * i : 40 * i + width]
+        if point < width:
+            mantissa = f"{mantissa[:point]}.{mantissa[point:]}"
+        cells.append(pads[left] + signs[sign] + mantissa + (f"e{exponent}" if scaled else "") + pads[right])
+    return "".join(",".join(cells[i : i + 4]) + "\n" for i in range(0, n, 4))
+
+
+def _assert_reads_like_float(path: Path, text: str):
+    path.write_bytes(text.encode())
+    try:
+        want = _float_per_cell(text)
+    except ValueError:
+        # refused: the error is the per-cell parse's, in its words
+        with pytest.raises(ValueError) as got:
+            cli._read_points(str(path))
+        with pytest.raises(ValueError) as words:
+            cli._parse_cells(str(path), text)
+        assert str(got.value) == str(words.value), repr(text)
+        assert re.fullmatch(r".*: (no data points|row \d+ has \d+ cells, expected \d+|row \d+: .* is not a number)",
+                            str(got.value), re.S), repr(text)
+        return
+    got = cli._read_points(str(path))
+    assert got.dtype == np.float64 and got.shape == want.shape, repr(text)
+    assert (got.view(np.uint64) == want.view(np.uint64)).all(), repr(text)
+
+
+@pytest.mark.filterwarnings("error")
+def test_read_points_gives_float_per_cell(tmp_path):
+    path = tmp_path / "pts.csv"
+    for text in POINT_TEXTS:
+        _assert_reads_like_float(path, text)
+    # small files from odd pieces, then 100k fuzzed cells: long mantissas and
+    # exponents past the float range round as float() rounds them
+    rng = random.Random(25)
+    pieces = ["1", "0", ".", "e", "-", "+", "_", ",", ",", "\n", "\n", "\r\n", "\r", " ", "\t", "inf", "nan", "#", "\x0b",
+              "\x1c", "\x1f", "\x85", "\xa0", "5e-324", "1e309"]
+    for _ in range(1000):
+        _assert_reads_like_float(path, "".join(rng.choice(pieces) for _ in range(rng.randint(1, 12))))
+    for seed in range(4):
+        _assert_reads_like_float(path, _fuzzed_points(seed, 6250))
+
+
+@pytest.mark.filterwarnings("error")
+def test_plain_points_file_takes_numpy_reader(tmp_path, monkeypatch):
+    def refuse(path, text):
+        raise AssertionError("per-cell parse reached")
+
+    monkeypatch.setattr(cli, "_parse_cells", refuse)
+    rng = np.random.default_rng(4)
+    points = tmp_path / "pts.csv"
+    for newline in ("\n", "\r\n"):
+        points.write_bytes(newline.join(",".join(f"{v:.6f}" for v in row) for row in rng.random((200, 4))).encode())
+        out = tmp_path / "clusters.json"
+        argv = ["kmeans", "--data", str(points), "--k", "3", "--epsilon", "1.0", "--seed", "5", "--out", str(out)]
+        assert cli_main(argv) == 0 and out.exists()
+    # a refused plain file does reach it
+    points.write_text("0.1,0.2\n0.3,x\n")
+    with pytest.raises(AssertionError, match="per-cell parse reached"):
+        cli._read_points(str(points))
 
 
 def test_budget_total(capsys, tmp_path):
@@ -431,6 +542,8 @@ def test_read_field_kinds():
         (1, float, 1.0), (np.float64(2.5), float, 2.5), (True, bool, True), ("s", str, "s"),
         (OrderedDict(a=1), dict, OrderedDict(a=1)), (["a", "b"], [str], ["a", "b"]),
         (2**63 - 1, errors.INT64, 2**63 - 1), (-(2**63), errors.INT64, -(2**63)), (3.0, errors.INT64, 3),
+        ([1, 2], [int], [1, 2]), ([False, True], [bool], [False, True]), ([{"a": 1}], [dict], [{"a": 1}]),
+        ([1, 2.0], [int], [1, 2]),
     ]
     for value, kind, want in accepted:
         got = errors.read_field({"k": value}, "k", None, kind, where="w")
@@ -441,6 +554,10 @@ def test_read_field_kinds():
         (np.float64(math.nan), float, "finite, got np.float64(nan)"), (1, bool, "a boolean, got 1"),
         (1, str, "a string, got 1"), ([1], [str], "a list of strings, got 1 at index 0"),
         (["a", 1], [str], "a list of strings, got 1 at index 1"),
+        # a list of one exact type passes in one check: a mixed one still
+        # names its first entry at fault
+        ([1, True, 2], [int], "a list of integers, got True at index 1"),
+        (["a", "b", 3, True], [str], "a list of strings, got 3 at index 2"),
         (2**63, errors.INT64, "below 2**63, got 9223372036854775808"),
         (-(2**63) - 1, errors.INT64, "at least -2**63, got -9223372036854775809"),
         (1e19, errors.INT64, "below 2**63, got 1e+19"), (0.5, errors.INT64, "an integer, got 0.5"),

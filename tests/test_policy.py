@@ -207,14 +207,15 @@ def test_iter_graph_edges_distance_at_diameter_128():
     for sizes in ((128, 2), (127, 2)):
         dom = grid_domain(*sizes)
         points = [unrank(dom, r) for r in range(dom.size)]
+        coords = np.array(points, dtype=np.int64)
+        dist = np.abs(coords[:, None] - coords[None]).sum(-1)
         for theta in (dom.diameter(), dom.diameter() - 1):
             g = SecretGraph.distance(dom, theta)
-            expected = [
-                [x, y]
-                for x in range(dom.size)
-                for y in range(dom.size)
-                if is_edge(g, points[x], points[y])
-            ]
+            # the oracle decides every pair at theta and theta + 1, the
+            # distances an int8 sum wrapped
+            for x, y in np.argwhere((dist == theta) | (dist == theta + 1)).tolist():
+                assert is_edge(g, points[x], points[y]) == (dist[x, y] <= theta), (sizes, theta, x, y)
+            expected = np.argwhere((dist <= theta) & ~np.eye(dom.size, dtype=bool)).tolist()
             assert iter_graph_edges(g).tolist() == expected, (sizes, theta)
             assert np.argwhere(g.adjacent(np.arange(dom.size)[:, None], np.arange(dom.size))).tolist() == expected
     # the corner-to-corner pair is the only edge joining the two point queries

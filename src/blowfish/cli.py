@@ -158,11 +158,13 @@ def _finite(value) -> bool:
 
 def _write_release(args, body: dict) -> int:
     """Write the tool version, the flags and then ``body`` to ``--out``;
-    JSON has no nan or infinity, so a body holding one writes nothing."""
-    for key, value in body.items():
-        if not _finite(value):
-            raise ValueError(f"release field {key!r} holds nan or an infinity; nothing written")
+    JSON has no nan or infinity, so a flag or a body field holding one
+    writes nothing."""
     flags = {k: v for k, v in sorted(vars(args).items()) if k not in ("func", "release") and v is not None}
+    for kind, fields in (("flag", flags), ("field", body)):
+        for key, value in fields.items():
+            if not _finite(value):
+                raise ValueError(f"release {kind} {key!r} holds nan or an infinity; nothing written")
     payload = {"tool": f"blowfish {__version__}", "flags": flags, **body}
     _write_atomic(args.out, _format_payload(payload, args.format))
     return 0

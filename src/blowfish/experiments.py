@@ -236,6 +236,11 @@ def _run_kmeans_ratio(config: dict, seed: int) -> list[ReportRow]:
         policy, eps = cell
         pts = synth_clusters(n, dims, k, sigma, ts)
         base = kmeans_nonprivate(pts, cfg, seed=ts, bounds=bounds)
+        if base.objective == 0:
+            raise ValueError(
+                f"kmeans-ratio: policy {policy.describe()} at epsilon {eps}, trial seed {ts}: "
+                "the non-private objective is 0, so the ratio is undefined"
+            )
         return kmeans_private(pts, cfg, policy, PrivacyParams(eps, ts)).objective / base.objective
 
     rows = []

@@ -287,16 +287,16 @@ class OHTree:
     Nodes come in release order: the prefix (S) nodes s_1..s_k first, s_i
     covering [1, min(i*theta, size)], then the interval (H) nodes sorted by
     (lo, hi).  For theta >= 2 the block-1 root doubles as s_1.  Positions are
-    1-based.  Per node: ``lo``, ``hi``, noise ``scale``,
-    released ``value``, ``depth`` below its block root (0 for S nodes),
-    child ``slot`` within its parent and the parent's ``parent_hi``.
+    1-based.  Per node: ``lo``, ``hi``, noise ``scale``, released ``value``
+    and its parent's ``parent_hi`` (an S node's own ``hi``).
 
     An H node joins the estimate of prefix j exactly for j in [hi,
     parent_hi - 1]: it lies left of j's path through the block and ends at or
-    before j.  ``cumulative`` adds these contributions deepest level first and
-    by descending slot within a level, the order in which a walk from the
-    block root that pops its last child first adds them, so each entry is
-    the same float sum as that walk.
+    before j.  The H nodes that join one prefix have distinct ``lo`` (a
+    parent and its first child share ``lo`` but join disjoint ranges of j),
+    so taking them in reverse release order adds them by descending ``lo``,
+    the order in which a walk from the block root that pops its last child
+    first adds them: ``cumulative`` gives the same float sums as that walk.
     """
 
     domain_size: int
@@ -309,8 +309,6 @@ class OHTree:
     hi: np.ndarray = field(repr=False)
     scale: np.ndarray = field(repr=False)
     value: np.ndarray = field(repr=False)
-    depth: np.ndarray = field(repr=False)
-    slot: np.ndarray = field(repr=False)
     parent_hi: np.ndarray = field(repr=False)
 
     @property
@@ -327,19 +325,11 @@ class OHTree:
         contributions accumulated in ``acc``.
         """
         size, theta = self.domain_size, self.theta
-        h = self.depth > 0
-        key = self.depth[h] * self.fanout + self.slot[h]
-        order = np.argsort(-key, kind="stable")
-        key, start = key[order], self.hi[h][order]
-        length = self.parent_hi[h][order] - start
-        position = runs(start, length)
-        contribution = np.repeat(self.value[h][order], length)
-        # one fancy-indexed add per (depth, slot) group: the group's nodes have
-        # disjoint parents, so no position repeats within it
-        edges = [0, *np.cumsum(length)[np.flatnonzero(np.diff(key))].tolist(), position.size]
-        acc = np.zeros(size + 1)
-        for a, b in zip(edges, edges[1:]):
-            acc[position[a:b]] += contribution[a:b]
+        # S nodes have parent_hi == hi and so join no run; np.bincount adds
+        # each position's weights in array order
+        start = self.hi[::-1]
+        length = self.parent_hi[::-1] - start
+        acc = np.bincount(runs(start, length), weights=np.repeat(self.value[::-1], length), minlength=size + 1)
         s = self.value[: self.k]
         out = np.empty(size + 1)
         out[0] = 0.0
@@ -385,8 +375,8 @@ def _subtree_height(theta: int, fanout: int) -> int:
 
 
 def _h_layout(size: int, theta: int, fanout: int) -> np.ndarray:
-    """Rows lo, hi, depth, slot, parent_hi of every H node but the block
-    roots, one column per node, sorted by (lo, hi).
+    """Rows lo, hi, parent_hi of every H node but the block roots, one
+    column per node, sorted by (lo, hi).
 
     Built level by level from the block roots: a node of width w >= 2 has
     children of width ceil(w / fanout), the last one cut at the parent's end.
@@ -394,7 +384,6 @@ def _h_layout(size: int, theta: int, fanout: int) -> np.ndarray:
     lo = np.arange(1, size + 1, theta, dtype=np.int64)
     hi = np.minimum(lo + theta - 1, size)
     levels = []
-    depth = 0
     while lo.size:
         wide = hi > lo
         lo, hi = lo[wide], hi[wide]
@@ -406,8 +395,7 @@ def _h_layout(size: int, theta: int, fanout: int) -> np.ndarray:
         delta = np.repeat(delta, count)
         lo = np.repeat(lo, count) + slot * delta
         hi = np.minimum(lo + delta - 1, parent_hi)
-        depth += 1
-        levels.append(np.stack([lo, hi, np.full(lo.size, depth), slot, parent_hi]))
+        levels.append(np.stack([lo, hi, parent_hi]))
     layout = np.concatenate(levels, axis=1)
     return layout[:, np.lexsort((layout[1], layout[0]))]
 
@@ -449,8 +437,8 @@ def build_oh_release(
 
     h_layout = _h_layout(size, theta, fanout)
     s_hi = np.minimum(np.arange(1, k + 1, dtype=np.int64) * theta, size)
-    s_layout = np.stack([np.ones(k, dtype=np.int64), s_hi, np.zeros_like(s_hi), np.zeros_like(s_hi), s_hi])
-    lo, hi, depth, slot, parent_hi = np.concatenate([s_layout, h_layout], axis=1)
+    s_layout = np.stack([np.ones(k, dtype=np.int64), s_hi, s_hi])
+    lo, hi, parent_hi = np.concatenate([s_layout, h_layout], axis=1)
 
     scale = np.full(lo.size, block1_scale)
     if k >= 2:
@@ -463,10 +451,7 @@ def build_oh_release(
             raise ValueError("eps_h must be positive when the structure has H nodes")
         scale[past_block1] = 2.0 * h / eps_h
     value = (prefix[hi] - prefix[lo - 1]) + stream_laplace(seed, TREE_STREAM, scale)
-    columns = {
-        "lo": lo, "hi": hi, "scale": scale, "value": value,
-        "depth": depth, "slot": slot, "parent_hi": parent_hi,
-    }
+    columns = {"lo": lo, "hi": hi, "scale": scale, "value": value, "parent_hi": parent_hi}
     return OHTree(
         domain_size=size,
         theta=theta,

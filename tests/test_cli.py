@@ -796,6 +796,38 @@ def test_kmeans_release_with_nonfinite_centroid_refused(tmp_path, capsys, monkey
     assert not out.exists()
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize(
+    "flags, name",
+    [(["--theta", "nan"], "theta"), (["--graph", "distance", "--theta", "0.25", "--high", "inf"], "high")],
+    ids=["theta-nan", "high-inf"],
+)
+def test_kmeans_release_with_nonfinite_flag_refused(flags, name, fmt, tmp_path, capsys):
+    # the flags are echoed into the release, so they are checked like its body
+    data, out = tmp_path / "pts.csv", tmp_path / f"out.{fmt}"
+    data.write_text("0.1,0.2\n0.15,0.1\n0.8,0.9\n0.85,0.95\n")
+    argv = ["kmeans", "--data", str(data), "--k", "2", "--epsilon", "1", "--seed", "1", "--format", fmt]
+    assert cli_main(argv + flags + ["--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: release flag {name!r} holds nan or an infinity; nothing written\n"
+    assert captured.out == "" and not out.exists()
+
+
+def test_kmeans_ratio_with_zero_objective_refused(tmp_path, capsys):
+    # one point in one cluster: the non-private objective is 0 and the ratio
+    # has no value
+    path, out = tmp_path / "cfg.json", tmp_path / "out.csv"
+    path.write_text(json.dumps({"experiment": "kmeans-ratio", "n": 1, "dims": 1, "k": 1, "sigma": 0, "trials": 3}))
+    assert cli_main(["experiment", "run", "--config", str(path), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert re.fullmatch(
+        r"error: kmeans-ratio: policy full at epsilon 0\.2, trial seed \d+: "
+        r"the non-private objective is 0, so the ratio is undefined\n",
+        captured.err,
+    )
+    assert captured.out == "" and not out.exists()
+
+
 def test_range_experiment_at_extreme_epsilon(tmp_path, capsys):
     path, out = tmp_path / "cfg.json", tmp_path / "out.csv"
     argv = ["experiment", "run", "--config", str(path), "--out", str(out)]

@@ -427,6 +427,20 @@ def test_oh_prefixes_bit_identical_to_walk(size, theta, fanout, zero_noise, requ
     assert np.array_equal([oh_range_query(tree, i, j) for i, j in queries], want)
 
 
+def test_oh_prefixes_bit_identical_to_walk_random_shapes():
+    rng = np.random.default_rng(2026)
+    for _ in range(200):
+        size = int(rng.integers(1, 301))
+        theta = int(rng.integers(1, size + 1))
+        fanout = int(rng.integers(2, 21))
+        counts = rng.integers(0, 9, size=size)
+        split = optimal_budget_split(size, theta, fanout, 1.0)
+        tree = build_oh_release(counts, theta, fanout, split.eps_s, split.eps_h, seed=int(rng.integers(1 << 31)))
+        values = {(n.lo, n.hi): n.value for n in tree.nodes()}
+        want = [oh_cumulative_by_walk(values, size, theta, fanout, j) for j in range(size + 1)]
+        assert np.array_equal(tree.cumulative, want), (size, theta, fanout)
+
+
 def test_oh_prefixes_are_cached_and_read_only():
     tree = build_oh_release(np.arange(20), theta=4, fanout=2, eps_s=0.5, eps_h=0.5, seed=3)
     assert tree.cumulative is tree.cumulative

@@ -2,9 +2,9 @@
 
 Subcommands: ``policy validate``, ``sensitivity``, ``release histogram``,
 ``release cdf``, ``release range``, ``kmeans``, ``experiment run``,
-``budget total``.  Every release is reproducible from its flag set; the
-flags are echoed into the output file, which is written atomically (no
-partial output on error).
+``budget total``.  A release is reproducible from its flags and its seed,
+which is a secret key: every flag but the seed is echoed into the output
+file, which is written atomically (no partial output on error).
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .mechanisms import (
     ordered_mechanism,
     plain,
 )
-from .policy import ConstraintKind, ConstraintSet, Policy, SecretGraph, load_policy
+from .policy import ConstraintKind, ConstraintSet, Policy, SecretGraph, load_policy, match_matrix
 from .sensitivity import (
     QUERY_KINDS,
     CumulativeQuery,
@@ -115,8 +115,24 @@ def _cmd_release(args) -> int:
         policy = Policy(domain, SecretGraph.distance(domain, args.theta), ConstraintSet.cardinality_only())
         query = CumulativeQuery()
     counts = histogram(ingest_dataset(_read(args.data), domain))
+    _check_answers(policy, counts)
     res = _resolve_sensitivity(query, policy, args)
     return _write_release(args, args.release(args, policy, counts, res))
+
+
+def _check_answers(policy: Policy, counts) -> None:
+    """Refuse data that contradicts a constraint's answer: the sensitivity
+    covers only the databases that meet every answer."""
+    queries = policy.constraints.queries
+    answered = [i for i, q in enumerate(queries) if q.answer is not None]
+    if not answered:
+        return
+    found = match_matrix([queries[i] for i in answered], policy.domain) @ counts
+    for i, count in zip(answered, found.tolist()):
+        if count != queries[i].answer:
+            raise ValueError(
+                f"data contradicts the policy: constraint query {i} matches {count} rows, its answer is {queries[i].answer}"
+            )
 
 
 def _release_histogram(args, policy: Policy, counts, res: SensitivityResult) -> dict:
@@ -125,7 +141,6 @@ def _release_histogram(args, policy: Policy, counts, res: SensitivityResult) -> 
         "policy": policy.describe(),
         "mechanism": "laplace-histogram",
         "epsilon": args.epsilon,
-        "seed": args.seed,
         "sensitivity": res.value,
         "exactness": res.exactness.value,
         "values": values,
@@ -157,10 +172,10 @@ def _finite(value) -> bool:
 
 
 def _write_release(args, body: dict) -> int:
-    """Write the tool version, the flags and then ``body`` to ``--out``;
-    JSON has no nan or infinity, so a flag or a body field holding one
-    writes nothing."""
-    flags = {k: v for k, v in sorted(vars(args).items()) if k not in ("func", "release") and v is not None}
+    """Write the tool version, every flag but the seed (a secret key) and
+    then ``body`` to ``--out``; JSON has no nan or infinity, so a flag or a
+    body field holding one writes nothing."""
+    flags = {k: v for k, v in sorted(vars(args).items()) if k not in ("func", "release", "seed") and v is not None}
     for kind, fields in (("flag", flags), ("field", body)):
         for key, value in fields.items():
             if not _finite(value):

@@ -52,7 +52,7 @@ class ClusteringPolicy:
     """Secret specification over a continuous box domain.
 
     ``kind`` is one of full / distance / attribute; ``theta`` applies to the
-    distance kind and is in data units.
+    distance kind and is in data units, finite and non-negative for every kind.
     """
 
     bounds: tuple[tuple[float, float], ...]
@@ -65,7 +65,9 @@ class ClusteringPolicy:
         for lo, hi in self.bounds:
             if not lo <= hi:
                 raise ValueError("bounds must satisfy lo <= hi")
-        if self.kind == "distance" and not self.theta >= 0:
+        if not math.isfinite(self.theta):
+            raise ValueError(f"theta must be finite, got {self.theta}")
+        if self.theta < 0:
             raise ValueError(f"theta must be non-negative, got {self.theta}")
 
     def qsum_sensitivity(self, k: int) -> float:

@@ -331,31 +331,27 @@ class CountQuery:
         for s in self.allowed:
             if s is not None and not s:
                 raise ValueError("allowed value sets must be non-empty")
+        if self.answer is not None and self.answer < 0:
+            raise ValueError(f"constraint answer must be at least 0, got {self.answer}")
 
     @classmethod
-    def from_labels(cls, domain: DomainSpec, where: dict[str, list[str]], answer: int | None = None) -> "CountQuery":
-        allowed: list[frozenset[int] | None] = []
-        unknown = set(where) - {a.name for a in domain.attributes}
+    def where(cls, domain: DomainSpec, selections: dict[str, list[str] | range], answer: int | None = None) -> "CountQuery":
+        """The query allowing, per named attribute, a list of its labels or a
+        ``range`` of its value indices; other attributes are unconstrained."""
+        unknown = set(selections) - {a.name for a in domain.attributes}
         if unknown:
             raise ValueError(f"unknown attributes in query: {sorted(unknown)}")
-        for attr in domain.attributes:
-            if attr.name in where:
-                allowed.append(frozenset(attr.index_of(v) for v in where[attr.name]))
-            else:
-                allowed.append(None)
-        return cls(tuple(allowed), answer)
-
-    @classmethod
-    def rectangle(cls, domain: DomainSpec, bounds: dict[str, tuple[int, int]], answer: int | None = None) -> "CountQuery":
         allowed: list[frozenset[int] | None] = []
         for attr in domain.attributes:
-            if attr.name in bounds:
-                lo, hi = bounds[attr.name]
-                if not (0 <= lo <= hi < attr.size):
-                    raise ValueError(f"bad range [{lo},{hi}] for attribute {attr.name!r}")
-                allowed.append(frozenset(range(lo, hi + 1)))
-            else:
+            sel = selections.get(attr.name)
+            if sel is None:
                 allowed.append(None)
+            elif isinstance(sel, range):
+                if not 0 <= sel.start < sel.stop <= attr.size:
+                    raise ValueError(f"bad range [{sel.start},{sel.stop - 1}] for attribute {attr.name!r}")
+                allowed.append(frozenset(sel))
+            else:
+                allowed.append(frozenset(map(attr.index_of, sel)))
         return cls(tuple(allowed), answer)
 
     def support_size(self, domain: DomainSpec) -> int:
@@ -490,22 +486,17 @@ def load_policy(source: str | dict, domain: DomainSpec) -> Policy:
     elif ckind == "general":
         queries = []
         for q in read_field(cspec, "queries", [], [dict], where="policy constraints"):
-            labels: dict[str, list[str]] = {}
-            ranges: dict[str, tuple[int, int]] = {}
+            selections: dict[str, list[str] | range] = {}
             for attr, sel in read_field(q, "where", {}, dict, where="constraint").items():
                 if isinstance(sel, list):
-                    labels[attr] = sel
+                    selections[attr] = sel
                 elif isinstance(sel, dict) and isinstance(sel.get("range"), list) and len(sel["range"]) == 2:
-                    ranges[attr] = tuple(read_field(sel, "range", None, [int], where=f"selection of {attr!r}"))
+                    lo, hi = read_field(sel, "range", None, [int], where=f"selection of {attr!r}")
+                    selections[attr] = range(lo, hi + 1)
                 else:
                     raise ValueError(f"selection of {attr!r} must be a list of labels or {{\"range\": [lo, hi]}}")
-            if ranges and labels:
-                raise ValueError("mix of label and range selections in one query")
             answer = read_field(q, "answer", None, (int, None), where="constraint")
-            if ranges:
-                queries.append(CountQuery.rectangle(domain, ranges, answer))
-            else:
-                queries.append(CountQuery.from_labels(domain, labels, answer))
+            queries.append(CountQuery.where(domain, selections, answer))
         constraints = ConstraintSet.of(queries)
     else:
         raise ValueError(f"unknown constraint kind {cspec.get('kind')!r}")
@@ -625,7 +616,7 @@ def check_parallel_decomposition(policy: Policy, subsets, n: int | None = None) 
     # lowered; a pair is critical when the other n-1 tuples can meet the
     # answer with the changed tuple inside q or outside it
     answers = np.array([q.answer for q in answered])
-    critical = crossed & (n >= 1) & (answers >= 0) & (answers <= n)
+    critical = crossed & (n >= 1) & (answers <= n)
     # secrets are uniform across ids, so a critical pair exists for every
     # id at once; such a query conflicts with every other non-empty subset
     return not (critical.any() and nonempty > 1)

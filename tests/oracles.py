@@ -337,8 +337,8 @@ def random_rectangle(rng: np.random.Generator, domain: DomainSpec, answer: int |
     for attr in domain.attributes:
         if rng.random() < 0.6:
             lo = int(rng.integers(0, attr.size))
-            bounds[attr.name] = (lo, int(rng.integers(lo, attr.size)))
-    return CountQuery.rectangle(domain, bounds, answer)
+            bounds[attr.name] = range(lo, int(rng.integers(lo, attr.size)) + 1)
+    return CountQuery.where(domain, bounds, answer)
 
 
 def match_matrix_by_isin(queries, domain: DomainSpec) -> np.ndarray:

@@ -137,7 +137,7 @@ def test_c02_marginal_worked_example():
     )
     graph = SecretGraph.full(dom)
     queries = [
-        CountQuery.from_labels(dom, {"A1": [a], "A2": [b]}, answer=1)
+        CountQuery.where(dom, {"A1": [a], "A2": [b]}, answer=1)
         for a, b in itertools.product(["a1", "a2"], ["b1", "b2"])
     ]
     policy = Policy(dom, graph, ConstraintSet.of(queries))
@@ -300,7 +300,7 @@ def test_c07_isotonic_optimality():
 def test_c08_specialized_vs_oracle():
     # (a) one marginal, full-domain secrets: 2 * size(C)
     dom = _grid_domain(3, 3)
-    cells = [CountQuery.from_labels(dom, {"A0": [f"v{i}"]}, answer=1) for i in range(3)]
+    cells = [CountQuery.where(dom, {"A0": [f"v{i}"]}, answer=1) for i in range(3)]
     pol_a = Policy(dom, SecretGraph.full(dom), ConstraintSet.of(cells))
     spec_a = specialized_constraint_sensitivity(pol_a)
     oracle_a = brute_force_sensitivity(HistogramQuery(), pol_a, 3)
@@ -308,7 +308,7 @@ def test_c08_specialized_vs_oracle():
     assert spec_a.value == oracle_a.value == 2 * 3
 
     # (b) disjoint marginals, attribute secrets: 2 * max size
-    qs_b = cells + [CountQuery.from_labels(dom, {"A1": [f"v{i}"]}, answer=1) for i in range(3)]
+    qs_b = cells + [CountQuery.where(dom, {"A1": [f"v{i}"]}, answer=1) for i in range(3)]
     pol_b = Policy(dom, SecretGraph.attribute(dom), ConstraintSet.of(qs_b))
     spec_b = specialized_constraint_sensitivity(pol_b)
     oracle_b = brute_force_sensitivity(HistogramQuery(), pol_b, 3)
@@ -318,8 +318,8 @@ def test_c08_specialized_vs_oracle():
     # (c) disjoint rectangles, distance-threshold secrets: 2 * (maxcomp + 1)
     line = _line_domain(7)
     rects = [
-        CountQuery.rectangle(line, {"x": (1, 2)}, answer=1),
-        CountQuery.rectangle(line, {"x": (4, 5)}, answer=1),
+        CountQuery.where(line, {"x": range(1, 3)}, answer=1),
+        CountQuery.where(line, {"x": range(4, 6)}, answer=1),
     ]
     pol_c = Policy(line, SecretGraph.distance(line, 5), ConstraintSet.of(rects))
     spec_c = specialized_constraint_sensitivity(pol_c)

@@ -138,7 +138,8 @@ def test_release_cdf_deterministic(tmp_path):
     payload = json.loads(out1.read_text())
     assert payload["mechanism"] == "ordered"
     assert len(payload["values"]) == 12
-    assert payload["flags"]["seed"] == 7
+    # the seed is a secret key: the flags do not echo it
+    assert "seed" not in payload["flags"]
 
 
 def test_release_unreadable_csv_fails_cleanly(tmp_path, capsys):
@@ -180,6 +181,62 @@ def test_release_histogram_and_require_exact(tmp_path, capsys):
     rc = cli_main(base[:-1] + [str(blocked), "--require-exact"])
     assert rc == 1
     assert not blocked.exists()  # no partial output on error
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_release_histogram_refuses_data_against_its_policy(fmt, tmp_path, capsys):
+    # the marginal policy answers 1 per (A1, A2) cell; a fifth row puts 2 in
+    # the first, and the policy's sensitivity covers no such database
+    data, out = tmp_path / "rows.csv", tmp_path / f"out.{fmt}"
+    data.write_text(Path(ROWS).read_text() + "a1,b1,c2\n")
+    argv = ["release", "histogram", "--domain", DOMAIN, "--policy", POLICY_MARGINAL, "--data", str(data)]
+    argv += ["--epsilon", "1.0", "--seed", "3", "--format", fmt, "--out", str(out)]
+    assert cli_main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: data contradicts the policy: constraint query 0 matches 2 rows, its answer is 1\n"
+    assert captured.out == "" and not out.exists()
+
+
+def _keys(value):
+    """Every dict key at any depth of a JSON value."""
+    if isinstance(value, dict):
+        return set(value).union(*map(_keys, value.values()))
+    if isinstance(value, list):
+        return set().union(*map(_keys, value))
+    return set()
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_release_does_not_publish_its_seed(fmt, tmp_path):
+    # the seed is the key to the noise: a histogram or k-means release
+    # holding it gives back the true counts
+    seed = "9" * 40
+    points, out = tmp_path / "pts.csv", tmp_path / f"out.{fmt}"
+    points.write_text("0.1,0.2\n0.15,0.1\n0.8,0.9\n0.85,0.95\n")
+    releases = [
+        ["release", "histogram", "--domain", DOMAIN, "--policy", POLICY_MARGINAL, "--data", ROWS],
+        ["kmeans", "--data", str(points), "--k", "2"],
+    ]
+    for argv in releases:
+        assert cli_main(argv + ["--epsilon", "1.0", "--seed", seed, "--format", fmt, "--out", str(out)]) == 0
+        text = out.read_text()
+        assert seed not in text
+        if fmt == "json":
+            assert "seed" not in _keys(json.loads(text))
+        else:
+            rows = list(csv.reader(text.splitlines()))[1:]
+            cells = [json.loads(v) for _, v in rows if v.startswith(("[", "{"))]
+            assert "seed" not in {k for k, _ in rows} | _keys(cells)
+
+
+def test_sensitivity_of_a_query_mixing_labels_and_a_range(tmp_path, capsys):
+    policy = tmp_path / "mixed.json"
+    where = {"A1": ["a1"], "A3": {"range": [0, 1]}}
+    policy.write_text(json.dumps({"graph": {"kind": "full"}, "constraints": [{"where": where, "answer": 1}]}))
+    base = ["--domain", DOMAIN, "--policy", str(policy)]
+    assert cli_main(["policy", "validate", *base]) == 0
+    assert cli_main(["sensitivity", *base, "--method", "oracle", "--n", "2"]) == 0
+    assert capsys.readouterr().out == "ok: domain size 12, full|general(q=1), 1 queries, sparse\n4 Exact BruteForce\n"
 
 
 def test_release_histogram_malformed_policy_writes_nothing(tmp_path, capsys):
@@ -798,18 +855,23 @@ def test_kmeans_release_with_nonfinite_centroid_refused(tmp_path, capsys, monkey
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 @pytest.mark.parametrize(
-    "flags, name",
-    [(["--theta", "nan"], "theta"), (["--graph", "distance", "--theta", "0.25", "--high", "inf"], "high")],
+    "flags, message",
+    [
+        (["--theta", "nan"], "theta must be finite, got nan"),
+        (["--graph", "distance", "--theta", "0.25", "--high", "inf"],
+         "release flag 'high' holds nan or an infinity; nothing written"),
+    ],
     ids=["theta-nan", "high-inf"],
 )
-def test_kmeans_release_with_nonfinite_flag_refused(flags, name, fmt, tmp_path, capsys):
-    # the flags are echoed into the release, so they are checked like its body
+def test_kmeans_release_with_nonfinite_flag_refused(flags, message, fmt, tmp_path, capsys):
+    # the policy refuses a nan theta; the flags are echoed into the release,
+    # so they are checked like its body
     data, out = tmp_path / "pts.csv", tmp_path / f"out.{fmt}"
     data.write_text("0.1,0.2\n0.15,0.1\n0.8,0.9\n0.85,0.95\n")
     argv = ["kmeans", "--data", str(data), "--k", "2", "--epsilon", "1", "--seed", "1", "--format", fmt]
     assert cli_main(argv + flags + ["--out", str(out)]) == 1
     captured = capsys.readouterr()
-    assert captured.err == f"error: release flag {name!r} holds nan or an infinity; nothing written\n"
+    assert captured.err == f"error: {message}\n"
     assert captured.out == "" and not out.exists()
 
 
@@ -1063,6 +1125,15 @@ MALFORMED_FILES = {
                              "selection of 'A1' must be a list of labels or {\"range\": [lo, hi]}"),
     "policy-range-int": ("policy", {"graph": {"kind": "full"}, "constraints": [{"where": {"A1": {"range": 3}}}]},
                          "selection of 'A1' must be a list of labels or {\"range\": [lo, hi]}"),
+    "policy-answer-negative": (
+        "policy", {"graph": {"kind": "full"}, "constraints": [{"where": {"A1": ["a1"]}, "answer": -1}]},
+        "constraint answer must be at least 0, got -1",
+    ),
+    # a range on a misspelled attribute is refused as a label list is
+    "policy-range-unknown-attribute": (
+        "policy", {"graph": {"kind": "full"}, "constraints": [{"where": {"Z": {"range": [0, 1]}}, "answer": 3}]},
+        "unknown attributes in query: ['Z']",
+    ),
     "policy-answer-list": (
         "policy", {"graph": {"kind": "full"}, "constraints": [{"where": {"A1": ["a1"]}, "answer": [1]}]},
         "constraint 'answer' must be an integer or null",

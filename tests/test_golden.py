@@ -99,32 +99,32 @@ CASES = {
     "release-histogram": (
         ["release", "histogram", "--domain", "domain_abc.json", "--policy", "policy_marginal.json",
          "--data", "rows_abc.csv", "--epsilon", "1.0", "--seed", "3", "--out", "out.json"],
-        "0c8a4a7d5d5a6aec1a0da4dece277f40a044d375d010e088ebd92e910c179bda",
+        "f008d3d2ef87951072e9839cc7e35775ac6f792583a18d17a9cc689d26804d89",
     ),
     "release-cdf": (
         ["release", "cdf", "--domain", "domain_abc.json", "--data", "rows_abc.csv",
          "--theta", "2", "--epsilon", "0.5", "--seed", "7", "--out", "out.json"],
-        "2adede7354def4299fe2fece017b4a5234e01b2b3c60962267abc66a5d48c992",
+        "be968e17f774bf9569681a4d5dd93eade01b466bcc5cefb2bb899687711db701",
     ),
     "release-range": (
         ["release", "range", "--domain", "domain_abc.json", "--data", "rows_abc.csv",
          "--theta", "4", "--fanout", "2", "--epsilon", "0.5", "--seed", "11", "--out", "out.json"],
-        "ff82169e4627590d27ed10ff81569695a6715ffbd26a7d9725317e42319e5b03",
+        "d2d13d8fa17648aa22ee40c36355a2e0da4cb8a1ae5752b6921511b0ed946ff6",
     ),
     "wide-histogram": (
         ["release", "histogram", "--domain", "wide_domain.json", "--policy", "policy_distance.json",
          "--data", "wide_rows.csv", "--epsilon", "1.0", "--seed", "31", "--out", "out.json"],
-        "879d8cc1fc8fe6d74860f8a8156c376f0cc6c009750697ab05ac5d71c6ee62b4",
+        "31fab8831b570f9acf86d393d372393ab5055bdd9542f03ed18c88b78a38627c",
     ),
     "wide-cdf": (
         ["release", "cdf", "--domain", "wide_domain.json", "--data", "wide_rows.csv",
          "--theta", "3", "--epsilon", "0.5", "--seed", "32", "--out", "out.json"],
-        "f49a25f600529985434ed0372fad556f726f01bd08c26cba2eef36670dcc2371",
+        "47c460195df1dffd6d6c87b5b3aafc9557cf7524ffac3cb42a9ead47c8751915",
     ),
     "wide-range": (
         ["release", "range", "--domain", "wide_domain.json", "--data", "wide_rows.csv",
          "--theta", "16", "--fanout", "4", "--epsilon", "1.0", "--seed", "33", "--out", "out.json"],
-        "616dd6fdada299ce67b5eb761ca9b3c6a4b3bc23a903e5c998ac528e688b6859",
+        "e86385c1cfa474b62d1d45892974da142a272326129fd7732c2353b6c1b2125d",
     ),
     "experiment-range-mse": (
         ["experiment", "run", "--config", "range_mse.json", "--out", "out.csv"],
@@ -141,29 +141,29 @@ CASES = {
     "kmeans": (
         ["kmeans", "--data", "points.csv", "--k", "3", "--iterations", "4", "--epsilon", "2.0",
          "--seed", "13", "--graph", "distance", "--theta", "0.3", "--out", "out.json"],
-        "0aa904e74230ff57814c5d8caaa703936b2ae04b3b6b8182a97f3b5400785a16",
+        "408c1cf8722aaa68a0365b9c8c8b337025dccd1ff36ac0ce18060f6ca46b7671",
     ),
     # --format csv writes one row per payload key in insertion order, so these
     # pin the key order that the json pins cannot see
     "release-histogram-csv": (
         ["release", "histogram", "--domain", "domain_abc.json", "--policy", "policy_marginal.json",
          "--data", "rows_abc.csv", "--epsilon", "1.0", "--seed", "3", "--format", "csv", "--out", "out.csv"],
-        "24b5944c6e7d3169d7dfabb3b65254cd2ed2b02f1f109384fe8500a2bb3905a1",
+        "1bfa42571b2d642cda1af6c1fe95c2d2d00bc00dafffff7b336e461f8cedd216",
     ),
     "release-cdf-csv": (
         ["release", "cdf", "--domain", "domain_abc.json", "--data", "rows_abc.csv",
          "--theta", "2", "--epsilon", "0.5", "--seed", "7", "--format", "csv", "--out", "out.csv"],
-        "680752a31b1d9892dc4c2138a6ca88288cf74b7bfe4c96b392821c61423fbcaa",
+        "f8ac6573354f8a3ba0721db92d13ea81ce782e776e4ad02ab105d6fce2472094",
     ),
     "release-range-csv": (
         ["release", "range", "--domain", "domain_abc.json", "--data", "rows_abc.csv",
          "--theta", "4", "--fanout", "2", "--epsilon", "0.5", "--seed", "11", "--format", "csv", "--out", "out.csv"],
-        "3906bb37887c70d7b3598b9c5a0f66ec9dbb4b0e9659fc8e4170223a9545af60",
+        "6d9fb8d512e64ea452a8ed080a3d4eea355d21597cad4e1f1f5e0a8b120ac532",
     ),
     "kmeans-csv": (
         ["kmeans", "--data", "points.csv", "--k", "3", "--iterations", "4", "--epsilon", "2.0",
          "--seed", "13", "--graph", "distance", "--theta", "0.3", "--format", "csv", "--out", "out.csv"],
-        "f02c44f63d96c4031de10eeb0072cd0ea2def32be6e65bbff5ac909eea182bb7",
+        "ba00e1cb0266f8cb014b14080da3ee3d48dc2d5d91fecd2c0a3a23502eeb6f73",
     ),
 }
 

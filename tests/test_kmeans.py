@@ -118,9 +118,10 @@ def test_config_validation():
         KmeansConfig(k=2, iterations=0)
     with pytest.raises(ValueError):
         kmeans_nonprivate(np.zeros((1, 2)), KmeansConfig(k=2), seed=0, bounds=unit_bounds(2))
-    for theta in (-0.5, float("nan")):
-        with pytest.raises(ValueError, match=f"theta must be non-negative, got {theta}"):
-            ClusteringPolicy(unit_bounds(2), "distance", theta=theta)
+    for kind in ("full", "distance", "attribute"):
+        for theta, fault in ((-0.5, "non-negative"), (float("nan"), "finite"), (float("inf"), "finite")):
+            with pytest.raises(ValueError, match=f"^theta must be {fault}, got {theta}$"):
+                ClusteringPolicy(unit_bounds(2), kind, theta=theta)
 
 
 @pytest.mark.parametrize(

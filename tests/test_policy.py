@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from oracles import (
 )
 
 GRAPH_KINDS = ("full", "attribute", "partition", "distance", "explicit")
+DOMAIN_ABC = Path(__file__).resolve().parents[1] / "data" / "domain_abc.json"
 
 
 def line_domain(size, name="x"):
@@ -220,7 +222,7 @@ def test_iter_graph_edges_distance_at_diameter_128():
             assert np.argwhere(g.adjacent(np.arange(dom.size)[:, None], np.arange(dom.size))).tolist() == expected
     # the corner-to-corner pair is the only edge joining the two point queries
     dom = grid_domain(128, 2)
-    corners = [CountQuery.rectangle(dom, {"A0": (v, v), "A1": (w, w)}, answer=0) for v, w in ((0, 0), (127, 1))]
+    corners = [CountQuery.where(dom, {"A0": range(v, v + 1), "A1": range(w, w + 1)}, answer=0) for v, w in ((0, 0), (127, 1))]
     pg = build_policy_graph(ConstraintSet.of(corners), SecretGraph.distance(dom, 128))
     far = rank(dom, (127, 1))
     witness = dict(pg.witnesses)
@@ -232,16 +234,16 @@ def test_iter_graph_edges_distance_at_diameter_128():
 
 def test_count_query_matching():
     dom = grid_domain(2, 3)
-    q = CountQuery.from_labels(dom, {"A0": ["v1"]}, answer=2)
+    q = CountQuery.where(dom, {"A0": ["v1"]}, answer=2)
     assert matches(q, (1, 0)) and matches(q, (1, 2))
     assert not matches(q, (0, 0))
     assert q.support_size(dom) == 3
-    rect = CountQuery.rectangle(dom, {"A1": (0, 1)})
+    rect = CountQuery.where(dom, {"A1": range(0, 2)})
     assert rect.is_rectangle() and rect.support_size(dom) == 4
-    point = CountQuery.rectangle(dom, {"A0": (1, 1), "A1": (2, 2)})
+    point = CountQuery.where(dom, {"A0": range(1, 2), "A1": range(2, 3)})
     assert point.support_size(dom) == 1
     with pytest.raises(ValueError):
-        CountQuery.rectangle(dom, {"A1": (2, 5)})
+        CountQuery.where(dom, {"A1": range(2, 6)})
 
 
 def test_match_matrix_matches_isin():
@@ -304,6 +306,39 @@ def test_load_policy_round_trip():
         load_policy({"graph": {"kind": "banana"}}, dom)
     with pytest.raises(ValueError):
         load_policy("{bad json", dom)
+
+
+def test_where_selections_mix_labels_and_ranges():
+    # one query may select labels on one attribute and a range on another
+    dom = load_domain(DOMAIN_ABC.read_text())
+    where = {"A1": ["a1"], "A3": {"range": [0, 1]}}
+    (q,) = load_policy({"graph": {"kind": "full"}, "constraints": [{"where": where, "answer": 1}]}, dom).constraints.queries
+    assert q == CountQuery.where(dom, {"A1": ["a1"], "A3": range(0, 2)}, answer=1)
+    expected = [matches(q, unrank(dom, r)) for r in range(dom.size)]
+    assert match_matrix([q], dom)[0].tolist() == expected
+    assert np.flatnonzero(expected).tolist() == [0, 1, 3, 4]
+
+
+@pytest.mark.parametrize(
+    "in_file, in_library", [(["a1"], ["a1"]), ({"range": [0, 1]}, range(0, 2))], ids=["labels", "range"]
+)
+def test_where_refuses_an_unknown_attribute(in_file, in_library):
+    # a misspelled attribute is refused in either form, never dropped
+    dom = load_domain(DOMAIN_ABC.read_text())
+    policy = {"graph": {"kind": "full"}, "constraints": [{"where": {"Z": in_file}, "answer": 3}]}
+    with pytest.raises(ValueError, match=r"^unknown attributes in query: \['Z'\]$"):
+        load_policy(policy, dom)
+    with pytest.raises(ValueError, match=r"^unknown attributes in query: \['Z'\]$"):
+        CountQuery.where(dom, {"Z": in_library})
+
+
+def test_constraint_answers_are_not_negative():
+    dom = grid_domain(2, 3)
+    with pytest.raises(ValueError, match="^constraint answer must be at least 0, got -1$"):
+        load_policy({"graph": {"kind": "full"}, "constraints": [{"where": {"A0": ["v0"]}, "answer": -1}]}, dom)
+    with pytest.raises(ValueError, match="^constraint answer must be at least 0, got -2$"):
+        CountQuery((None, None), answer=-2)
+    assert CountQuery((None, None), answer=0).answer == 0
 
 
 @pytest.mark.parametrize("value", ["1e400", "-1e400", "NaN", "1.9", "0.5", "true"])
@@ -369,7 +404,7 @@ def test_neighbors_single_tuple_two_values():
 
 def test_neighbors_swap_under_count_constraint():
     dom = line_domain(2)
-    q = CountQuery.from_labels(dom, {"x": ["1"]}, answer=1)
+    q = CountQuery.where(dom, {"x": ["1"]}, answer=1)
     pol = Policy(dom, SecretGraph.full(dom), ConstraintSet.of([q]))
     pairs = neighbor_pairs(pol, 2)
     assert pairs == {((0, 1), (1, 0)), ((1, 0), (0, 1))}
@@ -415,8 +450,8 @@ def test_neighbors_match_independent_validator():
     dom = grid_domain(2, 2)
     g = SecretGraph.attribute(dom)
     queries = [
-        CountQuery.from_labels(dom, {"A0": ["v0"]}, answer=1),
-        CountQuery.from_labels(dom, {"A0": ["v1"]}, answer=1),
+        CountQuery.where(dom, {"A0": ["v0"]}, answer=1),
+        CountQuery.where(dom, {"A0": ["v1"]}, answer=1),
     ]
     pol = Policy(dom, g, ConstraintSet.of(queries))
     assert neighbor_pairs(pol, 2) == neighbors_by_definition(pol, 2)
@@ -425,7 +460,7 @@ def test_neighbors_match_independent_validator():
     pol2 = Policy(
         line,
         SecretGraph.distance(line, 2),
-        ConstraintSet.of([CountQuery.rectangle(line, {"x": (1, 2)}, answer=1)]),
+        ConstraintSet.of([CountQuery.where(line, {"x": range(1, 3)}, answer=1)]),
     )
     assert neighbor_pairs(pol2, 2) == neighbors_by_definition(pol2, 2)
 
@@ -461,7 +496,7 @@ def test_enumeration_errors():
     pol = Policy(dom, SecretGraph.full(dom), ConstraintSet.none())
     with pytest.raises(BudgetExceededError):
         enumerate_databases(pol, 7)
-    q = CountQuery.from_labels(dom, {"x": ["0"]}, answer=5)
+    q = CountQuery.where(dom, {"x": ["0"]}, answer=5)
     infeasible = Policy(dom, SecretGraph.full(dom), ConstraintSet.of([q]))
     with pytest.raises(InfeasibleConstraintsError):
         enumerate_databases(infeasible, 2)
@@ -474,8 +509,8 @@ def test_parallel_decomposition_disconnected_components():
     dom = grid_domain(2, 2)
     # cells aligned with A0: counting either side never crosses an edge
     part = SecretGraph.partition(dom, [[0, 1], [2, 3]])
-    q_s = CountQuery.from_labels(dom, {"A0": ["v0"]}, answer=1)
-    q_rest = CountQuery.from_labels(dom, {"A0": ["v1"]}, answer=1)
+    q_s = CountQuery.where(dom, {"A0": ["v0"]}, answer=1)
+    q_rest = CountQuery.where(dom, {"A0": ["v1"]}, answer=1)
     pol = Policy(dom, part, ConstraintSet.of([q_s, q_rest]))
     assert check_parallel_decomposition(pol, [{0}, {1}], n=2)
 
@@ -483,8 +518,8 @@ def test_parallel_decomposition_disconnected_components():
 def test_parallel_decomposition_marginal_full_graph_fails():
     dom = grid_domain(2, 2)
     g = SecretGraph.full(dom)
-    q_m = CountQuery.from_labels(dom, {"A0": ["v0"]}, answer=1)
-    q_f = CountQuery.from_labels(dom, {"A0": ["v1"]}, answer=1)
+    q_m = CountQuery.where(dom, {"A0": ["v0"]}, answer=1)
+    q_f = CountQuery.where(dom, {"A0": ["v1"]}, answer=1)
     pol = Policy(dom, g, ConstraintSet.of([q_m, q_f]))
     assert not check_parallel_decomposition(pol, [{0}, {1}], n=2)
     # a single non-empty subset is fine
@@ -506,7 +541,7 @@ def test_parallel_decomposition_past_edge_budget():
     g = SecretGraph.partition(dom, [range(5000)])
     with pytest.raises(BudgetExceededError):
         iter_graph_edges(g)
-    q = CountQuery.from_labels(dom, {"x": ["0"]}, answer=1)
+    q = CountQuery.where(dom, {"x": ["0"]}, answer=1)
     pol = Policy(dom, g, ConstraintSet.of([q]))
     assert not check_parallel_decomposition(pol, [{0}, {1}], n=2)
     assert check_parallel_decomposition(pol, [{0, 1}], n=2)

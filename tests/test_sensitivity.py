@@ -74,7 +74,7 @@ def marginal_cells(dom, attr_values, answer=1):
     out = []
     for combo in itertools.product(*(vals for _, vals in attr_values)):
         where = {name: [v] for (name, _), v in zip(attr_values, combo)}
-        out.append(CountQuery.from_labels(dom, where, answer=answer))
+        out.append(CountQuery.where(dom, where, answer=answer))
     return out
 
 
@@ -185,8 +185,8 @@ def test_closed_form_rejects_constraints():
 
 def test_lifts_lowers_worked_example():
     dom = abc_domain()
-    q1 = CountQuery.from_labels(dom, {"A1": ["a1"], "A2": ["b1"]})
-    q4 = CountQuery.from_labels(dom, {"A1": ["a2"], "A2": ["b2"]})
+    q1 = CountQuery.where(dom, {"A1": ["a1"], "A2": ["b1"]})
+    q4 = CountQuery.where(dom, {"A1": ["a2"], "A2": ["b2"]})
     # value index 0 is a1 / b1 / c1 and index 1 is a2 / b2 / c2
     x, y = (0, 0, 0), (1, 1, 1)
     assert lifts_lowers((x, y), q4) is Effect.LIFTS
@@ -203,8 +203,8 @@ def test_is_sparse_examples():
     assert is_sparse(pol.constraints, pol.graph)
 
     dom = line_domain(3)
-    ge1 = CountQuery.from_labels(dom, {"x": ["1", "2"]})  # value >= 1
-    ge2 = CountQuery.from_labels(dom, {"x": ["2"]})  # value >= 2
+    ge1 = CountQuery.where(dom, {"x": ["1", "2"]})  # value >= 1
+    ge2 = CountQuery.where(dom, {"x": ["2"]})  # value >= 2
     cs = ConstraintSet.of([ge1, ge2])
     assert not is_sparse(cs, SecretGraph.full(dom))  # pair (0,2) lifts both
     with pytest.raises(NonSparseConstraintsError):
@@ -295,7 +295,7 @@ def test_sparse_engine_caps():
     assert res.value <= 2 * max(len(pol.constraints.queries), 1)
 
     dom = line_domain(4)
-    q = CountQuery.from_labels(dom, {"x": ["1", "2"]}, answer=1)
+    q = CountQuery.where(dom, {"x": ["1", "2"]}, answer=1)
     single = Policy(dom, SecretGraph.full(dom), ConstraintSet.of([q]))
     res_single = sparse_constraint_sensitivity(single)
     assert res_single.value == 4  # exceeds 2*max(|Q|,1): see decisions ledger
@@ -362,7 +362,7 @@ def test_sparse_engine_random_policies_cap_and_soundness():
         attr_idx = int(rng.integers(len(sizes)))
         queries = []
         for v in range(sizes[attr_idx]):
-            queries.append(CountQuery.from_labels(dom, {f"A{attr_idx}": [f"v{v}"]}, answer=1))
+            queries.append(CountQuery.where(dom, {f"A{attr_idx}": [f"v{v}"]}, answer=1))
         g = SecretGraph.full(dom) if trial % 2 == 0 else SecretGraph.attribute(dom)
         marginals += _check_sparse_engine_against_oracles(Policy(dom, g, ConstraintSet.of(queries)), sizes[attr_idx])
     assert marginals >= 10
@@ -383,9 +383,9 @@ def test_specialized_disjoint_marginals_attribute():
     dom = grid_domain(2, 2, 3, 2)
     queries = []
     for a0, a1 in itertools.product(range(2), range(2)):
-        queries.append(CountQuery.from_labels(dom, {"A0": [f"v{a0}"], "A1": [f"v{a1}"]}, answer=1))
+        queries.append(CountQuery.where(dom, {"A0": [f"v{a0}"], "A1": [f"v{a1}"]}, answer=1))
     for a2 in range(3):
-        queries.append(CountQuery.from_labels(dom, {"A2": [f"v{a2}"]}, answer=1))
+        queries.append(CountQuery.where(dom, {"A2": [f"v{a2}"]}, answer=1))
     pol = Policy(dom, SecretGraph.attribute(dom), ConstraintSet.of(queries))
     res = specialized_constraint_sensitivity(pol)
     assert res.value == 8 and res.exactness is Exactness.EXACT
@@ -394,9 +394,9 @@ def test_specialized_disjoint_marginals_attribute():
 def test_specialized_rectangles_grid():
     # 10x10 grid, three disjoint rectangles, exactly two within theta
     dom = grid_domain(10, 10)
-    r1 = CountQuery.rectangle(dom, {"A0": (0, 1), "A1": (0, 1)})
-    r2 = CountQuery.rectangle(dom, {"A0": (3, 4), "A1": (0, 1)})
-    r3 = CountQuery.rectangle(dom, {"A0": (8, 9), "A1": (8, 9)})
+    r1 = CountQuery.where(dom, {"A0": range(0, 2), "A1": range(0, 2)})
+    r2 = CountQuery.where(dom, {"A0": range(3, 5), "A1": range(0, 2)})
+    r3 = CountQuery.where(dom, {"A0": range(8, 10), "A1": range(8, 10)})
     pol = Policy(dom, SecretGraph.distance(dom, 2), ConstraintSet.of([r1, r2, r3]))
     res = specialized_constraint_sensitivity(pol)
     assert res.value == 6  # maxcomp = 2
@@ -405,8 +405,8 @@ def test_specialized_rectangles_grid():
 
 def test_specialized_rectangles_point_query_upper_bound():
     dom = grid_domain(10, 10)
-    r1 = CountQuery.rectangle(dom, {"A0": (0, 0), "A1": (0, 0)})
-    r2 = CountQuery.rectangle(dom, {"A0": (3, 4), "A1": (0, 1)})
+    r1 = CountQuery.where(dom, {"A0": range(0, 1), "A1": range(0, 1)})
+    r2 = CountQuery.where(dom, {"A0": range(3, 5), "A1": range(0, 2)})
     pol = Policy(dom, SecretGraph.distance(dom, 2), ConstraintSet.of([r1, r2]))
     res = specialized_constraint_sensitivity(pol)
     assert res.exactness is Exactness.UPPER_BOUND
@@ -416,8 +416,8 @@ def test_specialized_rectangles_covering_domain_upper_bound():
     # rectangles that cover the domain leave no tuple outside them, so the
     # "+1" source-to-sink path of 2 * (maxcomp + 1) cannot occur
     dom = grid_domain(2, 4)
-    r1 = CountQuery.rectangle(dom, {"A1": (0, 1)}, answer=1)
-    r2 = CountQuery.rectangle(dom, {"A1": (2, 3)}, answer=1)
+    r1 = CountQuery.where(dom, {"A1": range(0, 2)}, answer=1)
+    r2 = CountQuery.where(dom, {"A1": range(2, 4)}, answer=1)
     pol = Policy(dom, SecretGraph.distance(dom, 2), ConstraintSet.of([r1, r2]))
     res = specialized_constraint_sensitivity(pol)
     assert res.value == 6
@@ -430,11 +430,11 @@ def test_specialized_rectangles_star_component_upper_bound():
     # a 4-star proximity component has no Hamiltonian path, so the formula
     # exceeds the attainable bound and must be tagged as an upper bound
     dom = grid_domain(13, 13)
-    center = CountQuery.rectangle(dom, {"A0": (6, 6), "A1": (5, 7)})
+    center = CountQuery.where(dom, {"A0": range(6, 7), "A1": range(5, 8)})
     arms = [
-        CountQuery.rectangle(dom, {"A0": (2, 3), "A1": (5, 7)}),
-        CountQuery.rectangle(dom, {"A0": (9, 10), "A1": (5, 7)}),
-        CountQuery.rectangle(dom, {"A0": (5, 7), "A1": (1, 2)}),
+        CountQuery.where(dom, {"A0": range(2, 4), "A1": range(5, 8)}),
+        CountQuery.where(dom, {"A0": range(9, 11), "A1": range(5, 8)}),
+        CountQuery.where(dom, {"A0": range(5, 8), "A1": range(1, 3)}),
     ]
     pol = Policy(dom, SecretGraph.distance(dom, 3), ConstraintSet.of([center] + arms))
     res = specialized_constraint_sensitivity(pol)
@@ -464,7 +464,7 @@ def test_hamiltonian_path_agrees_with_permutations():
 
 def test_specialized_rejects_unrecognized_shapes():
     dom = grid_domain(2, 2)
-    q = CountQuery.from_labels(dom, {"A0": ["v0"]})
+    q = CountQuery.where(dom, {"A0": ["v0"]})
     with pytest.raises(ShapeNotRecognizedError):
         # partition secrets have no specialization
         pol = Policy(dom, SecretGraph.partition(dom, [[0, 1], [2, 3]]), ConstraintSet.of([q]))
@@ -487,8 +487,8 @@ def test_specialization_consistent_with_engine():
         == sparse_constraint_sensitivity(pol).value
     )
     dom = grid_domain(3, 3)
-    queries = [CountQuery.from_labels(dom, {"A0": [f"v{i}"]}, answer=1) for i in range(3)]
-    queries += [CountQuery.from_labels(dom, {"A1": [f"v{i}"]}, answer=1) for i in range(3)]
+    queries = [CountQuery.where(dom, {"A0": [f"v{i}"]}, answer=1) for i in range(3)]
+    queries += [CountQuery.where(dom, {"A1": [f"v{i}"]}, answer=1) for i in range(3)]
     pol2 = Policy(dom, SecretGraph.attribute(dom), ConstraintSet.of(queries))
     assert (
         specialized_constraint_sensitivity(pol2).value
@@ -585,7 +585,7 @@ def test_specialized_matches_loop():
         outcomes.append(got)
     # a proximity component of 18 unit rectangles is past the traceability search
     dom = line_domain(40)
-    rects = [CountQuery.rectangle(dom, {"x": (r, r + 1)}) for r in range(0, 36, 2)]
+    rects = [CountQuery.where(dom, {"x": range(r, r + 2)}) for r in range(0, 36, 2)]
     pol = Policy(dom, SecretGraph.distance(dom, 2), ConstraintSet.of(rects))
     assert _outcome(specialized_constraint_sensitivity, pol) == _outcome(specialized_by_loop, pol)
     assert _outcome(specialized_constraint_sensitivity, pol) == (38.0, Exactness.UPPER_BOUND, Method.SPECIALIZED)
@@ -625,7 +625,7 @@ def test_brute_force_swap_instance():
     # invariant under the only neighbors (the two-tuple swap); 4 is the
     # engine bound, which we assert separately (see decisions ledger)
     dom = line_domain(2)
-    q = CountQuery.from_labels(dom, {"x": ["1"]}, answer=1)
+    q = CountQuery.where(dom, {"x": ["1"]}, answer=1)
     pol = Policy(dom, SecretGraph.full(dom), ConstraintSet.of([q]))
     oracle = brute_force_sensitivity(HistogramQuery(), pol, 2)
     assert oracle.value == 0
@@ -730,7 +730,7 @@ def test_brute_force_linear_sums_past_float_range():
     for labels in (None, ["0"], ["1", "2"]):
         constraints = ConstraintSet.none()
         if labels:
-            constraints = ConstraintSet.of([CountQuery.from_labels(dom, {"x": labels}, answer=1)])
+            constraints = ConstraintSet.of([CountQuery.where(dom, {"x": labels}, answer=1)])
         pol = Policy(dom, SecretGraph.full(dom), constraints)
         for query in (
             LinearSumQuery((math.inf, 1.0)),

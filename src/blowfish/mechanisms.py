@@ -157,14 +157,15 @@ def isotonic_inference(noisy, lower_bound: float | None = None) -> np.ndarray:
         raise ValueError("input must be a non-empty 1-D vector")
     vals: list[float] = []
     weights: list[int] = []
-    for v in y:
-        vals.append(float(v))
-        weights.append(1)
-        while len(vals) >= 2 and vals[-2] > vals[-1]:
-            w = weights[-2] + weights[-1]
-            merged = (vals[-2] * weights[-2] + vals[-1] * weights[-1]) / w
-            vals[-2:] = [merged]
-            weights[-2:] = [w]
+    for v in y.tolist():
+        # pool the incoming value into each block on the stack that exceeds it
+        w = 1
+        while vals and vals[-1] > v:
+            top_v, top_w = vals.pop(), weights.pop()
+            v = (top_v * top_w + v * w) / (top_w + w)
+            w += top_w
+        vals.append(v)
+        weights.append(w)
     out = np.repeat(vals, weights)
     if lower_bound is not None:
         out = np.maximum(out, lower_bound)

@@ -43,10 +43,10 @@ class GraphKind(str, Enum):
 class SecretGraph:
     """Edge predicate over the ranks of a domain, ``adjacent``.
 
-    The edge set is symmetric and irreflexive.  PARTITION carries an int64
-    cell id per rank; DISTANCE uses the L1 metric over value indices with
-    threshold ``theta``; EXPLICIT stores its rank pairs a < b as sorted,
-    unique int64 rows.  Both arrays are read-only.
+    The edge set is symmetric and irreflexive.  DISTANCE joins ranks 1 to
+    ``theta`` apart in L1 over value indices, FULL is DISTANCE with the
+    diameter as ``theta``, other kinds hold 0.  The int64 arrays, PARTITION's
+    cell ids and EXPLICIT's sorted unique pairs a < b, are read-only.
     """
 
     domain: DomainSpec
@@ -56,8 +56,10 @@ class SecretGraph:
     edges: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if self.kind is GraphKind.DISTANCE and self.theta < 0:
-            raise ValueError("theta must be non-negative")
+        if self.kind is GraphKind.FULL:
+            object.__setattr__(self, "theta", self.domain.diameter())
+        elif self.theta < 0 or (self.theta and self.kind is not GraphKind.DISTANCE):
+            raise ValueError(f"theta must be a distance graph's non-negative threshold, got {self.theta}")
         if self.kind is GraphKind.PARTITION:
             if self.cells is None or len(self.cells) != self.domain.size:
                 raise ValueError("partition graph needs one cell id per domain rank")
@@ -114,17 +116,16 @@ class SecretGraph:
         """Whether ranks x and y are joined by an edge, elementwise over the
         broadcast int64 rank arrays x and y: each kind's one edge rule."""
         x, y = np.asarray(x), np.asarray(y)
-        if self.kind is GraphKind.FULL:
+        if self.theta >= self.domain.diameter():
             return x != y
         if self.kind is GraphKind.PARTITION:
             return (self.cells[x] == self.cells[y]) & (x != y)
         if self.kind is GraphKind.EXPLICIT:
             size = self.domain.size
             return np.isin(np.minimum(x, y) * size + np.maximum(x, y), self.edges @ np.array([size, 1]))
-        coords = self._coords.T
         if self.kind is GraphKind.ATTRIBUTE:
-            return sum(col[x] != col[y] for col in coords) == 1
-        dist = sum(np.abs(col[x] - col[y]) for col in coords)
+            return sum(col[x] != col[y] for col in self._coords.T) == 1
+        dist = sum(np.abs(col[x] - col[y]) for col in self._coords.T)
         return (dist >= 1) & (dist <= self.theta)
 
     @cached_property
@@ -137,13 +138,11 @@ class SecretGraph:
     def max_rank_gap(self) -> int:
         """max |rank(x) - rank(y)| over the edges; 0 if there are none."""
         domain = self.domain
-        if self.kind is GraphKind.FULL:
-            return domain.size - 1
         if self.kind is GraphKind.ATTRIBUTE:
             return max((a.size - 1) * w for a, w in zip(domain.attributes, domain._weights))
         if self.kind is GraphKind.PARTITION:
             return _cell_spread(self.cells, np.arange(domain.size))
-        if self.kind is GraphKind.DISTANCE:
+        if self.kind is not GraphKind.EXPLICIT:
             # maximize sum of d_i * weight_i subject to sum d_i <= theta,
             # 0 <= d_i <= |A_i| - 1: greedy on the largest place values
             budget, gap = self.theta, 0
@@ -198,11 +197,6 @@ def iter_graph_edges(g: SecretGraph) -> np.ndarray:
     visit more than ``DEFAULT_EDGE_BUDGET`` candidate pairs.
     """
     domain = g.domain
-    if g.kind is GraphKind.FULL:
-        # a full graph is the distance graph at the diameter
-        return _ball_edges(domain, domain.diameter())
-    if g.kind is GraphKind.DISTANCE:
-        return _ball_edges(domain, min(g.theta, domain.diameter()))
     if g.kind is GraphKind.ATTRIBUTE:
         _check_edge_budget(domain.size * sum(domain.sizes))
         # rank offsets to every value of every attribute, sorted per rank;
@@ -223,9 +217,12 @@ def iter_graph_edges(g: SecretGraph) -> np.ndarray:
         x = np.repeat(np.arange(domain.size, dtype=np.int64), k)
         y = order[runs(start, k)]
         return np.stack([x[x != y], y[x != y]], axis=1)
-    _check_edge_budget(2 * len(g.edges))
-    both = np.concatenate([g.edges, g.edges[:, ::-1]])
-    return both[np.lexsort((both[:, 1], both[:, 0]))]
+    if g.kind is GraphKind.EXPLICIT:
+        _check_edge_budget(2 * len(g.edges))
+        both = np.concatenate([g.edges, g.edges[:, ::-1]])
+        return both[np.lexsort((both[:, 1], both[:, 0]))]
+    # full and distance: the L1 ball, which holds every pair at the diameter
+    return _ball_edges(domain, min(g.theta, domain.diameter()))
 
 
 def _ball_size(domain: DomainSpec, radius: int) -> int:
@@ -282,9 +279,9 @@ def signature_edges(g: SecretGraph, match: np.ndarray) -> np.ndarray:
     _, first, sig = np.unique(match.T, axis=0, return_index=True, return_inverse=True)
     sig = sig.reshape(-1)
     n_sig = len(first)
-    if g.kind is GraphKind.FULL:
-        # every pair of distinct ranks is an edge, so the first edge joining
-        # two signatures joins their first ranks
+    if g.theta >= g.domain.diameter():
+        # theta at the diameter joins every two distinct ranks, so the first
+        # edge joining two signatures joins their first ranks
         _check_edge_budget(n_sig * n_sig, f"{n_sig} signatures")
         first = np.sort(first)
         return first[np.argwhere(g.adjacent(first[:, None], first))]
@@ -333,6 +330,8 @@ class CountQuery:
                 raise ValueError("allowed value sets must be non-empty")
         if self.answer is not None and self.answer < 0:
             raise ValueError(f"constraint answer must be at least 0, got {self.answer}")
+        if self.answer is not None and self.answer >= 2**63:
+            raise ValueError(f"constraint answer must be below 2**63, got {self.answer}")
 
     @classmethod
     def where(cls, domain: DomainSpec, selections: dict[str, list[str] | range], answer: int | None = None) -> "CountQuery":

@@ -144,6 +144,27 @@ def isotonic_by_enumeration(y) -> np.ndarray:
     return best_fit
 
 
+def isotonic_by_loop(noisy, lower_bound: float | None = None) -> np.ndarray:
+    """Pool adjacent violators by rewriting the top two blocks of a list in
+    place after each append: the loop that ``isotonic_inference`` replaced,
+    whose results it must give bit for bit."""
+    y = np.asarray(noisy, dtype=float)
+    vals: list[float] = []
+    weights: list[int] = []
+    for v in y:
+        vals.append(float(v))
+        weights.append(1)
+        while len(vals) >= 2 and vals[-2] > vals[-1]:
+            w = weights[-2] + weights[-1]
+            merged = (vals[-2] * weights[-2] + vals[-1] * weights[-1]) / w
+            vals[-2:] = [merged]
+            weights[-2:] = [w]
+    out = np.repeat(vals, weights)
+    if lower_bound is not None:
+        out = np.maximum(out, lower_bound)
+    return out
+
+
 def satisfying_databases(policy: Policy, n: int) -> list[tuple[int, ...]]:
     domain = policy.domain
     points = [unrank(domain, r) for r in range(domain.size)]
@@ -307,6 +328,19 @@ def hamiltonian_path_by_permutation(nodes, adj) -> bool:
         all(b in adj[a] for a, b in zip(order, order[1:]))
         for order in itertools.permutations(nodes)
     )
+
+
+def signature_edges_by_loop(g: SecretGraph, match) -> list[list[int]]:
+    """The first edge (x, y), in (x, y) order, joining each ordered pair of
+    different signatures, a signature being a rank's column of ``match``."""
+    sig = [tuple(col) for col in np.asarray(match).T.tolist()]
+    points = [unrank(g.domain, r) for r in range(g.domain.size)]
+    seen, out = set(), []
+    for x, y in itertools.product(range(g.domain.size), repeat=2):
+        if sig[x] != sig[y] and (sig[x], sig[y]) not in seen and is_edge(g, points[x], points[y]):
+            seen.add((sig[x], sig[y]))
+            out.append([x, y])
+    return out
 
 
 def random_secret_graph(rng: np.random.Generator, domain: DomainSpec, kind: str) -> SecretGraph:

@@ -593,6 +593,27 @@ def test_closed_form_past_edge_budget(tmp_path, capsys):
     assert capsys.readouterr().out == "9998 Exact ClosedForm\n"
 
 
+def test_distance_past_the_diameter_answers_as_the_full_graph(tmp_path, capsys):
+    # 5,000 values: the full graph's 25M pairs are over the edge budget, and
+    # a distance graph whose theta reaches the diameter, 4,999, is the full
+    # graph and answers from the signatures' first ranks as it does
+    domain = tmp_path / "wide.json"
+    domain.write_text(json.dumps({"attributes": [{"name": "x", "values": [str(i) for i in range(5000)]}]}))
+    ranges = [{"where": {"x": {"range": [0, 9]}}, "answer": 3}, {"where": {"x": {"range": [100, 199]}}, "answer": 5}]
+    for graph, described in (
+        ({"kind": "full"}, "full"),
+        ({"kind": "distance", "theta": 4999}, "distance(theta=4999)"),
+        ({"kind": "distance", "theta": 100000}, "distance(theta=100000)"),
+    ):
+        policy = tmp_path / "policy.json"
+        policy.write_text(json.dumps({"graph": graph, "constraints": ranges}))
+        files = ["--domain", str(domain), "--policy", str(policy)]
+        assert cli_main(["sensitivity", *files, "--method", "sparse"]) == 0
+        assert capsys.readouterr().out == "6 UpperBound SparseEngine\n"
+        assert cli_main(["policy", "validate", *files]) == 0
+        assert capsys.readouterr().out == f"ok: domain size 5000, {described}|general(q=2), 2 queries, sparse\n"
+
+
 def test_read_field_kinds():
     accepted = [
         (1, int, 1), (2.0, int, 2), (np.float64(2.0), int, 2), (10**400, int, 10**400), (None, (int, None), None),
@@ -1128,6 +1149,10 @@ MALFORMED_FILES = {
     "policy-answer-negative": (
         "policy", {"graph": {"kind": "full"}, "constraints": [{"where": {"A1": ["a1"]}, "answer": -1}]},
         "constraint answer must be at least 0, got -1",
+    ),
+    "policy-answer-past-int64": (
+        "policy", {"graph": {"kind": "full"}, "constraints": [{"where": {"A1": ["a1"]}, "answer": 10**20}]},
+        "constraint answer must be below 2**63, got 100000000000000000000",
     ),
     # a range on a misspelled attribute is refused as a label list is
     "policy-range-unknown-attribute": (

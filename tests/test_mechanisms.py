@@ -25,6 +25,7 @@ from blowfish.mechanisms import TREE_STREAM, oh_error_model, stream_generator, s
 
 from oracles import (
     isotonic_by_enumeration,
+    isotonic_by_loop,
     laplace_by_inverse_cdf,
     oh_cumulative_by_walk,
     philox_stream,
@@ -244,6 +245,33 @@ def test_isotonic_matches_enumeration():
 def test_isotonic_lower_bound_clamp():
     out = isotonic_inference([-3.0, -1.0, 2.0], lower_bound=0.0)
     assert out.tolist() == [0.0, 0.0, 2.0]
+
+
+def _isotonic_inputs(rng, count):
+    """Vectors of the kinds a release pools: normal values, small integers
+    with ties, noisy prefix counts and magnitudes up to 1e+-300, every other
+    one with a nan, an infinity or a -0.0 in it."""
+    for i in range(count):
+        size = int(rng.integers(1, 40))
+        y = [
+            rng.normal(0, 5, size),
+            rng.integers(-3, 4, size).astype(float),
+            np.cumsum(rng.integers(0, 5, size)) + rng.laplace(0, 2, size),
+            rng.normal(0, 1, size) * 10.0 ** rng.uniform(-300, 300, size),
+        ][i % 4]
+        if i % 2:
+            y[rng.integers(size)] = rng.choice([np.nan, np.inf, -np.inf, -0.0])
+        yield y
+
+
+def test_isotonic_matches_the_loop_bit_for_bit():
+    # the stack pops and pools with the same float operations, in the same
+    # order, as the loop that rewrote its top two blocks, so the release cdf
+    # pins hold
+    for y in _isotonic_inputs(np.random.default_rng(28), 2000):
+        for lower_bound in (None, 0.0):
+            got, want = isotonic_inference(y, lower_bound), isotonic_by_loop(y, lower_bound)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (y, lower_bound)
 
 
 # -- ordered mechanism -------------------------------------------------------------

@@ -19,7 +19,8 @@ from blowfish import (
     load_policy,
 )
 
-from blowfish.policy import _ball_size, iter_graph_edges, match_matrix, neighbor_databases
+from blowfish.policy import GraphKind, _ball_size, iter_graph_edges, match_matrix, neighbor_databases, signature_edges
+from blowfish.sensitivity import _max_edge_l1
 from oracles import (
     critical_pairs_by_loop,
     is_edge,
@@ -30,6 +31,7 @@ from oracles import (
     random_rectangle,
     random_secret_graph,
     rank,
+    signature_edges_by_loop,
     unrank,
 )
 
@@ -229,6 +231,64 @@ def test_iter_graph_edges_distance_at_diameter_128():
     assert witness[0, 1] == (0, far) and witness[1, 0] == (far, 0)
 
 
+def _complete_graphs(rng, count, max_size):
+    """(domain, [full, distance at the diameter, distance 3 past it]) on
+    random domains of 1 to 3 attributes of 1 to 5 values."""
+    while count:
+        dom = grid_domain(*[int(rng.integers(1, 6)) for _ in range(int(rng.integers(1, 4)))])
+        if dom.size <= max_size:
+            count -= 1
+            yield dom, [SecretGraph.full(dom), *(SecretGraph.distance(dom, dom.diameter() + extra) for extra in (0, 3))]
+
+
+def test_distance_at_the_diameter_is_the_full_graph():
+    rng = np.random.default_rng(28)
+    for dom, (full, *distance) in _complete_graphs(rng, 60, 125):
+        ranks = np.arange(dom.size)
+        assert full.theta == dom.diameter()
+        for g in distance:
+            assert np.array_equal(g.adjacent(ranks[:, None], ranks), full.adjacent(ranks[:, None], ranks))
+            assert g.max_rank_gap() == full.max_rank_gap() == dom.size - 1
+            assert _max_edge_l1(g) == _max_edge_l1(full) == dom.diameter()
+            assert np.array_equal(iter_graph_edges(g), iter_graph_edges(full))
+            for _ in range(3):
+                match = rng.random((int(rng.integers(1, 4)), dom.size)) < 0.5
+                assert np.array_equal(signature_edges(g, match), signature_edges(full, match))
+
+
+def test_signature_edges_shortcut_equals_the_walk():
+    # a complete graph's first edge between two signatures joins their first
+    # ranks; the same edges as an explicit graph take the walk over every
+    # edge, and the loop over every rank pair finds the same
+    rng = np.random.default_rng(29)
+    for dom, graphs in _complete_graphs(rng, 40, 30):
+        walk = SecretGraph.explicit(dom, list(itertools.combinations(range(dom.size), 2)))
+        for _ in range(3):
+            match = rng.random((int(rng.integers(1, 4)), dom.size)) < 0.5
+            expected = signature_edges_by_loop(walk, match)
+            for g in [*graphs, walk]:
+                got = signature_edges(g, match)
+                assert got.dtype.kind == "i" and got.tolist() == expected, (dom.sizes, g.kind, g.theta)
+
+
+def test_one_rank_domain_has_no_edges():
+    for dom in (grid_domain(1), grid_domain(1, 1, 1)):
+        for g in (SecretGraph.full(dom), SecretGraph.distance(dom, 0)):
+            assert g.theta == 0 and not g.has_any_edge() and _max_edge_l1(g) == 0
+            assert iter_graph_edges(g).shape == (0, 2) and not g.adjacent(0, 0)
+            assert signature_edges(g, np.ones((1, 1), dtype=bool)).shape == (0, 2)
+
+
+def test_theta_belongs_to_distance_graphs():
+    # a complete graph is told by theta reaching the diameter, so no other
+    # kind may carry one; a full graph's is the diameter whatever it is given
+    dom = grid_domain(2, 3)
+    for kind, theta in ((GraphKind.ATTRIBUTE, 3), (GraphKind.DISTANCE, -1)):
+        with pytest.raises(ValueError, match=f"^theta must be a distance graph's non-negative threshold, got {theta}$"):
+            SecretGraph(dom, kind, theta=theta)
+    assert SecretGraph(dom, GraphKind.FULL, theta=1).theta == 3
+
+
 # -- constraints and policy files ---------------------------------------------
 
 
@@ -339,6 +399,14 @@ def test_constraint_answers_are_not_negative():
     with pytest.raises(ValueError, match="^constraint answer must be at least 0, got -2$"):
         CountQuery((None, None), answer=-2)
     assert CountQuery((None, None), answer=0).answer == 0
+
+
+def test_constraint_answers_fit_int64():
+    # the counts they are compared with are int64, so a larger answer would
+    # reach numpy as a Python int too large to convert
+    with pytest.raises(ValueError, match=r"^constraint answer must be below 2\*\*63, got 9223372036854775808$"):
+        CountQuery((None, None), answer=2**63)
+    assert CountQuery((None, None), answer=2**63 - 1).answer == 2**63 - 1
 
 
 @pytest.mark.parametrize("value", ["1e400", "-1e400", "NaN", "1.9", "0.5", "true"])

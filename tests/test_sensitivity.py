@@ -836,3 +836,44 @@ def test_policy_sensitivity_dispatch_matches_engines():
         with pytest.raises(ValueError, match="^unknown method 'exact'$"):
             policy_sensitivity(HistogramQuery(), pol, "exact")
     assert answered == {"auto", "closed", "sparse", "specialized", "oracle"}, answered
+
+
+def test_distance_at_the_diameter_answers_as_the_full_graph():
+    # theta at or past the diameter gives the full graph's edges, so the
+    # closed forms, the sparse engine and the oracle give the full graph's
+    # result or error, unconstrained and under answered rectangles
+    rng = np.random.default_rng(28)
+    answered = set()
+    checked = 0
+    while checked < 20:
+        dom = grid_domain(*(int(rng.integers(1, 6)) for _ in range(int(rng.integers(1, 4)))))
+        if dom.size > 12:
+            continue
+        checked += 1
+        n = int(rng.integers(1, 3))
+        db = rng.integers(0, dom.size, size=n)
+        rects = [random_rectangle(rng, dom) for _ in range(int(rng.integers(1, 4)))]
+        answers = [sum(matches(q, unrank(dom, int(r))) for r in db) for q in rects]
+        queries = [
+            HistogramQuery(),
+            PartitionHistogramQuery(tuple(int(c) for c in rng.integers(0, 2, size=dom.size))),
+            CumulativeQuery(),
+            LinearSumQuery(tuple(float(w) for w in rng.uniform(-2, 2, size=n))),
+            ClusterSizeQuery(2),
+            ClusterSumQuery(int(rng.integers(1, 3))),
+        ]
+        routes = [
+            (ConstraintSet.none(), ("closed", "oracle"), queries),
+            (ConstraintSet.cardinality_only(), ("closed",), queries),
+            (ConstraintSet.of([CountQuery(q.allowed, a) for q, a in zip(rects, answers)]), ("sparse", "oracle"), queries[:1]),
+        ]
+        for theta in (dom.diameter(), dom.diameter() + 3):
+            for constraints, methods, route_queries in routes:
+                full = Policy(dom, SecretGraph.full(dom), constraints)
+                distance = Policy(dom, SecretGraph.distance(dom, theta), constraints)
+                for query, method in itertools.product(route_queries, methods):
+                    want = _outcome(policy_sensitivity, query, full, method, n)
+                    assert _outcome(policy_sensitivity, query, distance, method, n) == want, (dom.sizes, theta, query, method)
+                    if not isinstance(want[0], type):
+                        answered.add(method)
+    assert answered == {"closed", "sparse", "oracle"}

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import InfiniteSensitivityError
 from .mechanisms import BudgetLedger, PrivacyParams, compose_budgets, stream_generator, stream_laplace
-from .sensitivity import _cluster_sum_sensitivity, _l1_reach
+from .sensitivity import _cluster_sum_sensitivity
 
 
 # fraction of each iteration's budget spent on the size query
@@ -51,8 +51,9 @@ class KmeansConfig:
 class ClusteringPolicy:
     """Secret specification over a continuous box domain.
 
-    ``kind`` is one of full / distance / attribute; ``theta`` applies to the
-    distance kind and is in data units, finite and non-negative for every kind.
+    ``kind`` is one of full / distance / attribute; ``theta`` is the distance
+    kind's threshold in data units, finite and non-negative, and 0 for the
+    other kinds.
     """
 
     bounds: tuple[tuple[float, float], ...]
@@ -69,10 +70,18 @@ class ClusteringPolicy:
             raise ValueError(f"theta must be finite, got {self.theta}")
         if self.theta < 0:
             raise ValueError(f"theta must be non-negative, got {self.theta}")
+        if self.theta and self.kind != "distance":
+            raise ValueError(f"theta must be a distance graph's non-negative threshold, got {self.theta}")
 
     def qsum_sensitivity(self, k: int) -> float:
+        # the largest L1 move of one changed tuple inside the bounds box
         spans = [hi - lo for lo, hi in self.bounds]
-        return _cluster_sum_sensitivity(k, _l1_reach(self.kind, spans, self.theta))
+        reach = sum(spans)
+        if self.kind == "attribute":
+            reach = max(spans)
+        elif self.kind == "distance":
+            reach = min(self.theta, reach)
+        return _cluster_sum_sensitivity(k, reach)
 
     def describe(self) -> str:
         if self.kind == "distance":

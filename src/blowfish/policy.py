@@ -152,6 +152,46 @@ class SecretGraph:
             return gap
         return int((self.edges[:, 1] - self.edges[:, 0]).max(initial=0))
 
+    def max_edge_l1(self) -> int:
+        """max L1 length of an edge, in value indices; 0 if there are none.
+
+        In a partition cell it is the widest spread of the coordinates along
+        some sign vector s, as |u - v| in L1 is the largest s.(u - v), and s
+        and -s spread alike.  For d attributes of more than one value the
+        spreads cost 2^(d-1) * |T|, and a cell's pairs cost k^2 for k ranks:
+        the cheaper runs."""
+        domain = self.domain
+        if self.kind is GraphKind.ATTRIBUTE:
+            return max(a.size - 1 for a in domain.attributes)
+        if self.kind not in (GraphKind.PARTITION, GraphKind.EXPLICIT):
+            return min(self.theta, domain.diameter())
+        pairs = self.edges
+        if self.kind is GraphKind.PARTITION:
+            varying = [i for i, a in enumerate(domain.attributes) if a.size > 1]
+            spread_cost = 2 ** max(len(varying) - 1, 0) * domain.size
+            if spread_cost < int((np.unique(self.cells, return_counts=True)[1] ** 2).sum()):
+                _check_edge_budget(spread_cost, "cell spreads", "values")
+                signs = np.array(list(itertools.product((1,), *[(1, -1)] * (len(varying) - 1))))
+                return _cell_spread(self.cells, self._coords[:, varying] @ signs.T)
+            pairs = iter_graph_edges(self)
+        ends = np.unravel_index(pairs, domain.sizes)
+        return int(sum(np.abs(c[:, 0] - c[:, 1]) for c in ends).max(initial=0))
+
+    def crosses(self, cells) -> bool:
+        """Whether some edge joins two different cells of a partition of the
+        ranks, given as a cell id (or a match flag) per rank."""
+        if not self.has_any_edge():
+            return False
+        cells = np.asarray(cells)
+        if self.kind is GraphKind.PARTITION:
+            # some secret cell holds ranks of two query cells
+            return len(np.unique(np.stack([self.cells, cells], axis=1), axis=0)) > len(np.unique(self.cells))
+        if self.kind is GraphKind.EXPLICIT:
+            return bool((cells[self.edges[:, 0]] != cells[self.edges[:, 1]]).any())
+        # unit steps connect the domain and are edges of full, attribute and
+        # distance graphs alike (distance needs theta >= 1, given by has_any_edge)
+        return bool((cells != cells[0]).any())
+
 
 def _cell_spread(cells: np.ndarray, values: np.ndarray) -> int:
     """The largest max - min within one cell of ``cells`` of a column of
@@ -160,27 +200,6 @@ def _cell_spread(cells: np.ndarray, values: np.ndarray) -> int:
     _, starts = np.unique(cells[order], return_index=True)
     values = values[order]
     return int((np.maximum.reduceat(values, starts) - np.minimum.reduceat(values, starts)).max())
-
-
-def _longest_edge_l1(g: SecretGraph) -> int:
-    """The longest L1 edge of a partition or explicit graph; 0 if none.
-
-    In a cell it is the widest spread of the coordinates along some sign
-    vector s, as |u - v| in L1 is the largest s.(u - v), and s and -s spread
-    alike.  For d attributes of more than one value the spreads cost
-    2^(d-1) * |T|, and a cell's pairs cost k^2 for k ranks: the cheaper runs."""
-    domain = g.domain
-    pairs = g.edges
-    if g.kind is GraphKind.PARTITION:
-        varying = [i for i, a in enumerate(domain.attributes) if a.size > 1]
-        spread_cost = 2 ** max(len(varying) - 1, 0) * domain.size
-        if spread_cost < int((np.unique(g.cells, return_counts=True)[1] ** 2).sum()):
-            _check_edge_budget(spread_cost, "cell spreads", "values")
-            signs = np.array(list(itertools.product((1,), *[(1, -1)] * (len(varying) - 1))))
-            return _cell_spread(g.cells, domain.coords()[:, varying] @ signs.T)
-        pairs = iter_graph_edges(g)
-    ends = np.unravel_index(pairs, domain.sizes)
-    return int(sum(np.abs(c[:, 0] - c[:, 1]) for c in ends).max(initial=0))
 
 
 def _check_edge_budget(count: int, what: str = "edge iteration", unit: str = "pairs") -> None:
@@ -291,22 +310,6 @@ def signature_edges(g: SecretGraph, match: np.ndarray) -> np.ndarray:
     # drop the pairs within one signature
     idx = idx[code[idx] // n_sig != code[idx] % n_sig]
     return pairs[np.sort(idx)]
-
-
-def _partition_query_crossed(g: SecretGraph, cells) -> bool:
-    """Whether some edge of g joins two different cells of a query partition,
-    given as a cell id (or a match flag) per rank."""
-    if not g.has_any_edge():
-        return False
-    cells = np.asarray(cells)
-    if g.kind is GraphKind.PARTITION:
-        # some secret cell holds ranks of two query cells
-        return len(np.unique(np.stack([g.cells, cells], axis=1), axis=0)) > len(np.unique(g.cells))
-    if g.kind is GraphKind.EXPLICIT:
-        return bool((cells[g.edges[:, 0]] != cells[g.edges[:, 1]]).any())
-    # unit steps connect the domain and are edges of full, attribute and
-    # distance graphs alike (distance needs theta >= 1, given by has_any_edge)
-    return bool((cells != cells[0]).any())
 
 
 # -- constraints -----------------------------------------------------------
@@ -610,7 +613,7 @@ def check_parallel_decomposition(policy: Policy, subsets, n: int | None = None) 
     # a query is crossed when some edge joins a rank matching it to one that
     # does not: its match row splits the domain into two query cells
     match = match_matrix(answered, policy.domain)
-    crossed = np.array([_partition_query_crossed(policy.graph, row) for row in match])
+    crossed = np.array([policy.graph.crosses(row) for row in match])
     # secret graphs are symmetric, so a crossed query is both lifted and
     # lowered; a pair is critical when the other n-1 tuples can meet the
     # answer with the changed tuple inside q or outside it

@@ -9,10 +9,11 @@ Four routes are provided and kept deliberately independent of each other:
   the graph's edges come from the rank-by-query match matrix, read at one
   secret pair per pair of query signatures;
 * specialized exact formulas for three recognized constraint shapes
-  (one marginal with full-domain secrets, disjoint marginals with attribute
-  secrets, disjoint rectangles with distance-threshold secrets); rectangles
-  are compared as (queries, attributes) bounds arrays, O(q^2 * attributes)
-  with no enumeration of edges or ranks;
+  (one marginal with full-domain secrets or distance secrets at or past the
+  diameter, disjoint marginals with attribute secrets, disjoint rectangles
+  with distance-threshold secrets below the diameter); rectangles are
+  compared as (queries, attributes) bounds arrays, O(q^2 * attributes) with
+  no enumeration of edges or ranks;
 * a brute-force oracle that enumerates neighbors and maximizes the actual
   query difference, used to certify the other routes at tiny scale.
 
@@ -40,8 +41,6 @@ from .policy import (
     GraphKind,
     Policy,
     SecretGraph,
-    _longest_edge_l1,
-    _partition_query_crossed,
     match_matrix,
     neighbor_databases,
     signature_edges,
@@ -160,29 +159,11 @@ class SensitivityResult:
 # -- closed forms (unconstrained policies) ------------------------------------
 
 
-def _l1_reach(kind: str, spans, theta=0):
-    """Largest L1 move of one changed tuple in a box with these per-attribute
-    spans under full, attribute or distance(theta) secrets."""
-    if kind == "full":
-        return sum(spans)
-    if kind == "attribute":
-        return max(spans)
-    return min(theta, sum(spans))
-
-
 def _cluster_sum_sensitivity(k: int, reach):
     """Sensitivity of k per-cluster coordinate sums when one changed tuple
     moves at most ``reach`` in L1: with k >= 2 it can also leave one cluster
     for another, moving two sums."""
     return reach if k == 1 else 2 * reach
-
-
-def _max_edge_l1(g: SecretGraph) -> int:
-    """max L1 length of an edge of g; 0 if g has no edges."""
-    domain = g.domain
-    if g.kind in (GraphKind.FULL, GraphKind.ATTRIBUTE, GraphKind.DISTANCE):
-        return _l1_reach(g.kind, [a.size - 1 for a in domain.attributes], g.theta)
-    return _longest_edge_l1(g)
 
 
 def closed_form_sensitivity(query: QueryKind, policy: Policy) -> SensitivityResult:
@@ -195,7 +176,7 @@ def closed_form_sensitivity(query: QueryKind, policy: Policy) -> SensitivityResu
     elif isinstance(query, PartitionHistogramQuery):
         if len(query.cells) != policy.domain.size:
             raise ValueError("partition query needs one cell id per rank")
-        value = 2.0 if _partition_query_crossed(g, query.cells) else 0.0
+        value = 2.0 if g.crosses(query.cells) else 0.0
     elif isinstance(query, CumulativeQuery):
         value = float(g.max_rank_gap())
     elif isinstance(query, LinearSumQuery):
@@ -204,7 +185,7 @@ def closed_form_sensitivity(query: QueryKind, policy: Policy) -> SensitivityResu
     elif isinstance(query, ClusterSizeQuery):
         value = 2.0 if query.k >= 2 and g.has_any_edge() else 0.0
     elif isinstance(query, ClusterSumQuery):
-        value = float(_cluster_sum_sensitivity(query.k, _max_edge_l1(g)))
+        value = float(_cluster_sum_sensitivity(query.k, g.max_edge_l1()))
     else:
         raise TypeError(f"unknown query kind {type(query).__name__}")
     return SensitivityResult(value=value, exactness=Exactness.EXACT, method=Method.CLOSED_FORM)
@@ -420,14 +401,15 @@ def _components(near: np.ndarray) -> np.ndarray:
 def specialized_constraint_sensitivity(policy: Policy) -> SensitivityResult:
     """Exact histogram sensitivity for the three recognized constraint shapes.
 
-    (a) one complete marginal, full-domain secrets: 2 * size(marginal);
+    (a) one complete marginal, complete secret graphs (full-domain secrets,
+        or a distance threshold at or past the diameter): 2 * size(marginal);
     (b) pairwise-disjoint complete marginals, attribute secrets:
         2 * max size;
-    (c) pairwise-disjoint rectangles, distance-threshold secrets:
-        2 * (largest proximity component + 1), exact when no rectangle is a
-        point query, the rectangles leave part of the domain uncovered and
-        the largest components admit a Hamiltonian path in the proximity
-        graph (otherwise an upper bound).
+    (c) pairwise-disjoint rectangles, distance-threshold secrets below the
+        diameter: 2 * (largest proximity component + 1), exact when no
+        rectangle is a point query, the rectangles leave part of the domain
+        uncovered and the largest components admit a Hamiltonian path in
+        the proximity graph (otherwise an upper bound).
 
     Raises ShapeNotRecognizedError when the policy fits none of these.
     """
@@ -439,7 +421,10 @@ def specialized_constraint_sensitivity(policy: Policy) -> SensitivityResult:
     if not queries:
         raise ShapeNotRecognizedError("empty constraint set")
 
-    if g.kind in (GraphKind.FULL, GraphKind.ATTRIBUTE):
+    # a graph whose theta reaches the diameter joins every two ranks: the
+    # full graph, a distance graph at or past the diameter, or one rank
+    complete = g.theta >= domain.diameter()
+    if complete or g.kind is GraphKind.ATTRIBUTE:
         marginals = _as_marginals(queries, domain)
         if marginals is None:
             raise ShapeNotRecognizedError("constraints are not complete marginals")
@@ -449,13 +434,8 @@ def specialized_constraint_sensitivity(policy: Policy) -> SensitivityResult:
             # the matching construction varies the unconstrained attributes
             if domain.size // size < 2:
                 raise ShapeNotRecognizedError("degenerate marginal complement")
-        if g.kind is GraphKind.FULL:
-            if len(marginals) != 1:
-                raise ShapeNotRecognizedError(
-                    "full-domain secrets support a single marginal"
-                )
-            value = 2.0 * marginals[0][1]
-            return SensitivityResult(value, Exactness.EXACT, Method.SPECIALIZED)
+        if complete and len(marginals) != 1:
+            raise ShapeNotRecognizedError("full-domain secrets support a single marginal")
         used = [i for attrs, _ in marginals for i in attrs]
         if len(set(used)) < len(used):
             raise ShapeNotRecognizedError("marginals share attributes")

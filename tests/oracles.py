@@ -498,14 +498,15 @@ def specialized_by_loop(policy: Policy) -> SensitivityResult:
 
     Exact histogram sensitivity for the three recognized constraint shapes.
 
-    (a) one complete marginal, full-domain secrets: 2 * size(marginal);
+    (a) one complete marginal, complete secret graphs (full-domain secrets,
+        or a distance threshold at or past the diameter): 2 * size(marginal);
     (b) pairwise-disjoint complete marginals, attribute secrets:
         2 * max size;
-    (c) pairwise-disjoint rectangles, distance-threshold secrets:
-        2 * (largest proximity component + 1), exact when no rectangle is a
-        point query, the rectangles leave part of the domain uncovered and
-        the largest components admit a Hamiltonian path in the proximity
-        graph (otherwise an upper bound).
+    (c) pairwise-disjoint rectangles, distance-threshold secrets below the
+        diameter: 2 * (largest proximity component + 1), exact when no
+        rectangle is a point query, the rectangles leave part of the domain
+        uncovered and the largest components admit a Hamiltonian path in
+        the proximity graph (otherwise an upper bound).
 
     Raises ShapeNotRecognizedError when the policy fits none of these.
     """
@@ -517,7 +518,8 @@ def specialized_by_loop(policy: Policy) -> SensitivityResult:
     if not queries:
         raise ShapeNotRecognizedError("empty constraint set")
 
-    if g.kind in (GraphKind.FULL, GraphKind.ATTRIBUTE):
+    complete = g.theta >= domain.diameter()
+    if complete or g.kind is GraphKind.ATTRIBUTE:
         marginals = _as_marginals(queries, domain)
         if marginals is None:
             raise ShapeNotRecognizedError("constraints are not complete marginals")
@@ -531,7 +533,7 @@ def specialized_by_loop(policy: Policy) -> SensitivityResult:
             )
             if rest < 2:
                 raise ShapeNotRecognizedError("degenerate marginal complement")
-        if g.kind is GraphKind.FULL:
+        if complete:
             if len(marginals) != 1:
                 raise ShapeNotRecognizedError(
                     "full-domain secrets support a single marginal"

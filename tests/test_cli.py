@@ -79,6 +79,18 @@ def test_sensitivity_specialized_method(capsys):
     assert capsys.readouterr().out.strip() == "8 Exact Specialized"
 
 
+@pytest.mark.parametrize("theta", [4, 5, 100])
+def test_specialized_marginal_under_distance_at_the_diameter(theta, tmp_path, capsys):
+    # theta at or past the diameter, 4, is the full graph, so the worked
+    # example's marginal takes the full graph's shape, not the rectangles'
+    policy = json.loads(Path(POLICY_MARGINAL).read_text())
+    policy["graph"] = {"kind": "distance", "theta": theta}
+    twin = tmp_path / "policy_marginal_distance.json"
+    twin.write_text(json.dumps(policy))
+    assert cli_main(["sensitivity", "--domain", DOMAIN, "--policy", str(twin), "--method", "specialized"]) == 0
+    assert capsys.readouterr().out == "8 Exact Specialized\n"
+
+
 @pytest.mark.parametrize("method", ["sparse", "specialized"])
 @pytest.mark.parametrize("query", ["cumulative", "cluster-size", "cluster-sum"])
 def test_constrained_engines_refuse_other_queries(method, query, capsys):
@@ -743,6 +755,29 @@ def test_distance_graph_on_a_grid_answers(tmp_path, capsys):
     assert capsys.readouterr().out == "4 UpperBound SparseEngine\n"
     assert cli_main(["sensitivity", *files, "--method", "specialized"]) == 0
     assert capsys.readouterr().out == "4 Exact Specialized\n"
+
+
+def test_releases_on_a_one_value_domain(tmp_path):
+    # one value has no secret pair: the histogram is released exactly, and
+    # the cdf and the tree calibrate to theta 1, not to the 0 of their policy
+    domain, rows, policy = tmp_path / "one.json", tmp_path / "one.csv", tmp_path / "full.json"
+    domain.write_text(json.dumps({"attributes": [{"name": "x", "values": ["only"]}]}))
+    rows.write_text("x\nonly\nonly\n")
+    policy.write_text(json.dumps({"graph": {"kind": "full"}}))
+    common = ["--domain", str(domain), "--data", str(rows), "--epsilon", "0.5", "--seed", "3"]
+    payloads = {}
+    for name, flags in (("histogram", ["--policy", str(policy)]), ("cdf", []), ("range", ["--theta", "1"])):
+        out = tmp_path / f"{name}.json"
+        argv = ["release", name, *common, *flags, "--out", str(out)]
+        assert cli_main(argv) == 0
+        first = out.read_bytes()
+        assert cli_main(argv) == 0
+        assert out.read_bytes() == first
+        payloads[name] = json.loads(first)
+    assert payloads["histogram"]["sensitivity"] == 0 and payloads["histogram"]["values"] == [2.0]
+    assert payloads["cdf"]["theta"] == 1 and len(payloads["cdf"]["values"]) == 1
+    (node,) = payloads["range"]["nodes"]
+    assert node["id"] == "S1" and node["interval"] == [1, 1] and payloads["range"]["eps_s"] == 0.5
 
 
 SEEDED_RELEASES = {

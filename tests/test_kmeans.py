@@ -122,6 +122,10 @@ def test_config_validation():
         for theta, fault in ((-0.5, "non-negative"), (float("nan"), "finite"), (float("inf"), "finite")):
             with pytest.raises(ValueError, match=f"^theta must be {fault}, got {theta}$"):
                 ClusteringPolicy(unit_bounds(2), kind, theta=theta)
+    # a theta the noise would ignore is refused, after the checks above
+    for kind in ("full", "attribute"):
+        with pytest.raises(ValueError, match="^theta must be a distance graph's non-negative threshold, got 0.3$"):
+            ClusteringPolicy(unit_bounds(2), kind, theta=0.3)
 
 
 @pytest.mark.parametrize(
@@ -136,7 +140,7 @@ def test_private_rejects_points_outside_bounds(bad, row):
     pts[row - 1] = bad
     cfg, pp = KmeansConfig(k=2, iterations=2), PrivacyParams(1.0, 4)
     for kind in ("full", "distance", "attribute"):
-        policy = ClusteringPolicy(unit_bounds(2), kind, theta=0.25)
+        policy = ClusteringPolicy(unit_bounds(2), kind, theta=0.25 if kind == "distance" else 0.0)
         with pytest.raises(ValueError, match=f"point on row {row} "):
             kmeans_private(pts, cfg, policy, pp)
         kmeans_private(np.delete(pts, row - 1, axis=0), cfg, policy, pp)
@@ -169,7 +173,7 @@ def _kernel_cases(dims: int):
         (pts[:7], KmeansConfig(k=7, iterations=2), box),
     ]
     for kind in ("full", "distance", "attribute"):
-        policy = ClusteringPolicy(unit_bounds(dims), kind, theta=0.3)
+        policy = ClusteringPolicy(unit_bounds(dims), kind, theta=0.3 if kind == "distance" else 0.0)
         cases.append((pts, KmeansConfig(k=4, iterations=5), policy))
     grid = np.random.default_rng(dims).integers(0, 3, size=(300, dims)).astype(float)
     grid_box = ClusteringPolicy(tuple((0.0, 2.0) for _ in range(dims)))

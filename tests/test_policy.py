@@ -20,7 +20,6 @@ from blowfish import (
 )
 
 from blowfish.policy import GraphKind, _ball_size, iter_graph_edges, match_matrix, neighbor_databases, signature_edges
-from blowfish.sensitivity import _max_edge_l1
 from oracles import (
     critical_pairs_by_loop,
     is_edge,
@@ -249,7 +248,7 @@ def test_distance_at_the_diameter_is_the_full_graph():
         for g in distance:
             assert np.array_equal(g.adjacent(ranks[:, None], ranks), full.adjacent(ranks[:, None], ranks))
             assert g.max_rank_gap() == full.max_rank_gap() == dom.size - 1
-            assert _max_edge_l1(g) == _max_edge_l1(full) == dom.diameter()
+            assert g.max_edge_l1() == full.max_edge_l1() == dom.diameter()
             assert np.array_equal(iter_graph_edges(g), iter_graph_edges(full))
             for _ in range(3):
                 match = rng.random((int(rng.integers(1, 4)), dom.size)) < 0.5
@@ -274,7 +273,7 @@ def test_signature_edges_shortcut_equals_the_walk():
 def test_one_rank_domain_has_no_edges():
     for dom in (grid_domain(1), grid_domain(1, 1, 1)):
         for g in (SecretGraph.full(dom), SecretGraph.distance(dom, 0)):
-            assert g.theta == 0 and not g.has_any_edge() and _max_edge_l1(g) == 0
+            assert g.theta == 0 and not g.has_any_edge() and g.max_edge_l1() == 0
             assert iter_graph_edges(g).shape == (0, 2) and not g.adjacent(0, 0)
             assert signature_edges(g, np.ones((1, 1), dtype=bool)).shape == (0, 2)
 

@@ -840,8 +840,9 @@ def test_policy_sensitivity_dispatch_matches_engines():
 
 def test_distance_at_the_diameter_answers_as_the_full_graph():
     # theta at or past the diameter gives the full graph's edges, so the
-    # closed forms, the sparse engine and the oracle give the full graph's
-    # result or error, unconstrained and under answered rectangles
+    # closed forms, the sparse engine, the specialized shapes and the oracle
+    # give the full graph's result or error, unconstrained, under answered
+    # rectangles and under marginals
     rng = np.random.default_rng(28)
     answered = set()
     checked = 0
@@ -865,7 +866,8 @@ def test_distance_at_the_diameter_answers_as_the_full_graph():
         routes = [
             (ConstraintSet.none(), ("closed", "oracle"), queries),
             (ConstraintSet.cardinality_only(), ("closed",), queries),
-            (ConstraintSet.of([CountQuery(q.allowed, a) for q, a in zip(rects, answers)]), ("sparse", "oracle"), queries[:1]),
+            (ConstraintSet.of([CountQuery(q.allowed, a) for q, a in zip(rects, answers)]), ("sparse", "specialized", "oracle"), queries[:1]),
+            (ConstraintSet.of(_random_marginals(rng, dom)), ("specialized",), queries[:1]),
         ]
         for theta in (dom.diameter(), dom.diameter() + 3):
             for constraints, methods, route_queries in routes:
@@ -876,4 +878,4 @@ def test_distance_at_the_diameter_answers_as_the_full_graph():
                     assert _outcome(policy_sensitivity, query, distance, method, n) == want, (dom.sizes, theta, query, method)
                     if not isinstance(want[0], type):
                         answered.add(method)
-    assert answered == {"closed", "sparse", "oracle"}
+    assert answered == {"closed", "sparse", "specialized", "oracle"}

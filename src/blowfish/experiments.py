@@ -225,12 +225,14 @@ def _run_kmeans_ratio(config: dict, seed: int) -> list[ReportRow]:
 
     cfg = KmeansConfig(k=k, iterations=iterations)
     where = "kmeans-ratio policy"
-    policies = [
-        ClusteringPolicy(
-            bounds, read_field(p, "kind", "full", str, where=where), read_field(p, "theta", 0.0, float, where=where)
-        )
-        for p in policies_cfg
-    ]
+    policies = []
+    for i, p in enumerate(policies_cfg):
+        kind = read_field(p, "kind", "full", str, where=where)
+        theta = read_field(p, "theta", 0.0, float, where=where)
+        try:
+            policies.append(ClusteringPolicy(bounds, kind, theta))
+        except ValueError as exc:
+            raise ValueError(f"{where} {i}: {exc}") from None
 
     def measure(cell, ts):
         policy, eps = cell

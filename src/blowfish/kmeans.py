@@ -8,12 +8,17 @@ secrets.  Each iteration spends an equal slice of the budget, halved between
 the two queries; the charges are recorded in a budget ledger that composes
 sequentially to the configured epsilon.
 
-Both variants share one Lloyd kernel over the points' (d, n) columns.  It
-assigns points one centroid at a time: each centroid's (n,) squared-distance
-row is folded into a running minimum, and a point's index moves only on a
-strictly smaller distance, so ties go to the lowest index and no (k, n)
-matrix is built.  Cluster sizes and sums come from ``np.bincount`` (see
-``_sq_rows`` for when its floats equal a per-centroid, per-cluster loop's).
+Both variants share one Lloyd kernel over the points' (d, n) columns, built
+once per call.  It assigns points one centroid at a time: each centroid's
+(n,) squared-distance row is folded into a running minimum, and a point's
+index moves only on a strictly smaller distance, so ties go to the lowest
+index and no (k, n) matrix is built.  The move is branch-free: centroid i
+exceeds every index assigned before it, so ``max(assign, i * (row < best))``
+moves exactly the points a masked store would.  Cluster sizes and sums come
+from ``np.bincount`` (see ``_sq_rows`` for when its floats equal a
+per-centroid, per-cluster loop's).  The private bounds check and the
+non-private default bounds read each column's min and max, not a strided
+reduction over the (n, d) points.
 """
 
 from __future__ import annotations
@@ -138,7 +143,10 @@ def _assign(cols: np.ndarray, cents: np.ndarray) -> tuple[np.ndarray, float]:
     """Nearest-centroid index of every point and the objective, as argmin and
     min over a (k, n) distance matrix give them, without building it: a
     running minimum row, whose index moves only on a strict ``<`` (ties go to
-    the lowest index)."""
+    the lowest index).  Centroid i is larger than every index assigned so
+    far, so ``max(assign, i * (row < best))`` is that move without a masked
+    store, whose unpredictable branches on shuffled points cost several
+    times the three ufuncs."""
     if cents.ndim != 2 or cents.shape[1] != len(cols):
         raise ValueError("points and centroids have different dimensions")
     if not len(cents):
@@ -146,8 +154,12 @@ def _assign(cols: np.ndarray, cents: np.ndarray) -> tuple[np.ndarray, float]:
     rows = _sq_rows(cols, cents)
     best = next(rows).copy()
     assign = np.zeros(best.size, dtype=np.intp)
+    closer = np.empty(best.size, dtype=bool)
+    moved = np.empty_like(assign)
     for i, row in enumerate(rows, 1):
-        np.copyto(assign, i, where=row < best)
+        np.less(row, best, out=closer)
+        np.multiply(closer, i, out=moved)
+        np.maximum(assign, moved, out=assign)
         np.minimum(best, row, out=best)
     objective = float(best.sum())
     if math.isnan(objective):
@@ -160,10 +172,10 @@ def _assign(cols: np.ndarray, cents: np.ndarray) -> tuple[np.ndarray, float]:
     return assign, objective
 
 
-def _lloyd(pts: np.ndarray, cents: np.ndarray, iterations: int, update) -> ClusteringResult:
-    """``iterations`` Lloyd rounds; ``update(t, cents, sizes, sums)`` maps the
-    round's (k,) sizes and (k, d) coordinate sums to the next centroids."""
-    cols = np.ascontiguousarray(pts.T)
+def _lloyd(cols: np.ndarray, cents: np.ndarray, iterations: int, update) -> ClusteringResult:
+    """``iterations`` Lloyd rounds over the points' (d, n) columns;
+    ``update(t, cents, sizes, sums)`` maps the round's (k,) sizes and (k, d)
+    coordinate sums to the next centroids."""
     assign, _ = _assign(cols, cents)
     trace = []
     for t in range(iterations):
@@ -192,14 +204,14 @@ def kmeans_nonprivate(points, cfg: KmeansConfig, seed: int, bounds=None) -> Clus
     Empty clusters keep their previous centroid.  ``bounds`` feeds the seeded
     uniform initialization; by default the data bounding box is used.
     """
-    pts = _as_points(points)
+    cols = np.ascontiguousarray(_as_points(points).T)
     if bounds is None:
-        bounds = tuple(zip(pts.min(axis=0).tolist(), pts.max(axis=0).tolist()))
+        bounds = tuple(zip(cols.min(axis=1).tolist(), cols.max(axis=1).tolist()))
 
     def update(t, cents, sizes, sums):
         return np.where(sizes[:, None] > 0, sums / np.maximum(sizes, 1)[:, None], cents)
 
-    return _lloyd(pts, _init_centroids(cfg, bounds, seed, len(pts)), cfg.iterations, update)
+    return _lloyd(cols, _init_centroids(cfg, bounds, seed, cols.shape[1]), cfg.iterations, update)
 
 
 def kmeans_private(points, cfg: KmeansConfig, policy: ClusteringPolicy, pp: PrivacyParams) -> ClusteringResult:
@@ -222,9 +234,13 @@ def kmeans_private(points, cfg: KmeansConfig, policy: ClusteringPolicy, pp: Priv
     lows = np.array([lo for lo, _ in policy.bounds])
     highs = np.array([hi for _, hi in policy.bounds])
     # the sum query's sensitivity is calibrated to the bounds box: a point
-    # outside it would move the sums further than the noise covers
-    bad = ~(np.isfinite(pts) & (pts >= lows) & (pts <= highs)).all(axis=1)
-    if bad.any():
+    # outside it would move the sums further than the noise covers.  A NaN
+    # reaches its column's min and max and +-inf is always one of them, so the
+    # extremes decide; only a failing check looks for the row.
+    cols = np.ascontiguousarray(pts.T)
+    mins, maxs = cols.min(axis=1), cols.max(axis=1)
+    if not (np.isfinite(mins) & np.isfinite(maxs) & (mins >= lows) & (maxs <= highs)).all():
+        bad = ~(np.isfinite(pts) & (pts >= lows) & (pts <= highs)).all(axis=1)
         row = int(np.argmax(bad))
         raise ValueError(
             f"point on row {row + 1} {pts[row].tolist()} is not finite or lies "
@@ -246,4 +262,4 @@ def kmeans_private(points, cfg: KmeansConfig, policy: ClusteringPolicy, pp: Priv
         return np.clip(sums / np.maximum(sizes, 1.0)[:, None], lows, highs)
 
     cents = _init_centroids(cfg, policy.bounds, pp.seed, len(pts))
-    return replace(_lloyd(pts, cents, cfg.iterations, update), ledger=ledger)
+    return replace(_lloyd(cols, cents, cfg.iterations, update), ledger=ledger)

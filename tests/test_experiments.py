@@ -146,6 +146,18 @@ def test_run_experiment_unknown_name():
         ),
         ({"experiment": "cdf-release", "data": {"n": 100.9}}, "'data' field 'n' must be an integer, got 100.9"),
         ({"experiment": "range-mse", "baseline": "no"}, "experiment 'baseline' must be a boolean, got 'no'"),
+        (
+            {"experiment": "kmeans-ratio", "policies": [{"kind": "full", "theta": 0.5}]},
+            "kmeans-ratio policy 0: theta must be a distance graph's non-negative threshold, got 0.5",
+        ),
+        (
+            {"experiment": "kmeans-ratio", "policies": [{"kind": "ful"}]},
+            "kmeans-ratio policy 0: unknown clustering policy kind 'ful'",
+        ),
+        (
+            {"experiment": "kmeans-ratio", "policies": [{"kind": "full"}, {"kind": "distance", "theta": -1}]},
+            "kmeans-ratio policy 1: theta must be non-negative, got -1.0",
+        ),
     ],
 )
 def test_config_errors_name_the_field(config, field):

@@ -130,12 +130,15 @@ def test_config_validation():
 
 @pytest.mark.parametrize(
     "bad,row",
-    [((1000.0, 1000.0), 3), ((0.5, -0.01), 2), ((1.0 + 1e-9, 0.5), 4), ((np.nan, 0.5), 1), ((0.5, np.inf), 2)],
+    [
+        ((1000.0, 1000.0), 3), ((0.5, -0.01), 2), ((1.0 + 1e-9, 0.5), 4), ((np.nan, 0.5), 1), ((0.5, np.inf), 2),
+        ((-np.inf, 0.5), 5), ((0.5, 1.5), 20_000),
+    ],
 )
 def test_private_rejects_points_outside_bounds(bad, row):
     # the sum sensitivity is the bounds box's diameter: a point outside it
     # would move the released sums further than the noise was calibrated for
-    pts = np.full((5, 2), 0.5)
+    pts = np.full((max(row, 5), 2), 0.5)
     pts[-1] = (1.0, 0.0)  # the box's own corners are inside
     pts[row - 1] = bad
     cfg, pp = KmeansConfig(k=2, iterations=2), PrivacyParams(1.0, 4)
@@ -178,6 +181,9 @@ def _kernel_cases(dims: int):
     grid = np.random.default_rng(dims).integers(0, 3, size=(300, dims)).astype(float)
     grid_box = ClusteringPolicy(tuple((0.0, 2.0) for _ in range(dims)))
     cases.append((grid, KmeansConfig(k=3, iterations=4), grid_box))
+    if dims == 4:
+        # the benchmark's shape, where the assignment masks are long and unpredictable
+        cases.append((synth_clusters(20_000, dims, 8, 0.2, seed=dims), KmeansConfig(k=8), box))
     return cases
 
 
@@ -261,7 +267,8 @@ def _assignment_cases(d: int, k: int):
     """(points, centroids) pairs: uniform points; integer grids, whose
     distances tie exactly; centroids mirrored about x0 = 1 with points on
     that plane; duplicate centroids; +-inf points; a NaN point; a NaN
-    centroid after finite ones."""
+    centroid after finite ones; 20,000 clustered points in random order with
+    centroids copied from them, the first twice."""
     rng = np.random.default_rng(100 * d + k)
     pts = rng.random((400, d))
     cents = rng.random((k, d))
@@ -280,13 +287,16 @@ def _assignment_cases(d: int, k: int):
     nan_pt[5, d - 1] = np.nan
     nan_cent = gcents.copy()
     nan_cent[k - 1, 0] = np.nan
+    clustered = synth_clusters(20_000, d, k, 0.2, seed=d)
+    picked = clustered[rng.choice(len(clustered), k)]
+    picked[-1] = picked[0]
     return [
         (pts, cents), (grid, gcents), (plane, mirrored), (grid, dup),
-        (infs, cents), (nan_pt, gcents), (grid, nan_cent), (nan_pt, nan_cent),
+        (infs, cents), (nan_pt, gcents), (grid, nan_cent), (nan_pt, nan_cent), (clustered, picked),
     ]
 
 
-@pytest.mark.parametrize("k", [1, 3, 8])
+@pytest.mark.parametrize("k", [1, 3, 4, 8])
 @pytest.mark.parametrize("d", [1, 2, 4, 7, 8, 9, 12])
 def test_assign_matches_distance_matrix_argmin(d, k):
     ties = 0

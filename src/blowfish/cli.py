@@ -265,15 +265,21 @@ def _cmd_budget_total(args) -> int:
 def _column(col) -> list | None:
     """Each entry of a str list or a 1-D int64 or float64 array as JSON text,
     or None for a column that ``json.dumps`` must write: another dtype, or a
-    nan or an infinity.  A float is formatted once per distinct bit pattern,
-    which keeps -0.0 apart from 0.0."""
+    nan or an infinity.  A float column in which two adjacent entries repeat,
+    such as a tree's scales or pooled cdf values, is formatted once per
+    distinct bit pattern, which keeps -0.0 apart from 0.0; any other float
+    column is formatted entry by entry, as deduping it costs more than it
+    saves."""
     if type(col) is list:
         return list(map(encode_basestring_ascii, col))
     if col.dtype == np.int64:
         return list(map(int.__repr__, col.tolist()))
     if col.dtype != np.float64 or not np.isfinite(col).all():
         return None
-    bits, inverse = np.unique(np.ascontiguousarray(col).view(np.uint64), return_inverse=True)
+    bits = np.ascontiguousarray(col).view(np.uint64)
+    if not (bits[1:] == bits[:-1]).any():
+        return list(map(float.__repr__, col.tolist()))
+    bits, inverse = np.unique(bits, return_inverse=True)
     text = list(map(float.__repr__, bits.view(np.float64).tolist()))
     return list(map(text.__getitem__, inverse.tolist()))
 
@@ -337,84 +343,134 @@ def _format_payload(payload: dict, fmt: str) -> str:
     return _to_json(payload) + "\n"
 
 
-def build_parser() -> argparse.ArgumentParser:
-    # flags several subcommands share, each declared once in a parent parser
-    domain = argparse.ArgumentParser(add_help=False)
-    domain.add_argument("--domain", required=True)
-    policy = argparse.ArgumentParser(add_help=False, parents=[domain])
-    policy.add_argument("--policy", required=True)
-    exact = argparse.ArgumentParser(add_help=False)
-    exact.add_argument("--require-exact", action="store_true")
-    rows = argparse.ArgumentParser(add_help=False)
-    rows.add_argument("--data", required=True)
-    # a seeded release written to --out
-    noise = argparse.ArgumentParser(add_help=False)
-    noise.add_argument("--epsilon", type=float, required=True)
-    noise.add_argument("--seed", type=int, required=True)
-    noise.add_argument("--out", required=True)
-    noise.add_argument("--format", choices=["json", "csv"], default="json")
+# flags several subcommands share, each declared once
+def _domain_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--domain", required=True)
 
-    parser = argparse.ArgumentParser(prog="blowfish", description=__doc__)
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
 
-    p_policy = sub.add_parser("policy", help="policy file tools")
-    policy_sub = p_policy.add_subparsers(dest="subcommand", required=True)
-    p_validate = policy_sub.add_parser("validate", help="check a policy file", parents=[policy])
+def _policy_flags(p: argparse.ArgumentParser) -> None:
+    _domain_flags(p)
+    p.add_argument("--policy", required=True)
+
+
+def _exact_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--require-exact", action="store_true")
+
+
+def _rows_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--data", required=True)
+
+
+def _noise_flags(p: argparse.ArgumentParser) -> None:
+    """A seeded release written to --out."""
+    p.add_argument("--epsilon", type=float, required=True)
+    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--out", required=True)
+    p.add_argument("--format", choices=["json", "csv"], default="json")
+
+
+def _policy_command(p: argparse.ArgumentParser) -> None:
+    sub = p.add_subparsers(dest="subcommand", required=True)
+    p_validate = sub.add_parser("validate", help="check a policy file")
+    _policy_flags(p_validate)
     p_validate.set_defaults(func=_cmd_policy_validate)
 
-    p_sens = sub.add_parser("sensitivity", help="policy-specific sensitivity", parents=[policy, exact])
-    p_sens.add_argument("--query", choices=sorted(QUERY_KINDS), default="histogram")
-    p_sens.add_argument("--method", choices=["auto", "closed", "sparse", "specialized", "oracle"], default="auto")
-    p_sens.add_argument("--k", type=int, default=2, help="cluster count for cluster queries")
-    p_sens.add_argument("--n", type=int, default=2, help="database size for the oracle method")
-    p_sens.set_defaults(func=_cmd_sensitivity)
 
-    p_release = sub.add_parser("release", help="noisy releases")
-    release_sub = p_release.add_subparsers(dest="subcommand", required=True)
+def _sensitivity_command(p: argparse.ArgumentParser) -> None:
+    _policy_flags(p)
+    _exact_flag(p)
+    p.add_argument("--query", choices=sorted(QUERY_KINDS), default="histogram")
+    p.add_argument("--method", choices=["auto", "closed", "sparse", "specialized", "oracle"], default="auto")
+    p.add_argument("--k", type=int, default=2, help="cluster count for cluster queries")
+    p.add_argument("--n", type=int, default=2, help="database size for the oracle method")
+    p.set_defaults(func=_cmd_sensitivity)
 
-    p_hist = release_sub.add_parser("histogram", help="Laplace histogram release", parents=[policy, rows, noise, exact])
+
+def _release_command(p: argparse.ArgumentParser) -> None:
+    sub = p.add_subparsers(dest="subcommand", required=True)
+
+    p_hist = sub.add_parser("histogram", help="Laplace histogram release")
+    _policy_flags(p_hist)
+    _rows_flag(p_hist)
+    _noise_flags(p_hist)
+    _exact_flag(p_hist)
     p_hist.add_argument("--method", choices=["auto", "closed", "sparse", "specialized"], default="auto")
     p_hist.set_defaults(func=_cmd_release, release=_release_histogram)
 
-    p_cdf = release_sub.add_parser("cdf", help="ordered-mechanism cumulative release", parents=[domain, rows, noise])
+    p_cdf = sub.add_parser("cdf", help="ordered-mechanism cumulative release")
+    _domain_flags(p_cdf)
+    _rows_flag(p_cdf)
+    _noise_flags(p_cdf)
     p_cdf.add_argument("--theta", type=int, default=1)
     p_cdf.set_defaults(func=_cmd_release, release=_release_cdf)
 
-    p_range = release_sub.add_parser("range", help="ordered-hierarchical tree release", parents=[domain, rows, noise])
+    p_range = sub.add_parser("range", help="ordered-hierarchical tree release")
+    _domain_flags(p_range)
+    _rows_flag(p_range)
+    _noise_flags(p_range)
     p_range.add_argument("--theta", type=int, required=True)
     p_range.add_argument("--fanout", type=int, default=16)
     p_range.set_defaults(func=_cmd_release, release=_release_range)
 
-    p_km = sub.add_parser("kmeans", help="private k-means over numeric CSV data", parents=[noise])
-    p_km.add_argument("--data", required=True, help="headerless numeric CSV")
-    p_km.add_argument("--k", type=int, required=True)
-    p_km.add_argument("--iterations", type=int, default=10)
-    p_km.add_argument("--graph", choices=["full", "distance", "attribute"], default="full")
-    p_km.add_argument("--theta", type=float, default=0.0)
-    p_km.add_argument("--low", type=float, default=0.0)
-    p_km.add_argument("--high", type=float, default=1.0)
-    p_km.set_defaults(func=_cmd_kmeans)
 
-    p_exp = sub.add_parser("experiment", help="seeded evaluation harness")
-    exp_sub = p_exp.add_subparsers(dest="subcommand", required=True)
-    p_run = exp_sub.add_parser("run", help="run a config and write CSV")
+def _kmeans_command(p: argparse.ArgumentParser) -> None:
+    _noise_flags(p)
+    p.add_argument("--data", required=True, help="headerless numeric CSV")
+    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--iterations", type=int, default=10)
+    p.add_argument("--graph", choices=["full", "distance", "attribute"], default="full")
+    p.add_argument("--theta", type=float, default=0.0)
+    p.add_argument("--low", type=float, default=0.0)
+    p.add_argument("--high", type=float, default=1.0)
+    p.set_defaults(func=_cmd_kmeans)
+
+
+def _experiment_command(p: argparse.ArgumentParser) -> None:
+    sub = p.add_subparsers(dest="subcommand", required=True)
+    p_run = sub.add_parser("run", help="run a config and write CSV")
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--out", required=True)
     p_run.set_defaults(func=_cmd_experiment_run)
 
-    p_budget = sub.add_parser("budget", help="privacy budget accounting")
-    budget_sub = p_budget.add_subparsers(dest="subcommand", required=True)
-    p_total = budget_sub.add_parser("total", help="total a ledger file")
+
+def _budget_command(p: argparse.ArgumentParser) -> None:
+    sub = p.add_subparsers(dest="subcommand", required=True)
+    p_total = sub.add_parser("total", help="total a ledger file")
     p_total.add_argument("--ledger", required=True)
     p_total.set_defaults(func=_cmd_budget_total)
 
+
+# each command's help and the function that adds its flags and subcommands
+_COMMANDS = {
+    "policy": ("policy file tools", _policy_command),
+    "sensitivity": ("policy-specific sensitivity", _sensitivity_command),
+    "release": ("noisy releases", _release_command),
+    "kmeans": ("private k-means over numeric CSV data", _kmeans_command),
+    "experiment": ("seeded evaluation harness", _experiment_command),
+    "budget": ("privacy budget accounting", _budget_command),
+}
+
+
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The parser of the whole command line or, given the arguments of one
+    call, of what that call can reach.  Every command is listed, for
+    ``--help`` and for errors, but only a command named among the arguments
+    gets its flags and subcommands: argparse picks a command by its exact
+    name, so the call parses, fails and prints help as with the whole
+    parser."""
+    parser = argparse.ArgumentParser(prog="blowfish", description=__doc__)
+    parser.add_argument("--version", action="version", version=__version__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (summary, add) in _COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        if argv is None or name in argv:
+            add(p)
     return parser
 
 
 def cli_main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OverflowError, OSError, KeyError, BlowfishError) as exc:

@@ -287,6 +287,22 @@ def _ball_edges(domain: DomainSpec, radius: int) -> np.ndarray:
     return out
 
 
+def _signatures(match: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(first, sig)`` of ``np.unique(match.T, axis=0, return_index=True,
+    return_inverse=True)``: each signature's first rank, and each rank's
+    signature, numbered in the columns' lexicographic order.
+
+    A column packs, most significant bit first, into bytes whose order is
+    the column's, so one void key per rank sorts as the column does."""
+    if not match.shape[0]:
+        # no query: every rank has the one empty signature
+        return np.zeros(1, dtype=np.intp), np.zeros(match.shape[1], dtype=np.intp)
+    packed = np.ascontiguousarray(np.packbits(match, axis=0).T)
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    _, first, sig = np.unique(keys, return_index=True, return_inverse=True)
+    return first, sig
+
+
 def signature_edges(g: SecretGraph, match: np.ndarray) -> np.ndarray:
     """The first edge of g, in (x, y) order, joining each ordered pair of
     different signatures; a (k, 2) int64 array in (x, y) order.
@@ -295,8 +311,7 @@ def signature_edges(g: SecretGraph, match: np.ndarray) -> np.ndarray:
     matrix.  Ranks with the same signature act alike on every query, so a
     per-query scan of these edges sees everything a scan of all edges sees.
     """
-    _, first, sig = np.unique(match.T, axis=0, return_index=True, return_inverse=True)
-    sig = sig.reshape(-1)
+    first, sig = _signatures(match)
     n_sig = len(first)
     if g.theta >= g.domain.diameter():
         # theta at the diameter joins every two distinct ranks, so the first

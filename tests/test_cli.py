@@ -1,3 +1,4 @@
+import argparse
 import csv
 import inspect
 import json
@@ -718,6 +719,58 @@ def test_subcommand_namespaces(case):
     # names and values however the parser declares them
     argv, want = NAMESPACES[case]
     assert vars(cli.build_parser().parse_args(argv.split())) == want
+    assert vars(cli.build_parser(argv.split()).parse_args(argv.split())) == want
+
+
+def _parsers(parser):
+    """``parser`` and every subparser under it."""
+    yield parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                yield from _parsers(sub)
+
+
+def _parse(parser, argv, capsys):
+    """(the parsed names or the exit status, stdout, stderr) of parsing ``argv``."""
+    try:
+        result = vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        result = exc.code
+    printed = capsys.readouterr()
+    return result, printed.out, printed.err
+
+
+PARSE_ARGVS = [
+    "", "-h", "--version", "bogus", "-1", "-- sensitivity", "--version sensitivity", "sensitivity --version",
+    "policy", "policy -h", "policy validate -h", "policy validate", "policy bogus",
+    "sensitivity -h", "sensitivity --k two --domain d --policy p", "sensitivity --domain d --policy p --bogus",
+    "sensitivity --dom d --pol p", "release", "release -h", "release hist", "release histogram -h",
+    "release cdf -h", "release range --theta x", "kmeans -h", "kmeans --k 2", "experiment run -h",
+    "budget total --ledger", "sensitivity release --domain d --policy p", "release sensitivity",
+]
+
+
+@pytest.mark.parametrize("argv", PARSE_ARGVS)
+def test_call_parser_parses_as_the_whole_parser(argv, capsys):
+    # a call's parser gives the flags only to the command named in the call;
+    # its help, its errors and their exit status are the whole parser's
+    argv = argv.split()
+    assert _parse(cli.build_parser(argv), argv, capsys) == _parse(cli.build_parser(), argv, capsys)
+
+
+def test_call_parser_builds_only_the_named_command():
+    # the parsers and the flags, -h and --version aside, that a call builds
+    def built(argv):
+        parsers = list(_parsers(cli.build_parser(argv)))
+        flags = [a for p in parsers for a in p._actions if a.option_strings and a.dest not in ("help", "version")]
+        return len(parsers), len(flags)
+
+    assert built(None) == (13, 47)
+    assert built(["sensitivity", "--domain", "d"]) == (7, 7)
+    assert built(["policy", "validate"]) == (8, 2)
+    assert built(["release", "range"]) == (10, 24)
+    assert built([]) == (7, 0)
 
 
 def test_validate_wide_full_graph_answers(tmp_path, capsys):
@@ -1066,6 +1119,27 @@ def test_json_writer_tree_payloads():
             assert json.loads(written)["nodes"] == tree.to_dict()["nodes"]
 
 
+_LAPLACE = np.random.default_rng(11).laplace(size=5376)
+FLOAT_COLUMNS = {
+    "all-distinct": _LAPLACE,
+    "adjacent-repeats": np.repeat(_LAPLACE[:700], 8),
+    "non-adjacent-repeats": np.tile(_LAPLACE[:700], 8),
+    "zeros-alternating": np.array([-0.0, 0.0] * 50 + [2.5]),
+    "zeros-with-repeats": np.array([-0.0, 0.0, 0.0, -0.0, -0.0, 1.5, 1.5, 0.0]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FLOAT_COLUMNS))
+def test_float_column_written_like_json_dumps(case):
+    # a column with adjacent repeats is formatted once per bit pattern, any
+    # other entry by entry; both write what json.dumps writes
+    col = FLOAT_COLUMNS[case]
+    assert cli._column(col) == list(map(repr, col.tolist()))
+    for value in (col, col.reshape(-1, 1), Table(id=[str(i) for i in range(col.size)], value=col)):
+        payload = {"v": value}
+        assert _format_payload(payload, "json") == json.dumps(plain(payload), indent=2, sort_keys=True) + "\n"
+
+
 @pytest.mark.parametrize("command", ["histogram", "cdf", "range"])
 def test_csv_release_parses(command, tmp_path):
     out = tmp_path / "a,b \"c\".out"
@@ -1283,10 +1357,14 @@ def test_malformed_file_fails_cleanly(case, tmp_path, capsys):
 
 
 def _call(argv, out, capsys):
-    """(exit status, stdout, stderr, bytes written to ``out`` or None)."""
+    """(exit status, stdout, stderr, bytes written to ``out`` or None); an
+    exit that argparse raises gives its status."""
     if out.exists():
         out.unlink()
-    rc = cli_main(argv)
+    try:
+        rc = cli_main(argv)
+    except SystemExit as exc:
+        rc = exc.code
     printed = capsys.readouterr()
     return rc, printed.out, printed.err, out.read_bytes() if out.exists() else None
 
@@ -1308,14 +1386,17 @@ def test_calls_in_one_process_share_no_state(tmp_path, capsys):
         sens,
         km + ["--iterations", "2"],
         km,
+        sens + ["--k", "two"],
+        ["--version"],
     ]
     shared = [_call(argv, out, capsys) for argv in sequence]
     assert shared == [_call(argv, out, capsys) for argv in reversed(sequence)][::-1]
-    assert [rc for rc, *_ in shared] == [0, 0, 1, 0, 0, 0]
+    assert [rc for rc, *_ in shared] == [0, 0, 1, 0, 0, 0, 2, 0]
     assert shared[0][3].startswith(b"key,value\n") and shared[1][3].startswith(b"{\n")
     assert "upper bound" in shared[2][2] and shared[3][1] == "8 UpperBound SparseEngine\n"
     assert json.loads(shared[4][3])["flags"]["iterations"] == 2
     assert json.loads(shared[5][3])["flags"]["iterations"] == 10
+    assert "invalid int value: 'two'" in shared[6][2] and shared[7][1] == cli.__version__ + "\n"
 
 
 def test_release_reads_file_bytes_as_stored(tmp_path):

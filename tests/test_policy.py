@@ -19,7 +19,7 @@ from blowfish import (
     load_policy,
 )
 
-from blowfish.policy import GraphKind, _ball_size, iter_graph_edges, match_matrix, neighbor_databases, signature_edges
+from blowfish.policy import GraphKind, _ball_size, _signatures, iter_graph_edges, match_matrix, neighbor_databases, signature_edges
 from oracles import (
     critical_pairs_by_loop,
     is_edge,
@@ -268,6 +268,21 @@ def test_signature_edges_shortcut_equals_the_walk():
             for g in [*graphs, walk]:
                 got = signature_edges(g, match)
                 assert got.dtype.kind == "i" and got.tolist() == expected, (dom.sizes, g.kind, g.theta)
+
+
+@pytest.mark.parametrize("n_queries", [0, 1, 7, 8, 9, 63, 64, 65])
+def test_signatures_from_packed_bits_match_unique_columns(n_queries):
+    # packed columns number the signatures as np.unique over the bool
+    # columns does, at and around every byte boundary; columns are drawn
+    # from a small pool, so most signatures repeat, some of them non-adjacent
+    rng = np.random.default_rng(31 + n_queries)
+    for size in (1, 2, 9, 200):
+        for density in (0.1, 0.5, 0.9):
+            pool = rng.random((n_queries, int(rng.integers(1, 12)))) < density
+            match = pool[:, rng.integers(0, pool.shape[1], size)]
+            _, first, sig = np.unique(match.T, axis=0, return_index=True, return_inverse=True)
+            got_first, got_sig = _signatures(match)
+            assert got_first.tolist() == first.tolist() and got_sig.tolist() == sig.reshape(-1).tolist()
 
 
 def test_one_rank_domain_has_no_edges():

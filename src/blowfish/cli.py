@@ -364,7 +364,7 @@ def _rows_flag(p: argparse.ArgumentParser) -> None:
 def _noise_flags(p: argparse.ArgumentParser) -> None:
     """A seeded release written to --out."""
     p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=int, help="secret key of the noise; default: 128 random bits from the OS")
     p.add_argument("--out", required=True)
     p.add_argument("--format", choices=["json", "csv"], default="json")
 
@@ -471,6 +471,9 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
 def cli_main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser(argv).parse_args(argv)
+    if getattr(args, "seed", 0) is None:  # a release run without --seed
+        # secrets.randbits(128), without the 5 ms import of secrets
+        args.seed = int.from_bytes(os.urandom(16), "big")
     try:
         return args.func(args)
     except (ValueError, OverflowError, OSError, KeyError, BlowfishError) as exc:

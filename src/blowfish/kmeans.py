@@ -28,8 +28,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import mechanisms
 from .errors import InfiniteSensitivityError
-from .mechanisms import BudgetLedger, PrivacyParams, compose_budgets, stream_generator, stream_laplace
+from .mechanisms import BudgetLedger, PrivacyParams, compose_budgets, stream_generator
 from .sensitivity import _cluster_sum_sensitivity
 
 
@@ -250,13 +251,11 @@ def kmeans_private(points, cfg: KmeansConfig, policy: ClusteringPolicy, pp: Priv
     eps_iter = pp.epsilon / cfg.iterations
     eps_size = eps_iter * _SIZE_SHARE
     eps_sum = eps_iter - eps_size
-    size_scale = 2.0 / eps_size
-    sum_scale = qsum_sens / eps_sum
     ledger = BudgetLedger()
 
     def update(t, cents, sizes, sums):
-        sizes = sizes + stream_laplace(pp.seed, 2 + 2 * t, np.full(cfg.k, size_scale))
-        sums += stream_laplace(pp.seed, 3 + 2 * t, np.full(sums.shape, sum_scale))
+        sizes = mechanisms.add_noise(sizes, pp.seed, 2 + 2 * t, 2.0 / eps_size)
+        sums = mechanisms.add_noise(sums, pp.seed, 3 + 2 * t, qsum_sens / eps_sum)
         ledger.charge(f"iteration {t}: sizes", eps_size)
         ledger.charge(f"iteration {t}: sums", eps_sum)
         return np.clip(sums / np.maximum(sizes, 1.0)[:, None], lows, highs)

@@ -11,9 +11,10 @@ Four release strategies share the primitives here:
 * the hierarchical baseline, an f-ary interval tree over the whole domain,
   which the ordered-hierarchical structure degenerates to at theta = |domain|.
 
-Every noisy value comes from one kernel, ``stream_laplace(seed, index,
-scales)``: Laplace variates drawn in a row from one stream of the seed, draw i
-perturbing value i in release order.  Stream ``index`` is numpy's
+Every release adds its noise in one call, ``add_noise(values, seed, index,
+scale)``, the only function that perturbs data: Laplace variates drawn in a
+row from one stream of the seed, draw i added to value i in release order.
+Stream ``index`` is numpy's
 ``Generator(Philox(seed).jumped(index))``, Philox4x64-10 (Salmon et al.,
 "Parallel Random Numbers: As Easy as 1, 2, 3", SC 2011).
 ``stream_generator`` builds it as ``Generator(Philox(seed, counter=index <<
@@ -30,7 +31,7 @@ different uniforms:
   theta = 1 tree draw exactly the ordered mechanism's noise.
 
 A seed is spent by one release: two releases that share a seed and a stream
-share uniforms.
+share uniforms; without ``--seed`` the command line draws a 128-bit one.
 """
 
 from __future__ import annotations
@@ -99,17 +100,19 @@ def stream_generator(seed: int, index: int) -> np.random.Generator:
 TREE_STREAM = 2**63
 
 
-def stream_laplace(seed: int, index: int, scales) -> np.ndarray:
-    """Laplace(scale) variates shaped like ``scales``, drawn in a row from
-    stream ``index``, one per scale in C order; a scale of 0 gets +0.0."""
-    scales = np.asarray(scales, dtype=float)
-    ok = (scales >= 0) & (scales < math.inf)  # False for NaN too
+def add_noise(values, seed: int, index: int, scale) -> np.ndarray:
+    """``values`` plus Laplace(scale) variates drawn in a row from stream
+    ``index``, one per value in C order; ``scale`` is one number or an array
+    shaped like ``values``, and a scale of 0 adds +0.0."""
+    values, scale = np.asarray(values, dtype=float), np.asarray(scale, dtype=float)
+    if scale.shape not in ((), values.shape):
+        raise ValueError(f"scale must be one number or shaped like the values {values.shape}, got {scale.shape}")
+    ok = (scale >= 0) & (scale < math.inf)  # False for NaN too
     if not ok.all():
-        raise ValueError(f"scale must be finite and non-negative, got {float(scales[~ok][0])}")
-    noise = _laplace(scales, stream_generator(seed, index).random(scales.shape))
-    # -0.0 + 0.0 is +0.0 and x + 0.0 is x otherwise: a scale of 0 gives +0.0
-    noise += 0.0
-    return noise
+        raise ValueError(f"scale must be finite and non-negative, got {float(scale[~ok][0])}")
+    noise = _laplace(scale, stream_generator(seed, index).random(values.shape))
+    noise += 0.0  # -0.0 + 0.0 is +0.0 and x + 0.0 is x: a scale of 0 adds +0.0
+    return values + noise
 
 
 def laplace_mechanism(truth, sensitivity: float, pp: PrivacyParams) -> np.ndarray:
@@ -118,12 +121,7 @@ def laplace_mechanism(truth, sensitivity: float, pp: PrivacyParams) -> np.ndarra
         raise InfiniteSensitivityError(
             "infinite sensitivity: the policy cannot release this query with finite noise"
         )
-    if sensitivity < 0:
-        raise ValueError("sensitivity must be non-negative")
-    values = np.asarray(truth, dtype=float)
-    if sensitivity == 0:
-        return values.copy()
-    return values + stream_laplace(pp.seed, 0, np.full(values.shape, sensitivity / pp.epsilon))
+    return add_noise(truth, pp.seed, 0, sensitivity / pp.epsilon)
 
 
 class Table(dict):
@@ -208,8 +206,7 @@ def ordered_mechanism(hist, theta: int, pp: PrivacyParams) -> ReleasedCumulative
     counts = np.asarray(hist, dtype=np.int64)
     if theta < 1:
         raise ValueError("theta must be >= 1")
-    noisy = np.cumsum(counts).astype(float)
-    noisy += stream_laplace(pp.seed, TREE_STREAM, np.full(counts.size, theta / pp.epsilon))
+    noisy = add_noise(np.cumsum(counts), pp.seed, TREE_STREAM, theta / pp.epsilon)
     inferred = isotonic_inference(noisy, lower_bound=0.0)
     return ReleasedCumulative(
         noisy=noisy, inferred=inferred, theta=theta, epsilon=pp.epsilon, seed=pp.seed
@@ -451,7 +448,7 @@ def build_oh_release(
         if eps_h == 0:
             raise ValueError("eps_h must be positive when the structure has H nodes")
         scale[past_block1] = 2.0 * h / eps_h
-    value = (prefix[hi] - prefix[lo - 1]) + stream_laplace(seed, TREE_STREAM, scale)
+    value = add_noise(prefix[hi] - prefix[lo - 1], seed, TREE_STREAM, scale)
     columns = {"lo": lo, "hi": hi, "scale": scale, "value": value, "parent_hi": parent_hi}
     return OHTree(
         domain_size=size,

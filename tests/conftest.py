@@ -2,18 +2,17 @@ import numpy as np
 import pytest
 
 import oracles
-from blowfish import kmeans, mechanisms
+from blowfish import mechanisms
 
 
-def _zero_stream(seed, index, scales):
-    return np.zeros(np.shape(scales))
+def _noiseless(values, seed, index, scale):
+    return np.array(values, dtype=float)
 
 
 @pytest.fixture
 def no_noise(monkeypatch):
-    """Every Laplace draw is zero, so every release publishes the exact
-    values its noise perturbs.  k-means and its oracle draw through their
-    own imports of ``stream_laplace``, which are zeroed as well."""
-    monkeypatch.setattr(mechanisms, "stream_laplace", _zero_stream)
-    monkeypatch.setattr(kmeans, "stream_laplace", _zero_stream)
-    monkeypatch.setattr(oracles, "stream_laplace", _zero_stream)
+    """Every release adds zero noise, so it publishes the exact values its
+    noise perturbs.  Every release, k-means included, adds its noise through
+    ``mechanisms.add_noise``; the oracles call their own import of it."""
+    monkeypatch.setattr(mechanisms, "add_noise", _noiseless)
+    monkeypatch.setattr(oracles, "add_noise", _noiseless)

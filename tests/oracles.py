@@ -37,7 +37,7 @@ from blowfish import (
 )
 from blowfish.experiments import _tag
 from blowfish.kmeans import ClusteringResult, KmeansConfig, _init_centroids
-from blowfish.mechanisms import BudgetLedger, PrivacyParams, stream_laplace
+from blowfish.mechanisms import BudgetLedger, PrivacyParams, add_noise
 from blowfish.policy import GraphKind, iter_graph_edges
 from blowfish.sensitivity import MAX_POLICY_GRAPH_VERTICES, PolicyGraph, _path_states
 
@@ -829,8 +829,8 @@ def kmeans_private_by_loop(points, cfg: KmeansConfig, policy, pp: PrivacyParams)
     d2 = sq_distances_by_loop(pts, cents)
     for t in range(cfg.iterations):
         assign = d2.argmin(axis=1)
-        size_noise = stream_laplace(pp.seed, 2 + 2 * t, np.full(cfg.k, 2.0 / eps_size))
-        sum_noise = stream_laplace(pp.seed, 3 + 2 * t, np.full((cfg.k, dims), qsum_sens / eps_sum))
+        size_noise = add_noise(np.zeros(cfg.k), pp.seed, 2 + 2 * t, 2.0 / eps_size)
+        sum_noise = add_noise(np.zeros((cfg.k, dims)), pp.seed, 3 + 2 * t, qsum_sens / eps_sum)
         new = np.empty_like(cents)
         for c in range(cfg.k):
             members = pts[assign == c]

@@ -843,7 +843,7 @@ SEEDED_RELEASES = {
 }
 
 
-@pytest.mark.parametrize("command", sorted(SEEDED_RELEASES) + ["experiment"])
+@pytest.mark.parametrize("command", sorted(SEEDED_RELEASES) + ["histogram-zero-sensitivity", "experiment"])
 def test_negative_seed_fails_cleanly(command, tmp_path, capsys):
     out = tmp_path / "out.json"
     if command == "experiment":
@@ -851,6 +851,14 @@ def test_negative_seed_fails_cleanly(command, tmp_path, capsys):
         config.write_text(json.dumps({"experiment": "cdf-release", "domain_size": 4, "trials": 1, "seed": -1}))
         argv = ["experiment", "run", "--config", str(config), "--out", str(out)]
         want = "error: experiment 'seed' must be at least 0, got -1\n"
+    elif command == "histogram-zero-sensitivity":
+        # distance secrets at theta 0 join no two values: the noise scale is
+        # 0, and the release still draws, so it still reads the seed
+        policy = tmp_path / "theta0.json"
+        policy.write_text(json.dumps({"graph": {"kind": "distance", "theta": 0}}))
+        argv = ["release", "histogram", "--domain", DOMAIN, "--policy", str(policy), "--data", ROWS]
+        argv += ["--epsilon", "1.0", "--seed", "-1", "--out", str(out)]
+        want = "error: seed must be non-negative, got -1\n"
     else:
         argv = list(SEEDED_RELEASES[command]) + ["--seed", "-1", "--out", str(out)]
         want = "error: seed must be non-negative, got -1\n"
@@ -870,6 +878,23 @@ def test_seed_above_64_bits_releases(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["seed"] == 2**64 + 1
     assert len(payload["values"]) == 12
+
+
+@pytest.mark.parametrize("command", sorted(SEEDED_RELEASES))
+def test_seedless_releases_differ(command, tmp_path):
+    # without --seed a release draws its seed from the OS; a given seed
+    # gives the same bytes every time
+    out = tmp_path / "out.json"
+    argv = list(SEEDED_RELEASES[command]) + ["--out", str(out)]
+    if command == "kmeans":
+        data = tmp_path / "pts.csv"
+        data.write_text("0.1,0.2\n0.15,0.1\n0.8,0.9\n0.85,0.95\n")
+        argv += ["--data", str(data)]
+    texts = []
+    for seed in ([], [], ["--seed", "11"], ["--seed", "11"]):
+        assert cli_main(argv + seed) == 0
+        texts.append(out.read_bytes())
+    assert texts[0] != texts[1] and texts[2] == texts[3]
 
 
 def _random_json(rng: random.Random, depth: int = 0):

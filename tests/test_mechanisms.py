@@ -21,7 +21,7 @@ from blowfish import (
 )
 from blowfish import ClusteringPolicy, KmeansConfig, kmeans, kmeans_private, mechanisms
 from blowfish.experiments import random_range_workload, trial_seed
-from blowfish.mechanisms import TREE_STREAM, oh_error_model, stream_generator, stream_laplace
+from blowfish.mechanisms import TREE_STREAM, add_noise, oh_error_model, stream_generator
 
 from oracles import (
     isotonic_by_enumeration,
@@ -36,9 +36,14 @@ from oracles import (
 # -- laplace primitive ---------------------------------------------------------
 
 
+def _noise(seed: int, index: int, scales) -> np.ndarray:
+    """``add_noise`` on zeros: the draws alone, as ``0.0 + x`` is ``x``."""
+    return add_noise(np.zeros(np.shape(scales)), seed, index, scales)
+
+
 def test_sample_laplace_variance():
     b = 1.7
-    draws = stream_laplace(10, 0, np.full(1_000_000, b))
+    draws = _noise(10, 0, np.full(1_000_000, b))
     assert abs(draws.mean()) < 0.01
     assert abs(draws.var() / (2 * b * b) - 1) < 0.02
 
@@ -46,19 +51,19 @@ def test_sample_laplace_variance():
 def test_sample_laplace_edge_cases():
     rng = np.random.default_rng(0)
     assert sample_laplace(0.0, rng) == 0.0
-    assert stream_laplace(0, 0, [0.0, 0.0]).tolist() == [0.0, 0.0]
+    assert _noise(0, 0, [0.0, 0.0]).tolist() == [0.0, 0.0]
     for bad in (-1.0, math.inf, math.nan):
         with pytest.raises(ValueError):
             sample_laplace(bad, rng)
         with pytest.raises(ValueError, match="scale must be finite and non-negative"):
-            stream_laplace(0, 0, [1.0, bad])
+            _noise(0, 0, [1.0, bad])
 
 
 def test_sample_laplace_deterministic_given_stream():
     a = sample_laplace(2.0, philox_stream(42, 5))
     b = sample_laplace(2.0, philox_stream(42, 5))
     assert a == b
-    assert stream_laplace(42, 5, [2.0]).tolist() == [a]
+    assert _noise(42, 5, [2.0]).tolist() == [a]
 
 
 def _bits(values) -> np.ndarray:
@@ -89,17 +94,31 @@ def test_laplace_kernel_bit_identical_to_scalar_transform():
     assert mechanisms._laplace(1.0, np.zeros(1))[0] == math.log(5e-324)
 
 
-def test_stream_laplace_mixed_scales_bit_identical_with_positive_zeros():
+def test_add_noise_mixed_scales_bit_identical_with_positive_zeros():
     scales = [0.0, 1.5, 0.0, 2.0**-40, 7.0, 0.0, 1e6] * 3
     for index in KERNEL_INDICES:
-        got = stream_laplace(4, index, scales)
+        got = _noise(4, index, scales)
         assert np.array_equal(_bits(got), _bits(_in_a_row(4, index, scales)))
         zero = np.array(scales) == 0
         assert not np.signbit(got[zero]).any() and (got[zero] == 0).all()
         assert (got[~zero] != 0).all()
-        # noise comes shaped like the scales, drawn in C order
-        shaped = stream_laplace(4, index, np.reshape(scales, (3, 7)))
+        # noise comes shaped like the values, drawn in C order
+        shaped = _noise(4, index, np.reshape(scales, (3, 7)))
         assert shaped.shape == (3, 7) and np.array_equal(_bits(shaped.ravel()), _bits(got))
+        # the draws are added to the values
+        values = np.arange(len(scales)) - 3.5
+        assert np.array_equal(_bits(add_noise(values, 4, index, scales)), _bits(values + got))
+
+
+def test_add_noise_takes_one_scale_or_one_per_value():
+    values = np.arange(12.0).reshape(3, 4)
+    one = add_noise(values, 6, 2, 1.5)
+    assert np.array_equal(_bits(one), _bits(add_noise(values, 6, 2, np.full((3, 4), 1.5))))
+    for bad in (np.ones(4), np.ones((4, 3)), np.ones(12)):
+        with pytest.raises(ValueError, match=r"^scale must be one number or shaped like the values \(3, 4\)"):
+            add_noise(values, 6, 2, bad)
+    with pytest.raises(ValueError, match="^scale must be finite and non-negative, got -1.0$"):
+        add_noise(values, 6, 2, -1.0)
 
 
 def test_laplace_huge_scale_overflows_to_inf_silently():
@@ -107,7 +126,7 @@ def test_laplace_huge_scale_overflows_to_inf_silently():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = mechanisms._laplace(1e308, u)
-        nodes = stream_laplace(0, 0, [1e308])
+        nodes = _noise(0, 0, [1e308])
     assert np.array_equal(_bits(got), _bits([laplace_by_inverse_cdf(1e308, x) for x in u.tolist()]))
     assert got[0] == -math.inf and got[-1] == math.inf and got[3] == 0.0
     assert nodes.tolist() == _in_a_row(0, 0, [1e308])
@@ -120,7 +139,7 @@ def test_laplace_huge_scale_overflows_to_inf_silently():
 def test_philox_kernel_matches_numpy_streams(seed):
     scales = np.resize([1.0, 0.0, 2.5, 1e308, 2.0**-40, 7.0, 0.0], 300)
     for index in KERNEL_INDICES:
-        got = stream_laplace(seed, index, scales)
+        got = _noise(seed, index, scales)
         assert np.array_equal(_bits(got), _bits(_in_a_row(seed, index, scales.tolist())))
 
 
@@ -185,11 +204,11 @@ def test_mechanisms_draw_from_separate_streams(monkeypatch):
 def test_philox_kernel_rejects_bad_indices_and_seeds():
     for bad in (-1, 2**64):
         with pytest.raises(ValueError, match="stream indices"):
-            stream_laplace(0, bad, [1.0])
+            _noise(0, bad, [1.0])
     with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
-        stream_laplace(-1, 0, [1.0])
-    assert stream_laplace(0, 0, []).size == 0
-    assert stream_laplace(0, 0, np.zeros((0, 3))).shape == (0, 3)
+        _noise(-1, 0, [1.0])
+    assert _noise(0, 0, []).size == 0
+    assert _noise(0, 0, np.zeros((0, 3))).shape == (0, 3)
 
 
 def test_zero_uniform_is_clamped_like_sample_laplace(monkeypatch):
@@ -200,18 +219,21 @@ def test_zero_uniform_is_clamped_like_sample_laplace(monkeypatch):
     expected = sample_laplace(2.0, ZeroRng())
     assert math.isfinite(expected) and expected < 0
     monkeypatch.setattr(mechanisms, "stream_generator", lambda seed, index: ZeroRng())
-    assert stream_laplace(3, 7, [2.0]).tolist() == [expected]
+    assert _noise(3, 7, [2.0]).tolist() == [expected]
 
 
 def test_laplace_mechanism_exact_cases():
     truth = np.arange(8, dtype=float)
     out = laplace_mechanism(truth, 0.0, PrivacyParams(1.0, 3))
     assert np.array_equal(out, truth)
+    # a zero scale still draws, so the seed is checked
+    with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
+        laplace_mechanism(truth, 0.0, PrivacyParams(1.0, -1))
     tight = laplace_mechanism(truth, 2.0, PrivacyParams(1e6, 3))
     assert np.abs(tight - truth).max() < 1e-3
     with pytest.raises(InfiniteSensitivityError):
         laplace_mechanism(truth, math.inf, PrivacyParams(1.0, 3))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^scale must be finite and non-negative, got -1.0$"):
         laplace_mechanism(truth, -1.0, PrivacyParams(1.0, 3))
 
 

@@ -65,16 +65,16 @@ def _shape(kind, plural: bool = False) -> str:
     return _SHAPES[kind][2 if plural else 1]
 
 
-def read_field(source: dict, key: str, default, kind, least=None, where: str = "experiment"):
+def read_field(source: dict, key: str, default, kind, least=None, most=None, where: str = "experiment"):
     """``source[key]``, or ``default`` when the key is absent, read as
     ``kind``: a key of ``_SHAPES``, ``(kind, literal)`` for that kind or the
     one JSON literal (``(int, "full")``, ``(str, None)``), or ``[kind]`` for
     a list of them.  An ``int`` is a JSON integer or a whole float, an
     ``INT64`` such an integer in numpy's int64 range, a ``float`` a finite
     JSON number; none is a boolean or a string.  A value of another shape,
-    or a number out of range or below ``least``, is a ValueError naming
-    ``where`` and the field, and for a list the index of the first entry at
-    fault.
+    or a number out of range, below ``least`` or (with ``least`` given)
+    above ``most``, is a ValueError naming ``where`` and the field, and for
+    a list the index of the first entry at fault.
     """
 
     def read(v, kind):
@@ -107,7 +107,7 @@ def read_field(source: dict, key: str, default, kind, least=None, where: str = "
         raise ValueError(f"{where} {key!r} must be {_shape(kind)}, got {value!r}")
     # read() returns an entry of exactly these kinds as it is: a list of them
     # passes in one check, and any other list is read entry by entry
-    if many and least is None and kind[0] in (str, dict, bool, int) and {kind[0]}.issuperset(map(type, value)):
+    if many and least is most is None and kind[0] in (str, dict, bool, int) and {kind[0]}.issuperset(map(type, value)):
         return list(value)
     out = []
     for i, v in enumerate(value if many else [value]):
@@ -120,8 +120,8 @@ def read_field(source: dict, key: str, default, kind, least=None, where: str = "
         except OverflowError:  # float() of an integer past the float range
             problem = "finite"
         else:
-            if least is None or out[-1] >= least:
+            if (least is None or out[-1] >= least) and (most is None or out[-1] <= most):
                 continue
-            problem = f"at least {least}"
+            problem = f"at least {least}" if most is None else f"in [{least}, {most}]"
         raise ValueError(f"{where} {key!r} must be {problem}, got {v!r}" + (f" at index {i}" if many else ""))
     return out if many else out[0]

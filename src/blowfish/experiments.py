@@ -146,10 +146,10 @@ def _config_histogram(config: dict, size: int, seed: int) -> np.ndarray:
     return synth_histogram(
         kind=read_field(data_cfg, "kind", "zipf", str, where=where),
         size=size,
-        n=read_field(data_cfg, "n", 10_000, INT64, where=where),
+        n=read_field(data_cfg, "n", 10_000, INT64, least=0, where=where),
         seed=seed,
         zipf_s=read_field(data_cfg, "zipf_s", 1.1, float, where=where),
-        zero_frac=read_field(data_cfg, "zero_frac", 0.9, float, where=where),
+        zero_frac=read_field(data_cfg, "zero_frac", 0.9, float, least=0, most=1, where=where),
     )
 
 
@@ -216,7 +216,7 @@ def _run_kmeans_ratio(config: dict, seed: int) -> list[ReportRow]:
     n = read_field(config, "n", 1000, INT64)
     dims = read_field(config, "dims", 4, INT64)
     k = read_field(config, "k", 4, INT64)
-    sigma = read_field(config, "sigma", 0.2, float)
+    sigma = read_field(config, "sigma", 0.2, float, least=0)
     trials = read_field(config, "trials", 50, INT64, least=1)
     iterations = read_field(config, "iterations", 10, INT64)
     epsilons = read_field(config, "epsilons", [0.2], [float])

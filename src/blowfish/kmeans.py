@@ -1,12 +1,14 @@
 """Lloyd k-means and its privacy-preserving variant.
 
 The private variant releases, per iteration, noisy cluster sizes (sensitivity
-2, like any histogram) and noisy per-cluster coordinate sums, whose
-sensitivity depends on the policy: twice the domain's L1 diameter under
-full-domain secrets, but only twice the threshold under distance-threshold
-secrets.  Each iteration spends an equal slice of the budget, halved between
-the two queries; the charges are recorded in a budget ledger that composes
-sequentially to the configured epsilon.
+2, like any histogram) and noisy per-cluster coordinate sums at
+``ClusterSumQuery``'s closed form, for k >= 2 twice a secret edge's longest L1
+move: the box's L1 diameter under full secrets, its widest span under
+attribute secrets, and the threshold under distance secrets.  That form
+assumes sums accounted from the cluster boundary; it does not yet cover the
+raw-coordinate sums taken here.  Each iteration spends an equal slice of the
+budget, halved between the two queries; the charges are recorded in a ledger
+that composes sequentially to epsilon.
 
 Both variants share one Lloyd kernel over the points' (d, n) columns, built
 once per call.  It assigns points one centroid at a time: each centroid's
@@ -31,6 +33,7 @@ import numpy as np
 from . import mechanisms
 from .errors import InfiniteSensitivityError
 from .mechanisms import BudgetLedger, PrivacyParams, compose_budgets, stream_generator
+from .policy import edge_reach
 from .sensitivity import _cluster_sum_sensitivity
 
 
@@ -81,13 +84,7 @@ class ClusteringPolicy:
 
     def qsum_sensitivity(self, k: int) -> float:
         # the largest L1 move of one changed tuple inside the bounds box
-        spans = [hi - lo for lo, hi in self.bounds]
-        reach = sum(spans)
-        if self.kind == "attribute":
-            reach = max(spans)
-        elif self.kind == "distance":
-            reach = min(self.theta, reach)
-        return _cluster_sum_sensitivity(k, reach)
+        return _cluster_sum_sensitivity(k, edge_reach(self.kind, [hi - lo for lo, hi in self.bounds], self.theta))
 
     def describe(self) -> str:
         if self.kind == "distance":
@@ -188,15 +185,13 @@ def _lloyd(cols: np.ndarray, cents: np.ndarray, iterations: int, update) -> Clus
     return ClusteringResult(centroids=cents, objective=trace[-1], trace=tuple(trace))
 
 
-def _init_centroids(cfg: KmeansConfig, bounds, seed: int, n: int) -> np.ndarray:
+def _init_centroids(cfg: KmeansConfig, lows: np.ndarray, highs: np.ndarray, seed: int, n: int) -> np.ndarray:
     if cfg.init is not None:
         return np.array(cfg.init, dtype=float)
     if n < cfg.k:
         raise ValueError(f"need at least k={cfg.k} points for random initialization")
-    lows = np.array([lo for lo, _ in bounds])
-    highs = np.array([hi for _, hi in bounds])
     rng = stream_generator(seed, 1)
-    return lows + rng.random((cfg.k, len(bounds))) * (highs - lows)
+    return lows + rng.random((cfg.k, lows.size)) * (highs - lows)
 
 
 def kmeans_nonprivate(points, cfg: KmeansConfig, seed: int, bounds=None) -> ClusteringResult:
@@ -206,13 +201,12 @@ def kmeans_nonprivate(points, cfg: KmeansConfig, seed: int, bounds=None) -> Clus
     uniform initialization; by default the data bounding box is used.
     """
     cols = np.ascontiguousarray(_as_points(points).T)
-    if bounds is None:
-        bounds = tuple(zip(cols.min(axis=1).tolist(), cols.max(axis=1).tolist()))
+    lows, highs = (cols.min(axis=1), cols.max(axis=1)) if bounds is None else np.array(bounds).T
 
     def update(t, cents, sizes, sums):
         return np.where(sizes[:, None] > 0, sums / np.maximum(sizes, 1)[:, None], cents)
 
-    return _lloyd(cols, _init_centroids(cfg, bounds, seed, cols.shape[1]), cfg.iterations, update)
+    return _lloyd(cols, _init_centroids(cfg, lows, highs, seed, cols.shape[1]), cfg.iterations, update)
 
 
 def kmeans_private(points, cfg: KmeansConfig, policy: ClusteringPolicy, pp: PrivacyParams) -> ClusteringResult:
@@ -232,8 +226,7 @@ def kmeans_private(points, cfg: KmeansConfig, policy: ClusteringPolicy, pp: Priv
         raise InfiniteSensitivityError("sum query has infinite sensitivity under this policy")
     if pts.shape[1] != len(policy.bounds):
         raise ValueError("data dimension does not match policy bounds")
-    lows = np.array([lo for lo, _ in policy.bounds])
-    highs = np.array([hi for _, hi in policy.bounds])
+    lows, highs = np.array(policy.bounds).T
     # the sum query's sensitivity is calibrated to the bounds box: a point
     # outside it would move the sums further than the noise covers.  A NaN
     # reaches its column's min and max and +-inf is always one of them, so the
@@ -260,5 +253,5 @@ def kmeans_private(points, cfg: KmeansConfig, policy: ClusteringPolicy, pp: Priv
         ledger.charge(f"iteration {t}: sums", eps_sum)
         return np.clip(sums / np.maximum(sizes, 1.0)[:, None], lows, highs)
 
-    cents = _init_centroids(cfg, policy.bounds, pp.seed, len(pts))
+    cents = _init_centroids(cfg, lows, highs, pp.seed, len(pts))
     return replace(_lloyd(cols, cents, cfg.iterations, update), ledger=ledger)

@@ -366,21 +366,18 @@ class OHTree:
         return plain(self.payload())
 
 
-def _subtree_height(theta: int, fanout: int) -> int:
-    if theta <= 1:
-        return 0
-    return math.ceil(math.log(theta, fanout) - 1e-12)
+def _tree_layout(size: int, theta: int, fanout: int) -> tuple[np.ndarray, int]:
+    """Rows lo, hi, parent_hi of every node in release order, one column per
+    node, and the height h of a block's subtree as built.
 
-
-def _h_layout(size: int, theta: int, fanout: int) -> np.ndarray:
-    """Rows lo, hi, parent_hi of every H node but the block roots, one
-    column per node, sorted by (lo, hi).
-
-    Built level by level from the block roots: a node of width w >= 2 has
-    children of width ceil(w / fanout), the last one cut at the parent's end.
+    s_i ends where the root of block i does.  The H nodes, every one but the
+    block roots, are built level by level from the roots: a node of width
+    w >= 2 has children of width ceil(w / fanout), the last one cut at the
+    parent's end.  Block 1 is the widest, so h counts the levels it takes.
     """
     lo = np.arange(1, size + 1, theta, dtype=np.int64)
     hi = np.minimum(lo + theta - 1, size)
+    s_layout = np.stack([np.ones_like(hi), hi, hi])
     levels = []
     while lo.size:
         wide = hi > lo
@@ -394,8 +391,10 @@ def _h_layout(size: int, theta: int, fanout: int) -> np.ndarray:
         lo = np.repeat(lo, count) + slot * delta
         hi = np.minimum(lo + delta - 1, parent_hi)
         levels.append(np.stack([lo, hi, parent_hi]))
-    layout = np.concatenate(levels, axis=1)
-    return layout[:, np.lexsort((layout[1], layout[0]))]
+    h_layout = np.concatenate(levels, axis=1)
+    h_layout = h_layout[:, np.lexsort((h_layout[1], h_layout[0]))]
+    # the last pass finds no node wider than 1 and adds an empty level
+    return np.concatenate([s_layout, h_layout], axis=1), len(levels) - 1
 
 
 def build_oh_release(
@@ -409,8 +408,8 @@ def build_oh_release(
     """Build the noisy ordered-hierarchical structure over a histogram.
 
     Noise scales: S nodes s_2..s_k get Laplace(1/eps_s); H nodes of blocks
-    2..k get Laplace(2h/eps_h) where h = ceil(log_fanout theta); every node
-    of block 1, including its root s_1, gets Laplace(2h/(eps_h + eps_s)).
+    2..k get Laplace(2h/eps_h), h the height of a block's subtree as built;
+    every node of block 1, including its root s_1, gets Laplace(2h/(eps_h + eps_s)).
     At theta = 1 there are no H nodes and s_1 carries the combined budget.
 
     Blocks 2..k carry no root interval node: the full-block prefix is served
@@ -429,14 +428,9 @@ def build_oh_release(
     if not (eps_s >= 0 and eps_h >= 0 and 0 < eps_s + eps_h < math.inf):
         raise ValueError("budgets must be non-negative with a positive and finite total")
     prefix = np.concatenate([[0], np.cumsum(counts)]).astype(float)
-    k = math.ceil(size / theta)
-    h = _subtree_height(theta, fanout)
+    k = -(-size // theta)
+    (lo, hi, parent_hi), h = _tree_layout(size, theta, fanout)
     block1_scale = (1.0 if theta == 1 else 2.0 * h) / (eps_s + eps_h)
-
-    h_layout = _h_layout(size, theta, fanout)
-    s_hi = np.minimum(np.arange(1, k + 1, dtype=np.int64) * theta, size)
-    s_layout = np.stack([np.ones(k, dtype=np.int64), s_hi, s_hi])
-    lo, hi, parent_hi = np.concatenate([s_layout, h_layout], axis=1)
 
     scale = np.full(lo.size, block1_scale)
     if k >= 2:

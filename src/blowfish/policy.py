@@ -39,6 +39,16 @@ class GraphKind(str, Enum):
     EXPLICIT = "explicit"
 
 
+def edge_reach(kind: str, spans, theta):
+    """The longest L1 move of one changed value along a full, attribute or
+    distance secret edge, with ``spans`` the widest move on each attribute
+    and ``theta`` the distance kind's threshold."""
+    if kind == GraphKind.ATTRIBUTE:
+        return max(spans)
+    diameter = sum(spans)
+    return diameter if kind == GraphKind.FULL else min(theta, diameter)
+
+
 @dataclass(frozen=True, eq=False)
 class SecretGraph:
     """Edge predicate over the ranks of a domain, ``adjacent``.
@@ -161,10 +171,8 @@ class SecretGraph:
         spreads cost 2^(d-1) * |T|, and a cell's pairs cost k^2 for k ranks:
         the cheaper runs."""
         domain = self.domain
-        if self.kind is GraphKind.ATTRIBUTE:
-            return max(a.size - 1 for a in domain.attributes)
         if self.kind not in (GraphKind.PARTITION, GraphKind.EXPLICIT):
-            return min(self.theta, domain.diameter())
+            return edge_reach(self.kind, [a.size - 1 for a in domain.attributes], self.theta)
         pairs = self.edges
         if self.kind is GraphKind.PARTITION:
             varying = [i for i, a in enumerate(domain.attributes) if a.size > 1]

@@ -108,9 +108,10 @@ class ClusterSizeQuery(_ClusterQuery):
 class ClusterSumQuery(_ClusterQuery):
     """Per-cluster coordinate sums for k clusters.
 
-    The calibration quantity is twice the L1 displacement of a changed tuple:
-    a change can move mass out of one cluster and into another, each side by
-    up to the displacement when sums are accounted from the cluster boundary.
+    The closed form's premise is that sums are accounted from the cluster
+    boundary: a changed tuple moves two sums by at most its L1 displacement
+    each.  ``kmeans_private`` sums raw coordinates, which a tuple moves by
+    |x|_1 + |y|_1 and which this rule does not yet cover.
     """
 
 

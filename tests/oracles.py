@@ -643,6 +643,15 @@ def _oh_children(lo: int, hi: int, fanout: int) -> list[tuple[int, int]]:
     return [(start, min(start + delta - 1, hi)) for start in range(lo, hi + 1, delta)]
 
 
+def oh_height_by_powers(theta: int, fanout: int) -> int:
+    """Height of an ordered-hierarchical block's subtree: the least h with
+    fanout**h >= theta, in integers."""
+    h = 0
+    while fanout**h < theta:
+        h += 1
+    return h
+
+
 def oh_cumulative_by_walk(
     values: dict[tuple[int, int], float], size: int, theta: int, fanout: int, j: int
 ) -> float:
@@ -795,9 +804,8 @@ def kmeans_objective_by_loop(points, centroids) -> float:
 def kmeans_nonprivate_by_loop(points, cfg: KmeansConfig, seed: int, bounds=None) -> ClusteringResult:
     """Lloyd iteration with one boolean-mask gather and mean per cluster."""
     pts = np.asarray(points, dtype=float)
-    if bounds is None:
-        bounds = tuple((float(lo), float(hi)) for lo, hi in zip(pts.min(axis=0), pts.max(axis=0)))
-    cents = _init_centroids(cfg, bounds, seed, len(pts))
+    lows, highs = (pts.min(axis=0), pts.max(axis=0)) if bounds is None else np.array(bounds).T
+    cents = _init_centroids(cfg, lows, highs, seed, len(pts))
     d2 = sq_distances_by_loop(pts, cents)
     trace = []
     for _ in range(cfg.iterations):
@@ -821,7 +829,7 @@ def kmeans_private_by_loop(points, cfg: KmeansConfig, policy, pp: PrivacyParams)
     qsum_sens = policy.qsum_sensitivity(cfg.k)
     lows = np.array([lo for lo, _ in policy.bounds])
     highs = np.array([hi for _, hi in policy.bounds])
-    cents = _init_centroids(cfg, policy.bounds, pp.seed, len(pts))
+    cents = _init_centroids(cfg, lows, highs, pp.seed, len(pts))
     eps_size = eps_sum = pp.epsilon / cfg.iterations / 2
     ledger = BudgetLedger()
     trace = []

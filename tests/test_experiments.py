@@ -158,6 +158,16 @@ def test_run_experiment_unknown_name():
             {"experiment": "kmeans-ratio", "policies": [{"kind": "full"}, {"kind": "distance", "theta": -1}]},
             "kmeans-ratio policy 1: theta must be non-negative, got -1.0",
         ),
+        ({"experiment": "cdf-release", "data": {"n": -5}}, "experiment 'data' field 'n' must be at least 0, got -5"),
+        ({"experiment": "kmeans-ratio", "sigma": -0.1}, "experiment 'sigma' must be at least 0, got -0.1"),
+        (
+            {"experiment": "cdf-release", "data": {"kind": "sparse", "zero_frac": -0.5}},
+            "experiment 'data' field 'zero_frac' must be in [0, 1], got -0.5",
+        ),
+        (
+            {"experiment": "cdf-release", "data": {"kind": "sparse", "zero_frac": 1.5}},
+            "experiment 'data' field 'zero_frac' must be in [0, 1], got 1.5",
+        ),
     ],
 )
 def test_config_errors_name_the_field(config, field):

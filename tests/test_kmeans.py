@@ -3,11 +3,17 @@ import pytest
 
 from blowfish import (
     ClusteringPolicy,
+    ClusterSumQuery,
+    ConstraintSet,
     KmeansConfig,
+    Policy,
     PrivacyParams,
+    SecretGraph,
+    closed_form_sensitivity,
     compose_budgets,
     kmeans_nonprivate,
     kmeans_private,
+    load_domain,
 )
 from blowfish.experiments import synth_clusters
 from blowfish.kmeans import _assign
@@ -64,6 +70,21 @@ def test_clustering_policy_sensitivities():
     assert ClusteringPolicy(bounds, "full").qsum_sensitivity(4) == pytest.approx(8.0)
     assert ClusteringPolicy(bounds, "distance", theta=0.25).qsum_sensitivity(4) == pytest.approx(0.5)
     assert ClusteringPolicy(bounds, "attribute").qsum_sensitivity(4) == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_cluster_sum_entry_points_agree_on_integer_boxes(k):
+    # an integer box, one domain value per unit: the clustering policy and the
+    # closed form over the matching domain and secret graph state one sensitivity
+    bounds = ((2, 5), (-1, 1), (0, 1))
+    attrs = [{"name": f"A{i}", "values": [str(v) for v in range(lo, hi + 1)]} for i, (lo, hi) in enumerate(bounds)]
+    dom = load_domain({"attributes": attrs})
+    cases = [("full", 0, SecretGraph.full(dom)), ("attribute", 0, SecretGraph.attribute(dom))]
+    # distance thresholds below, at and past the diameter, 6
+    cases += [("distance", t, SecretGraph.distance(dom, t)) for t in (0, 2, 6, 9)]
+    for kind, theta, graph in cases:
+        closed = closed_form_sensitivity(ClusterSumQuery(k), Policy(dom, graph, ConstraintSet.none()))
+        assert ClusteringPolicy(bounds, kind, theta).qsum_sensitivity(k) == closed.value, (kind, theta)
 
 
 def test_private_zero_noise_matches_nonprivate(no_noise):

@@ -28,6 +28,7 @@ from oracles import (
     isotonic_by_loop,
     laplace_by_inverse_cdf,
     oh_cumulative_by_walk,
+    oh_height_by_powers,
     philox_stream,
     sample_laplace,
 )
@@ -394,7 +395,7 @@ def test_oh_structure_blocks_and_heights():
     counts = np.ones(16, dtype=int)
     tree = build_oh_release(counts, theta=4, fanout=2, eps_s=0.5, eps_h=0.5, seed=1)
     assert tree.k == 4
-    assert mechanisms._subtree_height(tree.theta, tree.fanout) == 2
+    assert oh_height_by_powers(tree.theta, tree.fanout) == 2
     blocks = _blocks(tree)
     # the block-1 root doubles as s_1; other blocks carry no root interval
     assert (tree.nodes()[0].lo, tree.nodes()[0].hi) == (1, 4)
@@ -409,11 +410,19 @@ def test_oh_structure_blocks_and_heights():
             assert (j, j) in blocks[b]
 
 
+def test_oh_layout_height_is_integer_rule():
+    # the layout's height, which the noise scales use, is the integer rule on every shape
+    for size in range(1, 41):
+        for theta in range(1, size + 1):
+            for fanout in range(2, 9):
+                assert mechanisms._tree_layout(size, theta, fanout)[1] == oh_height_by_powers(theta, fanout)
+
+
 def test_oh_noise_scales():
     counts = np.ones(16, dtype=int)
     eps_s, eps_h = 0.4, 0.6
     tree = build_oh_release(counts, theta=4, fanout=2, eps_s=eps_s, eps_h=eps_h, seed=1)
-    h = mechanisms._subtree_height(tree.theta, tree.fanout)
+    h = oh_height_by_powers(tree.theta, tree.fanout)
     for i, node in enumerate(tree.nodes()[: tree.k], start=1):
         if i == 1:
             assert node.scale == pytest.approx(2 * h / (eps_s + eps_h))
@@ -528,7 +537,7 @@ def test_oh_edge_change_perturbs_few_nodes():
     counts = np.zeros(64, dtype=int)
     theta, fanout = 8, 2
     tree = build_oh_release(counts, theta, fanout, 0.5, 0.5, seed=3)
-    h = mechanisms._subtree_height(tree.theta, tree.fanout)
+    h = oh_height_by_powers(tree.theta, tree.fanout)
     for _ in range(200):
         p = int(rng.integers(1, 65))
         q = int(rng.integers(max(1, p - theta), min(64, p + theta) + 1))

@@ -213,12 +213,12 @@ def _run_cdf_release(config: dict, seed: int) -> list[ReportRow]:
 
 
 def _run_kmeans_ratio(config: dict, seed: int) -> list[ReportRow]:
-    n = read_field(config, "n", 1000, INT64)
-    dims = read_field(config, "dims", 4, INT64)
-    k = read_field(config, "k", 4, INT64)
+    n = read_field(config, "n", 1000, INT64, least=1)
+    dims = read_field(config, "dims", 4, INT64, least=1)
+    k = read_field(config, "k", 4, INT64, least=1)
     sigma = read_field(config, "sigma", 0.2, float, least=0)
     trials = read_field(config, "trials", 50, INT64, least=1)
-    iterations = read_field(config, "iterations", 10, INT64)
+    iterations = read_field(config, "iterations", 10, INT64, least=1)
     epsilons = read_field(config, "epsilons", [0.2], [float])
     policies_cfg = read_field(config, "policies", [{"kind": "full"}, {"kind": "distance", "theta": 0.25}], [dict])
     bounds = ((0.0, 1.0),) * dims
@@ -261,7 +261,7 @@ def _run_kmeans_ratio(config: dict, seed: int) -> list[ReportRow]:
 
 def _run_sensitivity_table(config: dict, seed: int) -> list[ReportRow]:
     domain = load_domain(read_field(config, "domain", None, dict))
-    k = read_field(config, "k", 2, INT64)
+    k = read_field(config, "k", 2, INT64, least=1)
     rows = []
     for entry in read_field(config, "entries", [], [dict]):
         name = read_field(entry, "query", None, str, where="sensitivity-table entry")

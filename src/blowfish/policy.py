@@ -51,7 +51,7 @@ def edge_reach(kind: str, spans, theta):
 
 @dataclass(frozen=True, eq=False)
 class SecretGraph:
-    """Edge predicate over the ranks of a domain, ``adjacent``.
+    """Edge predicate over the ranks of a domain, ``adjacent``, and ``reaches``.
 
     The edge set is symmetric and irreflexive.  DISTANCE joins ranks 1 to
     ``theta`` apart in L1 over value indices, FULL is DISTANCE with the
@@ -138,6 +138,46 @@ class SecretGraph:
         dist = sum(np.abs(col[x] - col[y]) for col in self._coords.T)
         return (dist >= 1) & (dist <= self.theta)
 
+    def reaches(self, sets) -> np.ndarray:
+        """For each row of the (n, size) bool array ``sets``, the ranks outside
+        the set adjacent to one of its ranks: each kind's neighbour-set rule,
+        linear in n * size, with no edge built."""
+        sets = np.asarray(sets, dtype=bool)
+        n, sizes = len(sets), self.domain.sizes
+        if self.theta >= self.domain.diameter():
+            # complete: a set that holds a rank reaches every other rank
+            near = sets.any(axis=1, keepdims=True)
+        elif self.kind is GraphKind.PARTITION:
+            # the rank's cell holds a rank of the set
+            _, cell = np.unique(self.cells, return_inverse=True)
+            held = np.zeros((cell.max() + 1, n), dtype=bool)
+            np.logical_or.at(held, cell, sets.T)
+            near = held[cell].T
+        elif self.kind is GraphKind.EXPLICIT:
+            # the other ends of the stored edges
+            near = np.zeros_like(sets)
+            for a, b in (self.edges.T, self.edges.T[::-1]):
+                np.logical_or.at(near.T, b, sets.T[a])
+        elif self.kind is GraphKind.ATTRIBUTE:
+            # some rank of the set on the line through the rank along one attribute
+            grid = sets.reshape(n, *sizes)
+            near = np.zeros_like(grid)
+            for axis in range(1, grid.ndim):
+                near |= grid.any(axis=axis, keepdims=True)
+            near = near.reshape(sets.shape)
+        else:
+            # distance: L1 is separable, so the distance to the set is one
+            # forward and one backward pass per attribute (Rosenfeld & Pfaltz
+            # 1966); diameter + 1 stands for no rank of the set
+            dist = np.where(sets, 0, self.domain.diameter() + 1).reshape(n, *sizes)
+            for axis, s in enumerate(sizes, start=1):
+                i = np.arange(s).reshape(-1, *[1] * (len(sizes) - axis))
+                forward = np.minimum.accumulate(dist - i, axis=axis) + i
+                backward = np.flip(np.minimum.accumulate(np.flip(dist + i, axis), axis=axis), axis) - i
+                dist = np.minimum(forward, backward)
+            near = dist.reshape(sets.shape) <= self.theta
+        return near & ~sets
+
     @cached_property
     def _coords(self) -> np.ndarray:
         return self.domain.coords()
@@ -219,20 +259,12 @@ def iter_graph_edges(g: SecretGraph) -> np.ndarray:
     """Ordered rank pairs (x, y), x != y, that are edges of g.
 
     One (m, 2) int64 array holding both directions of every edge, its rows
-    sorted by (x, y); it costs 16 bytes per pair.  Raises
+    sorted by (x, y), 16 bytes per pair: the cells' runs, the stored edges, or
+    for other kinds a scan of ``adjacent`` over every rank pair.  Raises
     BudgetExceededError, before building any pair, if the enumeration would
     visit more than ``DEFAULT_EDGE_BUDGET`` candidate pairs.
     """
     domain = g.domain
-    if g.kind is GraphKind.ATTRIBUTE:
-        _check_edge_budget(domain.size * sum(domain.sizes))
-        # rank offsets to every value of every attribute, sorted per rank;
-        # the zero offsets (a rank to itself) are dropped
-        attrs = zip(domain.coords().T, domain.attributes, domain._weights)
-        offsets = np.hstack([(np.arange(a.size) - col[:, None]) * w for col, a, w in attrs])
-        offsets.sort(axis=1)
-        x, j = np.nonzero(offsets)
-        return np.stack([x, x + offsets[x, j]], axis=1)
     if g.kind is GraphKind.PARTITION:
         order = np.argsort(g.cells, kind="stable")
         ordered = g.cells[order]
@@ -248,51 +280,9 @@ def iter_graph_edges(g: SecretGraph) -> np.ndarray:
         _check_edge_budget(2 * len(g.edges))
         both = np.concatenate([g.edges, g.edges[:, ::-1]])
         return both[np.lexsort((both[:, 1], both[:, 0]))]
-    # full and distance: the L1 ball, which holds every pair at the diameter
-    return _ball_edges(domain, min(g.theta, domain.diameter()))
-
-
-def _ball_size(domain: DomainSpec, radius: int) -> int:
-    """Ordered pairs (x, y), x = y included, at L1 distance at most radius:
-    the sum up to radius of the convolution over attributes of their pair
-    counts by distance, (s, 2(s - 1), 2(s - 2), ..) for s values.  float64
-    is exact below 2**53, far past the budget."""
-    ball = np.ones(1)
-    for s in domain.sizes:
-        pairs = 2.0 * (s - np.arange(min(s, radius + 1)))
-        pairs[0] = s
-        ball = np.convolve(ball, pairs)[: radius + 1]
-    # a sum past the float range is inf; no ball holds more than size**2 pairs
-    return int(min(float(ball.sum()), domain.size**2))
-
-
-def _ball_edges(domain: DomainSpec, radius: int) -> np.ndarray:
-    """``iter_graph_edges`` of the pairs at L1 distance 1 to ``radius``.
-
-    Rows (x, y so far, distance left) grow one attribute at a time, the most
-    significant first, each into the one interval of values its distance
-    left reaches: the rows stay in (x, y) order and no pair outside the ball
-    is built.  At the first attribute of place value 1 a row is one run."""
-    _check_edge_budget(_ball_size(domain, radius))
-    x = y = np.arange(domain.size, dtype=np.int64)
-    left = np.full_like(x, radius)
-    for s, w in zip(domain.sizes, domain._weights):
-        c = x // w % s
-        lo = -np.minimum(c, left)
-        n = np.minimum(s - 1 - c, left) - lo + 1
-        if w == 1:
-            break
-        offset = runs(lo, n)
-        x, y, left = np.repeat(x, n), np.repeat(y, n) + offset * w, np.repeat(left, n) - np.abs(offset)
-    # the run [start, stop) holding x becomes [start, x) and (x, stop); any
-    # other run lies wholly on one side of x
-    start, stop = y + lo, y + lo + n
-    cut, resume = np.clip(x, start, stop), np.clip(x + 1, start, stop)
-    lengths = np.stack([cut - start, stop - resume], axis=1)
-    out = np.empty((int(lengths.sum()), 2), dtype=np.int64)
-    out[:, 0] = np.repeat(x, lengths.sum(axis=1))
-    out[:, 1] = runs(np.stack([start, resume], axis=1).ravel(), lengths.ravel())
-    return out
+    _check_edge_budget(domain.size**2)
+    ranks = np.arange(domain.size, dtype=np.int64)
+    return np.argwhere(g.adjacent(ranks[:, None], ranks))
 
 
 def _signatures(match: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -318,21 +308,30 @@ def signature_edges(g: SecretGraph, match: np.ndarray) -> np.ndarray:
     A rank's signature is its column of the (n_queries, size) bool ``match``
     matrix.  Ranks with the same signature act alike on every query, so a
     per-query scan of these edges sees everything a scan of all edges sees.
+    For each signature b, x is the first rank of each other signature that
+    ``reaches`` b, and y the first rank of b adjacent to x: signatures * size.
     """
     first, sig = _signatures(match)
-    n_sig = len(first)
+    n_sig, size = len(first), g.domain.size
+    _check_edge_budget(n_sig * size, f"{n_sig} signatures", "ranks")
+    # every signature's ranks, ascending, as one run of ``order``
+    order = np.argsort(sig, kind="stable")
+    starts = np.searchsorted(sig[order], np.arange(n_sig))
+    # entry (b, a): the first rank of signature a that reaches b, else size
+    reach = np.where(g.reaches(sig == np.arange(n_sig)[:, None])[:, order], order, size)
+    firsts = np.minimum.reduceat(reach, starts, axis=1)
+    b, a = np.nonzero(firsts < size)
+    x = firsts[b, a]
     if g.theta >= g.domain.diameter():
-        # theta at the diameter joins every two distinct ranks, so the first
-        # edge joining two signatures joins their first ranks
-        _check_edge_budget(n_sig * n_sig, f"{n_sig} signatures")
-        first = np.sort(first)
-        return first[np.argwhere(g.adjacent(first[:, None], first))]
-    pairs = iter_graph_edges(g)
-    code = sig[pairs[:, 0]] * n_sig + sig[pairs[:, 1]]
-    _, idx = np.unique(code, return_index=True)
-    # drop the pairs within one signature
-    idx = idx[code[idx] // n_sig != code[idx] % n_sig]
-    return pairs[np.sort(idx)]
+        # a complete graph joins x to b's first rank
+        y = first[b]
+    else:
+        # the first rank of b's run adjacent to x
+        counts = np.diff(starts, append=size)
+        at = runs(starts[b], counts[b])
+        near = g.adjacent(np.repeat(x, counts[b]), order[at])
+        y = order[np.minimum.reduceat(np.where(near, at, size), np.cumsum(counts[b]) - counts[b])]
+    return np.stack([x, y], axis=1)[np.lexsort((y, x))]
 
 
 # -- constraints -----------------------------------------------------------

@@ -7,7 +7,7 @@ Four routes are provided and kept deliberately independent of each other:
   over the constraint queries and bounds the histogram sensitivity by twice
   the larger of its longest simple cycle and its longest source-to-sink path;
   the graph's edges come from the rank-by-query match matrix, read at one
-  secret pair per pair of query signatures;
+  secret pair per pair of query signatures, found with no secret edge built;
 * specialized exact formulas for three recognized constraint shapes
   (one marginal with full-domain secrets or distance secrets at or past the
   diameter, disjoint marginals with attribute secrets, disjoint rectangles
@@ -564,7 +564,7 @@ def policy_sensitivity(query: QueryKind, policy: Policy, method: str = "auto", n
     constraint engines bound the complete histogram only.
 
     A non-sparse constraint set raises NonSparseConstraintsError from the
-    edge scan that builds the policy graph.
+    signature edges that build the policy graph.
     """
     if method == "auto":
         method = "closed" if policy.constraints.unconstrained else "sparse"

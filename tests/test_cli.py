@@ -577,10 +577,19 @@ def test_enumeration_budget_fails_cleanly(capsys):
 
 
 def test_edge_budget_fails_cleanly(tmp_path, capsys):
-    # one 5000-rank cell has 25M candidate pairs, over the 20M budget
+    # the budget counts query signatures times ranks: 201 signatures over
+    # 100,000 ranks are over it, and are refused before any is scanned
     domain = tmp_path / "wide.json"
+    domain.write_text(json.dumps({"attributes": [{"name": "x", "values": [str(i) for i in range(100_000)]}]}))
+    policy = tmp_path / "points.json"
+    points = [{"where": {"x": [str(v)]}, "answer": 1} for v in range(200)]
+    policy.write_text(json.dumps({"graph": {"kind": "distance", "theta": 1}, "constraints": points}))
+    rc = cli_main(["policy", "validate", "--domain", str(domain), "--policy", str(policy)])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: 201 signatures would visit ~20100000 ranks, budget is 20000000\n"
+    # one 5000-rank cell has 25M candidate pairs, but its two signatures
+    # are 10,000 ranks to scan
     domain.write_text(json.dumps({"attributes": [{"name": "x", "values": [str(i) for i in range(5000)]}]}))
-    policy = tmp_path / "partition.json"
     policy.write_text(
         json.dumps(
             {
@@ -589,14 +598,13 @@ def test_edge_budget_fails_cleanly(tmp_path, capsys):
             }
         )
     )
-    rc = cli_main(["policy", "validate", "--domain", str(domain), "--policy", str(policy)])
-    assert rc == 1
-    assert "error:" in capsys.readouterr().err
+    assert cli_main(["policy", "validate", "--domain", str(domain), "--policy", str(policy)]) == 0
+    assert capsys.readouterr().out == "ok: domain size 5000, partition(cells=1)|general(q=1), 1 queries, sparse\n"
 
 
 def test_closed_form_past_edge_budget(tmp_path, capsys):
-    # the cell of test_edge_budget_fails_cleanly, unconstrained: the closed
-    # form reads the cell's coordinates, not its 25M candidate pairs
+    # one 5000-rank cell, unconstrained: the closed form reads the cell's
+    # coordinates, not its 25M candidate pairs
     domain = tmp_path / "wide.json"
     domain.write_text(json.dumps({"attributes": [{"name": "x", "values": [str(i) for i in range(5000)]}]}))
     policy = tmp_path / "partition.json"
@@ -792,8 +800,8 @@ def test_validate_wide_full_graph_answers(tmp_path, capsys):
 
 
 def test_distance_graph_on_a_grid_answers(tmp_path, capsys):
-    # 100 x 100 points at theta = 2: 118,004 edges, where all 1e8 rank pairs
-    # would be over the edge budget
+    # 100 x 100 points at theta = 2: the signatures' distance transforms
+    # scan 30,000 ranks, where all 1e8 rank pairs would be over the edge budget
     domain, policy = tmp_path / "grid.json", tmp_path / "distance.json"
     domain.write_text(json.dumps({"attributes": [{"name": n, "values": [str(i) for i in range(100)]} for n in "xy"]}))
     rects = [
@@ -1379,6 +1387,59 @@ def test_malformed_file_fails_cleanly(case, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and fragment in err and "Traceback" not in err
     assert not (tmp_path / "out.csv").exists()
+
+
+POINTS = "0.1,0.2\n0.15,0.1\n0.8,0.9\n0.85,0.95\n"
+ABC_RANKS = list(range(12))  # the ranks of the 12-value example domain
+# case: (command, file content, the message of its one error line); the
+# file is the one the command reads: a policy, a domain, points or a ledger
+REFUSED_INPUTS = {
+    "explicit-rank-out-of-range": ("policy", {"graph": {"kind": "explicit", "edges": [[0, 99]]}},
+                                   "edge (0,99) references an invalid rank"),
+    "explicit-self-loop": ("policy", {"graph": {"kind": "explicit", "edges": [[1, 1]]}}, "self-loops are not allowed"),
+    "explicit-triple": ("policy", {"graph": {"kind": "explicit", "edges": [[0, 1, 2]]}},
+                        "explicit graph 'edges' must be a list of pairs of ranks"),
+    "partition-rank-out-of-range": ("policy", {"graph": {"kind": "partition", "cells": [ABC_RANKS, [12]]}},
+                                    "rank 12 out of range"),
+    "partition-rank-twice": ("policy", {"graph": {"kind": "partition", "cells": [ABC_RANKS, [0]]}},
+                             "rank 0 assigned to two cells"),
+    "partition-uncovered": ("policy", {"graph": {"kind": "partition", "cells": [ABC_RANKS[:11]]}},
+                            "partition must cover every domain point"),
+    "policy-empty-labels": ("policy", {"graph": {"kind": "full"}, "constraints": [{"where": {"A1": []}}]},
+                            "allowed value sets must be non-empty"),
+    "policy-list": ("policy", [1], "policy must be a JSON object"),
+    "policy-constraint-kind": ("policy", {"graph": {"kind": "full"}, "constraints": {"kind": "foo"}},
+                               "unknown constraint kind 'foo'"),
+    "domain-no-values": ("domain", {"attributes": [{"name": "x", "values": []}]}, "attribute 'x' has no values"),
+    "domain-duplicate-names": ("domain", {"attributes": [{"name": "x", "values": ["0"]}, {"name": "x", "values": ["1"]}]},
+                               "duplicate attribute names"),
+    "domain-number": ("domain", 3, "domain must be a JSON object or list"),
+    "kmeans-bounds-reversed": ("kmeans --low 1 --high 0", POINTS, "bounds must satisfy lo <= hi"),
+    "kmeans-low-infinite": ("kmeans --low=-inf", POINTS, "sum query has infinite sensitivity under this policy"),
+    "range-theta-past-size": ("release range --theta 100", None, "theta must be in [1, 12]"),
+    "ledger-zero-charge": ("ledger", {"entries": [{"label": "a", "epsilon": 0}]}, "charges must be positive and finite"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED_INPUTS))
+def test_refused_input_exits_with_its_message(case, tmp_path, capsys):
+    command, content, message = REFUSED_INPUTS[case]
+    bad = tmp_path / "input"
+    bad.write_text(content if isinstance(content, str) else json.dumps(content))
+    out = ["--out", str(tmp_path / "out.json")]
+    release = ["--epsilon", "1.0", "--seed", "1", *out]
+    argv = {
+        "policy": ["policy", "validate", "--domain", DOMAIN, "--policy", str(bad)],
+        "domain": ["policy", "validate", "--domain", str(bad), "--policy", POLICY_MARGINAL],
+        "ledger": ["budget", "total", "--ledger", str(bad)],
+        "kmeans --low 1 --high 0": ["kmeans", "--data", str(bad), "--k", "2", "--low", "1", "--high", "0", *release],
+        "kmeans --low=-inf": ["kmeans", "--data", str(bad), "--k", "2", "--low=-inf", *release],
+        "release range --theta 100": ["release", "range", "--domain", DOMAIN, "--data", ROWS, "--theta", "100", *release],
+    }[command]
+    assert cli_main(argv) == 1
+    printed = capsys.readouterr()
+    assert printed.err == f"error: {message}\n" and printed.out == ""
+    assert not (tmp_path / "out.json").exists()
 
 
 def _call(argv, out, capsys):

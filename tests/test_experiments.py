@@ -168,6 +168,14 @@ def test_run_experiment_unknown_name():
             {"experiment": "cdf-release", "data": {"kind": "sparse", "zero_frac": 1.5}},
             "experiment 'data' field 'zero_frac' must be in [0, 1], got 1.5",
         ),
+        ({"experiment": "kmeans-ratio", "n": -5}, "experiment 'n' must be at least 1, got -5"),
+        ({"experiment": "kmeans-ratio", "dims": 0}, "experiment 'dims' must be at least 1, got 0"),
+        ({"experiment": "kmeans-ratio", "k": 0}, "experiment 'k' must be at least 1, got 0"),
+        ({"experiment": "kmeans-ratio", "iterations": 0}, "experiment 'iterations' must be at least 1, got 0"),
+        (
+            {"experiment": "sensitivity-table", "domain": {"attributes": [{"name": "a", "values": ["0"]}]}, "k": 0},
+            "experiment 'k' must be at least 1, got 0",
+        ),
     ],
 )
 def test_config_errors_name_the_field(config, field):

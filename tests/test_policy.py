@@ -19,7 +19,7 @@ from blowfish import (
     load_policy,
 )
 
-from blowfish.policy import GraphKind, _ball_size, _signatures, iter_graph_edges, match_matrix, neighbor_databases, signature_edges
+from blowfish.policy import GraphKind, _signatures, iter_graph_edges, match_matrix, neighbor_databases, signature_edges
 from oracles import (
     critical_pairs_by_loop,
     is_edge,
@@ -169,31 +169,9 @@ def test_max_rank_gap_matches_edges():
     assert len(kinds) == 2 * len(GRAPH_KINDS)
 
 
-def test_ball_edges_match_adjacent_and_count():
-    # full and distance graphs are one walk over the L1 ball; its budget
-    # count holds the pairs x = y too, and is never more than the |T|**2 or
-    # size * min(size, 2 theta + 1) counted before the walk
-    rng = np.random.default_rng(31)
-    domains = [grid_domain(1), grid_domain(5, 1), grid_domain(1, 3, 1, 4)]
-    while len(domains) < 30:
-        dom = grid_domain(*[int(rng.integers(1, 9)) for _ in range(int(rng.integers(1, 5)))])
-        if dom.size <= 400:
-            domains.append(dom)
-    for dom in domains:
-        ranks = np.arange(dom.size)
-        for theta in [*range(dom.diameter() + 2), 10**30, None]:
-            g = SecretGraph.full(dom) if theta is None else SecretGraph.distance(dom, theta)
-            got = iter_graph_edges(g)
-            assert got.dtype == np.int64 and np.array_equal(got, np.argwhere(g.adjacent(ranks[:, None], ranks)))
-            count = _ball_size(dom, dom.diameter() if theta is None else min(theta, dom.diameter()))
-            assert count == len(got) + dom.size, (dom.sizes, theta)
-            one_band = theta is not None and dom.n_attributes == 1
-            assert count <= (dom.size * min(dom.size, 2 * theta + 1) if one_band else dom.size**2)
-
-
 def test_ball_edges_refused_before_allocating():
     # 4,473**2 pairs are just over the budget; the count comes from the
-    # attribute sizes, so the refusal builds nothing near the ball's 320 MB
+    # domain size, so the refusal builds nothing near the scan's 320 MB
     g = SecretGraph.full(line_domain(4473))
     tracemalloc.start()
     try:
@@ -255,19 +233,49 @@ def test_distance_at_the_diameter_is_the_full_graph():
                 assert np.array_equal(signature_edges(g, match), signature_edges(full, match))
 
 
-def test_signature_edges_shortcut_equals_the_walk():
-    # a complete graph's first edge between two signatures joins their first
-    # ranks; the same edges as an explicit graph take the walk over every
-    # edge, and the loop over every rank pair finds the same
+def test_signature_edges_equal_the_loop_over_rank_pairs():
+    # each kind's neighbour-set rule finds the first edge between two
+    # signatures; the same edges as an explicit graph take the stored edge
+    # list, and the loop over every rank pair finds the same
     rng = np.random.default_rng(29)
-    for dom, graphs in _complete_graphs(rng, 40, 30):
-        walk = SecretGraph.explicit(dom, list(itertools.combinations(range(dom.size), 2)))
-        for _ in range(3):
-            match = rng.random((int(rng.integers(1, 4)), dom.size)) < 0.5
-            expected = signature_edges_by_loop(walk, match)
-            for g in [*graphs, walk]:
-                got = signature_edges(g, match)
-                assert got.dtype.kind == "i" and got.tolist() == expected, (dom.sizes, g.kind, g.theta)
+    for dom, complete in _complete_graphs(rng, 40, 30):
+        graphs = [*complete, *(random_secret_graph(rng, dom, kind) for kind in ("partition", "attribute"))]
+        if dom.diameter() > 1:
+            graphs.append(SecretGraph.distance(dom, int(rng.integers(1, dom.diameter()))))
+        for g in graphs:
+            ranks = np.arange(dom.size)
+            listed = SecretGraph.explicit(dom, np.argwhere(np.triu(g.adjacent(ranks[:, None], ranks))).tolist())
+            for _ in range(3):
+                match = rng.random((int(rng.integers(1, 4)), dom.size)) < 0.5
+                expected = signature_edges_by_loop(g, match)
+                for h in (g, listed):
+                    got = signature_edges(h, match)
+                    assert got.dtype.kind == "i" and got.tolist() == expected, (dom.sizes, g.kind, g.theta, h.kind)
+
+
+def test_reaches_matches_the_adjacency_matrix():
+    # a rank reaches a set when it lies outside it and some edge joins it to
+    # a rank of the set; every kind, theta 0 to past the diameter, and sets
+    # that are empty, whole or a single rank
+    rng = np.random.default_rng(37)
+    domains = [grid_domain(1), grid_domain(1, 1, 1), grid_domain(5, 1), grid_domain(1, 3, 1, 4)]
+    while len(domains) < 60:
+        dom = grid_domain(*[int(rng.integers(1, 6)) for _ in range(int(rng.integers(1, 5)))])
+        if dom.size <= 200:
+            domains.append(dom)
+    for dom in domains:
+        ranks = np.arange(dom.size)
+        graphs = [random_secret_graph(rng, dom, kind) for kind in GRAPH_KINDS]
+        graphs += [SecretGraph.distance(dom, theta) for theta in (*range(dom.diameter() + 2), 10**30)]
+        graphs.append(SecretGraph.explicit(dom, []))
+        sets = rng.random((4, dom.size)) < rng.random((4, 1))
+        sets = np.vstack([sets, np.zeros(dom.size, bool), np.ones(dom.size, bool), ranks == rng.integers(dom.size)])
+        for g in graphs:
+            adj = g.adjacent(ranks[:, None], ranks)
+            expected = (sets[:, :, None] & adj).any(axis=1) & ~sets
+            got = g.reaches(sets)
+            assert got.dtype == bool and np.array_equal(got, expected), (dom.sizes, g.kind, g.theta)
+            assert g.reaches(sets[:0]).shape == (0, dom.size)
 
 
 @pytest.mark.parametrize("n_queries", [0, 1, 7, 8, 9, 63, 64, 65])
@@ -606,6 +614,17 @@ def test_parallel_decomposition_marginal_full_graph_fails():
     assert not check_parallel_decomposition(pol, [{0}, {1}], n=2)
     # a single non-empty subset is fine
     assert check_parallel_decomposition(pol, [{0, 1}], n=2)
+
+
+def test_parallel_decomposition_works_out_n_from_the_ids():
+    # without n the database holds ids 0 to the largest id given: an answer
+    # of 3 is critical for three tuples, not for two
+    dom = grid_domain(2, 2)
+    q = CountQuery.where(dom, {"A0": ["v0"]}, answer=3)
+    pol = Policy(dom, SecretGraph.full(dom), ConstraintSet.of([q]))
+    assert check_parallel_decomposition(pol, [{0}, {1}]) is check_parallel_decomposition(pol, [{0}, {1}], n=2) is True
+    assert check_parallel_decomposition(pol, [{0}, {2}]) is check_parallel_decomposition(pol, [{0}, {2}], n=3) is False
+    assert check_parallel_decomposition(pol, [set(), set()]) is True
 
 
 def test_parallel_decomposition_cardinality_only():

@@ -14,6 +14,7 @@ from blowfish import (
     CumulativeQuery,
     Exactness,
     HistogramQuery,
+    InfeasibleConstraintsError,
     LinearSumQuery,
     Method,
     NonSparseConstraintsError,
@@ -440,6 +441,50 @@ def test_specialized_rectangles_star_component_upper_bound():
     res = specialized_constraint_sensitivity(pol)
     assert res.value == 2 * (4 + 1)
     assert res.exactness is Exactness.UPPER_BOUND
+
+
+EXACT_UNATTAINED = pytest.mark.xfail(
+    raises=AssertionError, strict=True, reason="ROADMAP item 17: a specialized Exact value the oracle never reaches"
+)
+
+
+def _item_17_policy(case):
+    if case == "marginal":
+        dom = grid_domain(2, 2)
+        queries = [CountQuery.where(dom, {"A0": [v]}) for v in ("v0", "v1")]
+        return Policy(dom, SecretGraph.full(dom), ConstraintSet.of(queries))
+    size, theta, ranges = case
+    dom = line_domain(size)
+    queries = [CountQuery.where(dom, {"x": range(lo, hi + 1)}, answer) for lo, hi, answer in ranges]
+    return Policy(dom, SecretGraph.distance(dom, theta), ConstraintSet.of(queries))
+
+
+@pytest.mark.parametrize(
+    "case, max_n",
+    [
+        # specialized: 4 Exact; the oracle's largest value is 2
+        pytest.param((5, 1, [(1, 2, 0)]), 5, marks=EXACT_UNATTAINED, id="line5-theta1-[1,2]=0"),
+        pytest.param((5, 1, [(0, 1, 1)]), 5, marks=EXACT_UNATTAINED, id="line5-theta1-[0,1]=1"),
+        # specialized: 6 Exact; the oracle's largest value is 4
+        pytest.param((6, 2, [(0, 2, 1), (3, 4, 1)]), 5, marks=EXACT_UNATTAINED, id="line6-theta2-two-ranges"),
+        # specialized: 4 Exact; the oracle's largest value is 2
+        pytest.param("marginal", 6, marks=EXACT_UNATTAINED, id="2x2-full-unanswered-marginal"),
+    ],
+)
+def test_specialized_exact_is_attained_by_the_oracle(case, max_n):
+    # an Exact value is the sensitivity at some database size: the oracle
+    # reaches it at some n within the enumeration budget
+    pol = _item_17_policy(case)
+    res = specialized_constraint_sensitivity(pol)
+    if res.exactness is Exactness.EXACT:
+        reached = []
+        for n in range(1, max_n + 1):
+            assert pol.domain.size**n <= DEFAULT_ENUM_BUDGET
+            try:
+                reached.append(brute_force_sensitivity(HistogramQuery(), pol, n).value)
+            except InfeasibleConstraintsError:
+                continue
+        assert res.value in reached, (res.value, reached)
 
 
 def test_hamiltonian_path_agrees_with_permutations():

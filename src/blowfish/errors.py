@@ -42,8 +42,9 @@ def read_json(text: str, what: str):
         raise ValueError(f"malformed {what}: {exc}") from None
 
 
-# the read_field kind of an integer that numpy's int64 holds
+# read_field kinds: an integer that numpy's int64 holds, a number above 0
 INT64 = range(-(2**63), 2**63)
+POSITIVE = "positive"
 
 
 # what each kind of field accepts, and how it names one value and a list
@@ -51,6 +52,7 @@ _SHAPES = {
     int: ((int, float), "an integer", "integers"),
     INT64: ((int, float), "an integer", "integers"),
     float: ((int, float), "a number", "numbers"),
+    POSITIVE: ((int, float), "a number", "numbers"),
     bool: (bool, "a boolean", "booleans"),
     str: (str, "a string", "strings"),
     dict: (dict, "an object", "objects"),
@@ -71,10 +73,11 @@ def read_field(source: dict, key: str, default, kind, least=None, most=None, whe
     one JSON literal (``(int, "full")``, ``(str, None)``), or ``[kind]`` for
     a list of them.  An ``int`` is a JSON integer or a whole float, an
     ``INT64`` such an integer in numpy's int64 range, a ``float`` a finite
-    JSON number; none is a boolean or a string.  A value of another shape,
-    or a number out of range, below ``least`` or (with ``least`` given)
-    above ``most``, is a ValueError naming ``where`` and the field, and for
-    a list the index of the first entry at fault.
+    JSON number and a ``POSITIVE`` one above 0; none is a boolean or a
+    string.  A value of another shape, or a number out of range, below
+    ``least`` or (with ``least`` given) above ``most``, is a ValueError
+    naming ``where`` and the field, and for a list the index of the first
+    entry at fault.
     """
 
     def read(v, kind):
@@ -97,8 +100,10 @@ def read_field(source: dict, key: str, default, kind, least=None, most=None, whe
             v = int(v)
         if kind is INT64 and v not in INT64:
             raise ValueError("below 2**63" if v > 0 else "at least -2**63")
-        if kind is float and not math.isfinite(v := float(v)):
+        if kind in (float, POSITIVE) and not math.isfinite(v := float(v)):
             raise ValueError("finite")
+        if kind is POSITIVE and v <= 0:
+            raise ValueError("positive")
         return v
 
     value = source.get(key, default)
@@ -120,7 +125,8 @@ def read_field(source: dict, key: str, default, kind, least=None, most=None, whe
         except OverflowError:  # float() of an integer past the float range
             problem = "finite"
         else:
-            if (least is None or out[-1] >= least) and (most is None or out[-1] <= most):
+            x = out[-1]  # a literal, such as "full", has no bound to check
+            if type(x) is str or (least is None or x >= least) and (most is None or x <= most):
                 continue
             problem = f"at least {least}" if most is None else f"in [{least}, {most}]"
         raise ValueError(f"{where} {key!r} must be {problem}, got {v!r}" + (f" at index {i}" if many else ""))

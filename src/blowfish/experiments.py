@@ -16,7 +16,7 @@ from dataclasses import astuple, dataclass, fields
 import numpy as np
 
 from .domain import load_domain
-from .errors import INT64, read_field, read_json
+from .errors import INT64, POSITIVE, read_field, read_json
 from .kmeans import ClusteringPolicy, KmeansConfig, kmeans_nonprivate, kmeans_private
 from .mechanisms import (
     PrivacyParams,
@@ -143,8 +143,11 @@ def _config_histogram(config: dict, size: int, seed: int) -> np.ndarray:
     """The synthetic histogram described by a config's ``data`` object."""
     data_cfg = read_field(config, "data", {"kind": "zipf", "n": 10_000}, dict)
     where = "experiment 'data' field"
+    kind = read_field(data_cfg, "kind", "zipf", str, where=where)
+    if kind not in ("uniform", "zipf", "sparse"):
+        raise ValueError(f"{where} 'kind' must be one of uniform, zipf, sparse, got {kind!r}")
     return synth_histogram(
-        kind=read_field(data_cfg, "kind", "zipf", str, where=where),
+        kind=kind,
         size=size,
         n=read_field(data_cfg, "n", 10_000, INT64, least=0, where=where),
         seed=seed,
@@ -164,9 +167,10 @@ def _run_range_mse(config: dict, seed: int) -> list[ReportRow]:
     size = read_field(config, "domain_size", 400, INT64, least=1)
     trials = read_field(config, "trials", 20, INT64, least=1)
     n_queries = read_field(config, "queries", 2000, INT64, least=1)
-    fanout = read_field(config, "fanout", 16, INT64)
-    thetas = [size if t == "full" else t for t in read_field(config, "thetas", [1, "full"], [(INT64, "full")])]
-    epsilons = read_field(config, "epsilons", [0.5, 1.0], [float])
+    fanout = read_field(config, "fanout", 16, INT64, least=2)
+    thetas = read_field(config, "thetas", [1, "full"], [(INT64, "full")], least=1, most=size)
+    thetas = [size if t == "full" else t for t in thetas]
+    epsilons = read_field(config, "epsilons", [0.5, 1.0], [POSITIVE])
 
     counts = _config_histogram(config, size, seed)
     queries = np.asarray(random_range_workload(size, n_queries, seed).queries, dtype=np.int64).reshape(-1, 2)
@@ -194,8 +198,8 @@ def _run_range_mse(config: dict, seed: int) -> list[ReportRow]:
 def _run_cdf_release(config: dict, seed: int) -> list[ReportRow]:
     size = read_field(config, "domain_size", 400, INT64, least=1)
     trials = read_field(config, "trials", 20, INT64, least=1)
-    thetas = read_field(config, "thetas", [1], [INT64])
-    epsilons = read_field(config, "epsilons", [0.5, 1.0], [float])
+    thetas = read_field(config, "thetas", [1], [INT64], least=1)
+    epsilons = read_field(config, "epsilons", [0.5, 1.0], [POSITIVE])
 
     counts = _config_histogram(config, size, seed)
     truth = np.cumsum(counts).astype(float)
@@ -219,7 +223,7 @@ def _run_kmeans_ratio(config: dict, seed: int) -> list[ReportRow]:
     sigma = read_field(config, "sigma", 0.2, float, least=0)
     trials = read_field(config, "trials", 50, INT64, least=1)
     iterations = read_field(config, "iterations", 10, INT64, least=1)
-    epsilons = read_field(config, "epsilons", [0.2], [float])
+    epsilons = read_field(config, "epsilons", [0.2], [POSITIVE])
     policies_cfg = read_field(config, "policies", [{"kind": "full"}, {"kind": "distance", "theta": 0.25}], [dict])
     bounds = ((0.0, 1.0),) * dims
 

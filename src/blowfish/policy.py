@@ -168,13 +168,16 @@ class SecretGraph:
         else:
             # distance: L1 is separable, so the distance to the set is one
             # forward and one backward pass per attribute (Rosenfeld & Pfaltz
-            # 1966); diameter + 1 stands for no rank of the set
+            # 1966), in place; diameter + 1 stands for no rank of the set
             dist = np.where(sets, 0, self.domain.diameter() + 1).reshape(n, *sizes)
+            forward = np.empty_like(dist)
             for axis, s in enumerate(sizes, start=1):
                 i = np.arange(s).reshape(-1, *[1] * (len(sizes) - axis))
-                forward = np.minimum.accumulate(dist - i, axis=axis) + i
-                backward = np.flip(np.minimum.accumulate(np.flip(dist + i, axis), axis=axis), axis) - i
-                dist = np.minimum(forward, backward)
+                np.minimum.accumulate(np.subtract(dist, i, out=forward), axis=axis, out=forward)
+                forward += i
+                backward = np.flip(np.add(dist, i, out=dist), axis)
+                np.minimum.accumulate(backward, axis=axis, out=backward)
+                np.minimum(np.subtract(dist, i, out=dist), forward, out=dist)
             near = dist.reshape(sets.shape) <= self.theta
         return near & ~sets
 

@@ -4,10 +4,10 @@ Four routes are provided and kept deliberately independent of each other:
 
 * closed forms for unconstrained policies, per query kind and graph kind;
 * the sparse count-constraint engine, which builds a directed policy graph
-  over the constraint queries and bounds the histogram sensitivity by twice
-  the larger of its longest simple cycle and its longest source-to-sink path;
-  the graph's edges come from the rank-by-query match matrix, read at one
-  secret pair per pair of query signatures, found with no secret edge built;
+  over the constraint queries, from one secret pair per pair of query
+  signatures with no secret edge built, and bounds the histogram sensitivity
+  by twice the larger of its longest simple cycle and its longest
+  source-to-sink path, both read from one subset table of its simple paths;
 * specialized exact formulas for three recognized constraint shapes
   (one marginal with full-domain secrets or distance secrets at or past the
   diameter, disjoint marginals with attribute secrets, disjoint rectangles
@@ -276,38 +276,39 @@ def is_sparse(constraints: ConstraintSet, g: SecretGraph) -> bool:
     return True
 
 
-def _adjacency(pg: PolicyGraph) -> list[list[int]]:
-    adj: list[list[int]] = [[] for _ in range(pg.n_vertices)]
-    for u, v in sorted(pg.edges):
-        adj[u].append(v)
-    return adj
-
-
-def _path_states(adj, starts, allowed_mask: int) -> set[tuple[int, int]]:
-    """The (visited mask, last vertex) state of every simple path in ``adj``
-    that begins at a vertex of ``starts`` and then steps only onto vertices
-    of ``allowed_mask``.  Exhaustive subset search over bitmasks, so only for
-    graphs of at most ``MAX_POLICY_GRAPH_VERTICES`` vertices.
-    """
-    states = {(1 << s, s) for s in starts}
-    frontier = set(states)
-    while frontier:
-        frontier = {
-            (mask | 1 << w, w)
-            for mask, last in frontier
-            for w in adj[last]
-            if (allowed_mask & ~mask) >> w & 1
-        } - states
-        states |= frontier
-    return states
+def _path_ends(succ: dict[int, int], rooted: bool = True) -> dict[int, int]:
+    """The subset table (Bellman 1962; Held & Karp 1962) of the graph that
+    ``succ`` maps from each vertex bit to its successors' mask: each simple
+    path's vertex mask maps to the mask of the vertices it can end at.  A
+    rooted path starts at its mask's lowest vertex, so a cycle is found once."""
+    level = dict(zip(succ, succ))
+    table = dict(level)
+    while level:
+        grown: dict[int, int] = {}
+        for mask, ends in level.items():
+            steps = succ.get(ends)  # one end: its word
+            if steps is None:
+                steps = 0
+                while ends:
+                    steps |= succ[ends & -ends]
+                    ends &= ends - 1
+            steps &= ~mask & (-(mask & -mask) if rooted else -1)
+            while steps:
+                w = steps & -steps
+                grown[mask | w] = grown.get(mask | w, 0) | w
+                steps ^= w
+        table.update(grown)
+        level = grown
+    return table
 
 
 def alpha_xi(pg: PolicyGraph) -> tuple[int, int]:
     """Longest simple cycle length and longest source-to-sink simple path length.
 
-    Exhaustive subset search, so the graph is capped at 16 vertices.  The
-    cycle length is 0 for acyclic graphs; the path length is at least 1
-    because the (source, sink) edge always exists.
+    One rooted subset table holds both: α is its largest mask whose ends have
+    an edge back to the mask's lowest vertex, ξ its largest mask holding the
+    source, the lowest bit, whose ends have an edge to the sink.  Exhaustive,
+    so capped at 16 vertices.  α is 0 for an acyclic graph; ξ is at least 1.
     """
     nv = pg.n_vertices
     if nv > MAX_POLICY_GRAPH_VERTICES:
@@ -315,17 +316,17 @@ def alpha_xi(pg: PolicyGraph) -> tuple[int, int]:
             f"policy graph has {nv} vertices, exhaustive search capped at "
             f"{MAX_POLICY_GRAPH_VERTICES}"
         )
-    adj = _adjacency(pg)
-    alpha = 0
-    # cycles live among query vertices only (sentinels are one-sided);
-    # dedupe by rooting each cycle at its smallest vertex
-    for start in range(pg.n_queries):
-        above = (1 << pg.n_queries) - (1 << (start + 1))
-        for mask, last in _path_states(adj, [start], above):
-            if start in adj[last]:
-                alpha = max(alpha, mask.bit_count())
-    paths = _path_states(adj, [pg.source], (1 << nv) - 1 - (1 << pg.sink))
-    xi = max((mask.bit_count() for mask, last in paths if pg.sink in adj[last]), default=0)
+    # the sink has no bit, so no mask holds it, and pred[0] holds its
+    # predecessors; no edge enters the source, so it lies on no cycle
+    bit = {pg.source: 1, pg.sink: 0, **{q: 2 << q for q in range(pg.n_queries)}}
+    succ, pred = dict.fromkeys(bit.values(), 0), dict.fromkeys(bit.values(), 0)
+    for u, v in pg.edges:
+        if v != pg.source:
+            succ[bit[u]] |= bit[v]
+            pred[bit[v]] |= bit[u]
+    table = _path_ends({b: word for b, word in succ.items() if b})
+    alpha = max((m.bit_count() for m, ends in table.items() if ends & pred[m & -m]), default=0)
+    xi = max((m.bit_count() for m, ends in table.items() if m & 1 and ends & pred[0]), default=0)
     return alpha, xi
 
 
@@ -377,10 +378,11 @@ def _as_marginals(queries, domain: DomainSpec) -> list[tuple[tuple[int, ...], in
 
 def _has_hamiltonian_path(adj: np.ndarray) -> bool:
     """Whether a simple path visits every vertex of the small undirected
-    graph with boolean adjacency matrix ``adj``."""
-    local = [np.flatnonzero(row).tolist() for row in adj]
-    everything = (1 << len(adj)) - 1
-    return any(mask == everything for mask, _ in _path_states(local, range(len(adj)), everything))
+    graph with boolean adjacency matrix ``adj``: the full mask of an
+    unrooted subset table."""
+    words = np.packbits(adj, axis=1, bitorder="little")
+    succ = {1 << i: int.from_bytes(row.tobytes(), "little") for i, row in enumerate(words)}
+    return (1 << len(adj)) - 1 in _path_ends(succ, rooted=False)
 
 
 def _components(near: np.ndarray) -> np.ndarray:

@@ -39,7 +39,7 @@ from blowfish.experiments import _tag
 from blowfish.kmeans import ClusteringResult, KmeansConfig, _init_centroids
 from blowfish.mechanisms import BudgetLedger, PrivacyParams, add_noise
 from blowfish.policy import GraphKind, iter_graph_edges
-from blowfish.sensitivity import MAX_POLICY_GRAPH_VERTICES, PolicyGraph, _path_states
+from blowfish.sensitivity import MAX_POLICY_GRAPH_VERTICES, PolicyGraph
 
 Point = tuple[int, ...]
 
@@ -321,13 +321,19 @@ def alpha_xi_by_backtracking(pg: PolicyGraph) -> tuple[int, int]:
     return best_cycle, best_path
 
 
+@cache
+def _ordering_steps(n: int) -> np.ndarray:
+    """Row per ordering of range(n): each consecutive pair (a, b) as a * n + b."""
+    orders = np.array(list(itertools.permutations(range(n))), dtype=np.int16).reshape(-1, n)
+    return orders[:, :-1] * n + orders[:, 1:]
+
+
 def hamiltonian_path_by_permutation(nodes, adj) -> bool:
     """Whether some ordering of ``nodes`` steps along an edge of the
-    undirected graph ``adj`` between every two consecutive vertices."""
-    return any(
-        all(b in adj[a] for a, b in zip(order, order[1:]))
-        for order in itertools.permutations(nodes)
-    )
+    undirected graph ``adj`` between every two consecutive vertices.  Every
+    ordering is checked at once, n! rows, so n is at most about 10."""
+    step = np.array([[b in adj[a] for b in nodes] for a in nodes], dtype=bool)
+    return bool(step.ravel()[_ordering_steps(len(nodes))].all(axis=1).any())
 
 
 def signature_edges_by_loop(g: SecretGraph, match) -> list[list[int]]:
@@ -483,15 +489,6 @@ def _rects_disjoint(a, b) -> bool:
     return any(ahi < blo or bhi < alo for (alo, ahi), (blo, bhi) in zip(a, b))
 
 
-def _has_hamiltonian_path(nodes: list[int], adj: dict[int, set[int]]) -> bool:
-    """Whether a simple path of the undirected graph ``adj`` visits every
-    vertex of ``nodes`` (a small component, by vertex id)."""
-    index = {v: i for i, v in enumerate(nodes)}
-    local = [[index[w] for w in adj[v]] for v in nodes]
-    everything = (1 << len(nodes)) - 1
-    return any(mask == everything for mask, _ in _path_states(local, range(len(nodes)), everything))
-
-
 def specialized_by_loop(policy: Policy) -> SensitivityResult:
     """``specialized_constraint_sensitivity`` with pairwise rectangle loops, a
     set-based component search and per-query marginal cells.
@@ -591,7 +588,7 @@ def specialized_by_loop(policy: Policy) -> SensitivityResult:
             # which requires the component to be traceable
             for comp in components:
                 if len(comp) == maxcomp:
-                    if len(comp) > MAX_POLICY_GRAPH_VERTICES or not _has_hamiltonian_path(comp, adj):
+                    if len(comp) > MAX_POLICY_GRAPH_VERTICES or not hamiltonian_path_by_permutation(comp, adj):
                         exact = False
                         break
         tag = Exactness.EXACT if exact else Exactness.UPPER_BOUND

@@ -176,12 +176,43 @@ def test_run_experiment_unknown_name():
             {"experiment": "sensitivity-table", "domain": {"attributes": [{"name": "a", "values": ["0"]}]}, "k": 0},
             "experiment 'k' must be at least 1, got 0",
         ),
+        ({"experiment": "range-mse", "fanout": 1}, "experiment 'fanout' must be at least 2, got 1"),
+        (
+            {"experiment": "range-mse", "domain_size": 20, "thetas": [0]},
+            "experiment 'thetas' must be in [1, 20], got 0 at index 0",
+        ),
+        (
+            {"experiment": "range-mse", "domain_size": 20, "thetas": ["full", 30]},
+            "experiment 'thetas' must be in [1, 20], got 30 at index 1",
+        ),
+        ({"experiment": "cdf-release", "thetas": [0]}, "experiment 'thetas' must be at least 1, got 0 at index 0"),
+        ({"experiment": "range-mse", "epsilons": [0]}, "experiment 'epsilons' must be positive, got 0 at index 0"),
+        (
+            {"experiment": "cdf-release", "epsilons": [1.0, -0.5]},
+            "experiment 'epsilons' must be positive, got -0.5 at index 1",
+        ),
+        ({"experiment": "kmeans-ratio", "epsilons": [0.0]}, "experiment 'epsilons' must be positive, got 0.0 at index 0"),
+        (
+            {"experiment": "cdf-release", "data": {"kind": "bogus"}},
+            "experiment 'data' field 'kind' must be one of uniform, zipf, sparse, got 'bogus'",
+        ),
     ],
 )
 def test_config_errors_name_the_field(config, field):
     with pytest.raises(ValueError) as exc:
         run_experiment(config)
     assert field in str(exc.value)
+
+
+def test_config_bounds_admit_their_edges():
+    # each bound's own edge, and a cdf-release theta past the domain size, run
+    range_mse = {
+        "experiment": "range-mse", "domain_size": 20, "trials": 1, "queries": 10, "fanout": 2,
+        "thetas": [1, 20, "full"], "epsilons": [1e-3], "baseline": False,
+    }
+    assert [r.theta for r in run_experiment(range_mse).rows] == [1, 20, 20]
+    cdf = {"experiment": "cdf-release", "domain_size": 20, "trials": 1, "thetas": [1, 30], "epsilons": [1e-3]}
+    assert [r.theta for r in run_experiment(cdf).rows] == [1, 30]
 
 
 def test_range_mse_trends():

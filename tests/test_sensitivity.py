@@ -245,26 +245,36 @@ def test_alpha_xi_chain():
 
 
 def test_alpha_xi_vertex_cap():
-    nq = 17
+    # 14 queries and the two sentinels fill the cap: a complete digraph over
+    # the queries, the densest graph the table meets, answers
+    nq = 14
+    edges = {(u, v) for u in range(nq) for v in range(nq) if u != v} | {(nq, nq + 1)}
+    assert alpha_xi(PolicyGraph(n_queries=nq, edges=frozenset(edges))) == (14, 1)
+    nq = 15
     pg = PolicyGraph(n_queries=nq, edges=frozenset({(nq, nq + 1)}))
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(BudgetExceededError, match="^policy graph has 17 vertices, exhaustive search capped at 16$"):
         alpha_xi(pg)
 
 
 def test_alpha_xi_agrees_with_backtracking():
+    # source and sink edge densities range over [0, 1]; query edges are
+    # dense on up to 7 queries, and sparser on up to 10, where backtracking
+    # over a dense graph would walk millions of paths
     rng = np.random.default_rng(6)
-    for _ in range(40):
-        nq = int(rng.integers(1, 9))
+    for _ in range(300):
+        nq = int(rng.integers(1, 11))
         source, sink = nq, nq + 1
+        density = rng.random() * (1.0 if nq <= 7 else 0.4)
+        into, out = rng.random(2)
         edges = {(source, sink)}
         for u in range(nq):
             for v in range(nq):
-                if u != v and rng.random() < 0.3:
+                if u != v and rng.random() < density:
                     edges.add((u, v))
         for q in range(nq):
-            if rng.random() < 0.3:
+            if rng.random() < into:
                 edges.add((source, q))
-            if rng.random() < 0.3:
+            if rng.random() < out:
                 edges.add((q, sink))
         pg = PolicyGraph(n_queries=nq, edges=frozenset(edges))
         assert alpha_xi(pg) == alpha_xi_by_backtracking(pg)
@@ -493,7 +503,7 @@ def test_hamiltonian_path_agrees_with_permutations():
     rng = np.random.default_rng(11)
     found = 0
     for _ in range(400):
-        nodes = rng.choice(50, size=int(rng.integers(1, 8)), replace=False).tolist()
+        nodes = rng.choice(50, size=int(rng.integers(1, 10)), replace=False).tolist()
         adj = {v: set() for v in nodes}
         density = rng.random()
         for a, b in itertools.combinations(nodes, 2):

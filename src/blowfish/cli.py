@@ -55,16 +55,20 @@ def _read(path: str) -> str:
 
 
 def _write_atomic(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    """Write ``text`` to ``path`` through a temporary file beside it, so that
+    an error leaves neither partial output nor the temporary file.  An OS
+    error names ``path`` as given, not the temporary file."""
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise OSError(f"cannot write {path}: {exc.strerror or exc}") from None
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def _load_policy_args(args) -> Policy:
@@ -369,11 +373,9 @@ def _noise_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=["json", "csv"], default="json")
 
 
-def _policy_command(p: argparse.ArgumentParser) -> None:
-    sub = p.add_subparsers(dest="subcommand", required=True)
-    p_validate = sub.add_parser("validate", help="check a policy file")
-    _policy_flags(p_validate)
-    p_validate.set_defaults(func=_cmd_policy_validate)
+def _policy_validate_command(p: argparse.ArgumentParser) -> None:
+    _policy_flags(p)
+    p.set_defaults(func=_cmd_policy_validate)
 
 
 def _sensitivity_command(p: argparse.ArgumentParser) -> None:
@@ -386,31 +388,30 @@ def _sensitivity_command(p: argparse.ArgumentParser) -> None:
     p.set_defaults(func=_cmd_sensitivity)
 
 
-def _release_command(p: argparse.ArgumentParser) -> None:
-    sub = p.add_subparsers(dest="subcommand", required=True)
+def _release_histogram_command(p: argparse.ArgumentParser) -> None:
+    _policy_flags(p)
+    _rows_flag(p)
+    _noise_flags(p)
+    _exact_flag(p)
+    p.add_argument("--method", choices=["auto", "closed", "sparse", "specialized"], default="auto")
+    p.set_defaults(func=_cmd_release, release=_release_histogram)
 
-    p_hist = sub.add_parser("histogram", help="Laplace histogram release")
-    _policy_flags(p_hist)
-    _rows_flag(p_hist)
-    _noise_flags(p_hist)
-    _exact_flag(p_hist)
-    p_hist.add_argument("--method", choices=["auto", "closed", "sparse", "specialized"], default="auto")
-    p_hist.set_defaults(func=_cmd_release, release=_release_histogram)
 
-    p_cdf = sub.add_parser("cdf", help="ordered-mechanism cumulative release")
-    _domain_flags(p_cdf)
-    _rows_flag(p_cdf)
-    _noise_flags(p_cdf)
-    p_cdf.add_argument("--theta", type=int, default=1)
-    p_cdf.set_defaults(func=_cmd_release, release=_release_cdf)
+def _release_cdf_command(p: argparse.ArgumentParser) -> None:
+    _domain_flags(p)
+    _rows_flag(p)
+    _noise_flags(p)
+    p.add_argument("--theta", type=int, default=1)
+    p.set_defaults(func=_cmd_release, release=_release_cdf)
 
-    p_range = sub.add_parser("range", help="ordered-hierarchical tree release")
-    _domain_flags(p_range)
-    _rows_flag(p_range)
-    _noise_flags(p_range)
-    p_range.add_argument("--theta", type=int, required=True)
-    p_range.add_argument("--fanout", type=int, default=16)
-    p_range.set_defaults(func=_cmd_release, release=_release_range)
+
+def _release_range_command(p: argparse.ArgumentParser) -> None:
+    _domain_flags(p)
+    _rows_flag(p)
+    _noise_flags(p)
+    p.add_argument("--theta", type=int, required=True)
+    p.add_argument("--fanout", type=int, default=16)
+    p.set_defaults(func=_cmd_release, release=_release_range)
 
 
 def _kmeans_command(p: argparse.ArgumentParser) -> None:
@@ -425,46 +426,71 @@ def _kmeans_command(p: argparse.ArgumentParser) -> None:
     p.set_defaults(func=_cmd_kmeans)
 
 
-def _experiment_command(p: argparse.ArgumentParser) -> None:
-    sub = p.add_subparsers(dest="subcommand", required=True)
-    p_run = sub.add_parser("run", help="run a config and write CSV")
-    p_run.add_argument("--config", required=True)
-    p_run.add_argument("--out", required=True)
-    p_run.set_defaults(func=_cmd_experiment_run)
+def _experiment_run_command(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--config", required=True)
+    p.add_argument("--out", required=True)
+    p.set_defaults(func=_cmd_experiment_run)
 
 
-def _budget_command(p: argparse.ArgumentParser) -> None:
-    sub = p.add_subparsers(dest="subcommand", required=True)
-    p_total = sub.add_parser("total", help="total a ledger file")
-    p_total.add_argument("--ledger", required=True)
-    p_total.set_defaults(func=_cmd_budget_total)
+def _budget_total_command(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--ledger", required=True)
+    p.set_defaults(func=_cmd_budget_total)
 
 
-# each command's help and the function that adds its flags and subcommands
+# each command's help and either the function that adds its flags or the
+# table of its subcommands
 _COMMANDS = {
-    "policy": ("policy file tools", _policy_command),
+    "policy": ("policy file tools", {"validate": ("check a policy file", _policy_validate_command)}),
     "sensitivity": ("policy-specific sensitivity", _sensitivity_command),
-    "release": ("noisy releases", _release_command),
+    "release": (
+        "noisy releases",
+        {
+            "histogram": ("Laplace histogram release", _release_histogram_command),
+            "cdf": ("ordered-mechanism cumulative release", _release_cdf_command),
+            "range": ("ordered-hierarchical tree release", _release_range_command),
+        },
+    ),
     "kmeans": ("private k-means over numeric CSV data", _kmeans_command),
-    "experiment": ("seeded evaluation harness", _experiment_command),
-    "budget": ("privacy budget accounting", _budget_command),
+    "experiment": ("seeded evaluation harness", {"run": ("run a config and write CSV", _experiment_run_command)}),
+    "budget": ("privacy budget accounting", {"total": ("total a ledger file", _budget_total_command)}),
 }
+
+
+def _add_commands(parser: argparse.ArgumentParser, commands: dict, dest: str, argv) -> None:
+    """Give ``parser`` the subcommands in ``commands``.  When ``argv``, the
+    arguments left at this level, starts with one of their names, only that
+    one is built, and its metavar is the text argparse formats from every
+    name, so usage lines do not change.  Otherwise all are built with no
+    metavar, for the help and the errors that list them or name their
+    argument.  ``prog=parser.prog`` is argparse's own default here, which it
+    would otherwise derive by formatting a usage line."""
+    name = argv[0] if argv else None
+    metavar = rest = None
+    if name in commands:
+        metavar, rest = "{" + ",".join(commands) + "}", argv[1:]
+        commands = {name: commands[name]}
+    sub = parser.add_subparsers(dest=dest, required=True, prog=parser.prog, metavar=metavar)
+    for name, (summary, add) in commands.items():
+        p = sub.add_parser(name, help=summary)
+        if isinstance(add, dict):
+            _add_commands(p, add, "subcommand", rest)
+        else:
+            add(p)
 
 
 def build_parser(argv=None) -> argparse.ArgumentParser:
     """The parser of the whole command line or, given the arguments of one
-    call, of what that call can reach.  Every command is listed, for
-    ``--help`` and for errors, but only a command named among the arguments
-    gets its flags and subcommands: argparse picks a command by its exact
-    name, so the call parses, fails and prints help as with the whole
-    parser."""
+    call, of the path that they name.  A first argument that names a command
+    gets that command's parser alone, and a second that names one of its
+    subcommands gets that subcommand's alone: ``release range`` builds 3 of
+    the 13 parsers.  argparse takes the first positional argument as the
+    command, by its exact name, so the call parses, fails and prints help as
+    with the whole parser.  Any other first argument (``-h``, ``--version``,
+    ``--``, an unknown name or none) gets the whole parser, whose help and
+    errors list every command."""
     parser = argparse.ArgumentParser(prog="blowfish", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (summary, add) in _COMMANDS.items():
-        p = sub.add_parser(name, help=summary)
-        if argv is None or name in argv:
-            add(p)
+    _add_commands(parser, _COMMANDS, "command", argv)
     return parser
 
 

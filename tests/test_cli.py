@@ -792,15 +792,24 @@ PARSE_ARGVS = [
     "sensitivity --dom d --pol p", "release", "release -h", "release hist", "release histogram -h",
     "release cdf -h", "release range --theta x", "kmeans -h", "kmeans --k 2", "experiment run -h",
     "budget total --ledger", "sensitivity release --domain d --policy p", "release sensitivity",
+    # errors that print the usage line of a parser built with one command
+    "policy validate --domain d --policy p extra",
+    "release histogram --domain d --policy p --data r --epsilon 1 --out o extra",
+    "release range -h", "release histogram", "experiment run --config c --out o extra",
+    "budget total --ledger l extra", "kmeans --data d --k 2 --epsilon 1 --out o extra",
+    "-h release histogram", "--version release histogram",
 ]
 
 
 @pytest.mark.parametrize("argv", PARSE_ARGVS)
-def test_call_parser_parses_as_the_whole_parser(argv, capsys):
-    # a call's parser gives the flags only to the command named in the call;
-    # its help, its errors and their exit status are the whole parser's
+def test_call_parser_parses_as_the_whole_parser(argv, capsys, monkeypatch):
+    # a call's parser builds only the commands named in the call; its help,
+    # its errors and their exit status are the whole parser's, and its usage
+    # lines wrap the same at every terminal width
     argv = argv.split()
-    assert _parse(cli.build_parser(argv), argv, capsys) == _parse(cli.build_parser(), argv, capsys)
+    for columns in (40, 80, 200):
+        monkeypatch.setenv("COLUMNS", str(columns))
+        assert _parse(cli.build_parser(argv), argv, capsys) == _parse(cli.build_parser(), argv, capsys)
 
 
 def test_call_parser_builds_only_the_named_command():
@@ -811,10 +820,14 @@ def test_call_parser_builds_only_the_named_command():
         return len(parsers), len(flags)
 
     assert built(None) == (13, 47)
-    assert built(["sensitivity", "--domain", "d"]) == (7, 7)
-    assert built(["policy", "validate"]) == (8, 2)
-    assert built(["release", "range"]) == (10, 24)
-    assert built([]) == (7, 0)
+    assert built(["sensitivity", "--domain", "d"]) == (2, 7)
+    assert built(["policy", "validate"]) == (3, 2)
+    assert built(["release", "range"]) == (3, 8)
+    assert built(["release"]) == (5, 24)
+    assert built([]) == (13, 47)
+    # each parser's prog is the one argparse derives when none is given
+    assert [p.prog for p in _parsers(cli.build_parser(["release", "range"]))] == [
+        "blowfish", "blowfish release", "blowfish release range"]
 
 
 def test_validate_wide_full_graph_answers(tmp_path, capsys):
@@ -1150,6 +1163,30 @@ def test_out_of_memory_fails_cleanly(message, tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.err == f"error: out of memory{': ' if message else ''}{message}\n" and captured.out == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize("target", ["missing-directory", "directory"])
+@pytest.mark.parametrize("command", ["release", "kmeans", "experiment"])
+def test_unwritable_out_names_the_out_path(command, target, tmp_path, capsys):
+    # the error names --out as given, not the temporary file written beside
+    # it, and that file is removed
+    out = tmp_path / "missing" / "out.json" if target == "missing-directory" else tmp_path / "isdir"
+    if target == "directory":
+        out.mkdir()
+    if command == "release":
+        argv = SEEDED_RELEASES["histogram"] + ["--seed", "1"]
+    elif command == "kmeans":
+        data = tmp_path / "pts.csv"
+        data.write_text("0.1,0.2\n0.15,0.1\n0.8,0.9\n0.85,0.95\n")
+        argv = SEEDED_RELEASES["kmeans"] + ["--seed", "1", "--data", str(data)]
+    else:
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"experiment": "cdf-release", "domain_size": 4, "trials": 1}))
+        argv = ["experiment", "run", "--config", str(config)]
+    assert cli_main(argv + ["--out", str(out)]) == 1
+    reason = "No such file or directory" if target == "missing-directory" else "Is a directory"
+    assert capsys.readouterr() == ("", f"error: cannot write {out}: {reason}\n")
+    assert not list(tmp_path.rglob("*.tmp"))
 
 
 I64 = np.iinfo(np.int64)

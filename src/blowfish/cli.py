@@ -36,7 +36,7 @@ from .mechanisms import (
     ordered_mechanism,
     plain,
 )
-from .policy import ConstraintKind, ConstraintSet, Policy, SecretGraph, load_policy, match_matrix
+from .policy import ConstraintKind, ConstraintSet, Policy, SecretGraph, load_policy
 from .sensitivity import (
     QUERY_KINDS,
     CumulativeQuery,
@@ -109,9 +109,10 @@ def _cmd_release(args) -> int:
     """Every ``release`` subcommand: load, ingest, calibrate, then the
     subcommand's mechanism.  ``histogram`` reads its policy file; ``cdf`` and
     ``range`` protect distance-theta secrets under cardinality constraints,
-    so a protected change moves a tuple at most ``max(theta, res.value)``
-    rank positions: theta on one attribute, and on several the cumulative
-    query's sensitivity, the largest rank gap of an L1 step of theta."""
+    so a protected change moves a tuple at most ``res.value`` rank positions,
+    the cumulative query's sensitivity: the largest rank gap of an L1 move of
+    at most theta, which is theta on one attribute below |T|, and |T| - 1
+    once theta makes the graph complete."""
     domain = load_domain(_read(args.domain))
     if args.subcommand == "histogram":
         policy, query = load_policy(_read(args.policy), domain), HistogramQuery()
@@ -127,15 +128,12 @@ def _cmd_release(args) -> int:
 def _check_answers(policy: Policy, counts) -> None:
     """Refuse data that contradicts a constraint's answer: the sensitivity
     covers only the databases that meet every answer."""
-    queries = policy.constraints.queries
-    answered = [i for i, q in enumerate(queries) if q.answer is not None]
-    if not answered:
-        return
-    found = match_matrix([queries[i] for i in answered], policy.domain) @ counts
-    for i, count in zip(answered, found.tolist()):
-        if count != queries[i].answer:
+    index, match, answers = policy.answered()
+    found = match @ counts
+    for i, count, answer in zip(index.tolist(), found.tolist(), answers.tolist()):
+        if count != answer:
             raise ValueError(
-                f"data contradicts the policy: constraint query {i} matches {count} rows, its answer is {queries[i].answer}"
+                f"data contradicts the policy: constraint query {i} matches {count} rows, its answer is {answer}"
             )
 
 
@@ -152,13 +150,15 @@ def _release_histogram(args, policy: Policy, counts, res: SensitivityResult) -> 
 
 
 def _release_cdf(args, policy: Policy, counts, res: SensitivityResult) -> dict:
-    released = ordered_mechanism(counts, max(args.theta, int(res.value)), PrivacyParams(args.epsilon, args.seed))
+    released = ordered_mechanism(counts, int(res.value) or args.theta, PrivacyParams(args.epsilon, args.seed))
     return {**released.payload(), "policy": policy.describe()}
 
 
 def _release_range(args, policy: Policy, counts, res: SensitivityResult) -> dict:
     pp = PrivacyParams(args.epsilon, args.seed)
-    theta = max(args.theta, int(res.value))
+    # the block size: theta = |T|, the hierarchical baseline, stands for
+    # every theta that makes the graph complete
+    theta = min(max(args.theta, int(res.value)), policy.domain.size)
     split = optimal_budget_split(policy.domain.size, theta, args.fanout, pp.epsilon)
     tree = build_oh_release(counts, theta, args.fanout, split.eps_s, split.eps_h, pp.seed)
     return {**tree.payload(), "epsilon": args.epsilon, "policy": policy.describe()}

@@ -13,6 +13,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import repeat
 from operator import itemgetter
 
@@ -81,8 +82,15 @@ class DomainSpec:
         return tuple(a.size for a in self.attributes)
 
     def coords(self) -> np.ndarray:
-        """(size, n_attributes) int64 value indices of every rank, in rank order."""
-        return np.stack(np.unravel_index(np.arange(self.size, dtype=np.int64), self.sizes), axis=1)
+        """(size, n_attributes) int64 value indices of every rank, in rank
+        order: one read-only table per domain, built on first use."""
+        return self._coords
+
+    @cached_property
+    def _coords(self) -> np.ndarray:
+        table = np.stack(np.unravel_index(np.arange(self.size, dtype=np.int64), self.sizes), axis=1)
+        table.flags.writeable = False
+        return table
 
     def diameter(self) -> int:
         """Largest L1 distance between two domain points (in index units)."""
@@ -135,20 +143,17 @@ class Dataset:
         return int(self.ranks.size)
 
 
-def load_domain(source: str | dict | list) -> DomainSpec:
+def load_domain(source: str | dict) -> DomainSpec:
     """Parse a domain description from JSON text or an equivalent value.
 
     Expected shape: ``{"attributes": [{"name": ..., "values": [...]},
-    ...]}``, a name being a JSON string and the values a list of them.  A
-    bare list of attribute objects is also accepted.  Other keys are
-    ignored.  Values are ordered as listed.
+    ...]}``, a name being a JSON string and the values a list of them.
+    Other keys are ignored.  Values are ordered as listed.
     """
     if isinstance(source, str):
         source = read_json(source, "domain")
-    if isinstance(source, list):
-        source = {"attributes": source}
     if not isinstance(source, dict):
-        raise ValueError("domain must be a JSON object or list")
+        raise ValueError("domain must be a JSON object")
     parsed = []
     for i, a in enumerate(read_field(source, "attributes", None, [dict], where="domain")):
         name = read_field(a, "name", None, str, where=f"domain attribute {i}")
@@ -163,8 +168,8 @@ def _is_blank(record: list[str]) -> bool:
 
 
 def _csv_records(text: str) -> tuple[list[str], list[list[str]]]:
-    """Header and body records of ``text`` read by ``csv.reader``; a csv
-    error becomes a ValueError naming its 0-based record after the header."""
+    """Header and body records of non-empty ``text`` read by ``csv.reader``; a
+    csv error becomes a ValueError naming its 0-based record after the header."""
     records: list[list[str]] = []
     try:
         for record in csv.reader(io.StringIO(text)):
@@ -172,8 +177,6 @@ def _csv_records(text: str) -> tuple[list[str], list[list[str]]]:
     except csv.Error as exc:
         where = f"row {len(records) - 1}" if records else "header"
         raise ValueError(f"{where}: {exc}") from None
-    if not records:
-        raise ValueError("empty input: missing header")
     return records[0], records[1:]
 
 

@@ -28,13 +28,13 @@ from .mechanisms import (
 from .policy import load_policy
 from .sensitivity import QUERY_KINDS, policy_sensitivity
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Workload:
     """Range queries (i, j), 1-based inclusive, drawn uniformly from the set
-    of valid pairs."""
+    of valid pairs: the rows of a read-only (m, 2) int64 array."""
 
     domain_size: int
-    queries: tuple[tuple[int, int], ...]
+    queries: np.ndarray
     seed: int
 
 
@@ -50,7 +50,8 @@ def random_range_workload(domain_size: int, count: int, seed: int) -> Workload:
     starts = m * domain_size - m * (m - 1) // 2
     rows = np.searchsorted(starts, picks, side="right")
     cols = picks - starts[rows - 1] + rows
-    queries = tuple(zip(rows.tolist(), cols.tolist()))
+    queries = np.stack([rows, cols], axis=1).astype(np.int64, copy=False)
+    queries.flags.writeable = False
     return Workload(domain_size=domain_size, queries=queries, seed=seed)
 
 
@@ -173,7 +174,7 @@ def _run_range_mse(config: dict, seed: int) -> list[ReportRow]:
     epsilons = read_field(config, "epsilons", [0.5, 1.0], [POSITIVE])
 
     counts = _config_histogram(config, size, seed)
-    queries = np.asarray(random_range_workload(size, n_queries, seed).queries, dtype=np.int64).reshape(-1, 2)
+    queries = random_range_workload(size, n_queries, seed).queries
     truth = _range_truth(counts, queries)
 
     # (mechanism, policy, theta) per row group; the hierarchical baseline is

@@ -143,13 +143,10 @@ def plain(value):
     return value
 
 
-def isotonic_inference(noisy, lower_bound: float | None = None) -> np.ndarray:
-    """L2-nearest non-decreasing vector (pool adjacent violators).
-
-    With ``lower_bound`` set, the result is additionally clipped from below;
-    clipping the isotonic fit is the exact projection onto the constrained
-    cone.
-    """
+def isotonic_inference(noisy, lower_bound: float) -> np.ndarray:
+    """L2-nearest non-decreasing vector at or above ``lower_bound`` (pool
+    adjacent violators, then a clip, which is the exact projection onto that
+    cone); ``-np.inf`` leaves the fit unclipped."""
     y = np.asarray(noisy, dtype=float)
     if y.ndim != 1 or y.size == 0:
         raise ValueError("input must be a non-empty 1-D vector")
@@ -164,10 +161,7 @@ def isotonic_inference(noisy, lower_bound: float | None = None) -> np.ndarray:
             w += top_w
         vals.append(v)
         weights.append(w)
-    out = np.repeat(vals, weights)
-    if lower_bound is not None:
-        out = np.maximum(out, lower_bound)
-    return out
+    return np.maximum(np.repeat(vals, weights), lower_bound)
 
 
 @dataclass(frozen=True)

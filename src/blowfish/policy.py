@@ -20,7 +20,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 
 import numpy as np
 
@@ -122,11 +121,18 @@ class SecretGraph:
 
     # -- predicates ----------------------------------------------------
 
+    @property
+    def complete(self) -> bool:
+        """Whether every two ranks are joined: theta reaches the diameter, as
+        in the full graph, a distance graph at or past the diameter, or any
+        graph over one rank."""
+        return self.theta >= self.domain.diameter()
+
     def adjacent(self, x, y) -> np.ndarray:
         """Whether ranks x and y are joined by an edge, elementwise over the
         broadcast int64 rank arrays x and y: each kind's one edge rule."""
         x, y = np.asarray(x), np.asarray(y)
-        if self.theta >= self.domain.diameter():
+        if self.complete:
             return x != y
         if self.kind is GraphKind.PARTITION:
             return (self.cells[x] == self.cells[y]) & (x != y)
@@ -134,8 +140,8 @@ class SecretGraph:
             size = self.domain.size
             return np.isin(np.minimum(x, y) * size + np.maximum(x, y), self.edges @ np.array([size, 1]))
         if self.kind is GraphKind.ATTRIBUTE:
-            return sum(col[x] != col[y] for col in self._coords.T) == 1
-        dist = sum(np.abs(col[x] - col[y]) for col in self._coords.T)
+            return sum(col[x] != col[y] for col in self.domain.coords().T) == 1
+        dist = sum(np.abs(col[x] - col[y]) for col in self.domain.coords().T)
         return (dist >= 1) & (dist <= self.theta)
 
     def reaches(self, sets) -> np.ndarray:
@@ -144,8 +150,8 @@ class SecretGraph:
         linear in n * size, with no edge built."""
         sets = np.asarray(sets, dtype=bool)
         n, sizes = len(sets), self.domain.sizes
-        if self.theta >= self.domain.diameter():
-            # complete: a set that holds a rank reaches every other rank
+        if self.complete:
+            # a set that holds a rank reaches every other rank
             near = sets.any(axis=1, keepdims=True)
         elif self.kind is GraphKind.PARTITION:
             # the rank's cell holds a rank of the set
@@ -180,10 +186,6 @@ class SecretGraph:
                 np.minimum(np.subtract(dist, i, out=dist), forward, out=dist)
             near = dist.reshape(sets.shape) <= self.theta
         return near & ~sets
-
-    @cached_property
-    def _coords(self) -> np.ndarray:
-        return self.domain.coords()
 
     def has_any_edge(self) -> bool:
         return self.max_rank_gap() > 0
@@ -223,7 +225,7 @@ class SecretGraph:
             if spread_cost < int((np.unique(self.cells, return_counts=True)[1] ** 2).sum()):
                 _check_edge_budget(spread_cost, "cell spreads", "values")
                 signs = np.array(list(itertools.product((1,), *[(1, -1)] * (len(varying) - 1))))
-                return _cell_spread(self.cells, self._coords[:, varying] @ signs.T)
+                return _cell_spread(self.cells, domain.coords()[:, varying] @ signs.T)
             pairs = iter_graph_edges(self)
         ends = np.unravel_index(pairs, domain.sizes)
         return int(sum(np.abs(c[:, 0] - c[:, 1]) for c in ends).max(initial=0))
@@ -325,8 +327,8 @@ def signature_edges(g: SecretGraph, match: np.ndarray) -> np.ndarray:
     firsts = np.minimum.reduceat(reach, starts, axis=1)
     b, a = np.nonzero(firsts < size)
     x = firsts[b, a]
-    if g.theta >= g.domain.diameter():
-        # a complete graph joins x to b's first rank
+    if g.complete:
+        # x is adjacent to b's first rank
         y = first[b]
     else:
         # the first rank of b's run adjacent to x
@@ -404,10 +406,9 @@ def match_matrix(queries, domain: DomainSpec) -> np.ndarray:
     indices, read at every rank's coordinate; an allowed index outside
     ``[0, attr.size)`` matches no rank.
     """
-    coords = domain.coords()
     out = np.ones((len(queries), domain.size), dtype=bool)
     for row, q in zip(out, queries):
-        for col, s, attr in zip(coords.T, q.allowed, domain.attributes):
+        for col, s, attr in zip(domain.coords().T, q.allowed, domain.attributes):
             if s is not None:
                 table = np.zeros(attr.size, dtype=bool)
                 table[np.array([v for v in s if 0 <= v < attr.size], dtype=np.intp)] = True
@@ -472,6 +473,14 @@ class Policy:
         c = self.constraints
         cdesc = c.kind.value if c.unconstrained else f"general(q={len(c.queries)})"
         return f"{gdesc}|{cdesc}"
+
+    def answered(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The queries whose answer is known: their indices among the
+        constraint queries, their (k, size) match rows and int64 answers."""
+        queries = self.constraints.queries
+        index = np.array([i for i, q in enumerate(queries) if q.answer is not None], dtype=np.intp)
+        known = [queries[i] for i in index]
+        return index, match_matrix(known, self.domain), np.array([q.answer for q in known], dtype=np.int64)
 
 
 def load_policy(source: str | dict, domain: DomainSpec) -> Policy:
@@ -549,9 +558,8 @@ def _database_table(policy: Policy, n: int) -> tuple[np.ndarray, np.ndarray, np.
     total = size**n
     place = size ** np.arange(n - 1, -1, -1, dtype=np.int64)
     rows = np.arange(total, dtype=np.int64)[:, None] // place % size
-    answered = [q for q in policy.constraints.queries if q.answer is not None]
-    answers = np.array([q.answer for q in answered], dtype=np.int64)
-    counts = match_matrix(answered, policy.domain)[:, rows].sum(axis=2)
+    _, match, answers = policy.answered()
+    counts = match[:, rows].sum(axis=2)
     satisfies = (counts == answers[:, None]).all(axis=0)
     if not satisfies.any():
         raise InfeasibleConstraintsError("constraint answers admit no database")
@@ -632,17 +640,13 @@ def check_parallel_decomposition(policy: Policy, subsets, n: int | None = None) 
     if n is None:
         n = max((max(s) for s in subsets if s), default=-1) + 1
     nonempty = sum(1 for s in subsets if s)
-    answered = [q for q in policy.constraints.queries if q.answer is not None]
-    if not answered:
-        return True
+    _, match, answers = policy.answered()
     # a query is crossed when some edge joins a rank matching it to one that
     # does not: its match row splits the domain into two query cells
-    match = match_matrix(answered, policy.domain)
-    crossed = np.array([policy.graph.crosses(row) for row in match])
+    crossed = np.array([policy.graph.crosses(row) for row in match], dtype=bool)
     # secret graphs are symmetric, so a crossed query is both lifted and
     # lowered; a pair is critical when the other n-1 tuples can meet the
     # answer with the changed tuple inside q or outside it
-    answers = np.array([q.answer for q in answered])
     critical = crossed & (n >= 1) & (answers <= n)
     # secrets are uniform across ids, so a critical pair exists for every
     # id at once; such a query conflicts with every other non-empty subset

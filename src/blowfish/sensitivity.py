@@ -286,12 +286,10 @@ def _path_ends(succ: dict[int, int], rooted: bool = True) -> dict[int, int]:
     while level:
         grown: dict[int, int] = {}
         for mask, ends in level.items():
-            steps = succ.get(ends)  # one end: its word
-            if steps is None:
-                steps = 0
-                while ends:
-                    steps |= succ[ends & -ends]
-                    ends &= ends - 1
+            steps = 0
+            while ends:
+                steps |= succ[ends & -ends]
+                ends &= ends - 1
             steps &= ~mask & (-(mask & -mask) if rooted else -1)
             while steps:
                 w = steps & -steps
@@ -424,10 +422,7 @@ def specialized_constraint_sensitivity(policy: Policy) -> SensitivityResult:
     if not queries:
         raise ShapeNotRecognizedError("empty constraint set")
 
-    # a graph whose theta reaches the diameter joins every two ranks: the
-    # full graph, a distance graph at or past the diameter, or one rank
-    complete = g.theta >= domain.diameter()
-    if complete or g.kind is GraphKind.ATTRIBUTE:
+    if g.complete or g.kind is GraphKind.ATTRIBUTE:
         marginals = _as_marginals(queries, domain)
         if marginals is None:
             raise ShapeNotRecognizedError("constraints are not complete marginals")
@@ -437,7 +432,7 @@ def specialized_constraint_sensitivity(policy: Policy) -> SensitivityResult:
             # the matching construction varies the unconstrained attributes
             if domain.size // size < 2:
                 raise ShapeNotRecognizedError("degenerate marginal complement")
-        if complete and len(marginals) != 1:
+        if g.complete and len(marginals) != 1:
             raise ShapeNotRecognizedError("full-domain secrets support a single marginal")
         used = [i for attrs, _ in marginals for i in attrs]
         if len(set(used)) < len(used):

@@ -33,7 +33,6 @@ from blowfish import (
     SecretGraph,
     SensitivityResult,
     ShapeNotRecognizedError,
-    Workload,
 )
 from blowfish.experiments import _tag
 from blowfish.kmeans import ClusteringResult, KmeansConfig, _init_centroids
@@ -680,9 +679,9 @@ def oh_cumulative_by_walk(
     return float(total + covered)
 
 
-def range_workload_by_loop(domain_size: int, count: int, seed: int) -> Workload:
+def range_workload_by_loop(domain_size: int, count: int, seed: int) -> list[list[int]]:
     """The same draws as ``random_range_workload``, unranked by walking the
-    rows of the pair triangle one at a time."""
+    rows of the pair triangle one at a time: a list of [i, j] pairs."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, _tag("workload")]))
     total = domain_size * (domain_size + 1) // 2
     picks = rng.integers(0, total, size=count)
@@ -695,8 +694,8 @@ def range_workload_by_loop(domain_size: int, count: int, seed: int) -> Workload:
             remaining -= span
             i += 1
             span -= 1
-        queries.append((i, i + remaining))
-    return Workload(domain_size=domain_size, queries=tuple(queries), seed=seed)
+        queries.append([i, i + remaining])
+    return queries
 
 
 def philox_stream(seed: int, index: int) -> np.random.Generator:

@@ -287,7 +287,7 @@ def test_c07_isotonic_optimality():
     for _ in range(200):
         length = int(rng.integers(1, 9))
         y = rng.normal(0, 4, size=length)
-        fit = isotonic_inference(y)
+        fit = isotonic_inference(y, -np.inf)
         reference = isotonic_by_enumeration(y)
         worst = max(worst, float(np.abs(fit - reference).max()))
     assert worst <= 1e-6

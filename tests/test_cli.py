@@ -6,6 +6,8 @@ import math
 import os
 import random
 import re
+import shlex
+import shutil
 import subprocess
 import sys
 from collections import OrderedDict
@@ -314,6 +316,24 @@ def test_release_range(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["mechanism"] == "ordered-hierarchical"
     assert any(n["id"] == "S1" for n in payload["nodes"])
+
+
+@pytest.mark.parametrize("command, same_as", [("cdf", 11), ("range", 12)])
+def test_release_theta_past_the_size_is_the_complete_graph(command, same_as, tmp_path):
+    # on domain_abc (|T| = 12, L1 diameter 4) every theta >= 4 names the
+    # complete graph, whose cumulative sensitivity is 11: cdf noise covers 11
+    # rank positions, and the range tree is the theta = |T| baseline
+    def release(theta):
+        out = tmp_path / f"{theta}.json"
+        argv = ["release", command, "--domain", DOMAIN, "--data", ROWS, "--theta", str(theta), "--epsilon", "0.5",
+                "--seed", "11", "--out", str(out)]
+        assert cli_main(argv + (["--fanout", "2"] if command == "range" else [])) == 0
+        payload = json.loads(out.read_text())
+        return payload["theta"], payload["values" if command == "cdf" else "nodes"]
+
+    want = release(same_as)
+    assert want[0] == same_as
+    assert release(12) == release(100) == release(10**30) == want
 
 
 def test_kmeans_cli(tmp_path):
@@ -1519,12 +1539,15 @@ REFUSED_INPUTS = {
     "domain-no-values": ("domain", {"attributes": [{"name": "x", "values": []}]}, "attribute 'x' has no values"),
     "domain-duplicate-names": ("domain", {"attributes": [{"name": "x", "values": ["0"]}, {"name": "x", "values": ["1"]}]},
                                "duplicate attribute names"),
-    "domain-number": ("domain", 3, "domain must be a JSON object or list"),
+    "domain-number": ("domain", 3, "domain must be a JSON object"),
     "kmeans-bounds-reversed": ("kmeans --low 1 --high 0", POINTS, "bounds must satisfy lo <= hi"),
     "kmeans-low-infinite": ("kmeans --low=-inf", POINTS, "sum query has infinite sensitivity under this policy"),
     "kmeans-theta-full-graph": ("kmeans --theta 0.3", POINTS,
                                 "theta must be a distance graph's non-negative threshold, got 0.3"),
-    "range-theta-past-size": ("release range --theta 100", None, "theta must be in [1, 12]"),
+    # a theta past |T| names the complete graph and releases the theta = |T|
+    # tree (test_release_theta_past_the_size_is_the_complete_graph); only
+    # theta 0 is still outside [1, |T|]
+    "range-theta-past-size": ("release range --theta 0", None, "theta must be in [1, 12]"),
     "ledger-zero-charge": ("ledger", {"entries": [{"label": "a", "epsilon": 0}]}, "charges must be positive and finite"),
 }
 
@@ -1543,7 +1566,7 @@ def test_refused_input_exits_with_its_message(case, tmp_path, capsys):
         "kmeans --low 1 --high 0": ["kmeans", "--data", str(bad), "--k", "2", "--low", "1", "--high", "0", *release],
         "kmeans --low=-inf": ["kmeans", "--data", str(bad), "--k", "2", "--low=-inf", *release],
         "kmeans --theta 0.3": ["kmeans", "--data", str(bad), "--k", "2", "--theta", "0.3", *release],
-        "release range --theta 100": ["release", "range", "--domain", DOMAIN, "--data", ROWS, "--theta", "100", *release],
+        "release range --theta 0": ["release", "range", "--domain", DOMAIN, "--data", ROWS, "--theta", "0", *release],
     }[command]
     assert cli_main(argv) == 1
     printed = capsys.readouterr()
@@ -1628,3 +1651,39 @@ def test_release_reads_file_bytes_as_stored(tmp_path):
     assert cdf(["p", "x"], b"v\r\np\r\nx\r\nx\r\n", "plain_crlf") == plain
     domain = load_domain({"attributes": [{"name": "v", "values": ["a\rb", "x"]}]})
     assert ingest_dataset((tmp_path / "cr.csv").read_bytes().decode(), domain).ranks.tolist() == [0, 1, 1]
+
+
+def _readme_commands() -> list[tuple[list[str], str | None]]:
+    """(argv, the stdout its ``# ->`` line states, or None) for each
+    ``blowfish`` line of README's "## Command line" block, continuations
+    joined."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## Command line\n", 1)[1].split("```bash\n", 1)[1].split("\n```", 1)[0]
+    commands = []
+    for line in block.replace("\\\n", " ").splitlines():
+        line = line.strip()
+        if line.startswith("blowfish "):
+            commands.append((shlex.split(line)[1:], None))
+        elif line.startswith("# -> "):
+            commands[-1] = (commands[-1][0], line.removeprefix("# -> ") + "\n")
+    return commands
+
+
+def test_readme_command_line_block_runs(tmp_path, monkeypatch, capsys):
+    # every command runs from a directory holding data/ and points.csv, exits
+    # 0, and prints what the README states under it
+    shutil.copytree(DATA, tmp_path / "data")
+    points = np.random.default_rng(5).random((40, 2))
+    (tmp_path / "points.csv").write_text("\n".join(f"{x:.4f},{y:.4f}" for x, y in points) + "\n")
+    monkeypatch.chdir(tmp_path)
+    commands = _readme_commands()
+    assert [argv[0] for argv, _ in commands] == [
+        "policy", "sensitivity", "sensitivity", "release", "release", "release", "kmeans", "experiment", "budget",
+    ]
+    assert sum(expected is not None for _, expected in commands) == 2
+    for argv, expected in commands:
+        assert cli_main(argv) == 0, argv
+        printed = capsys.readouterr()
+        assert printed.err == "", argv
+        if expected is not None:
+            assert printed.out == expected, argv

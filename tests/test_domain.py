@@ -27,6 +27,15 @@ def test_load_domain_sizes():
     assert dom.sizes == (2, 2, 3)
 
 
+def test_coords_are_one_read_only_table():
+    dom = load_domain(ABC_SPEC)
+    table = dom.coords()
+    assert dom.coords() is table and not table.flags.writeable
+    assert table.dtype == np.int64 and table.tolist() == [list(unrank(dom, r)) for r in range(dom.size)]
+    with pytest.raises(ValueError):
+        table[0, 0] = 1
+
+
 def test_load_domain_ignores_ordinal_key():
     # older domain files flag ordered attributes; every attribute is ordered
     # as listed, so the flag is an ignored extra key

@@ -22,17 +22,19 @@ def test_mse_laplace_analytic():
 def test_workload_reproducible_and_valid():
     a = random_range_workload(50, 500, seed=4)
     b = random_range_workload(50, 500, seed=4)
-    assert a == b
-    assert all(1 <= i <= j <= 50 for i, j in a.queries)
-    assert random_range_workload(10, 0, seed=1).queries == ()
+    assert np.array_equal(a.queries, b.queries)
+    assert a.queries.shape == (500, 2) and a.queries.dtype == np.int64 and not a.queries.flags.writeable
+    assert all(1 <= i <= j <= 50 for i, j in a.queries.tolist())
+    assert random_range_workload(10, 0, seed=1).queries.shape == (0, 2)
 
 
 @pytest.mark.parametrize("size", [1, 2, 33, 4096])
 def test_workload_matches_loop_unranking(size):
     for seed in (0, 4):
         wl = random_range_workload(size, 3000, seed=seed)
-        assert wl == range_workload_by_loop(size, 3000, seed)
-        assert all(type(i) is int and type(j) is int for i, j in wl.queries)
+        assert (wl.domain_size, wl.seed) == (size, seed)
+        assert wl.queries.dtype == np.int64
+        assert wl.queries.tolist() == range_workload_by_loop(size, 3000, seed)
 
 
 def test_workload_uniform_over_pairs():
@@ -40,7 +42,7 @@ def test_workload_uniform_over_pairs():
     size, count = 6, 42_000
     wl = random_range_workload(size, count, seed=9)
     freq = {}
-    for q in wl.queries:
+    for q in map(tuple, wl.queries.tolist()):
         freq[q] = freq.get(q, 0) + 1
     n_pairs = size * (size + 1) // 2
     expected = count / n_pairs

@@ -250,18 +250,18 @@ def test_laplace_mechanism_deterministic():
 
 def test_isotonic_identity_on_monotone():
     y = np.array([1.0, 1.0, 2.0, 5.0])
-    assert np.array_equal(isotonic_inference(y), y)
+    assert np.array_equal(isotonic_inference(y, -np.inf), y)
 
 
 def test_isotonic_two_element_pool():
-    assert isotonic_inference([3.0, 1.0]).tolist() == [2.0, 2.0]
+    assert isotonic_inference([3.0, 1.0], -np.inf).tolist() == [2.0, 2.0]
 
 
 def test_isotonic_matches_enumeration():
     rng = np.random.default_rng(11)
     for _ in range(40):
         y = rng.normal(0, 5, size=int(rng.integers(1, 9)))
-        fit = isotonic_inference(y)
+        fit = isotonic_inference(y, -np.inf)
         assert np.abs(fit - isotonic_by_enumeration(y)).max() < 1e-9
 
 
@@ -292,8 +292,9 @@ def test_isotonic_matches_the_loop_bit_for_bit():
     # order, as the loop that rewrote its top two blocks, so the release cdf
     # pins hold
     for y in _isotonic_inputs(np.random.default_rng(28), 2000):
-        for lower_bound in (None, 0.0):
-            got, want = isotonic_inference(y, lower_bound), isotonic_by_loop(y, lower_bound)
+        # -inf clips nothing: the loop's unclipped fit
+        for lower_bound, loop_bound in ((-np.inf, None), (0.0, 0.0)):
+            got, want = isotonic_inference(y, lower_bound), isotonic_by_loop(y, loop_bound)
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (y, lower_bound)
 
 

@@ -328,6 +328,37 @@ def test_count_query_matching():
         CountQuery.where(dom, {"A1": range(2, 6)})
 
 
+def test_complete_is_theta_at_the_diameter():
+    dom = load_domain(DOMAIN_ABC.read_text())  # diameter 4
+    one = load_domain({"attributes": [{"name": "v", "values": ["x"]}]})
+    graphs = {
+        SecretGraph.full(dom): True,
+        SecretGraph.distance(dom, 3): False,
+        SecretGraph.distance(dom, 4): True,
+        SecretGraph.distance(dom, 100): True,
+        SecretGraph.attribute(dom): False,
+        SecretGraph.partition(dom, [range(12)]): False,
+        SecretGraph.attribute(one): True,
+        SecretGraph.explicit(one, []): True,
+    }
+    ranks = np.arange(dom.size)
+    for g, complete in graphs.items():
+        assert g.complete is complete
+        if complete:
+            assert (g.adjacent(ranks[:, None], ranks) == (ranks[:, None] != ranks)).all()
+
+
+def test_answered_lists_the_known_answers():
+    dom = load_domain(DOMAIN_ABC.read_text())
+    queries = [CountQuery.where(dom, {"A1": ["a1"]}), CountQuery.where(dom, {"A3": range(0, 2)}, 3),
+               CountQuery.where(dom, {"A2": ["b2"]}, 0)]
+    index, match, answers = Policy(dom, SecretGraph.full(dom), ConstraintSet.of(queries)).answered()
+    assert index.tolist() == [1, 2] and answers.dtype == np.int64 and answers.tolist() == [3, 0]
+    assert np.array_equal(match, match_matrix(queries[1:], dom))
+    index, match, answers = Policy(dom, SecretGraph.full(dom), ConstraintSet.none()).answered()
+    assert (index.size, match.shape, answers.size) == (0, (0, 12), 0)
+
+
 def test_match_matrix_matches_isin():
     rng = np.random.default_rng(11)
     for _ in range(60):
